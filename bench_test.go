@@ -27,7 +27,6 @@ import (
 var (
 	benchStudy         *core.Study
 	benchStudyParallel *core.Study
-	benchStudyBitset   *core.Study
 )
 
 func studyForBench(b *testing.B) *core.Study {
@@ -37,14 +36,13 @@ func studyForBench(b *testing.B) *core.Study {
 		if err != nil {
 			b.Fatalf("corpus.Generate: %v", err)
 		}
-		// The serial scan reference (the seed's algorithms).
-		benchStudy = core.NewStudy(c.Entries, core.WithEngine(core.EngineScan))
+		benchStudy = core.NewStudy(c.Entries)
 	}
 	return benchStudy
 }
 
-// benchWorkers is the worker count of the sharded-engine benchmarks
-// (the acceptance configuration).
+// benchWorkers is the worker count of the parallel benchmarks (the
+// acceptance configuration).
 const benchWorkers = 4
 
 func studyForBenchParallel(b *testing.B) *core.Study {
@@ -54,22 +52,9 @@ func studyForBenchParallel(b *testing.B) *core.Study {
 		if err != nil {
 			b.Fatalf("corpus.Generate: %v", err)
 		}
-		benchStudyParallel = core.NewStudy(c.Entries,
-			core.WithEngine(core.EngineScan), core.WithParallelism(benchWorkers))
+		benchStudyParallel = core.NewStudy(c.Entries, core.WithParallelism(benchWorkers))
 	}
 	return benchStudyParallel
-}
-
-func studyForBenchBitset(b *testing.B) *core.Study {
-	b.Helper()
-	if benchStudyBitset == nil {
-		c, err := corpus.Generate()
-		if err != nil {
-			b.Fatalf("corpus.Generate: %v", err)
-		}
-		benchStudyBitset = core.NewStudy(c.Entries, core.WithParallelism(benchWorkers))
-	}
-	return benchStudyBitset
 }
 
 // BenchmarkTable1Distribution regenerates Table I (E1).
@@ -256,39 +241,10 @@ func BenchmarkAttackSimulation(b *testing.B) {
 
 // --- parallel engine benchmarks -----------------------------------------
 //
-// The *Serial benchmarks measure the seed's single-goroutine algorithms
-// with the memo cache cleared every iteration; the *Parallel variants
-// measure the sharded engine at benchWorkers workers, also uncached, and
-// assert the same paper numbers; the *Cached variants measure the
-// memoized steady state (repeated CLI/benchmark invocations).
-
-// BenchmarkTable1DistributionSerial regenerates Table I from scratch on
-// the serial path every iteration.
-func BenchmarkTable1DistributionSerial(b *testing.B) {
-	s := studyForBench(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.ClearCache()
-		_, distinct := s.ValidityTable()
-		if distinct.Valid != paperdata.DistinctValid {
-			b.Fatalf("Table I mismatch: %d distinct", distinct.Valid)
-		}
-	}
-}
-
-// BenchmarkTable1DistributionParallel regenerates Table I from scratch
-// on the sharded engine every iteration.
-func BenchmarkTable1DistributionParallel(b *testing.B) {
-	s := studyForBenchParallel(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.ClearCache()
-		_, distinct := s.ValidityTable()
-		if distinct.Valid != paperdata.DistinctValid {
-			b.Fatalf("Table I mismatch: %d distinct", distinct.Valid)
-		}
-	}
-}
+// These run the engine at benchWorkers workers. The *Bitset and
+// *Uncached variants clear the memo cache every iteration and assert the
+// paper numbers; the *Cached variants measure the memoized steady state
+// (repeated CLI/benchmark invocations).
 
 // BenchmarkTable1DistributionCached measures the memoized steady state.
 func BenchmarkTable1DistributionCached(b *testing.B) {
@@ -299,65 +255,6 @@ func BenchmarkTable1DistributionCached(b *testing.B) {
 		_, distinct := s.ValidityTable()
 		if distinct.Valid != paperdata.DistinctValid {
 			b.Fatalf("Table I mismatch: %d distinct", distinct.Valid)
-		}
-	}
-}
-
-// BenchmarkTable3PairwiseSerial regenerates all 55 pair overlaps of one
-// profile column from scratch, serially.
-func BenchmarkTable3PairwiseSerial(b *testing.B) {
-	s := studyForBench(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.ClearCache()
-		m := s.PairMatrix(core.FatServer)
-		for p, n := range m {
-			if n != paperdata.PairTable[p].All {
-				b.Fatalf("Table III mismatch at %v", p)
-			}
-		}
-	}
-}
-
-// BenchmarkTable3PairwiseParallel regenerates the same column on the
-// sharded engine.
-func BenchmarkTable3PairwiseParallel(b *testing.B) {
-	s := studyForBenchParallel(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.ClearCache()
-		m := s.PairMatrix(core.FatServer)
-		for p, n := range m {
-			if n != paperdata.PairTable[p].All {
-				b.Fatalf("Table III mismatch at %v", p)
-			}
-		}
-	}
-}
-
-// BenchmarkKWiseSerial regenerates the k-wise product counts serially.
-func BenchmarkKWiseSerial(b *testing.B) {
-	s := studyForBench(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.ClearCache()
-		kwise := s.KWiseProducts(core.FatServer)
-		if kwise[6] != paperdata.KWiseProducts[6] {
-			b.Fatalf("k-wise mismatch: %d", kwise[6])
-		}
-	}
-}
-
-// BenchmarkKWiseParallel regenerates the k-wise product counts on the
-// sharded engine.
-func BenchmarkKWiseParallel(b *testing.B) {
-	s := studyForBenchParallel(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.ClearCache()
-		kwise := s.KWiseProducts(core.FatServer)
-		if kwise[6] != paperdata.KWiseProducts[6] {
-			b.Fatalf("k-wise mismatch: %d", kwise[6])
 		}
 	}
 }
@@ -380,7 +277,7 @@ func BenchmarkSelectionUncached(b *testing.B) {
 // BenchmarkTable1DistributionBitset regenerates Table I from scratch on
 // the columnar bitset engine every iteration.
 func BenchmarkTable1DistributionBitset(b *testing.B) {
-	s := studyForBenchBitset(b)
+	s := studyForBenchParallel(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.ClearCache()
@@ -394,7 +291,7 @@ func BenchmarkTable1DistributionBitset(b *testing.B) {
 // BenchmarkTable3PairwiseBitset regenerates the Fat-Server pair column
 // on the bitset engine.
 func BenchmarkTable3PairwiseBitset(b *testing.B) {
-	s := studyForBenchBitset(b)
+	s := studyForBenchParallel(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.ClearCache()
@@ -410,7 +307,7 @@ func BenchmarkTable3PairwiseBitset(b *testing.B) {
 // BenchmarkKWiseBitset regenerates the k-wise product counts on the
 // bitset engine.
 func BenchmarkKWiseBitset(b *testing.B) {
-	s := studyForBenchBitset(b)
+	s := studyForBenchParallel(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.ClearCache()
@@ -424,10 +321,9 @@ func BenchmarkKWiseBitset(b *testing.B) {
 // --- 100k-entry synthetic "modern NVD" benchmarks ------------------------
 //
 // The acceptance workload of the bitset engine: a seeded 100k-entry,
-// 32-distro corpus at production volume. The *Scan variants run the
-// PR-1 sharded record walks at benchWorkers workers; the *Bitset
-// variants run the columnar engine at the same worker count. Both
-// recompute from scratch every iteration (memo cache cleared).
+// 32-distro corpus at production volume, queried at benchWorkers
+// workers. Each benchmark recomputes from scratch every iteration (memo
+// cache cleared).
 
 const (
 	synthBenchEntries = 100_000
@@ -435,14 +331,11 @@ const (
 	synthBenchSeed    = 1
 )
 
-var (
-	synthStudyScan   *core.Study
-	synthStudyBitset *core.Study
-)
+var synthBenchStudy *core.Study
 
-func synthStudies(b *testing.B) (scan, bitset *core.Study) {
+func synthStudy(b *testing.B) *core.Study {
 	b.Helper()
-	if synthStudyScan == nil {
+	if synthBenchStudy == nil {
 		sc, err := corpus.GenerateSynthetic(corpus.SyntheticConfig{
 			Entries: synthBenchEntries, Distros: synthBenchDistros,
 			Seed: synthBenchSeed, Workers: benchWorkers,
@@ -450,22 +343,17 @@ func synthStudies(b *testing.B) (scan, bitset *core.Study) {
 		if err != nil {
 			b.Fatalf("GenerateSynthetic: %v", err)
 		}
-		synthStudyScan = core.NewStudy(sc.Entries, core.WithRegistry(sc.Registry),
-			core.WithEngine(core.EngineScan), core.WithParallelism(benchWorkers))
-		synthStudyBitset = core.NewStudy(sc.Entries, core.WithRegistry(sc.Registry),
+		synthBenchStudy = core.NewStudy(sc.Entries, core.WithRegistry(sc.Registry),
 			core.WithParallelism(benchWorkers))
-		if synthStudyScan.ValidEntries() != synthStudyBitset.ValidEntries() {
-			b.Fatal("synthetic studies disagree on valid entries")
-		}
 	}
-	return synthStudyScan, synthStudyBitset
+	return synthBenchStudy
 }
 
-// benchmarkPairs100k regenerates every cell of the modern Table III —
-// the per-distro totals and the pairwise overlaps, all three profiles —
-// from scratch each iteration.
-func benchmarkPairs100k(b *testing.B, s *core.Study) {
-	b.Helper()
+// BenchmarkTable3PairwiseOverlap100kBitset regenerates every cell of the
+// modern Table III — the per-distro totals and the pairwise overlaps,
+// all three profiles — from scratch each iteration.
+func BenchmarkTable3PairwiseOverlap100kBitset(b *testing.B) {
+	s := synthStudy(b)
 	ds := s.Distros()
 	profiles := core.Profiles()
 	b.ResetTimer()
@@ -486,22 +374,10 @@ func benchmarkPairs100k(b *testing.B, s *core.Study) {
 	}
 }
 
-// BenchmarkTable3PairwiseOverlap100kScan regenerates all three profile
-// pair matrices over the 100k corpus on the sharded scan engine.
-func BenchmarkTable3PairwiseOverlap100kScan(b *testing.B) {
-	scan, _ := synthStudies(b)
-	benchmarkPairs100k(b, scan)
-}
-
-// BenchmarkTable3PairwiseOverlap100kBitset is the same workload on the
-// columnar bitset engine.
-func BenchmarkTable3PairwiseOverlap100kBitset(b *testing.B) {
-	_, bitset := synthStudies(b)
-	benchmarkPairs100k(b, bitset)
-}
-
-func benchmarkKWise100k(b *testing.B, s *core.Study) {
-	b.Helper()
+// BenchmarkKWise100kBitset regenerates the k-wise product and cluster
+// counts over the 100k corpus.
+func BenchmarkKWise100kBitset(b *testing.B) {
+	s := synthStudy(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.ClearCache()
@@ -513,21 +389,10 @@ func benchmarkKWise100k(b *testing.B, s *core.Study) {
 	}
 }
 
-// BenchmarkKWise100kScan regenerates the k-wise product and cluster
-// counts over the 100k corpus on the sharded scan engine.
-func BenchmarkKWise100kScan(b *testing.B) {
-	scan, _ := synthStudies(b)
-	benchmarkKWise100k(b, scan)
-}
-
-// BenchmarkKWise100kBitset is the same workload on the bitset engine.
-func BenchmarkKWise100kBitset(b *testing.B) {
-	_, bitset := synthStudies(b)
-	benchmarkKWise100k(b, bitset)
-}
-
-func benchmarkTotals100k(b *testing.B, s *core.Study) {
-	b.Helper()
+// BenchmarkTotals100kBitset regenerates every per-distro total (3
+// profiles x 32 distros).
+func BenchmarkTotals100kBitset(b *testing.B) {
+	s := synthStudy(b)
 	ds := s.Distros()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -542,19 +407,6 @@ func benchmarkTotals100k(b *testing.B, s *core.Study) {
 			b.Fatal("empty totals")
 		}
 	}
-}
-
-// BenchmarkTotals100kScan regenerates every per-distro total (3 profiles
-// x 32 distros) on the sharded scan engine.
-func BenchmarkTotals100kScan(b *testing.B) {
-	scan, _ := synthStudies(b)
-	benchmarkTotals100k(b, scan)
-}
-
-// BenchmarkTotals100kBitset is the same workload on the bitset engine.
-func BenchmarkTotals100kBitset(b *testing.B) {
-	_, bitset := synthStudies(b)
-	benchmarkTotals100k(b, bitset)
 }
 
 // BenchmarkSyntheticGeneration measures the seeded 100k-corpus

@@ -7,12 +7,10 @@
 //
 //	go test -run xxx -bench . -benchtime=1x . | benchjson -out BENCH_core.json
 //
-// For every benchmark name ending in "Scan" with a "Bitset" sibling
-// (e.g. BenchmarkKWise100kScan / BenchmarkKWise100kBitset) the summary
-// records the scan-over-bitset speedup factor; likewise "Naive" /
-// "Planned" siblings (the relstore query-planner benchmarks) record
-// naive-over-planned, and "Feed" / "Snapshot" siblings (the warm-start
-// benchmarks) record feed-over-snapshot.
+// For every benchmark name ending in "Naive" with a "Planned" sibling
+// (the relstore query-planner benchmarks) the summary records the
+// naive-over-planned speedup factor; likewise "Feed" / "Snapshot"
+// siblings (the warm-start benchmarks) record feed-over-snapshot.
 //
 // With -compare old.json the command additionally gates on performance
 // regressions: any benchmark present in both the old summary and the
@@ -60,9 +58,6 @@ type summary struct {
 	// NsPerOp maps benchmark name (CPU suffix stripped) to ns/op. When
 	// a benchmark appears several times (-count > 1), the median wins.
 	NsPerOp map[string]float64 `json:"ns_per_op"`
-	// Speedups maps "<Name>" to scan/bitset ns ratios for benchmark
-	// pairs named <Name>Scan / <Name>Bitset.
-	Speedups map[string]float64 `json:"speedup_scan_over_bitset,omitempty"`
 	// PlanSpeedups maps "<Name>" to naive/planned ns ratios for
 	// benchmark pairs named <Name>Naive / <Name>Planned (the relstore
 	// query planner against its pre-planner baseline).
@@ -79,7 +74,6 @@ var speedupPairs = []struct {
 	slow, fast string
 	dst        func(*summary) map[string]float64
 }{
-	{"Scan", "Bitset", func(s *summary) map[string]float64 { return s.Speedups }},
 	{"Naive", "Planned", func(s *summary) map[string]float64 { return s.PlanSpeedups }},
 	{"Feed", "Snapshot", func(s *summary) map[string]float64 { return s.WarmSpeedups }},
 }
@@ -127,7 +121,7 @@ func main() {
 		if err := os.WriteFile(*out, enc, 0o644); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "wrote %s (%d benchmarks, %d speedups)\n", *out, len(doc.NsPerOp), len(doc.Speedups))
+		fmt.Fprintf(os.Stderr, "wrote %s (%d benchmarks)\n", *out, len(doc.NsPerOp))
 	}
 
 	breached := false
@@ -289,7 +283,6 @@ func buildSummary(samples map[string][]float64) *summary {
 	doc := &summary{
 		Note:         "ns/op per benchmark; regenerate with: go test -run xxx -bench . -benchtime=1x <packages> | go run ./cmd/benchjson -out <file> (see the CI workflow for each file's package list)",
 		NsPerOp:      make(map[string]float64, len(samples)),
-		Speedups:     make(map[string]float64),
 		PlanSpeedups: make(map[string]float64),
 		WarmSpeedups: make(map[string]float64),
 	}
@@ -309,9 +302,6 @@ func buildSummary(samples map[string][]float64) *summary {
 			}
 			pair.dst(doc)[base] = round2(ns / fast)
 		}
-	}
-	if len(doc.Speedups) == 0 {
-		doc.Speedups = nil
 	}
 	if len(doc.PlanSpeedups) == 0 {
 		doc.PlanSpeedups = nil

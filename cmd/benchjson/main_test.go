@@ -11,7 +11,7 @@ import (
 const benchOutput = `goos: linux
 goarch: amd64
 BenchmarkTable3PairwiseOverlap-2    	       1	    500000 ns/op
-BenchmarkKWise100kScan-2            	       1	   3000000 ns/op
+BenchmarkTotals100kBitset-2         	       1	   3000000 ns/op
 BenchmarkKWise100kBitset-2          	       1	    300000 ns/op
 BenchmarkJoinNaive-2                	       1	  80000000 ns/op
 BenchmarkJoinPlanned-2              	       1	   2000000 ns/op
@@ -26,25 +26,21 @@ func TestParseBenchStripsCPUSuffix(t *testing.T) {
 	if got := len(samples); got != 5 {
 		t.Fatalf("parsed %d benchmarks, want 5 (%v)", got, samples)
 	}
-	if ns := samples["BenchmarkKWise100kScan"]; len(ns) != 1 || ns[0] != 3000000 {
-		t.Errorf("BenchmarkKWise100kScan samples = %v, want [3000000]", ns)
+	if ns := samples["BenchmarkTotals100kBitset"]; len(ns) != 1 || ns[0] != 3000000 {
+		t.Errorf("BenchmarkTotals100kBitset samples = %v, want [3000000]", ns)
 	}
 }
 
 func TestBuildSummaryMedianAndSpeedups(t *testing.T) {
 	doc := buildSummary(map[string][]float64{
-		"BenchmarkKWise100kScan":         {3000000, 1000000, 2000000},
-		"BenchmarkKWise100kBitset":       {400000},
+		"BenchmarkTotals100kBitset":      {3000000, 1000000, 2000000},
 		"BenchmarkJoinNaive":             {80000000},
 		"BenchmarkJoinPlanned":           {2000000},
 		"BenchmarkWarmStart100kFeed":     {5000000000},
 		"BenchmarkWarmStart100kSnapshot": {10000000},
 	})
-	if got := doc.NsPerOp["BenchmarkKWise100kScan"]; got != 2000000 {
+	if got := doc.NsPerOp["BenchmarkTotals100kBitset"]; got != 2000000 {
 		t.Errorf("median = %v, want 2000000", got)
-	}
-	if got := doc.Speedups["BenchmarkKWise100k"]; got != 5 {
-		t.Errorf("scan/bitset speedup = %v, want 5", got)
 	}
 	if got := doc.PlanSpeedups["BenchmarkJoin"]; got != 40 {
 		t.Errorf("naive/planned speedup = %v, want 40", got)

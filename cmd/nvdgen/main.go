@@ -5,7 +5,7 @@
 // snapshot the paper mined. With -synthetic it instead writes the
 // seeded "modern NVD" corpus: a deterministic population of -entries
 // vulnerabilities over a -distros-wide universe, for exercising the
-// analysis engines at production volume.
+// analysis engine at production volume.
 //
 // Usage:
 //

@@ -75,7 +75,6 @@ func main() {
 	db := flag.String("db", "", "analyze a database produced by nvdimport")
 	feeds := flag.String("feeds", "", "analyze XML feeds from this directory")
 	workers := flag.Int("workers", 1, "worker count for ingestion and analysis (0 = all CPUs)")
-	engine := flag.String("engine", "bitset", "analysis engine: bitset (columnar index) or scan (record walk)")
 	stream := flag.Bool("stream", false, "with -feeds, ingest through the bounded streaming pipeline (constant memory)")
 	synthetic := flag.Int("synthetic", 0, "analyze a seeded synthetic modern-NVD corpus of this many entries")
 	distros := flag.Int("distros", 32, "synthetic universe width (with -synthetic)")
@@ -102,7 +101,7 @@ func main() {
 	}
 
 	cfg := loadConfig{
-		db: *db, feeds: *feeds, workers: *workers, engine: *engine, stream: *stream,
+		db: *db, feeds: *feeds, workers: *workers, stream: *stream,
 		synthetic: *synthetic, distros: *distros, seed: *seed, snapshot: *snapPath,
 	}
 
@@ -153,7 +152,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: osdiv [-db file | -feeds dir [-stream] | -synthetic n | -snapshot file] [-workers n] [-engine bitset|scan] tables|figures|kwise|select|releases|simulate|recommend|sqltable3|query|serve|gateway [options]")
+	fmt.Fprintln(os.Stderr, "usage: osdiv [-db file | -feeds dir [-stream] | -synthetic n | -snapshot file] [-workers n] tables|figures|kwise|select|releases|simulate|recommend|sqltable3|query|serve|gateway [options]")
 	os.Exit(2)
 }
 
@@ -273,7 +272,6 @@ type loadConfig struct {
 	db        string
 	feeds     string
 	workers   int
-	engine    string
 	stream    bool
 	synthetic int
 	distros   int
@@ -290,13 +288,6 @@ func loadAnalysis(cfg loadConfig) (*osdiversity.Analysis, error) {
 			return nil, err
 		}
 		opts = append(opts, osdiversity.WithYearShard(i, n))
-	}
-	switch cfg.engine {
-	case "bitset", "":
-	case "scan":
-		opts = append(opts, osdiversity.WithEngine(osdiversity.EngineScan))
-	default:
-		return nil, fmt.Errorf("unknown engine %q (want bitset or scan)", cfg.engine)
 	}
 	if cfg.stream && cfg.feeds == "" {
 		return nil, fmt.Errorf("-stream needs -feeds (the streaming pipeline ingests XML feeds)")
@@ -403,13 +394,9 @@ func runTablesJSON(a *osdiversity.Analysis, cfg loadConfig, which int) error {
 		}
 		return emit(which)
 	}
-	engine := cfg.engine
-	if engine == "" {
-		engine = "bitset"
-	}
 	// A one-shot CLI render is always generation 1 with no reload
 	// history, exactly like a freshly booted server.
-	corpus := server.BuildCorpus(a, sourceName(cfg), engine, a.Parallelism(), "", cfg.db != "",
+	corpus := server.BuildCorpus(a, sourceName(cfg), "bitset", a.Parallelism(), "", cfg.db != "",
 		server.EpochStatus{Epoch: 1}, nil)
 	b, err := httpapi.Marshal(corpus)
 	if err != nil {

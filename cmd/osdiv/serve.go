@@ -215,10 +215,6 @@ func runServe(cfg loadConfig, args []string) error {
 		}
 		cfg.shard = opts.shard
 	}
-	engine := cfg.engine
-	if engine == "" {
-		engine = "bitset"
-	}
 	workers := cfg.workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0) // mirrors WithParallelism(0)
@@ -233,7 +229,6 @@ func runServe(cfg loadConfig, args []string) error {
 	mgr := epoch.NewManager(epoch.Config{Logf: log.Printf})
 	srvCfg := server.Config{
 		Source:       sourceName(cfg),
-		Engine:       engine,
 		Workers:      workers,
 		DBPath:       cfg.db,
 		MaxInFlight:  opts.maxInFlight,
@@ -367,8 +362,8 @@ func runServe(cfg loadConfig, args []string) error {
 
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
-	log.Printf("serving %s on http://%s (workers=%d engine=%s watch=%q)",
-		sourceName(cfg), ln.Addr(), workers, engine, opts.watch)
+	log.Printf("serving %s on http://%s (workers=%d watch=%q)",
+		sourceName(cfg), ln.Addr(), workers, opts.watch)
 
 	select {
 	case err := <-errc:

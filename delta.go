@@ -19,10 +19,10 @@ import (
 //
 // The result is identical — every table, selection and attack answer —
 // to a cold build over the merged entry set. Worker count is inherited
-// from the base unless WithParallelism overrides it; the engine and
-// distro universe always come from the base (WithEngine and
-// WithSyntheticUniverse are ignored). WithSnapshot tees the merged
-// epoch to disk before returning; a failed tee fails the whole apply.
+// from the base unless WithParallelism overrides it; the distro universe
+// always comes from the base (WithSyntheticUniverse is ignored).
+// WithSnapshot tees the merged epoch to disk before returning; a failed
+// tee fails the whole apply.
 //
 // Delta feeds are parsed strictly by default so a truncated or corrupt
 // file aborts the apply (leaving the base untouched); WithLenient +

@@ -29,7 +29,7 @@ func main() {
 	fmt.Printf("generated %d NVD feed files\n", len(feeds))
 
 	// 2. Parse them through the real XML pipeline (decoding feed files
-	// concurrently) and analyze on the sharded engine.
+	// concurrently) and analyze on all CPUs.
 	a, err := osdiversity.LoadFeeds(feeds, osdiversity.WithParallelism(0))
 	if err != nil {
 		log.Fatal(err)

@@ -8,56 +8,16 @@ import (
 	"osdiversity/internal/osmap"
 )
 
-// This file is the columnar bitset engine — the Study's default hot
+// This file is the columnar bitset engine, the Study's only query
 // path. At first use it transposes the row-oriented record slice into
 // posting bitsets: for every distribution, component class, profile and
 // validity state, one packed []uint64 with bit i representing the i-th
 // record. Records are sorted by publication year at ingestion, so the
 // per-year segment offsets make every period/window query a popcount
 // over a contiguous bit range. Each table then reduces to word-wise
-// AND + popcount loops, sharded across distros/pairs on the same worker
-// pool the scan engine uses; at 100k+ entries the engine streams a few
-// hundred kilobytes of postings per table instead of megabytes of
-// records, which is where its order-of-magnitude win comes from.
-
-// Engine selects the execution strategy of the table queries.
-type Engine int
-
-// The two engines. Both produce byte-identical tables.
-const (
-	// EngineScan walks the record slice (serially, or sharded with
-	// WithParallelism) — the PR-1 reference paths.
-	EngineScan Engine = iota
-	// EngineBitset answers from the columnar posting-bitset index; the
-	// default.
-	EngineBitset
-)
-
-// String names the engine.
-func (e Engine) String() string {
-	switch e {
-	case EngineScan:
-		return "scan"
-	case EngineBitset:
-		return "bitset"
-	default:
-		return "unknown-engine"
-	}
-}
-
-// WithEngine selects the execution engine (the default is EngineBitset).
-func WithEngine(e Engine) Option {
-	return func(s *Study) { s.engineMode.Store(int32(e)) }
-}
-
-// SetEngine switches the engine of an existing Study. Cached tables are
-// kept: every engine produces identical results.
-func (s *Study) SetEngine(e Engine) { s.engineMode.Store(int32(e)) }
-
-// Engine reports the active engine.
-func (s *Study) Engine() Engine { return Engine(s.engineMode.Load()) }
-
-func (s *Study) useBitset() bool { return s.Engine() == EngineBitset }
+// AND + popcount loops, sharded across distros/pairs on the worker pool
+// of parallel.go; at 100k+ entries the engine streams a few hundred
+// kilobytes of postings per table instead of megabytes of records.
 
 // bitIndex is the columnar index over the (immutable) record set.
 type bitIndex struct {
@@ -737,11 +697,6 @@ func (s *Study) releaseBits(d osmap.Distro, version string) []uint64 {
 	}
 	s.relMu.Unlock()
 	return bs
-}
-
-func (s *Study) releaseOverlapBitset(da osmap.Distro, va string, db osmap.Distro, vb string) int {
-	idx := s.bitIndex()
-	return and3Popcount(s.releaseBits(da, va), s.releaseBits(db, vb), idx.profile[IsolatedThinServer-1])
 }
 
 // --- most-shared order ---------------------------------------------------

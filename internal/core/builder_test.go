@@ -19,7 +19,7 @@ func addInBatches(b *Builder, entries []*cve.Entry, batch int) {
 	}
 }
 
-// studyFingerprint captures every table the engines answer, for
+// studyFingerprint captures every table the engine answers, for
 // whole-study identity comparison.
 func studyFingerprint(s *Study) map[string]any {
 	rows, distinct := s.ValidityTable()
@@ -47,8 +47,8 @@ func studyFingerprint(s *Study) map[string]any {
 }
 
 // TestBuilderMatchesNewStudy asserts the incremental builder lands on a
-// Study identical to the all-at-once path, for any batch split, engine
-// and worker count.
+// Study identical to the all-at-once path, for any batch split and
+// worker count.
 func TestBuilderMatchesNewStudy(t *testing.T) {
 	c, err := corpus.Generate()
 	if err != nil {
@@ -62,7 +62,6 @@ func TestBuilderMatchesNewStudy(t *testing.T) {
 		{"bitset serial batch1", 1, nil},
 		{"bitset serial batch17", 17, nil},
 		{"bitset parallel", 512, []Option{WithParallelism(4)}},
-		{"scan parallel", 100, []Option{WithEngine(EngineScan), WithParallelism(4)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			want := NewStudy(c.Entries, tc.opts...)

@@ -192,7 +192,7 @@ func validityFromIdx(idx int) classify.Validity {
 // ExportColumns flattens the Study into freshly allocated columns —
 // the save path of internal/snapshot. It forces the bitset index and the
 // release-reference columns, so the persisted form warm-starts with both
-// engines ready.
+// ready.
 func (s *Study) ExportColumns() *Columns {
 	idx := s.bitIndex()
 	rc := s.relColumns()

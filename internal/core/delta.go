@@ -64,13 +64,12 @@ type deltaOutcome struct {
 }
 
 // NewDeltaBuilder starts an incremental delta build over base. The new
-// study inherits the base's registry, classifier, engine and worker
-// count; the base itself is never mutated and keeps answering queries
-// while the delta digests.
+// study inherits the base's registry, classifier and worker count; the
+// base itself is never mutated and keeps answering queries while the
+// delta digests.
 func NewDeltaBuilder(base *Study) *DeltaBuilder {
 	s := newStudyShell([]Option{WithRegistry(base.registry), WithClassifier(base.classifier)})
 	s.workerCount.Store(base.workerCount.Load())
-	s.engineMode.Store(base.engineMode.Load())
 	return &DeltaBuilder{base: base, s: s, latest: make(map[cve.ID]int)}
 }
 

@@ -99,7 +99,7 @@ func applyInBatches(b *DeltaBuilder, entries []*cve.Entry, batch int) {
 // TestDeltaMatchesColdBuild asserts a delta-applied study is
 // column-for-column identical (record layout, masks, release references,
 // postings, skip count) to a cold build over the merged entry list, for
-// any batch split, engine and worker count.
+// any batch split and worker count.
 func TestDeltaMatchesColdBuild(t *testing.T) {
 	fx := makeDeltaFixture(t)
 	for _, tc := range []struct {
@@ -110,7 +110,6 @@ func TestDeltaMatchesColdBuild(t *testing.T) {
 		{"bitset serial batch1", 1, nil},
 		{"bitset serial batch3", 3, nil},
 		{"bitset parallel", 512, []Option{WithParallelism(4)}},
-		{"scan parallel", 2, []Option{WithEngine(EngineScan), WithParallelism(4)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			base := NewStudy(fx.base, tc.opts...)

@@ -5,32 +5,28 @@ import (
 	"sync"
 
 	"osdiversity/internal/classify"
-	"osdiversity/internal/osmap"
 )
 
-// This file is the sharded half of the scan engine. Every table query
-// has a serial single-goroutine implementation (the reference, in
-// study.go and selection.go) and a shard/merge path here that partitions
-// the record slice across a bounded worker pool, computes per-shard
-// partial aggregates in a single pass, and merges them in shard order so
-// the result is deterministic. Completed tables are memoized behind a
-// sync.Once-style cache keyed by (query, profile, args), so repeated
-// benchmark/CLI invocations are near-free. The columnar bitset engine
-// lives in bitset.go and reuses the same worker-pool primitives.
+// This file holds the Study's worker pool and result cache. The bitset
+// engine (bitset.go) and ingestion fan work out through
+// runShards/reduceShards, which split a range across a bounded worker
+// pool and merge per-shard partials in shard order so the result is
+// deterministic at any worker count. Completed tables are
+// memoized behind a sync.Once-style cache keyed by (query, profile,
+// args), so repeated benchmark/CLI invocations are near-free.
 
 // minParallelItems is the slice length below which sharding is not
 // worth the goroutine fan-out and the serial body runs instead.
 const minParallelItems = 64
 
 // WithParallelism sets the worker count used for ingestion and the
-// sharded table queries. n <= 0 selects GOMAXPROCS; the default is 1
-// (the serial reference path).
+// table queries. n <= 0 selects GOMAXPROCS; the default is 1.
 func WithParallelism(n int) Option {
 	return func(s *Study) { s.workerCount.Store(int32(normWorkers(n))) }
 }
 
 // SetParallelism changes the worker count of an existing Study. Tables
-// already cached are kept: both paths produce identical results.
+// already cached are kept: every worker count produces identical results.
 func (s *Study) SetParallelism(n int) { s.workerCount.Store(int32(normWorkers(n))) }
 
 // Parallelism reports the effective worker count.
@@ -187,15 +183,8 @@ func reduceShards[A any](workers int, recs []record, newAgg func() A, body func(
 	return dst
 }
 
-// --- parallel aggregates -------------------------------------------------
-
-// validityAgg is the per-shard partial of Table I.
-type validityAgg struct {
-	valid    []int    // per distro
-	invalid  [][3]int // per distro: unknown, unspecified, disputed
-	distinct [3]int
-}
-
+// validityIdx maps an invalid record's validity state to its Table I
+// column (unknown, unspecified, disputed).
 func validityIdx(v classify.Validity) int {
 	switch v {
 	case classify.Unknown:
@@ -205,64 +194,6 @@ func validityIdx(v classify.Validity) int {
 	default: // Disputed
 		return 2
 	}
-}
-
-func (s *Study) validityParallel() *validityResult {
-	newAgg := func() *validityAgg {
-		return &validityAgg{valid: make([]int, s.nd), invalid: make([][3]int, s.nd)}
-	}
-	agg := reduceShards(s.workers(), s.records, newAgg,
-		func(a *validityAgg, shard []record) {
-			for i := range shard {
-				shard[i].mask.ForEachBit(func(b int) { a.valid[b]++ })
-			}
-		},
-		mergeValidity)
-	inv := reduceShards(s.workers(), s.invalid, newAgg,
-		func(a *validityAgg, shard []record) {
-			for i := range shard {
-				vi := validityIdx(shard[i].validity)
-				a.distinct[vi]++
-				shard[i].mask.ForEachBit(func(b int) { a.invalid[b][vi]++ })
-			}
-		},
-		mergeValidity)
-
-	res := &validityResult{rows: make([]ValidityRow, 0, s.nd)}
-	for i, d := range s.distros {
-		res.rows = append(res.rows, ValidityRow{
-			Distro:      d,
-			Valid:       agg.valid[i],
-			Unknown:     inv.invalid[i][0],
-			Unspecified: inv.invalid[i][1],
-			Disputed:    inv.invalid[i][2],
-		})
-	}
-	res.distinct = ValidityRow{
-		Valid:       len(s.records),
-		Unknown:     inv.distinct[0],
-		Unspecified: inv.distinct[1],
-		Disputed:    inv.distinct[2],
-	}
-	return res
-}
-
-func mergeValidity(dst, src *validityAgg) {
-	for i := range dst.valid {
-		dst.valid[i] += src.valid[i]
-		for j := range dst.invalid[i] {
-			dst.invalid[i][j] += src.invalid[i][j]
-		}
-	}
-	for j := range dst.distinct {
-		dst.distinct[j] += src.distinct[j]
-	}
-}
-
-// classAgg is the per-shard partial of Table II.
-type classAgg struct {
-	perOS    [][4]int // per distro
-	distinct [4]int
 }
 
 // classIdx maps a component class to its Table II column, or -1 for
@@ -282,274 +213,8 @@ func classIdx(c classify.Class) int {
 	}
 }
 
-func (s *Study) classParallel() *classResult {
-	agg := reduceShards(s.workers(), s.records,
-		func() *classAgg { return &classAgg{perOS: make([][4]int, s.nd)} },
-		func(a *classAgg, shard []record) {
-			for i := range shard {
-				ci := classIdx(shard[i].class)
-				if ci < 0 {
-					continue
-				}
-				a.distinct[ci]++
-				shard[i].mask.ForEachBit(func(b int) { a.perOS[b][ci]++ })
-			}
-		},
-		func(dst, src *classAgg) {
-			for i := range dst.perOS {
-				for j := range dst.perOS[i] {
-					dst.perOS[i][j] += src.perOS[i][j]
-				}
-			}
-			for j := range dst.distinct {
-				dst.distinct[j] += src.distinct[j]
-			}
-		})
-
-	res := &classResult{rows: make([]ClassRow, 0, s.nd)}
-	for i, d := range s.distros {
-		res.rows = append(res.rows, ClassRow{
-			Distro:  d,
-			Driver:  agg.perOS[i][0],
-			Kernel:  agg.perOS[i][1],
-			SysSoft: agg.perOS[i][2],
-			App:     agg.perOS[i][3],
-		})
-	}
-	res.shares = ClassShares(agg.distinct, len(s.records))
-	return res
-}
-
-func (s *Study) totalsParallel(profile Profile) []int {
-	return reduceShards(s.workers(), s.records,
-		func() []int { return make([]int, s.nd) },
-		func(a []int, shard []record) {
-			for i := range shard {
-				if !shard[i].matches(profile) {
-					continue
-				}
-				shard[i].mask.ForEachBit(func(b int) { a[b]++ })
-			}
-		},
-		mergeIntSlice)
-}
-
 func mergeIntSlice(dst, src []int) {
 	for i := range dst {
 		dst[i] += src[i]
 	}
-}
-
-// pairAtIdx maps two distro bit indices to the pair's position in the
-// study's Pairs() order.
-func (s *Study) pairAtIdx(i, j int) int { return s.pairAt[i*s.nd+j] }
-
-func (s *Study) pairCountsParallel(profile Profile) []int {
-	return reduceShards(s.workers(), s.records,
-		func() []int { return make([]int, len(s.pairs)) },
-		func(a []int, shard []record) {
-			bs := make([]int, s.nd)
-			for i := range shard {
-				r := &shard[i]
-				// Single-OS records cannot contribute to any pair.
-				if r.nos < 2 || !r.matches(profile) {
-					continue
-				}
-				n := r.mask.Bits(bs)
-				for x := 0; x < n; x++ {
-					for y := x + 1; y < n; y++ {
-						a[s.pairAtIdx(bs[x], bs[y])]++
-					}
-				}
-			}
-		},
-		mergeIntSlice)
-}
-
-func (s *Study) partsParallel() []PartCounts {
-	return reduceShards(s.workers(), s.records,
-		func() []PartCounts { return make([]PartCounts, len(s.pairs)) },
-		func(a []PartCounts, shard []record) {
-			bs := make([]int, s.nd)
-			for i := range shard {
-				r := &shard[i]
-				if r.nos < 2 || !r.matches(IsolatedThinServer) {
-					continue
-				}
-				n := r.mask.Bits(bs)
-				for x := 0; x < n; x++ {
-					for y := x + 1; y < n; y++ {
-						pc := &a[s.pairAtIdx(bs[x], bs[y])]
-						switch r.class {
-						case classify.ClassDriver:
-							pc.Driver++
-						case classify.ClassKernel:
-							pc.Kernel++
-						case classify.ClassSysSoft:
-							pc.SysSoft++
-						}
-					}
-				}
-			}
-		},
-		func(dst, src []PartCounts) {
-			for i := range dst {
-				dst[i].Driver += src[i].Driver
-				dst[i].Kernel += src[i].Kernel
-				dst[i].SysSoft += src[i].SysSoft
-			}
-		})
-}
-
-func (s *Study) periodsParallel(splitYear int) []PeriodCounts {
-	return reduceShards(s.workers(), s.records,
-		func() []PeriodCounts { return make([]PeriodCounts, len(s.pairs)) },
-		func(a []PeriodCounts, shard []record) {
-			bs := make([]int, s.nd)
-			for i := range shard {
-				r := &shard[i]
-				if r.nos < 2 || !r.matches(IsolatedThinServer) {
-					continue
-				}
-				n := r.mask.Bits(bs)
-				for x := 0; x < n; x++ {
-					for y := x + 1; y < n; y++ {
-						pc := &a[s.pairAtIdx(bs[x], bs[y])]
-						if r.year <= splitYear {
-							pc.History++
-						} else {
-							pc.Observed++
-						}
-					}
-				}
-			}
-		},
-		func(dst, src []PeriodCounts) {
-			for i := range dst {
-				dst[i].History += src[i].History
-				dst[i].Observed += src[i].Observed
-			}
-		})
-}
-
-func (s *Study) temporalParallel(d osmap.Distro) map[int]int {
-	bit := s.index[d]
-	return reduceShards(s.workers(), s.records,
-		func() map[int]int { return make(map[int]int) },
-		func(a map[int]int, shard []record) {
-			for i := range shard {
-				if shard[i].mask.Has(bit) {
-					a[shard[i].year]++
-				}
-			}
-		},
-		mergeIntMap)
-}
-
-func mergeIntMap(dst, src map[int]int) {
-	for k, v := range src {
-		dst[k] += v
-	}
-}
-
-// kwiseAgg accumulates at-least-k counts in a dense slice (index k),
-// growing to the largest k seen; the map conversion happens once after
-// the merge.
-type kwiseAgg struct {
-	counts []int
-}
-
-func (a *kwiseAgg) bump(maxK int) {
-	if maxK < 2 {
-		return
-	}
-	for len(a.counts) <= maxK {
-		a.counts = append(a.counts, 0)
-	}
-	for k := 2; k <= maxK; k++ {
-		a.counts[k]++
-	}
-}
-
-func mergeKWise(dst, src *kwiseAgg) {
-	for len(dst.counts) < len(src.counts) {
-		dst.counts = append(dst.counts, 0)
-	}
-	for k := range src.counts {
-		dst.counts[k] += src.counts[k]
-	}
-}
-
-func (a *kwiseAgg) toMap() map[int]int {
-	out := make(map[int]int, len(a.counts))
-	for k := 2; k < len(a.counts); k++ {
-		if a.counts[k] > 0 {
-			out[k] = a.counts[k]
-		}
-	}
-	return out
-}
-
-func (s *Study) kwiseClustersParallel(profile Profile) map[int]int {
-	return reduceShards(s.workers(), s.records,
-		func() *kwiseAgg { return &kwiseAgg{} },
-		func(a *kwiseAgg, shard []record) {
-			for i := range shard {
-				r := &shard[i]
-				if r.matches(profile) {
-					a.bump(r.nos)
-				}
-			}
-		},
-		mergeKWise).toMap()
-}
-
-func (s *Study) kwiseProductsParallel(profile Profile) map[int]int {
-	return reduceShards(s.workers(), s.records,
-		func() *kwiseAgg { return &kwiseAgg{} },
-		func(a *kwiseAgg, shard []record) {
-			for i := range shard {
-				r := &shard[i]
-				if r.matches(profile) {
-					a.bump(r.products)
-				}
-			}
-		},
-		mergeKWise).toMap()
-}
-
-func (s *Study) windowPairsParallel(w SelectionWindow) []int {
-	return reduceShards(s.workers(), s.records,
-		func() []int { return make([]int, len(s.pairs)) },
-		func(a []int, shard []record) {
-			bs := make([]int, s.nd)
-			for i := range shard {
-				r := &shard[i]
-				if r.nos < 2 || !r.matches(IsolatedThinServer) || !w.contains(r.year) {
-					continue
-				}
-				n := r.mask.Bits(bs)
-				for x := 0; x < n; x++ {
-					for y := x + 1; y < n; y++ {
-						a[s.pairAtIdx(bs[x], bs[y])]++
-					}
-				}
-			}
-		},
-		mergeIntSlice)
-}
-
-func (s *Study) windowTotalsParallel(w SelectionWindow) []int {
-	return reduceShards(s.workers(), s.records,
-		func() []int { return make([]int, s.nd) },
-		func(a []int, shard []record) {
-			for i := range shard {
-				r := &shard[i]
-				if !r.matches(IsolatedThinServer) || !w.contains(r.year) {
-					continue
-				}
-				r.mask.ForEachBit(func(b int) { a[b]++ })
-			}
-		},
-		mergeIntSlice)
 }

@@ -6,38 +6,18 @@ import (
 	"testing"
 	"time"
 
-	"osdiversity/internal/corpus"
 	"osdiversity/internal/cpe"
 	"osdiversity/internal/cve"
 	"osdiversity/internal/osmap"
 )
 
-// corpusEntries caches the generated corpus across the identity tests.
-var (
-	corpusOnce    sync.Once
-	corpusErr     error
-	corpusEntries []*Study // [0] serial, [1] four workers
-)
-
+// identityStudies returns the calibrated corpus's studies at one and
+// four workers: the worker-count identity tests below compare them
+// directly, beside the oracle suite in bitset_test.go.
 func identityStudies(t *testing.T) (serial, parallel *Study) {
 	t.Helper()
-	corpusOnce.Do(func() {
-		c, err := corpus.Generate()
-		if err != nil {
-			corpusErr = err
-			return
-		}
-		// Pin the scan engine: these tests cover the serial-vs-sharded
-		// record walks; bitset_test.go covers cross-engine identity.
-		corpusEntries = []*Study{
-			NewStudy(c.Entries, WithEngine(EngineScan)),
-			NewStudy(c.Entries, WithEngine(EngineScan), WithParallelism(4)),
-		}
-	})
-	if corpusErr != nil {
-		t.Fatalf("corpus.Generate: %v", corpusErr)
-	}
-	return corpusEntries[0], corpusEntries[1]
+	c := identityFor(t, "calibrated")
+	return c.studies[0], c.studies[1]
 }
 
 func TestParallelIngestionIdentical(t *testing.T) {
@@ -197,7 +177,7 @@ func TestConcurrentQueries(t *testing.T) {
 // TestParallelClassTableSkipsUnclassified guards the regression where
 // the parallel ClassTable counted ClassUnclassified records in the
 // Application column: entries whose summaries match no classifier rule
-// must be excluded from Table II on both paths, as the seed did.
+// must be excluded from Table II at any worker count, as the seed did.
 func TestParallelClassTableSkipsUnclassified(t *testing.T) {
 	entries := make([]*cve.Entry, 0, 2*minParallelItems)
 	for i := 0; i < 2*minParallelItems; i++ {

@@ -15,13 +15,13 @@ import (
 // finalize merged raw counts into the derived figures (percentage
 // shares, filter reduction, most-shared ordering, replica-set ranking)
 // with exactly the arithmetic the single-process Study uses, so a
-// scatter-gather front-end reproduces its bytes. The in-process engines
-// (serial, parallel, bitset) delegate to the same helpers, keeping the
-// two paths one implementation.
+// scatter-gather front-end reproduces its bytes. The in-process engine
+// delegates to the same helpers at any worker count, keeping the two
+// paths one implementation.
 
 // ClassShares finalizes Table II's percentage shares from the distinct
-// per-class counts and the total valid count. All three in-process
-// engines and the gateway merge path share this exact float expression.
+// per-class counts and the total valid count. The in-process engine and
+// the gateway merge path share this exact float expression.
 func ClassShares(counts [4]int, n int) [4]float64 {
 	var shares [4]float64
 	if n > 0 {

@@ -71,79 +71,28 @@ func (w SelectionWindow) Contains(year int) bool {
 	return true
 }
 
-// contains is the internal alias predating the exported form.
-func (w SelectionWindow) contains(year int) bool { return w.Contains(year) }
-
 // windowPairCounts returns every pair's Isolated-Thin-Server shared
 // count inside the window, indexed by position in osmap.AllPairs().
 // RankReplicaSets revisits the same pairs across many subsets, so the
 // memoized matrix turns subset enumeration into table lookups.
 func (s *Study) windowPairCounts(w SelectionWindow) []int {
-	return s.cached(ckey{q: qWindowPairs, a: w.FromYear, b: w.ToYear}, func() any {
-		switch {
-		case s.useBitset():
-			return s.windowPairsBitset(w)
-		case s.isParallel():
-			return s.windowPairsParallel(w)
-		default:
-			out := make([]int, len(s.pairs))
-			for i, p := range s.pairs {
-				out[i] = s.pairSharedInWindowSerial(p, w)
-			}
-			return out
-		}
-	}).([]int)
+	return s.cached(ckey{q: qWindowPairs, a: w.FromYear, b: w.ToYear}, func() any { return s.windowPairsBitset(w) }).([]int)
 }
 
 // windowTotals returns every distro's Isolated-Thin-Server valid count
 // inside the window, indexed by position in osmap.Distros().
 func (s *Study) windowTotals(w SelectionWindow) []int {
-	return s.cached(ckey{q: qWindowTotals, a: w.FromYear, b: w.ToYear}, func() any {
-		switch {
-		case s.useBitset():
-			return s.windowTotalsBitset(w)
-		case s.isParallel():
-			return s.windowTotalsParallel(w)
-		default:
-			out := make([]int, s.nd)
-			for i, d := range s.distros {
-				n := 0
-				for j := range s.records {
-					r := &s.records[j]
-					if s.affects(r, d) && r.matches(IsolatedThinServer) && w.contains(r.year) {
-						n++
-					}
-				}
-				out[i] = n
-			}
-			return out
-		}
-	}).([]int)
+	return s.cached(ckey{q: qWindowTotals, a: w.FromYear, b: w.ToYear}, func() any { return s.windowTotalsBitset(w) }).([]int)
 }
 
 // PairSharedInWindow counts Isolated-Thin-Server shared vulnerabilities
-// of a pair published inside the window.
+// of a pair published inside the window; 0 for a pair outside the
+// universe.
 func (s *Study) PairSharedInWindow(p osmap.Pair, w SelectionWindow) int {
 	if i, ok := s.pairIdx[p]; ok {
 		return s.windowPairCounts(w)[i]
 	}
-	return s.pairSharedInWindowSerial(p, w)
-}
-
-func (s *Study) pairSharedInWindowSerial(p osmap.Pair, w SelectionWindow) int {
-	ia, oka := s.index[p.A]
-	ib, okb := s.index[p.B]
-	if !oka || !okb {
-		return 0
-	}
-	n := 0
-	for i := range s.records {
-		r := &s.records[i]
-		if r.mask.Has(ia) && r.mask.Has(ib) && r.matches(IsolatedThinServer) && w.contains(r.year) {
-			n++
-		}
-	}
-	return n
+	return 0
 }
 
 // SetCost sums the pairwise shared counts over all pairs of the set —

@@ -145,11 +145,11 @@ func TestRankReplicaSetsDeterministic(t *testing.T) {
 
 func TestSelectionWindowBounds(t *testing.T) {
 	w := SelectionWindow{FromYear: 2000, ToYear: 2005}
-	if w.contains(1999) || !w.contains(2000) || !w.contains(2005) || w.contains(2006) {
+	if w.Contains(1999) || !w.Contains(2000) || !w.Contains(2005) || w.Contains(2006) {
 		t.Error("window bounds wrong")
 	}
 	var unbounded SelectionWindow
-	if !unbounded.contains(1994) || !unbounded.contains(2010) {
+	if !unbounded.Contains(1994) || !unbounded.Contains(2010) {
 		t.Error("unbounded window wrong")
 	}
 }

@@ -2,7 +2,7 @@
 
 package core
 
-// Race-instrumented runs still prove the engines race-clean, just on a
+// Race-instrumented runs still prove the engine race-clean, just on a
 // smaller synthetic corpus so CI stays fast.
 const syntheticTestEntries = 20_000
 

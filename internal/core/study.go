@@ -12,16 +12,13 @@
 // distributions by default, arbitrarily many with a synthetic registry —
 // and per-entry affected-OS sets are variable-width osmap.Mask bitmasks.
 //
-// The engine has three execution paths. The serial path (the bodies
-// named *Serial below) walks the record slice once per question, exactly
-// as the seed implementation did. With WithParallelism(n), n > 1, the
-// scan queries instead shard the record slice across a bounded worker
-// pool and merge per-shard partial aggregates (see parallel.go). The
-// default EngineBitset path (bitset.go) answers the same questions from
-// a columnar index — per-distro, per-profile and per-class posting
-// bitsets packed as []uint64 with per-year segment offsets — turning
-// every table into word-wise AND + popcount loops. All paths produce
-// identical tables; completed tables are memoized per Study.
+// Every question is answered by one engine (bitset.go): a columnar
+// index — per-distro, per-profile and per-class posting bitsets packed
+// as []uint64 with per-year segment offsets — that turns each table into
+// word-wise AND + popcount loops, sharded across WithParallelism(n)
+// workers. Completed tables are memoized per Study. The identity tests
+// check every answer against a serial record walk kept in
+// oracle_test.go.
 package core
 
 import (
@@ -94,9 +91,9 @@ type Study struct {
 	maskWords int
 	index     map[osmap.Distro]int
 
-	// pairs/pairIdx freeze the universe's pair order so the sharded
-	// all-pairs aggregates and the per-pair accessors agree; pairAt
-	// (nd×nd, flat) maps two distro bit indices to that order.
+	// pairs/pairIdx freeze the universe's pair order so the all-pairs
+	// tables and the per-pair accessors agree; pairAt (nd×nd, flat) maps
+	// two distro bit indices to that order.
 	pairs   []osmap.Pair
 	pairIdx map[osmap.Pair]int
 	pairAt  []int
@@ -104,9 +101,6 @@ type Study struct {
 	// workerCount is the query/ingestion worker count (1 = serial),
 	// atomic so SetParallelism can race with in-flight queries safely.
 	workerCount atomic.Int32
-
-	// engineMode selects scan vs bitset execution (see bitset.go).
-	engineMode atomic.Int32
 
 	// bitOnce/bidx lazily build the columnar bitset index.
 	bitOnce sync.Once
@@ -169,7 +163,6 @@ func newStudyShell(opts []Option) *Study {
 		registry:   osmap.NewRegistry(),
 		classifier: classify.NewClassifier(),
 	}
-	s.engineMode.Store(int32(EngineBitset))
 	for _, opt := range opts {
 		opt(s)
 	}
@@ -206,8 +199,8 @@ func (s *Study) Pairs() []osmap.Pair { return append([]osmap.Pair(nil), s.pairs.
 // digests run concurrently (the registry and classifier are read-only
 // after construction); the append pass stays in input order and the
 // year sort is stable, so the record layout is identical to the serial
-// path. Masks are carved out of one contiguous arena so the scan paths
-// stream cache-friendly memory.
+// path. Masks are carved out of one contiguous arena so the index build
+// streams cache-friendly memory.
 func (s *Study) ingest(entries []*cve.Entry) {
 	type digested struct {
 		rec record
@@ -245,8 +238,7 @@ func (s *Study) ingest(entries []*cve.Entry) {
 
 // finalize orders valid records by publication year so the bitset index
 // can answer period and window queries over contiguous bit ranges. The
-// sort is stable and every table is an aggregate, so all engines see
-// identical results — and a Study built from any batch split of the same
+// sort is stable, so a Study built from any batch split of the same
 // entry sequence (see Builder) lands on the identical record layout.
 func (s *Study) finalize() {
 	sort.SliceStable(s.records, func(i, j int) bool { return s.records[i].year < s.records[j].year })
@@ -298,12 +290,6 @@ func (r *record) matches(p Profile) bool {
 	}
 }
 
-// affects reports whether the record touches the distribution.
-func (s *Study) affects(r *record, d osmap.Distro) bool {
-	i, ok := s.index[d]
-	return ok && r.mask.Has(i)
-}
-
 // ValidEntries returns the number of valid entries under analysis.
 func (s *Study) ValidEntries() int { return len(s.records) }
 
@@ -329,55 +315,8 @@ type validityResult struct {
 // ValidityTable reproduces Table I: per-OS valid/removed counts plus the
 // distinct totals across all OSes.
 func (s *Study) ValidityTable() (rows []ValidityRow, distinct ValidityRow) {
-	v := s.cached(ckey{q: qValidity}, func() any {
-		switch {
-		case s.useBitset():
-			return s.validityBitset()
-		case s.isParallel():
-			return s.validityParallel()
-		default:
-			return s.validitySerial()
-		}
-	}).(*validityResult)
+	v := s.cached(ckey{q: qValidity}, func() any { return s.validityBitset() }).(*validityResult)
 	return append([]ValidityRow(nil), v.rows...), v.distinct
-}
-
-func (s *Study) validitySerial() *validityResult {
-	res := &validityResult{rows: make([]ValidityRow, 0, s.nd)}
-	for _, d := range s.distros {
-		row := ValidityRow{Distro: d}
-		for i := range s.records {
-			if s.affects(&s.records[i], d) {
-				row.Valid++
-			}
-		}
-		for i := range s.invalid {
-			if !s.affects(&s.invalid[i], d) {
-				continue
-			}
-			switch s.invalid[i].validity {
-			case classify.Unknown:
-				row.Unknown++
-			case classify.Unspecified:
-				row.Unspecified++
-			case classify.Disputed:
-				row.Disputed++
-			}
-		}
-		res.rows = append(res.rows, row)
-	}
-	res.distinct.Valid = len(s.records)
-	for i := range s.invalid {
-		switch s.invalid[i].validity {
-		case classify.Unknown:
-			res.distinct.Unknown++
-		case classify.Unspecified:
-			res.distinct.Unspecified++
-		case classify.Disputed:
-			res.distinct.Disputed++
-		}
-	}
-	return res
 }
 
 // ClassRow is one row of Table II.
@@ -401,126 +340,40 @@ type classResult struct {
 // ClassTable reproduces Table II: per-OS component-class counts and the
 // distinct-vulnerability percentage shares of the four classes.
 func (s *Study) ClassTable() (rows []ClassRow, shares [4]float64) {
-	v := s.cached(ckey{q: qClass}, func() any {
-		switch {
-		case s.useBitset():
-			return s.classBitset()
-		case s.isParallel():
-			return s.classParallel()
-		default:
-			return s.classSerial()
-		}
-	}).(*classResult)
+	v := s.cached(ckey{q: qClass}, func() any { return s.classBitset() }).(*classResult)
 	return append([]ClassRow(nil), v.rows...), v.shares
-}
-
-func (s *Study) classSerial() *classResult {
-	res := &classResult{rows: make([]ClassRow, 0, s.nd)}
-	for _, d := range s.distros {
-		row := ClassRow{Distro: d}
-		for i := range s.records {
-			if !s.affects(&s.records[i], d) {
-				continue
-			}
-			switch s.records[i].class {
-			case classify.ClassDriver:
-				row.Driver++
-			case classify.ClassKernel:
-				row.Kernel++
-			case classify.ClassSysSoft:
-				row.SysSoft++
-			case classify.ClassApplication:
-				row.App++
-			}
-		}
-		res.rows = append(res.rows, row)
-	}
-	counts, n := s.ClassDistinct()
-	res.shares = ClassShares(counts, n)
-	return res
 }
 
 // totals returns the per-distro valid counts under a profile, indexed
 // by position in the study's Distros().
 func (s *Study) totals(profile Profile) []int {
-	return s.cached(ckey{q: qTotals, profile: profile}, func() any {
-		switch {
-		case s.useBitset():
-			return s.totalsBitset(profile)
-		case s.isParallel():
-			return s.totalsParallel(profile)
-		default:
-			out := make([]int, s.nd)
-			for i, d := range s.distros {
-				out[i] = s.totalSerial(d, profile)
-			}
-			return out
-		}
-	}).([]int)
+	return s.cached(ckey{q: qTotals, profile: profile}, func() any { return s.totalsBitset(profile) }).([]int)
 }
 
 // Total counts the valid vulnerabilities of one distribution under a
-// profile (the v(A) columns of Table III).
+// profile (the v(A) columns of Table III); 0 for a distro outside the
+// universe.
 func (s *Study) Total(d osmap.Distro, profile Profile) int {
 	if i, ok := s.index[d]; ok {
 		return s.totals(profile)[i]
 	}
-	return s.totalSerial(d, profile)
-}
-
-func (s *Study) totalSerial(d osmap.Distro, profile Profile) int {
-	n := 0
-	for i := range s.records {
-		r := &s.records[i]
-		if s.affects(r, d) && r.matches(profile) {
-			n++
-		}
-	}
-	return n
+	return 0
 }
 
 // pairCounts returns all pairwise overlaps under a profile, indexed by
 // position in the study's Pairs().
 func (s *Study) pairCounts(profile Profile) []int {
-	return s.cached(ckey{q: qPairs, profile: profile}, func() any {
-		switch {
-		case s.useBitset():
-			return s.pairCountsBitset(profile)
-		case s.isParallel():
-			return s.pairCountsParallel(profile)
-		default:
-			out := make([]int, len(s.pairs))
-			for i, p := range s.pairs {
-				out[i] = s.overlapSerial(p, profile)
-			}
-			return out
-		}
-	}).([]int)
+	return s.cached(ckey{q: qPairs, profile: profile}, func() any { return s.pairCountsBitset(profile) }).([]int)
 }
 
 // Overlap counts the vulnerabilities shared by both members of a pair
-// under a profile (the v(AB) columns of Table III).
+// under a profile (the v(AB) columns of Table III); 0 for a pair outside
+// the universe.
 func (s *Study) Overlap(p osmap.Pair, profile Profile) int {
 	if i, ok := s.pairIdx[p]; ok {
 		return s.pairCounts(profile)[i]
 	}
-	return s.overlapSerial(p, profile)
-}
-
-func (s *Study) overlapSerial(p osmap.Pair, profile Profile) int {
-	ia, oka := s.index[p.A]
-	ib, okb := s.index[p.B]
-	if !oka || !okb {
-		return 0
-	}
-	n := 0
-	for i := range s.records {
-		r := &s.records[i]
-		if r.mask.Has(ia) && r.mask.Has(ib) && r.matches(profile) {
-			n++
-		}
-	}
-	return n
+	return 0
 }
 
 // PairMatrix computes all pairwise overlaps under a profile (Table III
@@ -548,52 +401,16 @@ func (p PartCounts) Total() int { return p.Driver + p.Kernel + p.SysSoft }
 // partCounts returns every pair's Table IV row, indexed by position in
 // the study's Pairs().
 func (s *Study) partCounts() []PartCounts {
-	return s.cached(ckey{q: qParts}, func() any {
-		switch {
-		case s.useBitset():
-			return s.partsBitset()
-		case s.isParallel():
-			return s.partsParallel()
-		default:
-			out := make([]PartCounts, len(s.pairs))
-			for i, p := range s.pairs {
-				out[i] = s.partBreakdownSerial(p)
-			}
-			return out
-		}
-	}).([]PartCounts)
+	return s.cached(ckey{q: qParts}, func() any { return s.partsBitset() }).([]PartCounts)
 }
 
-// PartBreakdown reproduces one pair's Table IV row.
+// PartBreakdown reproduces one pair's Table IV row; the zero row for a
+// pair outside the universe.
 func (s *Study) PartBreakdown(p osmap.Pair) PartCounts {
 	if i, ok := s.pairIdx[p]; ok {
 		return s.partCounts()[i]
 	}
-	return s.partBreakdownSerial(p)
-}
-
-func (s *Study) partBreakdownSerial(p osmap.Pair) PartCounts {
-	ia, oka := s.index[p.A]
-	ib, okb := s.index[p.B]
-	var out PartCounts
-	if !oka || !okb {
-		return out
-	}
-	for i := range s.records {
-		r := &s.records[i]
-		if !r.mask.Has(ia) || !r.mask.Has(ib) || !r.matches(IsolatedThinServer) {
-			continue
-		}
-		switch r.class {
-		case classify.ClassDriver:
-			out.Driver++
-		case classify.ClassKernel:
-			out.Kernel++
-		case classify.ClassSysSoft:
-			out.SysSoft++
-		}
-	}
-	return out
+	return PartCounts{}
 }
 
 // PeriodCounts splits an overlap into history and observed periods
@@ -609,82 +426,31 @@ func (p PeriodCounts) Total() int { return p.History + p.Observed }
 // periodCounts returns every pair's Table V cell for one split year,
 // indexed by position in the study's Pairs().
 func (s *Study) periodCounts(splitYear int) []PeriodCounts {
-	return s.cached(ckey{q: qPeriods, a: splitYear}, func() any {
-		switch {
-		case s.useBitset():
-			return s.periodsBitset(splitYear)
-		case s.isParallel():
-			return s.periodsParallel(splitYear)
-		default:
-			out := make([]PeriodCounts, len(s.pairs))
-			for i, p := range s.pairs {
-				out[i] = s.periodSplitSerial(p, splitYear)
-			}
-			return out
-		}
-	}).([]PeriodCounts)
+	return s.cached(ckey{q: qPeriods, a: splitYear}, func() any { return s.periodsBitset(splitYear) }).([]PeriodCounts)
 }
 
 // PeriodSplit reproduces one pair's Table V cell: Isolated-Thin-Server
-// overlap split at splitYear (inclusive on the history side).
+// overlap split at splitYear (inclusive on the history side); the zero
+// cell for a pair outside the universe.
 func (s *Study) PeriodSplit(p osmap.Pair, splitYear int) PeriodCounts {
 	if i, ok := s.pairIdx[p]; ok {
 		return s.periodCounts(splitYear)[i]
 	}
-	return s.periodSplitSerial(p, splitYear)
-}
-
-func (s *Study) periodSplitSerial(p osmap.Pair, splitYear int) PeriodCounts {
-	ia, oka := s.index[p.A]
-	ib, okb := s.index[p.B]
-	var out PeriodCounts
-	if !oka || !okb {
-		return out
-	}
-	for i := range s.records {
-		r := &s.records[i]
-		if !r.mask.Has(ia) || !r.mask.Has(ib) || !r.matches(IsolatedThinServer) {
-			continue
-		}
-		if r.year <= splitYear {
-			out.History++
-		} else {
-			out.Observed++
-		}
-	}
-	return out
+	return PeriodCounts{}
 }
 
 // TemporalSeries reproduces one curve of Figure 2: valid vulnerabilities
-// per publication year for one distribution.
+// per publication year for one distribution; an empty map for a distro
+// outside the universe.
 func (s *Study) TemporalSeries(d osmap.Distro) map[int]int {
 	idx, ok := s.index[d]
 	if !ok {
-		return s.temporalSerial(d)
+		return map[int]int{}
 	}
-	v := s.cached(ckey{q: qTemporal, a: idx}, func() any {
-		switch {
-		case s.useBitset():
-			return s.temporalBitset(idx)
-		case s.isParallel():
-			return s.temporalParallel(d)
-		default:
-			return s.temporalSerial(d)
-		}
-	}).(map[int]int)
+	v := s.cached(ckey{q: qTemporal, a: idx}, func() any { return s.temporalBitset(idx) }).(map[int]int)
 	out := make(map[int]int, len(v))
 	for k, n := range v {
 		out[k] = n
-	}
-	return out
-}
-
-func (s *Study) temporalSerial(d osmap.Distro) map[int]int {
-	out := make(map[int]int)
-	for i := range s.records {
-		if s.affects(&s.records[i], d) {
-			out[s.records[i].year]++
-		}
 	}
 	return out
 }
@@ -703,26 +469,7 @@ func (s *Study) YearRange() (lo, hi int) {
 // valid vulnerabilities affecting at least k distributions of the
 // universe under the profile.
 func (s *Study) KWiseClusters(profile Profile) map[int]int {
-	v := s.cached(ckey{q: qKWiseClusters, profile: profile}, func() any {
-		switch {
-		case s.useBitset():
-			return s.kwiseClustersBitset(profile)
-		case s.isParallel():
-			return s.kwiseClustersParallel(profile)
-		default:
-			out := make(map[int]int)
-			for i := range s.records {
-				r := &s.records[i]
-				if !r.matches(profile) {
-					continue
-				}
-				for k := 2; k <= r.nos; k++ {
-					out[k]++
-				}
-			}
-			return out
-		}
-	}).(map[int]int)
+	v := s.cached(ckey{q: qKWiseClusters, profile: profile}, func() any { return s.kwiseClustersBitset(profile) }).(map[int]int)
 	out := make(map[int]int, len(v))
 	for k, n := range v {
 		out[k] = n
@@ -734,26 +481,7 @@ func (s *Study) KWiseClusters(profile Profile) map[int]int {
 // k OS *products* (the granularity of the paper's §IV-B sentences about
 // six- and nine-OS vulnerabilities).
 func (s *Study) KWiseProducts(profile Profile) map[int]int {
-	v := s.cached(ckey{q: qKWiseProducts, profile: profile}, func() any {
-		switch {
-		case s.useBitset():
-			return s.kwiseProductsBitset(profile)
-		case s.isParallel():
-			return s.kwiseProductsParallel(profile)
-		default:
-			out := make(map[int]int)
-			for i := range s.records {
-				r := &s.records[i]
-				if !r.matches(profile) {
-					continue
-				}
-				for k := 2; k <= r.products; k++ {
-					out[k]++
-				}
-			}
-			return out
-		}
-	}).(map[int]int)
+	v := s.cached(ckey{q: qKWiseProducts, profile: profile}, func() any { return s.kwiseProductsBitset(profile) }).(map[int]int)
 	out := make(map[int]int, len(v))
 	for k, n := range v {
 		out[k] = n
@@ -808,38 +536,10 @@ func (s *Study) FilterReduction(from, to Profile) float64 {
 
 // ReleaseOverlap counts valid Isolated-Thin-Server vulnerabilities that
 // affect both named (distribution, version) releases, deriving release
-// membership from the CPE version fields (Table VI). The bitset engine
-// answers from memoized per-release posting bitsets; the scan engine
-// shards the record walk across the worker pool.
+// membership from the CPE version fields (Table VI). It answers from
+// memoized per-release posting bitsets (see releaseBits).
 func (s *Study) ReleaseOverlap(da osmap.Distro, va string, db osmap.Distro, vb string) int {
-	if s.useBitset() {
-		return s.releaseOverlapBitset(da, va, db, vb)
-	}
-	rc := s.relColumns()
-	if s.isParallel() {
-		n := reduceRangeShards(s.workers(), len(s.records),
-			func() *int { return new(int) },
-			func(a *int, lo, hi int) {
-				for i := lo; i < hi; i++ {
-					if s.records[i].matches(IsolatedThinServer) &&
-						rc.affectsRelease(i, da, va) && rc.affectsRelease(i, db, vb) {
-						*a++
-					}
-				}
-			},
-			func(dst, src *int) { *dst += *src })
-		return *n
-	}
-	n := 0
-	for i := range s.records {
-		if !s.records[i].matches(IsolatedThinServer) {
-			continue
-		}
-		if rc.affectsRelease(i, da, va) && rc.affectsRelease(i, db, vb) {
-			n++
-		}
-	}
-	return n
+	return and3Popcount(s.releaseBits(da, va), s.releaseBits(db, vb), s.bitIndex().profile[IsolatedThinServer-1])
 }
 
 // VulnRef is one valid vulnerability with its affected distributions,

@@ -14,9 +14,9 @@ import (
 
 // This file generates the synthetic "modern NVD" corpus: a deterministic,
 // seeded population of 100k+ entries over an arbitrarily wide distro
-// universe, used to exercise the analysis engines at production volume
+// universe, used to exercise the analysis engine at production volume
 // (the calibrated corpus reproduces the paper's ~2.1k entries; this one
-// stress-tests the shard/merge and bitset paths). Entries carry the same
+// stress-tests the sharded bitset paths). Entries carry the same
 // vocabulary as the calibrated corpus — summary templates the classifier
 // recognises, CVSS vectors matching locality, registry-canonical CPEs —
 // so the full text-in/tables-out pipeline runs unchanged.

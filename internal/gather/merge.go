@@ -4,7 +4,7 @@ package gather
 // vector, canonicalizes parameters against the merged corpus (never one
 // backend's slice), scatters, and merges per the partition arithmetic:
 // raw counts sum per-index, derived figures finalize through the same
-// internal/core helpers the single-process engines use — that shared
+// internal/core helpers the single-process engine uses — that shared
 // arithmetic is what makes the gateway byte-identical to one server.
 
 import (

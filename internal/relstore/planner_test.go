@@ -2,6 +2,7 @@ package relstore
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -125,6 +126,58 @@ func TestPlannerMatchesNaive(t *testing.T) {
 			if !resultsEqual(want, got) {
 				t.Errorf("planner diverges on %q (workers=%d):\nnaive   %v\nplanned %v",
 					q, workers, want.Rows, got.Rows)
+			}
+		}
+	}
+}
+
+// wideSelfJoin chains n copies of table t on id: every row joins only
+// itself, so the answer is t's own rows whatever n is.
+func wideSelfJoin(n int) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "SELECT t0.id, t%d.v FROM t t0", n-1)
+	for i := 1; i < n; i++ {
+		fmt.Fprintf(&b, " JOIN t t%d ON t%d.id = t%d.id", i, i-1, i)
+	}
+	b.WriteString(" WHERE t0.v > ? ORDER BY t0.id")
+	return b.String()
+}
+
+// TestWideJoinAnswersBeyondPlannerWidth covers joins over more than
+// maxPlannedTables tables. The planner's table bitmask cannot hold them,
+// so Query and Prepare fall back to the naive executor — the only one
+// that answers such a join, which POST /api/query accepts. The same
+// query at exactly maxPlannedTables tables runs through the planner.
+func TestWideJoinAnswersBeyondPlannerWidth(t *testing.T) {
+	db := Open()
+	mustExec(t, db, `CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)`)
+	for i := 0; i < 5; i++ {
+		mustExec(t, db, fmt.Sprintf(`INSERT INTO t (id, v) VALUES (%d, %d)`, i, 10*i))
+	}
+	for _, tables := range []int{maxPlannedTables, maxPlannedTables + 1} {
+		q := wideSelfJoin(tables)
+		want := &Result{
+			Columns: []string{"id", "v"},
+			Rows:    [][]Value{{Int(2), Int(20)}, {Int(3), Int(30)}, {Int(4), Int(40)}},
+		}
+		got, err := db.Query(q, Int(15))
+		if err != nil {
+			t.Fatalf("%d tables: Query: %v", tables, err)
+		}
+		st, err := db.Prepare(q)
+		if err != nil {
+			t.Fatalf("%d tables: Prepare: %v", tables, err)
+		}
+		if planned := st.c.Load().plan != nil; planned != (tables <= maxPlannedTables) {
+			t.Errorf("%d tables: planned = %v", tables, planned)
+		}
+		prepared, err := st.Query(Int(15))
+		if err != nil {
+			t.Fatalf("%d tables: Stmt.Query: %v", tables, err)
+		}
+		for name, res := range map[string]*Result{"Query": got, "Stmt.Query": prepared} {
+			if !resultsEqual(want, res) {
+				t.Errorf("%d tables: %s = %v %v, want %v %v", tables, name, res.Columns, res.Rows, want.Columns, want.Rows)
 			}
 		}
 	}

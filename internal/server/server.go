@@ -54,7 +54,8 @@ type Config struct {
 	// Source names the loaded corpus for /corpus ("calibrated",
 	// "feeds:<dir>", "db:<path>", "synthetic:<n>").
 	Source string
-	// Engine is the analysis engine name ("bitset" or "scan").
+	// Engine is the analysis engine name /corpus reports; empty means
+	// "bitset", the only engine.
 	Engine string
 	// Workers is the WithParallelism worker count the analysis was
 	// built with (1 = serial).

@@ -44,7 +44,6 @@ type Option func(*config)
 
 type config struct {
 	workers   int
-	engine    Engine
 	universe  int // > 0 selects a synthetic n-distro universe for LoadFeeds
 	lenient   bool
 	feedStats *FeedStats
@@ -54,9 +53,9 @@ type config struct {
 }
 
 // WithParallelism sets the worker count used throughout the pipeline:
-// corpus rendering, feed decoding, database ingestion and the sharded
-// table queries. n <= 0 selects GOMAXPROCS; the default (no option) is
-// the serial reference path.
+// corpus rendering, feed decoding, database ingestion and the table
+// queries. n <= 0 selects GOMAXPROCS; the default (no option) is one
+// worker.
 func WithParallelism(n int) Option {
 	return func(c *config) {
 		if n <= 0 {
@@ -64,23 +63,6 @@ func WithParallelism(n int) Option {
 		}
 		c.workers = n
 	}
-}
-
-// Engine selects the analysis execution engine.
-type Engine int
-
-// The two engines. Both produce byte-identical tables; the bitset
-// engine answers from a columnar posting-bitset index and is the
-// default.
-const (
-	EngineBitset Engine = iota
-	EngineScan
-)
-
-// WithEngine selects the execution engine for the table queries (the
-// default is EngineBitset; EngineScan is the record-walk reference).
-func WithEngine(e Engine) Option {
-	return func(c *config) { c.engine = e }
 }
 
 // WithSyntheticUniverse makes LoadFeeds resolve products against the
@@ -171,9 +153,6 @@ func (c config) sharded() bool { return c.shardN != 0 || c.shardIdx != 0 }
 // studyOptions translates the facade config into core options.
 func (c config) studyOptions() []core.Option {
 	opts := []core.Option{core.WithParallelism(c.workers)}
-	if c.engine == EngineScan {
-		opts = append(opts, core.WithEngine(core.EngineScan))
-	}
 	if c.universe > 0 {
 		opts = append(opts, core.WithRegistry(osmap.NewSyntheticRegistry(c.universe)))
 	}
@@ -263,7 +242,7 @@ type Analysis struct {
 
 // LoadFeeds parses NVD XML feed files (plain or .gz) and builds the
 // analysis. With WithParallelism files decode concurrently and the
-// analysis queries run on the sharded engine. The decode runs over the
+// analysis queries shard across the workers. The decode runs over the
 // streaming pipeline (materializing the entries once for the digest);
 // StreamFeeds skips even that materialization.
 func LoadFeeds(paths []string, opts ...Option) (*Analysis, error) {

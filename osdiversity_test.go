@@ -199,19 +199,6 @@ func TestSyntheticFacade(t *testing.T) {
 	if a.ValidCount() == 0 {
 		t.Fatal("synthetic analysis has no valid entries")
 	}
-
-	// The scan engine must agree with the default bitset engine.
-	b, err := LoadSynthetic(spec, WithEngine(EngineScan))
-	if err != nil {
-		t.Fatalf("LoadSynthetic(scan): %v", err)
-	}
-	bp := b.PairwiseOverlaps()
-	for i := range pairs {
-		if pairs[i] != bp[i] {
-			t.Fatalf("engines disagree on pair %s-%s: %+v vs %+v",
-				pairs[i].A, pairs[i].B, pairs[i], bp[i])
-		}
-	}
 }
 
 func TestSyntheticFeedRoundTrip(t *testing.T) {

@@ -65,8 +65,8 @@ func (a *Analysis) SaveSnapshot(path string) error {
 
 // LoadSnapshot warm-starts the analysis from a snapshot file, read-only.
 // The universe is reconstructed from the file's metadata;
-// WithParallelism and WithEngine apply as with any loader, and the
-// resulting tables are byte-identical to the feed-built originals. The
+// WithParallelism applies as with any loader, and the resulting tables
+// are byte-identical to the feed-built originals. The
 // file region may stay mapped for the life of the Analysis; Close
 // releases it.
 func LoadSnapshot(path string, opts ...Option) (*Analysis, error) {
@@ -83,11 +83,7 @@ func LoadSnapshot(path string, opts ...Option) (*Analysis, error) {
 		snap.Close()
 		return nil, err
 	}
-	sopts := []core.Option{core.WithParallelism(cfg.workers), core.WithRegistry(reg)}
-	if cfg.engine == EngineScan {
-		sopts = append(sopts, core.WithEngine(core.EngineScan))
-	}
-	st, err := core.FromColumns(&snap.Cols, sopts...)
+	st, err := core.FromColumns(&snap.Cols, core.WithParallelism(cfg.workers), core.WithRegistry(reg))
 	if err != nil {
 		snap.Close()
 		return nil, err
