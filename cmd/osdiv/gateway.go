@@ -26,7 +26,6 @@ type gatewayOptions struct {
 	timeout      time.Duration
 	retries      int
 	maxInFlight  int
-	cacheLimit   int
 	maxQueueWait time.Duration
 	revalidate   time.Duration
 	drainTimeout time.Duration
@@ -54,8 +53,6 @@ func parseGatewayFlags(args []string) (gatewayOptions, error) {
 		"per-backend GET attempts on transient failures (connection refused/reset, timeouts, 503)")
 	fs.IntVar(&opts.maxInFlight, "max-inflight", 0,
 		"bound on concurrently executing merged computations (0 = 2x backend count)")
-	fs.IntVar(&opts.cacheLimit, "cache-limit", 0,
-		"bound on merged-response cache entries (0 = 1024)")
 	fs.DurationVar(&opts.maxQueueWait, "max-queue-wait", 5*time.Second,
 		"how long a query may wait for a compute slot before 503 + Retry-After")
 	fs.DurationVar(&opts.revalidate, "revalidate", 100*time.Millisecond,
@@ -114,7 +111,6 @@ func runGateway(args []string) error {
 		Timeout:         opts.timeout,
 		Retry:           httpapi.RetryPolicy{Attempts: opts.retries},
 		MaxInFlight:     opts.maxInFlight,
-		CacheLimit:      opts.cacheLimit,
 		MaxQueueWait:    opts.maxQueueWait,
 		RevalidateAfter: opts.revalidate,
 	})

@@ -360,27 +360,12 @@ func runTables(a *osdiversity.Analysis, cfg loadConfig, args []string) error {
 }
 
 // runTablesJSON prints tables as httpapi wire documents, one JSON line
-// per table, byte-identical to the server's /api/tableN responses. The
-// all-tables form leads with the corpus provenance document (the
-// /corpus bytes: source, engine, epoch, snapshot digest).
+// per table, byte-identical to the server's answer to a bare GET of the
+// endpoint serving each table. The all-tables form leads with the
+// corpus provenance document (the /corpus bytes: source, engine, epoch,
+// snapshot digest).
 func runTablesJSON(a *osdiversity.Analysis, cfg loadConfig, which int) error {
-	builders := map[int]func() (any, error){
-		1: func() (any, error) { return server.BuildTable1(a), nil },
-		2: func() (any, error) { return server.BuildTable2(a), nil },
-		3: func() (any, error) { return server.BuildTable3(a), nil },
-		4: func() (any, error) { return server.BuildTable4(a), nil },
-		// The split year canonicalizes exactly as the server's cache-key
-		// layer does, so the printed bytes match /api/table5 on any corpus.
-		5: func() (any, error) {
-			return server.BuildTable5(a, server.CanonSplitYear(a, server.DefaultSplitYear)), nil
-		},
-		6: func() (any, error) { return server.BuildReleases(a) },
-	}
-	emit := func(n int) error {
-		doc, err := builders[n]()
-		if err != nil {
-			return err
-		}
+	emit := func(doc any) error {
 		b, err := httpapi.Marshal(doc)
 		if err != nil {
 			return err
@@ -389,24 +374,24 @@ func runTablesJSON(a *osdiversity.Analysis, cfg loadConfig, which int) error {
 		return err
 	}
 	if which != 0 {
-		if _, ok := builders[which]; !ok {
-			return fmt.Errorf("unknown table %d", which)
+		doc, err := server.PaperTable(a, which)
+		if err != nil {
+			return err
 		}
-		return emit(which)
+		return emit(doc)
 	}
 	// A one-shot CLI render is always generation 1 with no reload
 	// history, exactly like a freshly booted server.
-	corpus := server.BuildCorpus(a, sourceName(cfg), "bitset", a.Parallelism(), "", cfg.db != "",
-		server.EpochStatus{Epoch: 1}, nil)
-	b, err := httpapi.Marshal(corpus)
-	if err != nil {
-		return err
-	}
-	if _, err := os.Stdout.Write(b); err != nil {
+	if err := emit(server.BuildCorpus(a, sourceName(cfg), "bitset", a.Parallelism(), "", cfg.db != "",
+		server.EpochStatus{Epoch: 1}, nil)); err != nil {
 		return err
 	}
 	for n := 1; n <= 6; n++ {
-		if err := emit(n); err != nil {
+		doc, err := server.PaperTable(a, n)
+		if err != nil {
+			return err
+		}
+		if err := emit(doc); err != nil {
 			return err
 		}
 	}

@@ -7,8 +7,12 @@
 // shard count answers byte-identically to one server over the whole
 // corpus.
 //
-// The merge rules exploit that the year-range shards partition the
-// corpus (every vulnerability lives in exactly one shard):
+// The gateway serves internal/server's endpoint table: each endpoint's
+// canon step, merge and optional shard partial are declared there once,
+// next to the server's build, and this package supplies the shard set
+// the gateway routes scatter through. The merge rules exploit that the
+// year-range shards partition the corpus (every vulnerability lives in
+// exactly one shard):
 //
 //   - raw counts add: Table I/III rows, Table V cells, temporal series,
 //     k-wise buckets, release overlaps and the SQL Table III matrix
@@ -28,11 +32,16 @@
 //     (the Monte Carlo and the schedule search are corpus-global;
 //     shards reload individually) and answer 501.
 //
+// Parameters canonicalize once, against the merged corpus (the union
+// year range and summed valid count of the shards' /corpus documents),
+// and every leg receives the canonical values.
+//
 // Consistency across shards is epoch-vector based. Every request first
 // resolves the per-shard epoch vector (a coalesced /readyz probe,
 // cached for Config.RevalidateAfter); responses carry the joined
-// vector in X-Osdiv-Epoch; the merged-response cache is keyed by it
-// and flushes whenever any shard swaps; and each scattered leg's
+// vector in X-Osdiv-Epoch; each newly probed vector is numbered, and
+// the merged-response cache is keyed by that number, so it flushes
+// whenever any shard swaps or restarts; and each scattered leg's
 // X-Osdiv-Epoch is checked against the resolved vector — a shard that
 // hot-reloaded mid-request answers 503 epoch_skew rather than letting
 // one merged document mix corpus generations.
@@ -42,13 +51,14 @@
 // envelope (bad_param, overloaded, not_ready, no_database, ...)
 // forwards verbatim so gateway and single-server clients see the same
 // errors; a structurally inconsistent shard set (different universes,
-// row orders) is 502 shard_mismatch. In front of it all sit the same
-// singleflight coalescing, bounded response cache and
-// inflight/queue-wait shedding the resident server uses.
+// row orders) is 502 shard_mismatch. In front of it all sits the
+// server's Responder: singleflight coalescing, the bounded response
+// cache and inflight/queue-wait shedding.
 package gather
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -56,10 +66,10 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"osdiversity/internal/httpapi"
+	"osdiversity/internal/server"
 )
 
 // Config describes the backend set and the gateway's execution limits.
@@ -76,9 +86,6 @@ type Config struct {
 	// MaxInFlight bounds concurrently executing merged computations; 0
 	// selects 2x the backend count.
 	MaxInFlight int
-	// CacheLimit bounds the merged-response cache entry count; 0
-	// selects 1024.
-	CacheLimit int
 	// MaxQueueWait bounds how long a request may wait for a compute
 	// slot before being shed with 503 + Retry-After; 0 selects 5s.
 	MaxQueueWait time.Duration
@@ -101,13 +108,7 @@ func (cfg Config) withDefaults() Config {
 		cfg.Retry.Attempts = 3
 	}
 	if cfg.MaxInFlight <= 0 {
-		cfg.MaxInFlight = 2 * len(cfg.Backends)
-		if cfg.MaxInFlight < 1 {
-			cfg.MaxInFlight = 1
-		}
-	}
-	if cfg.CacheLimit <= 0 {
-		cfg.CacheLimit = 1024
+		cfg.MaxInFlight = max(2*len(cfg.Backends), 1)
 	}
 	if cfg.MaxQueueWait <= 0 {
 		cfg.MaxQueueWait = 5 * time.Second
@@ -118,17 +119,11 @@ func (cfg Config) withDefaults() Config {
 	return cfg
 }
 
-// Gateway scatters, merges and caches. Construct with New.
+// Gateway resolves shard epoch vectors and scatters. Construct with New.
 type Gateway struct {
 	cfg Config
 	mc  *httpapi.MultiClient
-
-	limiter chan struct{}
-
-	mu       sync.Mutex
-	calls    map[string]*call
-	cache    map[string][]byte
-	cacheVec string
+	rsp *server.Responder
 
 	// Coalesced epoch-vector probe state.
 	probeMu   sync.Mutex
@@ -140,70 +135,29 @@ type Gateway struct {
 	// valid count) behind parameter canonicalization and /corpus.
 	metaMu sync.Mutex
 	meta   *shardMeta
-
-	computes atomic.Int64
-}
-
-// call is one in-flight merged computation; large /api/query results
-// keep the document for streaming instead of a cacheable body.
-type call struct {
-	done chan struct{}
-	body []byte
-	doc  *httpapi.QueryResult
-	err  *gwError
-}
-
-// gwError is a gateway failure destined for the JSON error envelope —
-// the same wire shape the shards answer.
-type gwError struct {
-	status     int
-	code       string
-	message    string
-	retryAfter int
-}
-
-func errBadParam(msg string) *gwError {
-	return &gwError{status: http.StatusBadRequest, code: "bad_param", message: msg}
-}
-
-func errOverloaded() *gwError {
-	return &gwError{status: http.StatusServiceUnavailable, code: "overloaded",
-		message: "all compute slots busy; retry shortly", retryAfter: 1}
-}
-
-func errUnsupported(what string) *gwError {
-	return &gwError{status: http.StatusNotImplemented, code: "unsupported_on_gateway",
-		message: what}
 }
 
 // legError maps one scattered leg's failure: a shard's own error
 // envelope forwards verbatim (same status, code and message a
 // single-server client would see), a transport failure becomes 503
 // shard_unavailable naming the backend.
-func legError(backend string, err error) *gwError {
+func legError(backend string, err error) *server.Error {
 	var he *httpapi.Error
 	if errors.As(err, &he) {
 		retry := 0
 		if he.StatusCode == http.StatusServiceUnavailable {
 			retry = 1
 		}
-		return &gwError{status: he.StatusCode, code: he.Code, message: he.Message, retryAfter: retry}
+		return &server.Error{Status: he.StatusCode, Code: he.Code, Message: he.Message, RetryAfter: retry}
 	}
-	return &gwError{status: http.StatusServiceUnavailable, code: "shard_unavailable",
-		message: fmt.Sprintf("backend %s unreachable: %v", backend, err), retryAfter: 1}
+	return &server.Error{Status: http.StatusServiceUnavailable, Code: "shard_unavailable",
+		Message: fmt.Sprintf("backend %s unreachable: %v", backend, err), RetryAfter: 1}
 }
 
-// errMismatch is the structurally-inconsistent-shard-set failure: the
-// backends disagree about universe, row order or columns, which no
-// retry fixes — the deployment is misconfigured.
-func errMismatch(msg string) *gwError {
-	return &gwError{status: http.StatusBadGateway, code: "shard_mismatch", message: msg}
-}
-
-func errSkew(backend, got, want string) *gwError {
-	return &gwError{status: http.StatusServiceUnavailable, code: "epoch_skew",
-		message: fmt.Sprintf("backend %s answered epoch %s, resolved vector expected %s; retry shortly",
-			backend, got, want), retryAfter: 1}
+func errSkew(backend, got, want string) *server.Error {
+	return &server.Error{Status: http.StatusServiceUnavailable, Code: "epoch_skew",
+		Message: fmt.Sprintf("backend %s answered epoch %s, resolved vector expected %s; retry shortly",
+			backend, got, want), RetryAfter: 1}
 }
 
 // New builds a gateway over the configured backend set.
@@ -216,143 +170,74 @@ func New(cfg Config) (*Gateway, error) {
 	for _, c := range mc.Clients {
 		c.HTTP = cfg.HTTP
 	}
-	return &Gateway{
-		cfg:     cfg,
-		mc:      mc,
-		limiter: make(chan struct{}, cfg.MaxInFlight),
-		calls:   make(map[string]*call),
-		cache:   make(map[string][]byte),
-	}, nil
+	return &Gateway{cfg: cfg, mc: mc, rsp: server.NewResponder(cfg.MaxInFlight, cfg.MaxQueueWait)}, nil
 }
 
 // Computes reports how many merged bodies the gateway has computed
 // (cache misses that scattered). The coalescing tests assert N
 // concurrent identical cold requests add exactly one.
-func (g *Gateway) Computes() int64 { return g.computes.Load() }
+func (g *Gateway) Computes() int64 { return g.rsp.Computes() }
 
 // Handler returns the HTTP handler serving the gateway API.
 func (g *Gateway) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", g.get(g.handleHealth))
-	mux.HandleFunc("/readyz", g.get(g.handleReady))
-	mux.HandleFunc("/corpus", g.get(g.handleCorpus))
-	mux.HandleFunc("/admin/reload", g.post(g.handleReload))
-	mux.HandleFunc("/api/table1", g.get(g.handleTable1))
-	mux.HandleFunc("/api/table2", g.get(g.handleTable2))
-	mux.HandleFunc("/api/table3", g.get(g.handleTable3))
-	mux.HandleFunc("/api/table4", g.get(g.handleTable4))
-	mux.HandleFunc("/api/table5", g.get(g.handleTable5))
-	mux.HandleFunc("/api/temporal", g.get(g.handleTemporal))
-	mux.HandleFunc("/api/kwise", g.get(g.handleKWise))
-	mux.HandleFunc("/api/mostshared", g.get(g.handleMostShared))
-	mux.HandleFunc("/api/select", g.get(g.handleSelect))
-	mux.HandleFunc("/api/releases", g.get(g.handleReleases))
-	mux.HandleFunc("/api/attack", g.get(g.handleAttack))
-	mux.HandleFunc("/api/sqltable3", g.get(g.handleSQLTable3))
-	mux.HandleFunc("/api/query", g.post(g.handleQuery))
-	mux.HandleFunc("/api/recommend", g.post(g.handleRecommend))
-	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		writeError(w, &gwError{status: http.StatusNotFound, code: "not_found",
-			message: "unknown endpoint " + r.URL.Path})
+	return server.GatewayHandler(g.resolveVector, g.rsp, map[string]http.HandlerFunc{
+		"/healthz": g.handleHealth,
+		"/readyz":  g.handleReady,
+		"/corpus":  g.handleCorpus,
 	})
-	return mux
-}
-
-func (g *Gateway) get(h http.HandlerFunc) http.HandlerFunc {
-	return g.method(http.MethodGet, h)
-}
-
-func (g *Gateway) post(h http.HandlerFunc) http.HandlerFunc {
-	return g.method(http.MethodPost, h)
-}
-
-func (g *Gateway) method(want string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != want {
-			w.Header().Set("Allow", want)
-			writeError(w, &gwError{status: http.StatusMethodNotAllowed,
-				code: "method_not_allowed", message: r.Method + " not allowed; use " + want})
-			return
-		}
-		h(w, r)
-	}
-}
-
-// writeError emits the JSON error envelope.
-func writeError(w http.ResponseWriter, e *gwError) {
-	body, err := httpapi.Marshal(httpapi.ErrorEnvelope{
-		Error: httpapi.ErrorBody{Code: e.code, Message: e.message},
-	})
-	if err != nil {
-		http.Error(w, e.message, e.status)
-		return
-	}
-	if e.retryAfter > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(e.retryAfter))
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(e.status)
-	w.Write(body)
-}
-
-func writeBody(w http.ResponseWriter, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(body)
-}
-
-func (g *Gateway) respondDirect(w http.ResponseWriter, doc any) {
-	body, err := httpapi.Marshal(doc)
-	if err != nil {
-		writeError(w, &gwError{status: http.StatusInternalServerError,
-			code: "encode_failed", message: err.Error()})
-		return
-	}
-	writeBody(w, body)
 }
 
 // probeResult is one resolved epoch vector: per-shard epochs in
-// backend order and their join (the cache generation and the
-// X-Osdiv-Epoch the gateway answers with). err is set when any shard
-// was unreachable or not ready — the vector is unusable then.
+// backend order, their join (the X-Osdiv-Epoch the gateway answers
+// with) and the number it was given. err is set when any shard was
+// unreachable or not ready — the vector is unusable then.
 type probeResult struct {
 	epochs []string
 	vec    string
+	gen    uint64
 	shards []httpapi.ShardStatus
-	err    *gwError
+	err    *server.Error
 }
 
 // resolve returns the current epoch vector, probing /readyz across the
 // backends at most once per RevalidateAfter window and coalescing
-// concurrent probes into one scatter.
+// concurrent probes into one scatter. A probe whose vector differs from
+// the previous probe's takes the next number, so the response cache
+// sees a generation that only grows and changes with every swap.
 func (g *Gateway) resolve() *probeResult {
-	for {
-		g.probeMu.Lock()
-		if g.lastProbe != nil && g.cfg.RevalidateAfter > 0 &&
-			time.Since(g.probedAt) < g.cfg.RevalidateAfter {
-			pr := g.lastProbe
-			g.probeMu.Unlock()
-			return pr
-		}
-		if ch := g.probing; ch != nil {
-			g.probeMu.Unlock()
-			<-ch
-			g.probeMu.Lock()
-			pr := g.lastProbe
-			g.probeMu.Unlock()
-			return pr
-		}
-		ch := make(chan struct{})
-		g.probing = ch
+	g.probeMu.Lock()
+	if g.lastProbe != nil && g.cfg.RevalidateAfter > 0 &&
+		time.Since(g.probedAt) < g.cfg.RevalidateAfter {
+		pr := g.lastProbe
 		g.probeMu.Unlock()
-
-		pr := g.doProbe()
-
-		g.probeMu.Lock()
-		g.lastProbe, g.probedAt, g.probing = pr, time.Now(), nil
-		g.probeMu.Unlock()
-		close(ch)
 		return pr
 	}
+	if ch := g.probing; ch != nil {
+		g.probeMu.Unlock()
+		<-ch
+		g.probeMu.Lock()
+		pr := g.lastProbe
+		g.probeMu.Unlock()
+		return pr
+	}
+	ch := make(chan struct{})
+	g.probing = ch
+	g.probeMu.Unlock()
+
+	pr := g.doProbe()
+
+	g.probeMu.Lock()
+	pr.gen = 1
+	if last := g.lastProbe; last != nil {
+		pr.gen = last.gen
+		if last.vec != pr.vec {
+			pr.gen++
+		}
+	}
+	g.lastProbe, g.probedAt, g.probing = pr, time.Now(), nil
+	g.probeMu.Unlock()
+	close(ch)
+	return pr
 }
 
 func (g *Gateway) doProbe() *probeResult {
@@ -375,11 +260,11 @@ func (g *Gateway) doProbe() *probeResult {
 			}
 		} else {
 			var ready httpapi.Ready
-			if derr := unmarshalLeg(leg.Body, &ready); derr != nil {
+			if derr := json.Unmarshal(leg.Body, &ready); derr != nil {
 				st.Status = "malformed"
 				st.Error = derr.Error()
 				if pr.err == nil {
-					pr.err = errMismatch(fmt.Sprintf("backend %s: malformed /readyz: %v", leg.Backend, derr))
+					pr.err = server.ErrMismatch(fmt.Sprintf("backend %s: malformed /readyz: %v", leg.Backend, derr))
 				}
 			} else {
 				st.Status = ready.Status
@@ -393,196 +278,168 @@ func (g *Gateway) doProbe() *probeResult {
 	return pr
 }
 
-// shardMeta is the merged corpus identity of one epoch vector: the
-// union year range over non-empty shards, the summed valid count, and
-// each backend's /corpus document (for the gateway /corpus view).
+// shardMeta is the merged corpus identity of one numbered epoch
+// vector: the union year range over non-empty shards, the summed valid
+// count, and each backend's /corpus document (for the gateway /corpus
+// view).
 type shardMeta struct {
-	vec    string
-	yearLo int
-	yearHi int
-	valid  int
+	gen    uint64
+	bounds server.Bounds
 	corpus []httpapi.CorpusInfo
 }
 
 // metaFor returns the merged corpus metadata for a resolved vector,
 // scattering /corpus once per vector change.
-func (g *Gateway) metaFor(pr *probeResult) (*shardMeta, *gwError) {
+func (g *Gateway) metaFor(pr *probeResult) (*shardMeta, *server.Error) {
 	g.metaMu.Lock()
-	if m := g.meta; m != nil && m.vec == pr.vec {
+	if m := g.meta; m != nil && m.gen == pr.gen {
 		g.metaMu.Unlock()
 		return m, nil
 	}
 	g.metaMu.Unlock()
 
-	legs := g.mc.Scatter(context.Background(), "/corpus", nil)
-	m := &shardMeta{vec: pr.vec, corpus: make([]httpapi.CorpusInfo, len(legs))}
+	legs, err := g.scatter(pr, "/corpus", nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	m := &shardMeta{gen: pr.gen, corpus: make([]httpapi.CorpusInfo, len(legs))}
+	b := &m.bounds
 	for i, leg := range legs {
-		if leg.Err != nil {
-			return nil, legError(leg.Backend, leg.Err)
+		info := &m.corpus[i]
+		if derr := json.Unmarshal(leg.Body, info); derr != nil {
+			return nil, server.ErrMismatch(fmt.Sprintf("backend %s: malformed /corpus: %v", leg.Backend, derr))
 		}
-		if leg.Epoch != pr.epochs[i] {
-			return nil, errSkew(leg.Backend, leg.Epoch, pr.epochs[i])
-		}
-		var info httpapi.CorpusInfo
-		if derr := unmarshalLeg(leg.Body, &info); derr != nil {
-			return nil, errMismatch(fmt.Sprintf("backend %s: malformed /corpus: %v", leg.Backend, derr))
-		}
-		m.corpus[i] = info
-		m.valid += info.ValidEntries
+		b.Valid += info.ValidEntries
 		if info.ValidEntries > 0 {
-			if m.yearLo == 0 || info.YearFrom < m.yearLo {
-				m.yearLo = info.YearFrom
+			if b.YearLo == 0 || info.YearFrom < b.YearLo {
+				b.YearLo = info.YearFrom
 			}
-			if info.YearTo > m.yearHi {
-				m.yearHi = info.YearTo
-			}
+			b.YearHi = max(b.YearHi, info.YearTo)
 		}
 	}
 
 	g.metaMu.Lock()
-	if g.meta == nil || g.meta.vec != pr.vec {
+	if g.meta == nil || g.meta.gen < pr.gen {
 		g.meta = m
 	}
 	g.metaMu.Unlock()
 	return m, nil
 }
 
-// start resolves the epoch vector for one request, writes the
-// X-Osdiv-Epoch header, and maps a degraded shard set to its typed
-// envelope. Every handler calls it exactly once at entry.
-func (g *Gateway) start(w http.ResponseWriter) (*probeResult, bool) {
+// resolveVector resolves the epoch vector one request answers from.
+func (g *Gateway) resolveVector() (server.Vector, *server.Error) {
 	pr := g.resolve()
 	if pr.err != nil {
-		writeError(w, pr.err)
-		return nil, false
+		return nil, pr.err
+	}
+	return vector{g, pr}, nil
+}
+
+// vector is a resolved epoch vector as the endpoint table's gateway
+// routes use it.
+type vector struct {
+	g  *Gateway
+	pr *probeResult
+}
+
+func (v vector) Epochs() string { return v.pr.vec }
+func (v vector) Gen() uint64    { return v.pr.gen }
+
+func (v vector) Bounds() (server.Bounds, *server.Error) {
+	m, err := v.g.metaFor(v.pr)
+	if err != nil {
+		return server.Bounds{}, err
+	}
+	return m.bounds, nil
+}
+
+func (v vector) Scatter(path string, query url.Values, body any) ([]server.Leg, *server.Error) {
+	return v.g.scatter(v.pr, path, query, body)
+}
+
+// scatter fans one request out to every backend — a GET of path?query,
+// or a POST of body when non-nil — and settles the legs: any leg error
+// maps through legError, and every leg's epoch header must match the
+// resolved vector (a shard reloading between probe and scatter answers
+// epoch_skew rather than mixing generations into one merged document).
+// Returns the legs in backend order.
+func (g *Gateway) scatter(pr *probeResult, path string, query url.Values, body any) ([]server.Leg, *server.Error) {
+	var resps []httpapi.ShardResponse
+	if body != nil {
+		resps = g.mc.ScatterPost(context.Background(), path, body)
+	} else {
+		resps = g.mc.Scatter(context.Background(), path, query)
+	}
+	legs := make([]server.Leg, len(resps))
+	for i, r := range resps {
+		if r.Err != nil {
+			return nil, legError(r.Backend, r.Err)
+		}
+		if r.Epoch != pr.epochs[i] {
+			return nil, errSkew(r.Backend, r.Epoch, pr.epochs[i])
+		}
+		legs[i] = server.Leg{Backend: r.Backend, Path: path, Body: r.Body}
+	}
+	return legs, nil
+}
+
+// The tier-specific handlers answer directly, outside the Responder.
+
+func (g *Gateway) handleHealth(w http.ResponseWriter, r *http.Request) {
+	server.WriteDoc(w, httpapi.Health{Status: "ok"})
+}
+
+// handleReady aggregates per-shard readiness. All backends ready
+// answers the GatewayReady document; any unreachable or unready
+// backend answers 503 with per-shard detail in the message, so probes
+// and operators see which leg is the problem.
+func (g *Gateway) handleReady(w http.ResponseWriter, r *http.Request) {
+	pr := g.resolve()
+	if pr.err != nil {
+		msg := "gateway degraded:"
+		for _, st := range pr.shards {
+			if st.Status != "ok" {
+				msg += fmt.Sprintf(" %s=%s", st.Backend, st.Status)
+			}
+		}
+		server.WriteError(w, &server.Error{Status: http.StatusServiceUnavailable,
+			Code: "not_ready", Message: msg, RetryAfter: 1})
+		return
 	}
 	w.Header().Set("X-Osdiv-Epoch", pr.vec)
-	return pr, true
+	server.WriteDoc(w, httpapi.GatewayReady{Status: "ok", Epochs: pr.vec, Shards: pr.shards})
 }
 
-// respond serves one merged endpoint: vector-keyed cache lookup, then
-// singleflight coalescing, then the bounded scatter+merge path. Mirrors
-// the server's respond, with the epoch vector as the generation: any
-// shard swapping flushes everything (vectors are not ordered, so the
-// prune is change-triggered rather than forward-only).
-func (g *Gateway) respond(w http.ResponseWriter, pr *probeResult, key string, build func() (any, *gwError)) {
-	key = "v" + pr.vec + "|" + key
-
-	g.mu.Lock()
-	g.pruneForVecLocked(pr.vec)
-	if body, ok := g.cache[key]; ok {
-		g.mu.Unlock()
-		writeBody(w, body)
+func (g *Gateway) handleCorpus(w http.ResponseWriter, r *http.Request) {
+	pr := g.resolve()
+	if pr.err != nil {
+		server.WriteError(w, pr.err)
 		return
 	}
-	if c, ok := g.calls[key]; ok {
-		g.mu.Unlock()
-		<-c.done
-		if c.err != nil {
-			writeError(w, c.err)
-			return
-		}
-		writeBody(w, c.body)
-		return
-	}
-	c := &call{done: make(chan struct{})}
-	g.calls[key] = c
-	g.mu.Unlock()
-
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				c.err = &gwError{status: http.StatusInternalServerError,
-					code: "internal_panic", message: fmt.Sprint(r)}
-			}
-			g.mu.Lock()
-			delete(g.calls, key)
-			if c.err == nil && g.cacheVec == pr.vec {
-				g.storeLocked(key, c.body)
-			}
-			g.mu.Unlock()
-			close(c.done)
-		}()
-		c.body, c.err = g.compute(build)
-	}()
-
-	if c.err != nil {
-		writeError(w, c.err)
-		return
-	}
-	writeBody(w, c.body)
-}
-
-func (g *Gateway) compute(build func() (any, *gwError)) ([]byte, *gwError) {
-	if aerr := g.acquire(); aerr != nil {
-		return nil, aerr
-	}
-	defer g.release()
-	g.computes.Add(1)
-	doc, aerr := build()
-	if aerr != nil {
-		return nil, aerr
-	}
-	body, err := httpapi.Marshal(doc)
+	w.Header().Set("X-Osdiv-Epoch", pr.vec)
+	m, err := g.metaFor(pr)
 	if err != nil {
-		return nil, &gwError{status: http.StatusInternalServerError,
-			code: "encode_failed", message: err.Error()}
-	}
-	return body, nil
-}
-
-func (g *Gateway) acquire() *gwError {
-	select {
-	case g.limiter <- struct{}{}:
-		return nil
-	default:
-	}
-	t := time.NewTimer(g.cfg.MaxQueueWait)
-	defer t.Stop()
-	select {
-	case g.limiter <- struct{}{}:
-		return nil
-	case <-t.C:
-		return errOverloaded()
-	}
-}
-
-func (g *Gateway) release() { <-g.limiter }
-
-func (g *Gateway) pruneForVecLocked(vec string) {
-	if g.cacheVec == vec {
+		server.WriteError(w, err)
 		return
 	}
-	g.cacheVec = vec
-	g.cache = make(map[string][]byte)
-}
-
-func (g *Gateway) storeLocked(key string, body []byte) {
-	if len(g.cache) >= g.cfg.CacheLimit {
-		for k := range g.cache {
-			delete(g.cache, k)
-			break
+	doc := httpapi.GatewayCorpus{
+		Backends:     g.cfg.Backends,
+		ValidEntries: m.bounds.Valid,
+		YearFrom:     m.bounds.YearLo,
+		YearTo:       m.bounds.YearHi,
+		Epochs:       pr.vec,
+		Shards:       make([]httpapi.ShardCorpus, len(m.corpus)),
+	}
+	for i, info := range m.corpus {
+		doc.Shards[i] = httpapi.ShardCorpus{
+			Backend:      g.cfg.Backends[i],
+			Shard:        info.Shard,
+			Source:       info.Source,
+			ValidEntries: info.ValidEntries,
+			YearFrom:     info.YearFrom,
+			YearTo:       info.YearTo,
+			Epoch:        info.Epoch,
 		}
 	}
-	g.cache[key] = body
-}
-
-// scatter fans one GET out to every backend and settles the legs: any
-// leg error maps through legError, and every leg's epoch header must
-// match the resolved vector (a shard reloading between probe and
-// scatter answers epoch_skew rather than mixing generations into one
-// merged document). Returns the raw bodies in backend order.
-func (g *Gateway) scatter(pr *probeResult, path string, query url.Values) ([][]byte, *gwError) {
-	legs := g.mc.Scatter(context.Background(), path, query)
-	bodies := make([][]byte, len(legs))
-	for i, leg := range legs {
-		if leg.Err != nil {
-			return nil, legError(leg.Backend, leg.Err)
-		}
-		if leg.Epoch != pr.epochs[i] {
-			return nil, errSkew(leg.Backend, leg.Epoch, pr.epochs[i])
-		}
-		bodies[i] = leg.Body
-	}
-	return bodies, nil
+	server.WriteDoc(w, doc)
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -19,6 +20,7 @@ import (
 	"osdiversity/internal/epoch"
 	"osdiversity/internal/gather"
 	"osdiversity/internal/httpapi"
+	"osdiversity/internal/nvdfeed"
 	"osdiversity/internal/server"
 	"osdiversity/internal/vulndb"
 )
@@ -68,22 +70,53 @@ func newGateway(t testing.TB, cfg gather.Config) (*gather.Gateway, *httptest.Ser
 // fetch GETs base+path and returns status and body.
 func fetch(t testing.TB, base, path string) (int, []byte) {
 	t.Helper()
-	resp, err := http.Get(base + path)
+	status, _, body := do(t, http.MethodGet, base+path, "")
+	return status, body
+}
+
+// do sends one request — a POST of body when it is set — and returns
+// status, headers and body.
+func do(t testing.TB, method, url, body string) (int, http.Header, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, strings.NewReader(body))
 	if err != nil {
-		t.Fatalf("GET %s: %v", path, err)
+		t.Fatalf("%s %s: %v", method, url, err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("%s %s: %v", method, url, err)
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
-		t.Fatalf("read %s: %v", path, err)
+		t.Fatalf("read %s: %v", url, err)
 	}
-	return resp.StatusCode, body
+	return resp.StatusCode, resp.Header, raw
+}
+
+// probe is one request of the identity sweep: a GET of target, or a
+// POST of body when it is set.
+type probe struct{ target, body string }
+
+func (p probe) method() string {
+	if p.body != "" {
+		return http.MethodPost
+	}
+	return http.MethodGet
+}
+
+func gets(targets ...string) []probe {
+	out := make([]probe, len(targets))
+	for i, target := range targets {
+		out[i] = probe{target: target}
+	}
+	return out
 }
 
 // identityProbes is the endpoint matrix the byte-identity gate runs:
 // every merged endpoint, parameter canonicalization cases, and the
 // shared 400 envelopes.
-var identityProbes = []string{
+var identityProbes = append(gets(
 	"/api/table1",
 	"/api/table2",
 	"/api/table3",
@@ -94,26 +127,48 @@ var identityProbes = []string{
 	"/api/temporal?os=Debian",
 	"/api/temporal?os=Windows2000",
 	"/api/kwise",
+	"/api/mostshared",
 	"/api/mostshared?n=10",
 	"/api/mostshared?n=1073741824", // canonicalizes onto the merged valid count
 	"/api/select?k=2&one-per-family=true&top=5",
 	"/api/select?k=1&top=3&to=1999",
 	"/api/releases",
 	"/api/releases?a=Debian&va=4.0&b=RedHat&vb=5.0",
+	// Without databases both tiers answer the same 404 no_database.
+	"/api/sqltable3",
 	// The 400 envelopes must match byte for byte too.
 	"/api/table5?split=abc",
 	"/api/temporal",
 	"/api/temporal?os=NotAnOS",
+	"/api/mostshared?n=0",
 	"/api/releases?a=Debian&va=4.0",
 	"/api/select?k=99",
 	// GET on the POST-only recommend endpoint: both tiers answer the
 	// same 405 method_not_allowed envelope.
 	"/api/recommend",
+), probe{"/api/query", `{"sql":"SELECT name, year FROM vulnerability WHERE year >= ?","args":[2000]}`})
+
+// assertIdentical runs every identity probe against the reference
+// server and the gateway and compares status and body.
+func assertIdentical(t *testing.T, ref, gw string) {
+	t.Helper()
+	for _, p := range identityProbes {
+		wantStatus, _, want := do(t, p.method(), ref+p.target, p.body)
+		gotStatus, _, got := do(t, p.method(), gw+p.target, p.body)
+		if gotStatus != wantStatus {
+			t.Errorf("%s %s: status = %d, want %d", p.method(), p.target, gotStatus, wantStatus)
+			continue
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s %s: gateway body differs\n got: %s\nwant: %s", p.method(), p.target, got, want)
+		}
+	}
 }
 
 // TestGatewayByteIdentity is the tentpole acceptance gate: a gateway
 // over 1, 2 and 4 shards, at workers 1 and 4, answers every table
-// endpoint byte-identically to one server over the whole corpus.
+// endpoint byte-identically to one server over the whole corpus — and
+// so does a gateway over an empty corpus, whose every shard is empty.
 func TestGatewayByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("regenerates the corpus per shard")
@@ -132,18 +187,81 @@ func TestGatewayByteIdentity(t *testing.T) {
 			t.Run(fmt.Sprintf("shards=%d/workers=%d", shards, workers), func(t *testing.T) {
 				backends := newShardBackends(t, shards, workers)
 				_, gwts := newGateway(t, gather.Config{Backends: backends})
-				for _, probe := range identityProbes {
-					wantStatus, want := fetch(t, ref.URL, probe)
-					gotStatus, got := fetch(t, gwts.URL, probe)
-					if gotStatus != wantStatus {
-						t.Errorf("%s: status = %d, want %d", probe, gotStatus, wantStatus)
-						continue
-					}
-					if !bytes.Equal(got, want) {
-						t.Errorf("%s: gateway body differs\n got: %s\nwant: %s", probe, got, want)
-					}
-				}
+				assertIdentical(t, ref.URL, gwts.URL)
 			})
+		}
+	}
+
+	feed := filepath.Join(t.TempDir(), "empty.xml")
+	if err := nvdfeed.WriteFile(feed, "empty", nil); err != nil {
+		t.Fatalf("write empty feed: %v", err)
+	}
+	serve := func(t *testing.T, opts ...osdiversity.Option) string {
+		a, err := osdiversity.LoadFeeds([]string{feed}, opts...)
+		if err != nil {
+			t.Fatalf("LoadFeeds: %v", err)
+		}
+		ts := httptest.NewServer(server.New(a, server.Config{Source: "empty", Workers: 1}).Handler())
+		t.Cleanup(ts.Close)
+		return ts.URL
+	}
+	emptyRef := serve(t)
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("empty/shards=%d", shards), func(t *testing.T) {
+			backends := make([]string, shards)
+			for i := range backends {
+				backends[i] = serve(t, osdiversity.WithYearShard(i+1, shards))
+			}
+			_, gwts := newGateway(t, gather.Config{Backends: backends})
+			assertIdentical(t, emptyRef, gwts.URL)
+		})
+	}
+}
+
+// TestIdentityProbesCoverTable derives the identity gate's coverage
+// from the endpoint table: every endpoint the gateway merges needs an
+// identity probe, so a new mergeable endpoint cannot skip the gate.
+func TestIdentityProbesCoverTable(t *testing.T) {
+	for _, r := range server.Routes() {
+		if !r.Merged {
+			continue
+		}
+		covered := false
+		for _, p := range identityProbes {
+			path, _, _ := strings.Cut(p.target, "?")
+			covered = covered || (path == r.Path && p.method() == r.Method)
+		}
+		if !covered {
+			t.Errorf("%s %s has no identity probe", r.Method, r.Path)
+		}
+	}
+}
+
+// TestMethodNotAllowedSweep: every declared path answers the wrong
+// method with the same 405 envelope and Allow header at both tiers.
+func TestMethodNotAllowedSweep(t *testing.T) {
+	a, err := osdiversity.LoadCalibrated(osdiversity.WithParallelism(1))
+	if err != nil {
+		t.Fatalf("LoadCalibrated: %v", err)
+	}
+	ref := httptest.NewServer(server.New(a, server.Config{Workers: 1}).Handler())
+	defer ref.Close()
+	_, gwts := newGateway(t, gather.Config{Backends: newShardBackends(t, 1, 1)})
+
+	for _, r := range server.Routes() {
+		wrong := http.MethodPost
+		if r.Method == http.MethodPost {
+			wrong = http.MethodGet
+		}
+		wantStatus, wantHdr, want := do(t, wrong, ref.URL+r.Path, "")
+		gotStatus, gotHdr, got := do(t, wrong, gwts.URL+r.Path, "")
+		if wantStatus != http.StatusMethodNotAllowed || wantHdr.Get("Allow") != r.Method {
+			t.Errorf("server %s %s = %d Allow %q, want 405 Allow %s",
+				wrong, r.Path, wantStatus, wantHdr.Get("Allow"), r.Method)
+		}
+		if gotStatus != wantStatus || gotHdr.Get("Allow") != wantHdr.Get("Allow") || !bytes.Equal(got, want) {
+			t.Errorf("gateway %s %s = %d Allow %q %s, server %d Allow %q %s", wrong, r.Path,
+				gotStatus, gotHdr.Get("Allow"), got, wantStatus, wantHdr.Get("Allow"), want)
 		}
 	}
 }
@@ -473,47 +591,31 @@ func TestGatewayCoalescing(t *testing.T) {
 	}
 }
 
-// TestGatewayUnsupported: corpus-global endpoints refuse with the typed
-// 501 instead of answering something subtly wrong.
+// TestGatewayUnsupported: every endpoint the table declares without a
+// merge — the corpus-global ones and the per-shard reload — refuses at
+// the gateway with the typed 501 instead of answering something subtly
+// wrong.
 func TestGatewayUnsupported(t *testing.T) {
 	backends := newShardBackends(t, 1, 1)
 	_, gwts := newGateway(t, gather.Config{Backends: backends})
 
-	status, body := fetch(t, gwts.URL, "/api/attack?os=Debian&os=Solaris&os=OpenBSD&os=Windows2003&f=1")
-	var env httpapi.ErrorEnvelope
-	if err := json.Unmarshal(body, &env); err != nil {
-		t.Fatalf("non-envelope body: %s", body)
+	refused := 0
+	for _, r := range server.Routes() {
+		if !r.Refused {
+			continue
+		}
+		refused++
+		status, _, body := do(t, r.Method, gwts.URL+r.Path, "")
+		var env httpapi.ErrorEnvelope
+		if err := json.Unmarshal(body, &env); err != nil {
+			t.Fatalf("%s: non-envelope body: %s", r.Path, body)
+		}
+		if status != http.StatusNotImplemented || env.Error.Code != "unsupported_on_gateway" {
+			t.Errorf("%s %s: got %d %s, want 501 unsupported_on_gateway", r.Method, r.Path, status, env.Error.Code)
+		}
 	}
-	if status != http.StatusNotImplemented || env.Error.Code != "unsupported_on_gateway" {
-		t.Errorf("/api/attack: got %d %s, want 501 unsupported_on_gateway", status, env.Error.Code)
-	}
-
-	resp, err := http.Post(gwts.URL+"/admin/reload", "application/json", nil)
-	if err != nil {
-		t.Fatalf("POST /admin/reload: %v", err)
-	}
-	body, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err := json.Unmarshal(body, &env); err != nil {
-		t.Fatalf("non-envelope body: %s", body)
-	}
-	if resp.StatusCode != http.StatusNotImplemented || env.Error.Code != "unsupported_on_gateway" {
-		t.Errorf("/admin/reload: got %d %s, want 501 unsupported_on_gateway", resp.StatusCode, env.Error.Code)
-	}
-
-	// The schedule search is corpus-global like the attack simulation:
-	// a well-formed POST gets the typed 501, never a partial answer.
-	resp, err = http.Post(gwts.URL+"/api/recommend", "application/json", strings.NewReader(`{"trials":10}`))
-	if err != nil {
-		t.Fatalf("POST /api/recommend: %v", err)
-	}
-	body, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err := json.Unmarshal(body, &env); err != nil {
-		t.Fatalf("non-envelope body: %s", body)
-	}
-	if resp.StatusCode != http.StatusNotImplemented || env.Error.Code != "unsupported_on_gateway" {
-		t.Errorf("/api/recommend: got %d %s, want 501 unsupported_on_gateway", resp.StatusCode, env.Error.Code)
+	if refused < 3 {
+		t.Errorf("table refuses %d endpoints at the gateway, want attack, recommend and reload", refused)
 	}
 
 	if status, _ := fetch(t, gwts.URL, "/api/nope"); status != http.StatusNotFound {

@@ -11,7 +11,6 @@ import (
 	"net"
 	"net/http"
 	"net/url"
-	"strconv"
 	"syscall"
 	"time"
 )
@@ -308,9 +307,6 @@ func get[T any](c *Client, path string, query url.Values) (T, error) {
 // Health fetches /healthz.
 func (c *Client) Health() (Health, error) { return get[Health](c, "/healthz", nil) }
 
-// Ready fetches /readyz.
-func (c *Client) Ready() (Ready, error) { return get[Ready](c, "/readyz", nil) }
-
 // Corpus fetches /corpus.
 func (c *Client) Corpus() (CorpusInfo, error) { return get[CorpusInfo](c, "/corpus", nil) }
 
@@ -326,81 +322,4 @@ func (c *Client) Reload() (ReloadResult, error) {
 		return out, fmt.Errorf("httpapi: decode /admin/reload: %w", err)
 	}
 	return out, nil
-}
-
-// Table1 fetches /api/table1.
-func (c *Client) Table1() (Table1, error) { return get[Table1](c, "/api/table1", nil) }
-
-// Table2 fetches /api/table2.
-func (c *Client) Table2() (Table2, error) { return get[Table2](c, "/api/table2", nil) }
-
-// Table3 fetches /api/table3.
-func (c *Client) Table3() (Table3, error) { return get[Table3](c, "/api/table3", nil) }
-
-// Table4 fetches /api/table4.
-func (c *Client) Table4() (Table4, error) { return get[Table4](c, "/api/table4", nil) }
-
-// Table5 fetches /api/table5 with the given split year (0 selects the
-// server default, the paper's 2005).
-func (c *Client) Table5(splitYear int) (Table5, error) {
-	q := url.Values{}
-	if splitYear != 0 {
-		q.Set("split", strconv.Itoa(splitYear))
-	}
-	return get[Table5](c, "/api/table5", q)
-}
-
-// Temporal fetches /api/temporal for one OS.
-func (c *Client) Temporal(osName string) (Temporal, error) {
-	return get[Temporal](c, "/api/temporal", url.Values{"os": {osName}})
-}
-
-// KWise fetches /api/kwise.
-func (c *Client) KWise() (KWise, error) { return get[KWise](c, "/api/kwise", nil) }
-
-// MostShared fetches /api/mostshared with the given listing size.
-func (c *Client) MostShared(n int) (MostShared, error) {
-	return get[MostShared](c, "/api/mostshared", url.Values{"n": {strconv.Itoa(n)}})
-}
-
-// Select fetches /api/select. top <= 0 returns every ranked set.
-func (c *Client) Select(k int, onePerFamily bool, toYear, top int) (Select, error) {
-	q := url.Values{
-		"k":  {strconv.Itoa(k)},
-		"to": {strconv.Itoa(toYear)},
-	}
-	if onePerFamily {
-		q.Set("one-per-family", "true")
-	}
-	if top > 0 {
-		q.Set("top", strconv.Itoa(top))
-	}
-	return get[Select](c, "/api/select", q)
-}
-
-// Releases fetches the default Table VI grid from /api/releases.
-func (c *Client) Releases() (Releases, error) { return get[Releases](c, "/api/releases", nil) }
-
-// ReleaseOverlap fetches one /api/releases cell.
-func (c *Client) ReleaseOverlap(a, va, b, vb string) (Releases, error) {
-	return get[Releases](c, "/api/releases", url.Values{
-		"a": {a}, "va": {va}, "b": {b}, "vb": {vb},
-	})
-}
-
-// Attack fetches /api/attack for one configuration.
-func (c *Client) Attack(name string, oses []string, f, trials int) (Attack, error) {
-	q := url.Values{
-		"name":   {name},
-		"os":     oses,
-		"f":      {strconv.Itoa(f)},
-		"trials": {strconv.Itoa(trials)},
-	}
-	return get[Attack](c, "/api/attack", q)
-}
-
-// SQLTable3 fetches /api/sqltable3 (available when the server was
-// started over an imported database).
-func (c *Client) SQLTable3() (SQLTable3, error) {
-	return get[SQLTable3](c, "/api/sqltable3", nil)
 }

@@ -197,8 +197,9 @@ type KWise struct {
 	Products []KCount `json:"products"`
 }
 
-// MostShared is the /api/mostshared document. The server streams the
-// IDs array; the bytes are identical to Marshal of the whole document.
+// MostShared is the /api/mostshared document. Large listings stream
+// the IDs array; the bytes are identical to Marshal of the whole
+// document.
 type MostShared struct {
 	N   int      `json:"n"`
 	IDs []string `json:"ids"`
@@ -315,8 +316,8 @@ type SQLTable3 struct {
 // per-shard answers and finalize (shares, filter reduction, most-shared
 // order, set ranking) with the single-process arithmetic. Endpoints
 // whose regular documents are already additive (table1, table3 rows,
-// temporal, kwise, releases, sqltable3) have no partial form — the
-// gateway merges the regular documents.
+// table5 cells, temporal, kwise, releases, sqltable3) have no partial
+// form — the gateway merges the regular documents.
 
 // Table2Partial is the /api/partial/table2 document: Table II rows plus
 // the raw distinct-per-class counts and valid total behind the

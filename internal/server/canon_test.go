@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"net/url"
 	"testing"
+
+	"osdiversity/internal/httpapi"
+	"osdiversity/internal/server"
 )
 
 // TestCanonicalKeyCoalescing asserts the ROADMAP canonicalization item:
@@ -74,23 +77,47 @@ func TestCanonicalKeyCoalescing(t *testing.T) {
 	before := srv.Computes()
 	for _, g := range groups {
 		t.Run(g.name, func(t *testing.T) {
-			var first []byte
-			for i, q := range g.variants {
-				body, err := c.GetRaw(g.path, q)
-				if err != nil {
-					t.Fatalf("variant %d (%v): %v", i, q, err)
-				}
-				if first == nil {
-					first = body
-				} else if !bytes.Equal(body, first) {
-					t.Errorf("variant %d (%v) body differs from variant 0", i, q)
-				}
-			}
-			got := srv.Computes()
-			if got != before+1 {
-				t.Errorf("computes = %d after group, want %d (one per canonical key)", got, before+1)
-			}
-			before = got
+			coalesces(t, c, g.path, g.variants, srv.Computes, before)
+			before = srv.Computes()
 		})
+	}
+
+	// The gateway canonicalizes the same way against the merged corpus:
+	// each group of a merged endpoint costs one scatter-and-merge.
+	gw, gc := newTestGateway(t, 2, nil)
+	merged := map[string]bool{}
+	for _, r := range server.Routes() {
+		merged[r.Path] = r.Merged
+	}
+	before = gw.Computes()
+	for _, g := range groups {
+		if !merged[g.path] {
+			continue
+		}
+		t.Run("gateway/"+g.name, func(t *testing.T) {
+			coalesces(t, gc, g.path, g.variants, gw.Computes, before)
+			before = gw.Computes()
+		})
+	}
+}
+
+// coalesces requests every variant through c and asserts they answer
+// identical bytes for exactly one computation past before.
+func coalesces(t *testing.T, c *httpapi.Client, path string, variants []url.Values, computes func() int64, before int64) {
+	t.Helper()
+	var first []byte
+	for i, q := range variants {
+		body, err := c.GetRaw(path, q)
+		if err != nil {
+			t.Fatalf("variant %d (%v): %v", i, q, err)
+		}
+		if first == nil {
+			first = body
+		} else if !bytes.Equal(body, first) {
+			t.Errorf("variant %d (%v) body differs from variant 0", i, q)
+		}
+	}
+	if got := computes(); got != before+1 {
+		t.Errorf("computes = %d after group, want %d (one per canonical key)", got, before+1)
 	}
 }

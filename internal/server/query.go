@@ -4,7 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strconv"
+	"net/url"
+	"slices"
 	"strings"
 	"time"
 
@@ -16,20 +17,19 @@ import (
 // POST /api/query: ad-hoc SELECTs over the resident imported database.
 // The statement compiles through relstore's shared plan cache, so
 // repeated shapes — even with different literals or arguments — reuse
-// one plan; response bodies cache epoch-scoped through the same
-// singleflight as every other endpoint; and results larger than
-// queryStreamRows stream row by row instead of parking multi-MB bodies
-// in the bounded cache. Only SELECT is accepted: the corpus is
+// one plan, and results larger than streamAbove rows stream instead of
+// entering the response cache. Only SELECT is accepted: the corpus is
 // read-only while serving, so INSERT/UPDATE/DELETE/DDL answer 400
 // unsupported_statement before touching the engine.
-
-// queryStreamRows is the largest row count answered through the
-// response cache; larger results stream and bypass it. A var so the
-// streaming tests can lower the threshold without a giant fixture.
-var queryStreamRows = 4096
-
-// queryMaxBody bounds the request document.
-const queryMaxBody = 1 << 20
+//
+// At the gateway the SELECT scatters to every shard database and the
+// row sets concatenate in shard order. The shard databases are
+// row-partitions of the full import (each vulnerability's facts live in
+// exactly one shard; dimension tables are seeded identically), so plain
+// SELECT output — a filtered projection of rows in scan order — is the
+// concatenation of the per-shard outputs. Statements whose result is
+// not a per-row function of the partition (DISTINCT, GROUP BY, HAVING,
+// aggregates, ORDER BY, LIMIT) answer 501 unsupported_on_gateway.
 
 // SetDatabase installs an already-built database as the resident SQL
 // store — shard mode boots one over its corpus slice instead of opening
@@ -169,154 +169,125 @@ func valueToJSON(v relstore.Value) any {
 	}
 }
 
-// queryCall is one in-flight /api/query singleflight computation.
-// Small results land in body (and the response cache); large results
-// keep the document, and leader and waiters stream it independently.
-type queryCall struct {
-	done chan struct{}
-	body []byte
-	doc  *httpapi.QueryResult
-	err  *apiError
+// errNoDatabase answers the SQL surface of a server booted without
+// an imported database.
+func errNoDatabase() *Error {
+	return &Error{Status: http.StatusNotFound, Code: "no_database",
+		Message: "server was not started over an imported database (osdiv -db ... serve)"}
 }
 
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	ep, ok := s.currentEpoch(w)
-	if !ok {
-		return
-	}
-	if !s.sqlEnabled() {
-		writeError(w, &apiError{status: http.StatusNotFound, code: "no_database",
-			message: "server was not started over an imported database (osdiv -db ... serve)"})
-		return
-	}
-
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, queryMaxBody))
+// canonQuery decodes and vets the QueryRequest body. Anything but SELECT
+// is rejected before the singleflight: a data or schema change must
+// never reach the resident store, and the typed envelope tells the
+// client which rule it broke.
+func canonQuery(c *canonReq, p *params) {
+	dec := json.NewDecoder(http.MaxBytesReader(c.w, c.r.Body, queryMaxBody))
 	dec.UseNumber()
-	var req httpapi.QueryRequest
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, &apiError{status: http.StatusBadRequest, code: "bad_body",
-			message: "request body is not a QueryRequest document: " + err.Error()})
+	if err := dec.Decode(&p.query); err != nil {
+		c.fail(&Error{Status: http.StatusBadRequest, Code: "bad_body",
+			Message: "request body is not a QueryRequest document: " + err.Error()})
 		return
 	}
-	if strings.TrimSpace(req.SQL) == "" {
-		writeError(w, &apiError{status: http.StatusBadRequest, code: "bad_query",
-			message: "missing required field sql"})
+	if strings.TrimSpace(p.query.SQL) == "" {
+		c.fail(&Error{Status: http.StatusBadRequest, Code: "bad_query", Message: "missing required field sql"})
 		return
 	}
-	// Reject anything but SELECT before the singleflight: a data or
-	// schema change must never reach the resident store, and the typed
-	// envelope tells the client which rule it broke.
-	stmt, err := relstore.Parse(req.SQL)
+	stmt, err := relstore.Parse(p.query.SQL)
 	if err != nil {
-		writeError(w, &apiError{status: http.StatusBadRequest, code: "bad_query",
-			message: err.Error()})
+		c.fail(&Error{Status: http.StatusBadRequest, Code: "bad_query", Message: err.Error()})
 		return
 	}
-	if _, ok := stmt.(*relstore.SelectStmt); !ok {
-		writeError(w, &apiError{status: http.StatusBadRequest, code: "unsupported_statement",
-			message: "only SELECT statements are served; data and schema changes go through import"})
+	sel, ok := stmt.(*relstore.SelectStmt)
+	if !ok {
+		c.fail(&Error{Status: http.StatusBadRequest, Code: "unsupported_statement",
+			Message: "only SELECT statements are served; data and schema changes go through import"})
 		return
 	}
-	args, err := QueryArgsFromJSON(req.Args)
+	if c.vec != nil {
+		// The gateway forwards the arguments unbound: the shards bind them.
+		if feature := unmergeable(sel); feature != "" {
+			c.fail(errUnsupported(feature +
+				" does not merge across row-partitioned shards; query an unsharded server or each backend directly"))
+			return
+		}
+	} else if p.args, err = QueryArgsFromJSON(p.query.Args); err != nil {
+		c.fail(errBadParam(err.Error()))
+		return
+	}
+	argsKey, err := json.Marshal(p.query.Args)
 	if err != nil {
-		writeError(w, errBadParam(err.Error()))
+		c.fail(errBadParam(err.Error()))
 		return
 	}
-	argsKey, err := json.Marshal(req.Args)
-	if err != nil {
-		writeError(w, errBadParam(err.Error()))
-		return
-	}
-	s.respondQuery(w, ep.Seq, "query|"+req.SQL+"|"+string(argsKey), req.SQL, args)
+	c.vals = url.Values{"sql": {p.query.SQL}, "args": {string(argsKey)}}
 }
 
-// respondQuery is respond() specialized for /api/query: the same
-// epoch-prefixed response cache and singleflight coalescing, plus a
-// streaming exit for results larger than queryStreamRows. Coalesced
-// waiters of a streamed result each encode the shared immutable
-// document themselves.
-func (s *Server) respondQuery(w http.ResponseWriter, epSeq uint64, key, sql string, args []relstore.Value) {
-	key = "e" + strconv.FormatUint(epSeq, 10) + "|" + key
-
-	s.mu.Lock()
-	s.pruneForEpochLocked(epSeq)
-	if body, ok := s.cache[key]; ok {
-		s.mu.Unlock()
-		writeBody(w, body)
-		return
+// unmergeable names the feature that keeps a SELECT from scattering, or
+// returns "" when its result is the concatenation of the shard results.
+func unmergeable(sel *relstore.SelectStmt) string {
+	switch {
+	case sel.Distinct:
+		return "SELECT DISTINCT"
+	case len(sel.GroupBy) > 0:
+		return "GROUP BY"
+	case sel.Having != nil:
+		return "HAVING"
+	case len(sel.OrderBy) > 0:
+		return "ORDER BY"
+	case sel.Limit >= 0:
+		return "LIMIT"
+	case sel.HasAggregates():
+		return "aggregate functions"
 	}
-	if c, ok := s.queryCalls[key]; ok {
-		s.mu.Unlock()
-		<-c.done
-		s.writeQueryOutcome(w, c)
-		return
-	}
-	c := &queryCall{done: make(chan struct{})}
-	s.queryCalls[key] = c
-	s.mu.Unlock()
-
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				c.err = &apiError{status: http.StatusInternalServerError,
-					code: "internal_panic", message: fmt.Sprint(r)}
-			}
-			s.mu.Lock()
-			delete(s.queryCalls, key)
-			if c.err == nil && c.body != nil && epSeq >= s.cacheEpoch {
-				s.storeLocked(key, c.body)
-			}
-			s.mu.Unlock()
-			close(c.done)
-		}()
-		c.body, c.doc, c.err = s.computeQuery(sql, args)
-	}()
-
-	s.writeQueryOutcome(w, c)
+	return ""
 }
 
-// computeQuery executes one SELECT under the in-flight limiter. Small
-// results marshal into a cacheable body; large ones return the document
-// for streaming.
-func (s *Server) computeQuery(sql string, args []relstore.Value) ([]byte, *httpapi.QueryResult, *apiError) {
-	if aerr := s.acquire(); aerr != nil {
-		return nil, nil, aerr
-	}
-	defer s.release()
-	s.computes.Add(1)
-
-	db, err := s.database()
+// buildQuery executes one SELECT against the resident database.
+func buildQuery(in *input) (any, *Error) {
+	db, err := in.s.database()
 	if err != nil {
-		return nil, nil, &apiError{status: http.StatusInternalServerError,
-			code: "db_failed", message: err.Error()}
+		return nil, &Error{Status: http.StatusInternalServerError, Code: "db_failed", Message: err.Error()}
 	}
-	res, err := db.Store().Query(sql, args...)
+	res, err := db.Store().Query(in.query.SQL, in.args...)
 	if err != nil {
-		return nil, nil, &apiError{status: http.StatusBadRequest,
-			code: "bad_query", message: err.Error()}
+		return nil, &Error{Status: http.StatusBadRequest, Code: "bad_query", Message: err.Error()}
 	}
 	doc := BuildQueryResult(res)
-	if doc.N > queryStreamRows {
-		return nil, &doc, nil
-	}
-	body, merr := httpapi.Marshal(doc)
-	if merr != nil {
-		return nil, nil, &apiError{status: http.StatusInternalServerError,
-			code: "encode_failed", message: merr.Error()}
-	}
-	return body, nil, nil
+	return &doc, nil
 }
 
-// writeQueryOutcome serves one settled queryCall: error envelope,
-// cached-size body, or a streamed large document.
-func (s *Server) writeQueryOutcome(w http.ResponseWriter, c *queryCall) {
-	switch {
-	case c.err != nil:
-		writeError(w, c.err)
-	case c.body != nil:
-		writeBody(w, c.body)
-	default:
-		w.Header().Set("Content-Type", "application/json")
-		httpapi.StreamQueryResult(w, c.doc)
+// buildSQLTable3 renders the SQL-path Table III over the resident
+// database.
+func buildSQLTable3(in *input) (any, *Error) {
+	db, err := in.s.database()
+	if err != nil {
+		return nil, &Error{Status: http.StatusInternalServerError, Code: "db_failed", Message: err.Error()}
 	}
+	doc, err := BuildSQLTable3FromDB(db)
+	if err != nil {
+		return nil, &Error{Status: http.StatusInternalServerError, Code: "sql_failed", Message: err.Error()}
+	}
+	return doc, nil
+}
+
+// mergeQuery concatenates the shard row sets in shard order.
+func mergeQuery(legs []Leg, _ *params) (any, *Error) {
+	docs, err := decodeLegs[httpapi.QueryResult](legs)
+	if err != nil {
+		return nil, err
+	}
+	merged := &httpapi.QueryResult{Columns: []string{}, Rows: [][]any{}}
+	for i, doc := range docs {
+		if i == 0 {
+			if doc.Columns != nil {
+				merged.Columns = doc.Columns
+			}
+		} else if !slices.Equal(merged.Columns, doc.Columns) {
+			return nil, ErrMismatch(fmt.Sprintf(
+				"backend %s: query columns %v, expected %v", legs[i].Backend, doc.Columns, merged.Columns))
+		}
+		merged.Rows = append(merged.Rows, doc.Rows...)
+		merged.N += doc.N
+	}
+	return merged, nil
 }

@@ -272,9 +272,7 @@ func TestQueryStreamedBody(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates feeds and imports a database")
 	}
-	old := queryStreamRows
-	queryStreamRows = 8
-	t.Cleanup(func() { queryStreamRows = old })
+	t.Cleanup(SetStreamAbove(8))
 
 	fx := makeQueryFixture(t, 2)
 	const sql = `SELECT name, year FROM vulnerability ORDER BY name LIMIT 50`
@@ -328,7 +326,8 @@ func TestStreamQueryResultMatchesMarshal(t *testing.T) {
 			t.Fatalf("doc %d: marshal: %v", i, err)
 		}
 		var buf bytes.Buffer
-		if err := httpapi.StreamQueryResult(&buf, &doc); err != nil {
+		_, stream := httpapi.Streamer(&doc)
+		if err := stream(&buf); err != nil {
 			t.Fatalf("doc %d: stream: %v", i, err)
 		}
 		if !bytes.Equal(buf.Bytes(), want) {

@@ -92,37 +92,27 @@ func BuildRecommend(a *osdiversity.Analysis, req httpapi.RecommendRequest) (http
 	return doc, nil
 }
 
-// handleRecommend serves POST /api/recommend: one dynamic-diversity
-// schedule search through the epoch-scoped cache and singleflight. An
-// empty body runs the all-defaults search; requests canonicalize
-// before keying, so cosmetically different specs share a computation.
-func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
-	ep, ok := s.currentEpoch(w)
-	if !ok {
-		return
-	}
+// canonRecommend decodes a POST /api/recommend body and canonicalizes
+// it, so cosmetically different specs share a computation. An empty
+// body runs the all-defaults search.
+func canonRecommend(c *canonReq, p *params) {
 	var req httpapi.RecommendRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, queryMaxBody))
+	dec := json.NewDecoder(http.MaxBytesReader(c.w, c.r.Body, queryMaxBody))
 	if err := dec.Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-		writeError(w, &apiError{status: http.StatusBadRequest, code: "bad_body",
-			message: "request body is not a RecommendRequest document: " + err.Error()})
+		c.fail(&Error{Status: http.StatusBadRequest, Code: "bad_body",
+			Message: "request body is not a RecommendRequest document: " + err.Error()})
 		return
 	}
-	canon, err := CanonRecommend(ep.Analysis, req)
+	canon, err := CanonRecommend(c.a, req)
 	if err != nil {
-		writeError(w, errBadParam(err.Error()))
+		c.fail(errBadParam(err.Error()))
 		return
 	}
-	keyBytes, err := json.Marshal(canon)
+	key, err := json.Marshal(canon)
 	if err != nil {
-		writeError(w, errBadParam(err.Error()))
+		c.fail(errBadParam(err.Error()))
 		return
 	}
-	s.respond(w, ep, "recommend|"+string(keyBytes), func() (any, *apiError) {
-		doc, err := BuildRecommend(ep.Analysis, canon)
-		if err != nil {
-			return nil, errBadParam(err.Error())
-		}
-		return doc, nil
-	})
+	p.spec = canon
+	c.set("spec", string(key))
 }

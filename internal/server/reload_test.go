@@ -566,7 +566,7 @@ func TestSaturationShedsWithRetryAfter(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	s.limiter <- struct{}{} // occupy the only compute slot
+	s.rsp.limiter <- struct{}{} // occupy the only compute slot
 
 	resp, err := ts.Client().Get(ts.URL + "/api/table3")
 	if err != nil {
@@ -589,7 +589,7 @@ func TestSaturationShedsWithRetryAfter(t *testing.T) {
 	}
 	// A shed error must not be cached: freeing the slot lets the same
 	// request compute and succeed.
-	<-s.limiter
+	<-s.rsp.limiter
 	if status, _, _ := get(t, ts, "/api/table3"); status != 200 {
 		t.Errorf("GET after slot freed = %d, want 200", status)
 	}
@@ -597,7 +597,7 @@ func TestSaturationShedsWithRetryAfter(t *testing.T) {
 	// Coalesced waiters behind a slow leader share its fate instead of
 	// each burning a queue-wait: N concurrent identical requests under
 	// saturation produce N shed responses but zero computes.
-	s.limiter <- struct{}{}
+	s.rsp.limiter <- struct{}{}
 	var wg sync.WaitGroup
 	sheds := make([]int, 4)
 	for i := range sheds {
@@ -613,7 +613,7 @@ func TestSaturationShedsWithRetryAfter(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	<-s.limiter
+	<-s.rsp.limiter
 	for i, status := range sheds {
 		if status != http.StatusServiceUnavailable {
 			t.Errorf("saturated concurrent request %d = %d, want 503", i, status)

@@ -6,21 +6,18 @@
 //
 // The server is scale-honest rather than a thin mux:
 //
-//   - every /api endpoint validates its parameters and answers errors
-//     with the typed httpapi.ErrorEnvelope;
-//   - identical requests coalesce through a singleflight group, so N
-//     concurrent cold-cache requests trigger one Study computation and
-//     receive byte-identical bodies;
-//   - completed bodies land in a bounded response cache keyed by the
-//     epoch they were computed on, so a hot reload can never serve a
-//     stale mix of old and new corpus bytes;
-//   - at most MaxInFlight computations run concurrently — a semaphore
-//     sized from the WithParallelism worker count — and a request that
-//     cannot get a slot within MaxQueueWait is shed with 503 and a
-//     Retry-After header instead of queueing unboundedly;
-//   - large listings (/api/mostshared) stream their JSON array
-//     incrementally instead of materializing the body, and the streamed
-//     bytes are identical to httpapi.Marshal of the same document.
+//   - every endpoint is declared once, in the endpoint table
+//     (endpoints.go), which the server, the shard partial routes, the
+//     gateway (internal/gather) and the osdiv -json printers derive
+//     from; each validates and canonicalizes its parameters in one canon
+//     step and answers errors with the typed httpapi.ErrorEnvelope;
+//   - computed answers go through one Responder, shared with the
+//     gateway: a bounded response cache keyed by the epoch the body was
+//     computed on (a hot reload can never serve a stale mix of old and
+//     new corpus bytes), singleflight coalescing of identical requests,
+//     at most MaxInFlight concurrent builds with 503 + Retry-After
+//     shedding past MaxQueueWait, and streaming of large listings and
+//     query results, byte-identical to httpapi.Marshal of the document.
 //
 // The corpus lives behind an internal/epoch.Manager: every request
 // resolves the current epoch once at entry and answers entirely from
@@ -35,7 +32,6 @@ package server
 
 import (
 	"errors"
-	"fmt"
 	"net/http"
 	"strconv"
 	"sync"
@@ -70,8 +66,6 @@ type Config struct {
 	// MaxInFlight bounds concurrently executing computations; 0 selects
 	// max(Workers, 1).
 	MaxInFlight int
-	// CacheLimit bounds the response cache entry count; 0 selects 1024.
-	CacheLimit int
 	// MaxQueueWait bounds how long a request may wait for a compute
 	// slot before being shed with 503 + Retry-After; 0 selects 5s.
 	MaxQueueWait time.Duration
@@ -83,9 +77,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = cfg.Workers
-	}
-	if cfg.CacheLimit <= 0 {
-		cfg.CacheLimit = 1024
 	}
 	if cfg.MaxQueueWait <= 0 {
 		cfg.MaxQueueWait = 5 * time.Second
@@ -108,56 +99,20 @@ type reloader = func() (*epoch.Epoch, error)
 type Server struct {
 	epochs *epoch.Manager
 	cfg    Config
+	rsp    *Responder
 
 	reload atomic.Pointer[reloader]
 
-	limiter chan struct{}
-
-	mu         sync.Mutex
-	calls      map[string]*call
-	queryCalls map[string]*queryCall
-	cache      map[string][]byte
-	cacheEpoch uint64
+	// The newest epoch a computed request resolved, behind the plan-cache
+	// flush on reload.
+	planMu    sync.Mutex
+	planEpoch atomic.Uint64
 
 	// The imported database behind /api/query and the plan-cache stats
 	// on /corpus: opened lazily on the first query, resident after.
 	dbOnce sync.Once
 	dbErr  error
 	db     atomic.Pointer[vulndb.DB]
-
-	computes atomic.Int64
-}
-
-// call is one in-flight singleflight computation.
-type call struct {
-	done chan struct{}
-	body []byte
-	err  *apiError
-}
-
-// apiError is a handler failure destined for the JSON error envelope.
-// retryAfter > 0 additionally sets a Retry-After header, telling
-// well-behaved clients when the condition (overload, reload in
-// progress, still booting) is worth another attempt.
-type apiError struct {
-	status     int
-	code       string
-	message    string
-	retryAfter int
-}
-
-func errBadParam(msg string) *apiError {
-	return &apiError{status: http.StatusBadRequest, code: "bad_param", message: msg}
-}
-
-func errNotReady() *apiError {
-	return &apiError{status: http.StatusServiceUnavailable, code: "not_ready",
-		message: "no corpus resident yet; retry shortly", retryAfter: 1}
-}
-
-func errOverloaded() *apiError {
-	return &apiError{status: http.StatusServiceUnavailable, code: "overloaded",
-		message: "all compute slots busy; retry shortly", retryAfter: 1}
 }
 
 // New builds a server over one immutable analysis — the corpus is
@@ -179,14 +134,7 @@ func NewResident(m *epoch.Manager, cfg Config) *Server {
 }
 
 func newServer(m *epoch.Manager, cfg Config) *Server {
-	return &Server{
-		epochs:     m,
-		cfg:        cfg,
-		limiter:    make(chan struct{}, cfg.MaxInFlight),
-		calls:      make(map[string]*call),
-		queryCalls: make(map[string]*queryCall),
-		cache:      make(map[string][]byte),
-	}
+	return &Server{epochs: m, cfg: cfg, rsp: NewResponder(cfg.MaxInFlight, cfg.MaxQueueWait)}
 }
 
 // SetReloader attaches the reload trigger POST /admin/reload runs —
@@ -202,61 +150,80 @@ func (s *Server) Epochs() *epoch.Manager { return s.epochs }
 // Computes reports how many response bodies the server has computed
 // (cache misses that executed a build). The coalescing tests assert N
 // concurrent identical cold requests add exactly one.
-func (s *Server) Computes() int64 { return s.computes.Load() }
+func (s *Server) Computes() int64 { return s.rsp.Computes() }
 
 // Handler returns the HTTP handler serving the whole API.
 func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", s.get(s.handleHealth))
-	mux.HandleFunc("/readyz", s.get(s.handleReady))
-	mux.HandleFunc("/corpus", s.get(s.handleCorpus))
-	mux.HandleFunc("/admin/reload", s.post(s.handleReload))
-	mux.HandleFunc("/api/table1", s.get(s.handleTable1))
-	mux.HandleFunc("/api/table2", s.get(s.handleTable2))
-	mux.HandleFunc("/api/table3", s.get(s.handleTable3))
-	mux.HandleFunc("/api/table4", s.get(s.handleTable4))
-	mux.HandleFunc("/api/table5", s.get(s.handleTable5))
-	mux.HandleFunc("/api/temporal", s.get(s.handleTemporal))
-	mux.HandleFunc("/api/kwise", s.get(s.handleKWise))
-	mux.HandleFunc("/api/mostshared", s.get(s.handleMostShared))
-	mux.HandleFunc("/api/select", s.get(s.handleSelect))
-	mux.HandleFunc("/api/releases", s.get(s.handleReleases))
-	mux.HandleFunc("/api/attack", s.get(s.handleAttack))
-	mux.HandleFunc("/api/sqltable3", s.get(s.handleSQLTable3))
-	mux.HandleFunc("/api/query", s.post(s.handleQuery))
-	mux.HandleFunc("/api/recommend", s.post(s.handleRecommend))
-	mux.HandleFunc("/api/partial/table2", s.get(s.handlePartialTable2))
-	mux.HandleFunc("/api/partial/table4", s.get(s.handlePartialTable4))
-	mux.HandleFunc("/api/partial/table5", s.get(s.handlePartialTable5))
-	mux.HandleFunc("/api/partial/mostshared", s.get(s.handlePartialMostShared))
-	mux.HandleFunc("/api/partial/select", s.get(s.handlePartialSelect))
-	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		writeError(w, &apiError{status: http.StatusNotFound, code: "not_found",
-			message: "unknown endpoint " + r.URL.Path})
-	})
-	return mux
+	return newMux(map[string]http.HandlerFunc{
+		"/healthz":      s.handleHealth,
+		"/readyz":       s.handleReady,
+		"/corpus":       s.handleCorpus,
+		"/admin/reload": s.handleReload,
+	}, s.route, s.partialRoute)
 }
 
-// get wraps a handler with the method check every query endpoint shares.
-func (s *Server) get(h http.HandlerFunc) http.HandlerFunc {
-	return s.method(http.MethodGet, h)
-}
-
-// post wraps the admin endpoints, which mutate and must not be GETs.
-func (s *Server) post(h http.HandlerFunc) http.HandlerFunc {
-	return s.method(http.MethodPost, h)
-}
-
-func (s *Server) method(want string, h http.HandlerFunc) http.HandlerFunc {
+// route serves one computed endpoint from the epoch the request
+// resolves.
+func (s *Server) route(e *endpoint) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != want {
-			w.Header().Set("Allow", want)
-			writeError(w, &apiError{status: http.StatusMethodNotAllowed,
-				code: "method_not_allowed", message: r.Method + " not allowed; use " + want})
+		ep, ok := s.currentEpoch(w)
+		if !ok {
 			return
 		}
-		h(w, r)
+		if e.sql && !s.sqlEnabled() {
+			WriteError(w, errNoDatabase())
+			return
+		}
+		p, err := e.canonicalize(&canonReq{w: w, r: r, a: ep.Analysis})
+		if err != nil {
+			WriteError(w, err)
+			return
+		}
+		s.respond(w, ep, cacheKey(e.path, p.vals), func() (any, *Error) {
+			return e.build(&input{params: p, a: ep.Analysis, s: s})
+		})
 	}
+}
+
+// partialRoute serves the additive half of a merged endpoint to the
+// gateway. The parameters arrive canonicalized against the merged
+// corpus and are taken as given: a shard clamping them to its own slice
+// would desynchronize the legs.
+func (s *Server) partialRoute(e *endpoint) http.HandlerFunc {
+	path := e.partialPath()
+	return func(w http.ResponseWriter, r *http.Request) {
+		ep, ok := s.currentEpoch(w)
+		if !ok {
+			return
+		}
+		p, err := e.canonicalize(&canonReq{w: w, r: r, a: ep.Analysis, given: true})
+		if err != nil {
+			WriteError(w, err)
+			return
+		}
+		s.respond(w, ep, cacheKey(path, p.vals), func() (any, *Error) {
+			return e.partial.build(&input{params: p, a: ep.Analysis}), nil
+		})
+	}
+}
+
+// respond answers one computed request through the Responder, keyed to
+// the request's epoch. The first request to resolve a newer epoch also
+// flushes the resident database's plan cache: a hot reload may have
+// changed the corpus the SQL surface answers for, and a plan compiled
+// against the previous generation must not survive the swap.
+func (s *Server) respond(w http.ResponseWriter, ep *epoch.Epoch, key string, build func() (any, *Error)) {
+	if ep.Seq > s.planEpoch.Load() {
+		s.planMu.Lock()
+		if seen := s.planEpoch.Load(); ep.Seq > seen {
+			if db := s.db.Load(); db != nil && seen != 0 { // epoch 1 is boot, not a reload
+				db.Store().InvalidatePlans()
+			}
+			s.planEpoch.Store(ep.Seq)
+		}
+		s.planMu.Unlock()
+	}
+	s.rsp.Respond(w, ep.Seq, key, build)
 }
 
 // currentEpoch resolves the epoch this request answers from. Every
@@ -266,185 +233,37 @@ func (s *Server) method(want string, h http.HandlerFunc) http.HandlerFunc {
 func (s *Server) currentEpoch(w http.ResponseWriter) (*epoch.Epoch, bool) {
 	ep, ok := s.epochs.Current()
 	if !ok {
-		writeError(w, errNotReady())
+		WriteError(w, errNotReady())
 		return nil, false
 	}
 	w.Header().Set("X-Osdiv-Epoch", strconv.FormatUint(ep.Seq, 10))
 	return ep, true
 }
 
-// writeError emits the JSON error envelope.
-func writeError(w http.ResponseWriter, e *apiError) {
-	body, err := httpapi.Marshal(httpapi.ErrorEnvelope{
-		Error: httpapi.ErrorBody{Code: e.code, Message: e.message},
-	})
-	if err != nil {
-		http.Error(w, e.message, e.status)
+// The tier-specific handlers bypass the limiter, singleflight and
+// cache: a liveness probe must answer immediately even when every
+// compute slot is occupied by heavy API requests, and each document is
+// trivial to render per request. /healthz stays "ok" for the whole
+// process lifetime — readiness (a resident epoch) is /readyz's job.
+
+func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
+	WriteDoc(w, httpapi.Health{Status: "ok"})
+}
+
+func (s *Server) handleCorpus(w http.ResponseWriter, r *http.Request) {
+	ep, ok := s.currentEpoch(w)
+	if !ok {
 		return
 	}
-	if e.retryAfter > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(e.retryAfter))
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(e.status)
-	w.Write(body)
-}
-
-// writeBody emits a cached or freshly computed 200 body.
-func writeBody(w http.ResponseWriter, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(body)
-}
-
-// respondDirect marshals and writes a document immediately, without
-// the limiter, singleflight or cache — for the cheap always-available
-// endpoints (/healthz, /readyz, /corpus, /admin/reload).
-func (s *Server) respondDirect(w http.ResponseWriter, doc any) {
-	body, err := httpapi.Marshal(doc)
-	if err != nil {
-		writeError(w, &apiError{status: http.StatusInternalServerError,
-			code: "encode_failed", message: err.Error()})
-		return
-	}
-	writeBody(w, body)
-}
-
-// respond serves one computed endpoint: response-cache lookup, then
-// singleflight coalescing, then the bounded compute path. key must
-// canonically encode every parameter the build depends on; respond
-// prefixes it with the resolved epoch, so requests racing a reload
-// coalesce and cache strictly within their own epoch.
-func (s *Server) respond(w http.ResponseWriter, ep *epoch.Epoch, key string, build func() (any, *apiError)) {
-	key = fmt.Sprintf("e%d|%s", ep.Seq, key)
-
-	s.mu.Lock()
-	s.pruneForEpochLocked(ep.Seq)
-	if body, ok := s.cache[key]; ok {
-		s.mu.Unlock()
-		writeBody(w, body)
-		return
-	}
-	if c, ok := s.calls[key]; ok {
-		s.mu.Unlock()
-		<-c.done
-		if c.err != nil {
-			writeError(w, c.err)
-			return
-		}
-		writeBody(w, c.body)
-		return
-	}
-	c := &call{done: make(chan struct{})}
-	s.calls[key] = c
-	s.mu.Unlock()
-
-	func() {
-		// The leader must always unregister the call and wake the
-		// waiters, even when a build panics — a wedged key would block
-		// every later request for this endpoint forever. A panic
-		// becomes a 500 envelope for the leader and all coalesced
-		// waiters.
-		defer func() {
-			if r := recover(); r != nil {
-				c.err = &apiError{status: http.StatusInternalServerError,
-					code: "internal_panic", message: fmt.Sprint(r)}
-			}
-			s.mu.Lock()
-			delete(s.calls, key)
-			// Don't re-seed a pruned cache with a superseded epoch's
-			// body: a slow build finishing after a swap would otherwise
-			// park bytes nothing will ever look up again.
-			if c.err == nil && ep.Seq >= s.cacheEpoch {
-				s.storeLocked(key, c.body)
-			}
-			s.mu.Unlock()
-			close(c.done)
-		}()
-		c.body, c.err = s.compute(build)
-	}()
-
-	if c.err != nil {
-		writeError(w, c.err)
-		return
-	}
-	writeBody(w, c.body)
-}
-
-// acquire takes a compute slot, waiting at most MaxQueueWait; a request
-// that cannot get one is shed with the overloaded envelope. The wait is
-// deliberately not tied to the request context: coalesced waiters share
-// the leader's outcome, and a canceled leader must not poison them.
-func (s *Server) acquire() *apiError {
-	select {
-	case s.limiter <- struct{}{}:
-		return nil
-	default:
-	}
-	t := time.NewTimer(s.cfg.MaxQueueWait)
-	defer t.Stop()
-	select {
-	case s.limiter <- struct{}{}:
-		return nil
-	case <-t.C:
-		return errOverloaded()
-	}
-}
-
-func (s *Server) release() { <-s.limiter }
-
-// compute runs one build under the in-flight limiter and marshals the
-// document.
-func (s *Server) compute(build func() (any, *apiError)) ([]byte, *apiError) {
-	if aerr := s.acquire(); aerr != nil {
-		return nil, aerr
-	}
-	defer s.release()
-	s.computes.Add(1)
-	doc, aerr := build()
-	if aerr != nil {
-		return nil, aerr
-	}
-	body, err := httpapi.Marshal(doc)
-	if err != nil {
-		return nil, &apiError{status: http.StatusInternalServerError,
-			code: "encode_failed", message: err.Error()}
-	}
-	return body, nil
-}
-
-// pruneForEpochLocked is the forward-only cache prune: the first
-// request to resolve a newer epoch drops every older epoch's bodies —
-// they can never be requested again (epoch resolution is monotonic), so
-// holding them would only crowd the bounded cache. The resident
-// database's plan cache flushes with them: a hot reload may have
-// changed the corpus the SQL surface answers for, and a plan compiled
-// against the previous generation must not survive the swap.
-func (s *Server) pruneForEpochLocked(seq uint64) {
-	if seq <= s.cacheEpoch {
-		return
-	}
-	swapped := s.cacheEpoch != 0 // seq 1 is boot, not a reload
-	s.cacheEpoch = seq
-	s.cache = make(map[string][]byte)
-	if swapped {
-		if db := s.db.Load(); db != nil {
-			db.Store().InvalidatePlans()
-		}
-	}
-}
-
-// storeLocked inserts a body into the response cache, evicting an
-// arbitrary entry at the cap. Entries never go stale — each epoch's
-// bodies are immutable and the epoch prefix keeps generations apart —
-// so the cap only bounds memory under parameter-sweep traffic.
-func (s *Server) storeLocked(key string, body []byte) {
-	if len(s.cache) >= s.cfg.CacheLimit {
-		for k := range s.cache {
-			delete(s.cache, k)
-			break
-		}
-	}
-	s.cache[key] = body
+	st := s.epochs.Status()
+	WriteDoc(w, BuildCorpus(ep.Analysis, ep.Source, s.cfg.Engine, s.cfg.Workers, s.cfg.Shard, s.sqlEnabled(),
+		EpochStatus{
+			Epoch:           ep.Seq,
+			ReloadSuccesses: st.Successes,
+			ReloadFailures:  st.Failures,
+			LastReloadError: st.LastError,
+			LastReloadUnix:  st.LastErrorUnix,
+		}, s.planCacheInfo()))
 }
 
 // handleReady answers /readyz: 503 with the not_ready envelope until
@@ -454,10 +273,10 @@ func (s *Server) storeLocked(key string, body []byte) {
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	ep, ok := s.epochs.Current()
 	if !ok {
-		writeError(w, errNotReady())
+		WriteError(w, errNotReady())
 		return
 	}
-	s.respondDirect(w, httpapi.Ready{Status: "ok", Epoch: ep.Seq})
+	WriteDoc(w, httpapi.Ready{Status: "ok", Epoch: ep.Seq})
 }
 
 // handleReload answers POST /admin/reload: trigger a hot swap and
@@ -466,26 +285,26 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	fn := s.reload.Load()
 	if fn == nil {
-		writeError(w, &apiError{status: http.StatusNotFound, code: "no_reload_source",
-			message: "server was not started with a reloadable corpus (osdiv -feeds ... serve -watch)"})
+		WriteError(w, &Error{Status: http.StatusNotFound, Code: "no_reload_source",
+			Message: "server was not started with a reloadable corpus (osdiv -feeds ... serve -watch)"})
 		return
 	}
 	ep, err := (*fn)()
 	switch {
 	case errors.Is(err, epoch.ErrReloadInProgress):
-		writeError(w, &apiError{status: http.StatusConflict, code: "reload_in_progress",
-			message: "another reload is running; retry shortly", retryAfter: 1})
+		WriteError(w, &Error{Status: http.StatusConflict, Code: "reload_in_progress",
+			Message: "another reload is running; retry shortly", RetryAfter: 1})
 		return
 	case errors.Is(err, epoch.ErrNoDelta):
-		writeError(w, &apiError{status: http.StatusConflict, code: "no_delta",
-			message: "no delta feeds to apply"})
+		WriteError(w, &Error{Status: http.StatusConflict, Code: "no_delta",
+			Message: "no delta feeds to apply"})
 		return
 	case err != nil:
-		writeError(w, &apiError{status: http.StatusInternalServerError, code: "reload_failed",
-			message: err.Error()})
+		WriteError(w, &Error{Status: http.StatusInternalServerError, Code: "reload_failed",
+			Message: err.Error()})
 		return
 	}
-	s.respondDirect(w, httpapi.ReloadResult{
+	WriteDoc(w, httpapi.ReloadResult{
 		Epoch:         ep.Seq,
 		Source:        ep.Source,
 		ValidEntries:  ep.Analysis.ValidCount(),

@@ -74,49 +74,86 @@ func TestCorpusMetadata(t *testing.T) {
 	}
 }
 
-// endpointProbes enumerates every deterministic endpoint with the
-// facade builder producing its expected document.
-func endpointProbes(a *osdiversity.Analysis) []struct {
+// endpointProbe is one request of the endpoint sweeps: a GET of path
+// and query, or a POST of body when it is set, with the facade builder
+// producing its expected document.
+type endpointProbe struct {
 	name  string
 	path  string
 	query url.Values
+	body  any
 	doc   func() (any, error)
-} {
-	return []struct {
-		name  string
-		path  string
-		query url.Values
-		doc   func() (any, error)
-	}{
-		{"table1", "/api/table1", nil,
+}
+
+// fetch sends the probe's request through c.
+func (p endpointProbe) fetch(c *httpapi.Client) ([]byte, error) {
+	if p.body != nil {
+		return c.PostJSON(p.path, p.body)
+	}
+	return c.GetRaw(p.path, p.query)
+}
+
+// endpointProbes enumerates every deterministic endpoint with the
+// facade builder producing its expected document.
+func endpointProbes(a *osdiversity.Analysis) []endpointProbe {
+	return []endpointProbe{
+		{"table1", "/api/table1", nil, nil,
 			func() (any, error) { return server.BuildTable1(a), nil }},
-		{"table2", "/api/table2", nil,
+		{"table2", "/api/table2", nil, nil,
 			func() (any, error) { return server.BuildTable2(a), nil }},
-		{"table3", "/api/table3", nil,
+		{"table3", "/api/table3", nil, nil,
 			func() (any, error) { return server.BuildTable3(a), nil }},
-		{"table4", "/api/table4", nil,
+		{"table4", "/api/table4", nil, nil,
 			func() (any, error) { return server.BuildTable4(a), nil }},
-		{"table5", "/api/table5", url.Values{"split": {"2005"}},
+		{"table5", "/api/table5", url.Values{"split": {"2005"}}, nil,
 			func() (any, error) { return server.BuildTable5(a, 2005), nil }},
-		{"temporal", "/api/temporal", url.Values{"os": {"Debian"}},
+		{"temporal", "/api/temporal", url.Values{"os": {"Debian"}}, nil,
 			func() (any, error) { return server.BuildTemporal(a, "Debian") }},
-		{"kwise", "/api/kwise", nil,
+		{"kwise", "/api/kwise", nil, nil,
 			func() (any, error) { return server.BuildKWise(a), nil }},
-		{"mostshared", "/api/mostshared", url.Values{"n": {"10"}},
+		{"mostshared", "/api/mostshared", url.Values{"n": {"10"}}, nil,
 			func() (any, error) { return server.BuildMostShared(a, 10), nil }},
-		{"select", "/api/select", url.Values{"k": {"4"}, "one-per-family": {"true"}, "top": {"3"}, "to": {"2005"}},
+		{"select", "/api/select", url.Values{"k": {"4"}, "one-per-family": {"true"}, "top": {"3"}, "to": {"2005"}}, nil,
 			func() (any, error) { return server.BuildSelect(a, 4, true, 2005, 3), nil }},
-		{"releases", "/api/releases", nil,
+		{"releases", "/api/releases", nil, nil,
 			func() (any, error) { return server.BuildReleases(a) }},
-		{"release cell", "/api/releases", url.Values{"a": {"Debian"}, "va": {"4.0"}, "b": {"RedHat"}, "vb": {"5.0"}},
+		{"release cell", "/api/releases", url.Values{"a": {"Debian"}, "va": {"4.0"}, "b": {"RedHat"}, "vb": {"5.0"}}, nil,
 			func() (any, error) { return server.BuildReleaseOverlap(a, "Debian", "4.0", "RedHat", "5.0") }},
 		{"attack", "/api/attack", url.Values{
 			"name": {"Set1"}, "os": {"Windows2003", "Solaris", "Debian", "OpenBSD"},
-			"f": {"1"}, "trials": {"20"}},
+			"f": {"1"}, "trials": {"20"}}, nil,
 			func() (any, error) {
 				return server.BuildAttack(a, "Set1",
 					[]string{"Windows2003", "Solaris", "Debian", "OpenBSD"}, 1, 20)
 			}},
+		{"recommend", "/api/recommend", nil, recommendSpec,
+			func() (any, error) {
+				canon, err := server.CanonRecommend(a, recommendSpec)
+				if err != nil {
+					return nil, err
+				}
+				return server.BuildRecommend(a, canon)
+			}},
+	}
+}
+
+// TestEndpointProbesCoverTable derives the sweep's coverage from the
+// endpoint table: every computed endpoint the gateway does not merge
+// needs a probe here (the merged ones are covered by the gateway's
+// identity probes), so a new endpoint cannot miss the identity gates.
+func TestEndpointProbesCoverTable(t *testing.T) {
+	probes := endpointProbes(nil)
+	for _, r := range server.Routes() {
+		if !r.Computed || r.Merged {
+			continue
+		}
+		covered := false
+		for _, p := range probes {
+			covered = covered || (p.path == r.Path && (p.body != nil) == (r.Method == http.MethodPost))
+		}
+		if !covered {
+			t.Errorf("%s %s has no endpoint probe", r.Method, r.Path)
+		}
 	}
 }
 
@@ -158,9 +195,9 @@ func TestEndpointIdentityAcrossWorkers(t *testing.T) {
 			}
 			bodies := make(map[int][]byte)
 			for workers, c := range clients {
-				body, err := c.GetRaw(probe.path, probe.query)
+				body, err := probe.fetch(c)
 				if err != nil {
-					t.Fatalf("GET %s (workers %d): %v", probe.path, workers, err)
+					t.Fatalf("%s (workers %d): %v", probe.path, workers, err)
 				}
 				bodies[workers] = body
 			}
@@ -206,13 +243,13 @@ func TestSnapshotBootIdentity(t *testing.T) {
 
 	for _, probe := range endpointProbes(built) {
 		t.Run(probe.name, func(t *testing.T) {
-			feed, err := clients["feed"].GetRaw(probe.path, probe.query)
+			feed, err := probe.fetch(clients["feed"])
 			if err != nil {
-				t.Fatalf("GET %s (feed): %v", probe.path, err)
+				t.Fatalf("%s (feed): %v", probe.path, err)
 			}
-			snap, err := clients["snapshot"].GetRaw(probe.path, probe.query)
+			snap, err := probe.fetch(clients["snapshot"])
 			if err != nil {
-				t.Fatalf("GET %s (snapshot): %v", probe.path, err)
+				t.Fatalf("%s (snapshot): %v", probe.path, err)
 			}
 			if !bytes.Equal(feed, snap) {
 				t.Errorf("snapshot-booted body differs from feed-booted body\nfeed: %.200s\nsnap: %.200s", feed, snap)
@@ -341,7 +378,7 @@ func TestSingleflightCoalescing(t *testing.T) {
 		t.Errorf("computes = %d, want 1 (%d identical requests must coalesce)", got, concurrency)
 	}
 	// A cache hit afterwards must not compute either.
-	if _, err := c.Table3(); err != nil {
+	if _, err := c.GetRaw("/api/table3", nil); err != nil {
 		t.Fatalf("warm Table3: %v", err)
 	}
 	if got := srv.Computes(); got != 1 {
@@ -349,25 +386,62 @@ func TestSingleflightCoalescing(t *testing.T) {
 	}
 }
 
-// TestMostSharedStreamedBody asserts the streamed listing is
-// byte-identical to the canonical marshal of the same document.
+// TestMostSharedStreamedBody asserts most-shared listings answer the
+// canonical marshal of the same document at both tiers: cached below
+// the streaming threshold, and — with the threshold lowered so the
+// calibrated corpus's listings exceed it — streamed, uncached, and
+// byte-identical between the server and a gateway over two shards.
 func TestMostSharedStreamedBody(t *testing.T) {
-	_, _, c := newTestServer(t, 2)
+	srv, _, c := newTestServer(t, 2)
 	a, err := osdiversity.LoadCalibrated(osdiversity.WithParallelism(2))
 	if err != nil {
 		t.Fatalf("LoadCalibrated: %v", err)
+	}
+	want := func(n int) []byte {
+		t.Helper()
+		body, err := httpapi.Marshal(server.BuildMostShared(a, server.CanonListLimit(a, n)))
+		if err != nil {
+			t.Fatalf("marshal: %v", err)
+		}
+		return body
 	}
 	for _, n := range []int{1, 3, 1887, 1 << 20} {
 		body, err := c.GetRaw("/api/mostshared", url.Values{"n": {strconv.Itoa(n)}})
 		if err != nil {
 			t.Fatalf("mostshared n=%d: %v", n, err)
 		}
-		want, err := httpapi.Marshal(server.BuildMostShared(a, n))
-		if err != nil {
-			t.Fatalf("marshal: %v", err)
+		if !bytes.Equal(body, want(n)) {
+			t.Errorf("n=%d: cached body differs from marshal\n got: %.120s\nwant: %.120s", n, body, want(n))
 		}
-		if !bytes.Equal(body, want) {
-			t.Errorf("n=%d: streamed body differs from marshal\n got: %.120s\nwant: %.120s", n, body, want)
+	}
+
+	// Fresh tiers, so no listing is already cached.
+	t.Cleanup(server.SetStreamAbove(8))
+	srv, _, c = newTestServer(t, 2)
+	gw, gc := newTestGateway(t, 2, nil)
+	for _, n := range []int{9, 100, 1887, 1 << 20} {
+		q := url.Values{"n": {strconv.Itoa(n)}}
+		var bodies [2][]byte
+		for i, tier := range []struct {
+			c        *httpapi.Client
+			computes func() int64
+		}{{c, srv.Computes}, {gc, gw.Computes}} {
+			before := tier.computes()
+			for range 2 {
+				if bodies[i], err = tier.c.GetRaw("/api/mostshared", q); err != nil {
+					t.Fatalf("mostshared n=%d: %v", n, err)
+				}
+			}
+			if got := tier.computes(); got != before+2 {
+				t.Errorf("n=%d: computes %d after 2 streamed requests, want %d (streamed bodies are not cached)",
+					n, got, before+2)
+			}
+		}
+		if !bytes.Equal(bodies[0], want(n)) {
+			t.Errorf("n=%d: streamed server body differs from marshal\n got: %.120s\nwant: %.120s", n, bodies[0], want(n))
+		}
+		if !bytes.Equal(bodies[1], bodies[0]) {
+			t.Errorf("n=%d: streamed gateway body differs from the server's\n got: %.120s\nwant: %.120s", n, bodies[1], bodies[0])
 		}
 	}
 }

@@ -10,52 +10,11 @@ import (
 )
 
 // This file builds the httpapi wire documents from facade results. The
-// builders are exported because cmd/osdiv's -json printers reuse them:
-// the bytes a server endpoint answers and the bytes the CLI prints must
-// come from the same constructor. Every slice field is allocated
+// builders are exported because cmd/osdiv's printers and the benchmark
+// harness reuse them: the bytes a server endpoint answers and the bytes
+// the CLI prints must come from the same constructor. Every slice field is allocated
 // non-nil so compact-marshal and the streaming encoder agree on empty
 // arrays ([] rather than null).
-
-// CanonSplitYear clamps a Table V split year (or selection end year) to
-// the corpus's meaningful range [minYear-1, maxYear]: every year below
-// the first publication year yields the same all-observed table, and
-// every year at or beyond the last yields the same all-history table.
-// The server canonicalizes request parameters through this before
-// forming its singleflight/cache keys, so cosmetically different
-// requests share one computation — and it echoes the canonical year, so
-// the cached body is deterministic. Exported so the osdiv -json
-// printers render exactly the documents the server answers.
-func CanonSplitYear(a *osdiversity.Analysis, year int) int {
-	lo, hi := a.YearRange()
-	return CanonSplitYearRange(lo, hi, year)
-}
-
-// CanonSplitYearRange is CanonSplitYear against an explicit [lo, hi]
-// year range. The gateway canonicalizes against the merged range of
-// all shards — not any one backend's slice — so it clamps here with
-// the union it computed from the shard /corpus documents.
-func CanonSplitYearRange(lo, hi, year int) int {
-	if lo == 0 && hi == 0 {
-		return year // empty corpus: nothing to clamp against
-	}
-	if year < lo-1 {
-		return lo - 1
-	}
-	if year > hi {
-		return hi
-	}
-	return year
-}
-
-// CanonListLimit clamps a listing limit to the corpus's valid-entry
-// count — every larger limit returns the identical full listing, so
-// they canonicalize onto one cache key.
-func CanonListLimit(a *osdiversity.Analysis, n int) int {
-	if v := a.ValidCount(); n > v {
-		return v
-	}
-	return n
-}
 
 // EpochStatus is the live-reload accounting BuildCorpus folds into the
 // /corpus document. A CLI rendering of a one-shot corpus passes
@@ -316,8 +275,8 @@ func BuildSQLTable3FromDB(db *vulndb.DB) (httpapi.SQLTable3, error) {
 // The partial builders render the /api/partial/* documents: the raw,
 // additive halves of the derived tables, which the gateway merges
 // across shards and finalizes with the core helpers. They ride the
-// same respond() path as every other endpoint, so partial answers
-// coalesce and cache per epoch like the tables they feed.
+// same Responder as every other endpoint, so partial answers coalesce
+// and cache per epoch like the tables they feed.
 
 // BuildTable2Partial renders Table II plus its raw share inputs.
 func BuildTable2Partial(a *osdiversity.Analysis) httpapi.Table2Partial {
