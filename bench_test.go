@@ -471,18 +471,19 @@ func BenchmarkCorpusGenerationParallel(b *testing.B) {
 }
 
 // BenchmarkFeedReadParallel measures the multi-file decode pipeline over
-// the per-year feed set (the LoadFeeds hot path).
+// the per-year feed set (the LoadFeeds hot path), drained and discarded
+// as a constant-memory consumer sees it.
 func BenchmarkFeedReadParallel(b *testing.B) {
-	benchmarkFeedRead(b, nvdfeed.Workers(benchWorkers))
+	benchmarkFeedRead(b, benchWorkers)
 }
 
 // BenchmarkFeedReadSerial is the single-goroutine baseline of the same
 // workload.
 func BenchmarkFeedReadSerial(b *testing.B) {
-	benchmarkFeedRead(b)
+	benchmarkFeedRead(b, 1)
 }
 
-func benchmarkFeedRead(b *testing.B, opts ...nvdfeed.ReaderOption) {
+func benchmarkFeedRead(b *testing.B, workers int) {
 	b.Helper()
 	c, err := corpus.Generate()
 	if err != nil {
@@ -491,11 +492,21 @@ func benchmarkFeedRead(b *testing.B, opts ...nvdfeed.ReaderOption) {
 	paths := writeBenchFeeds(b, c.Entries)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		entries, err := nvdfeed.ReadFiles(paths, opts...)
-		if err != nil || len(entries) != len(c.Entries) {
-			b.Fatalf("read: %v, %d entries", err, len(entries))
+		if n, err := drainFeedFiles(paths, workers); err != nil || n != len(c.Entries) {
+			b.Fatalf("read: %v, %d entries", err, n)
 		}
 	}
+}
+
+// drainFeedFiles streams the feed files and counts their entries.
+func drainFeedFiles(paths []string, workers int) (int, error) {
+	st := nvdfeed.StreamFiles(paths, nvdfeed.Workers(workers))
+	defer st.Close()
+	n := 0
+	for range st.Entries() {
+		n++
+	}
+	return n, st.Err()
 }
 
 // writeBenchFeeds renders entries as per-year feed files, paths in year
@@ -514,28 +525,6 @@ func writeBenchFeeds(b *testing.B, entries []*cve.Entry) []string {
 	return paths
 }
 
-// BenchmarkFeedStreamParallel measures the bounded streaming pipeline
-// over the same per-year feed set (the StreamFeeds hot path) — the
-// drain-and-discard shape a constant-memory consumer sees.
-func BenchmarkFeedStreamParallel(b *testing.B) {
-	c, err := corpus.Generate()
-	if err != nil {
-		b.Fatal(err)
-	}
-	paths := writeBenchFeeds(b, c.Entries)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st := nvdfeed.StreamFiles(paths, nvdfeed.Workers(benchWorkers))
-		n := 0
-		for range st.Entries() {
-			n++
-		}
-		if err := st.Err(); err != nil || n != len(c.Entries) {
-			b.Fatalf("stream: %v, %d entries", err, n)
-		}
-	}
-}
-
 // BenchmarkVulnDBLoadParallel measures the parallel-digest, batched
 // insert ingestion of the full corpus.
 func BenchmarkVulnDBLoadParallel(b *testing.B) {
@@ -550,7 +539,8 @@ func BenchmarkVulnDBLoadParallel(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		stored, _, err := db.LoadEntriesParallel(c.Entries, classifier, benchWorkers)
+		db.SetParallelism(benchWorkers)
+		stored, _, err := db.LoadEntries(c.Entries, classifier)
 		if err != nil || stored == 0 {
 			b.Fatalf("load: %v, %d stored", err, stored)
 		}
@@ -581,9 +571,8 @@ func BenchmarkFeedRoundTrip(b *testing.B) {
 		if err := nvdfeed.WriteFile(path, "CVE-ALL", c.Entries); err != nil {
 			b.Fatal(err)
 		}
-		entries, err := nvdfeed.ReadFile(path)
-		if err != nil || len(entries) != len(c.Entries) {
-			b.Fatalf("round trip: %v, %d entries", err, len(entries))
+		if n, err := drainFeedFiles([]string{path}, 1); err != nil || n != len(c.Entries) {
+			b.Fatalf("round trip: %v, %d entries", err, n)
 		}
 	}
 }
@@ -626,7 +615,7 @@ func warmStartFixture(b *testing.B) (paths []string, snapPath string) {
 			warmStartFix.snap = filepath.Join(dir, "warm.osds")
 			warmStartFix.paths, warmStartFix.err = GenerateSyntheticFeeds(dir, spec, WithParallelism(benchWorkers))
 			if warmStartFix.err == nil {
-				_, warmStartFix.err = StreamFeeds(warmStartFix.paths,
+				_, warmStartFix.err = LoadFeeds(warmStartFix.paths,
 					WithParallelism(benchWorkers),
 					WithSyntheticUniverse(synthBenchDistros),
 					WithSnapshot(warmStartFix.snap))
@@ -645,10 +634,10 @@ func BenchmarkWarmStart100kFeed(b *testing.B) {
 	paths, _ := warmStartFixture(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a, err := StreamFeeds(paths, WithParallelism(benchWorkers),
+		a, err := LoadFeeds(paths, WithParallelism(benchWorkers),
 			WithSyntheticUniverse(synthBenchDistros))
 		if err != nil || a.ValidCount() == 0 {
-			b.Fatalf("StreamFeeds: %v", err)
+			b.Fatalf("LoadFeeds: %v", err)
 		}
 	}
 }

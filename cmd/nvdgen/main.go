@@ -12,9 +12,9 @@
 //	nvdgen -out feeds/
 //	nvdgen -out feeds/ -synthetic -entries 100000 -distros 32 -seed 1
 //
-// With -snapshot the written feeds are immediately digested through the
-// streaming pipeline and persisted as a columnar snapshot, so `osdiv
-// -snapshot` can warm-start without re-parsing the XML.
+// With -snapshot the written feeds are immediately loaded back and
+// persisted as a columnar snapshot, so `osdiv -snapshot` can warm-start
+// without re-parsing the XML.
 package main
 
 import (
@@ -69,7 +69,7 @@ func main() {
 		if *synthetic {
 			sopts = append(sopts, osdiversity.WithSyntheticUniverse(*distros))
 		}
-		if _, err := osdiversity.StreamFeeds(paths, sopts...); err != nil {
+		if _, err := osdiversity.LoadFeeds(paths, sopts...); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "wrote snapshot %s\n", *snapPath)

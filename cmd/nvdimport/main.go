@@ -6,15 +6,16 @@
 //
 //	nvdimport -db study.db feeds/nvdcve-2.0-*.xml.gz
 //
-// With -stream the feeds flow through the bounded streaming pipeline
-// straight into the store (constant ingestion memory, byte-identical
-// database). With -lenient malformed entries are skipped and counted
-// instead of failing the import; the count is printed so nothing is
-// silently lost. With -table3 the import finishes by running the
-// grouped pairwise SQL query (the paper's Table III v(AB) matrix)
-// against the freshly written database, as a smoke test of the SQL
-// path. With -snapshot the digested study is also persisted as a
-// columnar snapshot file, the warm-start input of `osdiv -snapshot`.
+// The feeds stream through a bounded pipeline straight into the store,
+// so ingestion memory stays constant however large the feed set is, and
+// the database bytes are the same at any -workers count. With -lenient
+// malformed entries are skipped and counted instead of failing the
+// import; the count is printed so nothing is silently lost. With
+// -table3 the import finishes by running the grouped pairwise SQL query
+// (the paper's Table III v(AB) matrix) against the freshly written
+// database, as a smoke test of the SQL path. With -snapshot the
+// digested study is also persisted as a columnar snapshot file, the
+// warm-start input of `osdiv -snapshot`.
 package main
 
 import (
@@ -31,13 +32,12 @@ func main() {
 	log.SetPrefix("nvdimport: ")
 	db := flag.String("db", "study.db", "path of the database file to write")
 	workers := flag.Int("workers", 1, "worker count for decoding, ingestion and SQL probes (0 = all CPUs)")
-	stream := flag.Bool("stream", false, "ingest through the bounded streaming pipeline (constant memory)")
 	lenient := flag.Bool("lenient", false, "skip and count malformed feed entries instead of failing")
 	table3 := flag.Bool("table3", false, "after importing, print the Table III pairwise matrix via the SQL engine")
 	snapPath := flag.String("snapshot", "", "also persist the digested study as a columnar snapshot here")
 	flag.Parse()
 	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: nvdimport [-db study.db] [-workers n] [-stream] [-lenient] [-table3] [-snapshot study.osds] feed.xml[.gz]...")
+		fmt.Fprintln(os.Stderr, "usage: nvdimport [-db study.db] [-workers n] [-lenient] [-table3] [-snapshot study.osds] feed.xml[.gz]...")
 		os.Exit(2)
 	}
 
@@ -52,11 +52,7 @@ func main() {
 	if *snapPath != "" {
 		opts = append(opts, osdiversity.WithSnapshot(*snapPath))
 	}
-	importFeeds := osdiversity.ImportFeeds
-	if *stream {
-		importFeeds = osdiversity.ImportFeedsStream
-	}
-	stored, skipped, err := importFeeds(*db, flag.Args(), opts...)
+	stored, skipped, err := osdiversity.ImportFeeds(*db, flag.Args(), opts...)
 	if err != nil {
 		log.Fatal(err)
 	}

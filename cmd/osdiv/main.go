@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	osdiv [-db study.db | -feeds dir [-stream] | -snapshot study.osds] <subcommand>
+//	osdiv [-db study.db | -feeds dir | -snapshot study.osds] <subcommand>
 //
 // Subcommands:
 //
@@ -75,7 +75,6 @@ func main() {
 	db := flag.String("db", "", "analyze a database produced by nvdimport")
 	feeds := flag.String("feeds", "", "analyze XML feeds from this directory")
 	workers := flag.Int("workers", 1, "worker count for ingestion and analysis (0 = all CPUs)")
-	stream := flag.Bool("stream", false, "with -feeds, ingest through the bounded streaming pipeline (constant memory)")
 	synthetic := flag.Int("synthetic", 0, "analyze a seeded synthetic modern-NVD corpus of this many entries")
 	distros := flag.Int("distros", 32, "synthetic universe width (with -synthetic)")
 	seed := flag.Uint64("seed", 1, "synthetic corpus seed (with -synthetic)")
@@ -101,7 +100,7 @@ func main() {
 	}
 
 	cfg := loadConfig{
-		db: *db, feeds: *feeds, workers: *workers, stream: *stream,
+		db: *db, feeds: *feeds, workers: *workers,
 		synthetic: *synthetic, distros: *distros, seed: *seed, snapshot: *snapPath,
 	}
 
@@ -152,7 +151,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: osdiv [-db file | -feeds dir [-stream] | -synthetic n | -snapshot file] [-workers n] tables|figures|kwise|select|releases|simulate|recommend|sqltable3|query|serve|gateway [options]")
+	fmt.Fprintln(os.Stderr, "usage: osdiv [-db file | -feeds dir | -synthetic n | -snapshot file] [-workers n] tables|figures|kwise|select|releases|simulate|recommend|sqltable3|query|serve|gateway [options]")
 	os.Exit(2)
 }
 
@@ -272,7 +271,6 @@ type loadConfig struct {
 	db        string
 	feeds     string
 	workers   int
-	stream    bool
 	synthetic int
 	distros   int
 	seed      uint64
@@ -288,9 +286,6 @@ func loadAnalysis(cfg loadConfig) (*osdiversity.Analysis, error) {
 			return nil, err
 		}
 		opts = append(opts, osdiversity.WithYearShard(i, n))
-	}
-	if cfg.stream && cfg.feeds == "" {
-		return nil, fmt.Errorf("-stream needs -feeds (the streaming pipeline ingests XML feeds)")
 	}
 	if cfg.snapshot != "" && (cfg.db != "" || cfg.feeds != "" || cfg.synthetic > 0) {
 		return nil, fmt.Errorf("-snapshot is a complete corpus; it cannot combine with -db, -feeds or -synthetic")
@@ -308,9 +303,6 @@ func loadAnalysis(cfg loadConfig) (*osdiversity.Analysis, error) {
 		matches, err := filepath.Glob(filepath.Join(cfg.feeds, "*.xml*"))
 		if err != nil || len(matches) == 0 {
 			return nil, fmt.Errorf("no feeds found in %s", cfg.feeds)
-		}
-		if cfg.stream {
-			return osdiversity.StreamFeeds(matches, opts...)
 		}
 		return osdiversity.LoadFeeds(matches, opts...)
 	default:

@@ -161,39 +161,36 @@ func TestSQLTable3Smoke(t *testing.T) {
 	}
 }
 
-// TestStreamFeedsSmoke asserts `-feeds -stream` prints exactly what the
-// materialized feed load prints, and that -stream without -feeds fails
-// with a usable diagnostic.
+// TestStreamFeedsSmoke asserts `-feeds` prints the same paper tables at
+// -workers 1 and 4 (the corpus document, which names the worker count,
+// is left out), and that -stream is an undefined flag (exit 2).
 func TestStreamFeedsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates feeds and loads them twice")
 	}
-	dir := t.TempDir()
-	feedDir := filepath.Join(dir, "feeds")
+	feedDir := filepath.Join(t.TempDir(), "feeds")
 	if _, err := osdiversity.GenerateFeeds(feedDir, osdiversity.WithParallelism(4)); err != nil {
 		t.Fatalf("GenerateFeeds: %v", err)
 	}
-	streamed, stderr, code := runOsdiv(t, "-feeds", feedDir, "-stream", "-workers", "4", "tables", "-t", "1")
-	if code != 0 {
-		t.Fatalf("streamed tables exit code %d, stderr: %s", code, stderr)
+	tables := func(workers string) string {
+		out, stderr, code := runOsdiv(t, "-feeds", feedDir, "-workers", workers, "tables", "-json")
+		if code != 0 {
+			t.Fatalf("-workers %s tables exit code %d, stderr: %s", workers, code, stderr)
+		}
+		_, docs, _ := strings.Cut(out, "\n")
+		return docs
 	}
-	loaded, stderr, code := runOsdiv(t, "-feeds", feedDir, "-workers", "4", "tables", "-t", "1")
-	if code != 0 {
-		t.Fatalf("materialized tables exit code %d, stderr: %s", code, stderr)
+	serial, parallel := tables("1"), tables("4")
+	if serial != parallel {
+		t.Errorf("-workers 4 tables differ from -workers 1\n got: %.300s\nwant: %.300s", parallel, serial)
 	}
-	if streamed != loaded {
-		t.Errorf("-stream output differs from materialized output\n got: %.300s\nwant: %.300s", streamed, loaded)
-	}
-	if !strings.Contains(streamed, "1887") {
-		t.Errorf("streamed Table I missing the paper's 1887 distinct count:\n%.1000s", streamed)
+	if !strings.Contains(serial, `"os":"# distinct","valid":1887`) {
+		t.Errorf("feed tables missing the paper's 1887 distinct count:\n%.1000s", serial)
 	}
 
-	_, stderr, code = runOsdiv(t, "-stream", "tables")
-	if code == 0 {
-		t.Fatal("-stream without -feeds succeeded, want failure")
-	}
-	if !strings.Contains(stderr, "-stream needs -feeds") {
-		t.Errorf("stderr missing -stream diagnostic: %s", stderr)
+	_, stderr, code := runOsdiv(t, "-feeds", feedDir, "-stream", "tables")
+	if code != 2 || !strings.Contains(stderr, "flag provided but not defined: -stream") {
+		t.Errorf("-stream exit %d, stderr %q; want the undefined-flag exit 2", code, stderr)
 	}
 }
 

@@ -205,11 +205,8 @@ func runServe(cfg loadConfig, args []string) error {
 		return err
 	}
 	if opts.shard != "" {
-		// The slice is taken over materialized entries; the streaming
-		// pipeline and snapshot boots never materialize them.
-		if cfg.stream {
-			return errors.New("serve: -shard cannot combine with -stream (sharding needs materialized entries)")
-		}
+		// The slice is taken over the corpus's entries, which a snapshot
+		// boot never holds.
 		if cfg.snapshot != "" {
 			return errors.New("serve: -shard cannot combine with -snapshot (shard from feeds or a database)")
 		}

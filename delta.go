@@ -3,13 +3,12 @@ package osdiversity
 import (
 	"osdiversity/internal/core"
 	"osdiversity/internal/cve"
-	"osdiversity/internal/nvdfeed"
 )
 
 // ApplyDelta derives a new Analysis from this one plus a set of NVD
 // delta feed files (plain or .gz, e.g. the "modified"/"recent" feeds) —
-// the live-epoch reload path. The delta streams through the bounded
-// feed pipeline into an incremental overlay build: entries whose CVE
+// the live-epoch reload path. The delta streams through LoadFeeds'
+// bounded pipeline into an incremental overlay build: entries whose CVE
 // identifiers the base already holds replace the old records
 // (last-writer-wins, whatever the entry's new validity outcome),
 // unknown identifiers append. The base is never mutated and keeps
@@ -34,26 +33,17 @@ func (a *Analysis) ApplyDelta(paths []string, opts ...Option) (*Analysis, error)
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	skips := &nvdfeed.SkipStats{}
-	st := nvdfeed.StreamFiles(paths, cfg.readerOptions(skips)...)
-	defer st.Close()
 	b := core.NewDeltaBuilder(a.study)
-	batch := make([]*cve.Entry, 0, streamBatch)
-	for e := range st.Entries() {
-		batch = append(batch, e)
-		if len(batch) == streamBatch {
-			b.Add(batch...)
-			batch = batch[:0]
-		}
-	}
-	if err := st.Err(); err != nil {
+	malformed, err := cfg.drainFeeds(paths, func(batch []*cve.Entry) error {
+		b.Add(batch...)
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	b.Add(batch...)
-	cfg.noteSkips(skips)
 	merged := b.Finish()
 	merged.SetParallelism(cfg.workers)
-	return cfg.finishAnalysis(merged, a.source, a.malformedSkipped+skips.Skipped())
+	return cfg.finishAnalysis(merged, a.source, a.malformedSkipped+malformed)
 }
 
 // SelfCheck deep-validates the analysis's internal consistency — the

@@ -23,15 +23,15 @@ func TestApplyDeltaMatchesColdBuild(t *testing.T) {
 	basePaths, deltaPaths := feeds[:len(feeds)-2], feeds[len(feeds)-2:]
 
 	for _, workers := range []int{1, 4} {
-		cold, err := StreamFeeds(feeds, WithParallelism(workers))
+		cold, err := LoadFeeds(feeds, WithParallelism(workers))
 		if err != nil {
-			t.Fatalf("StreamFeeds(all, workers=%d): %v", workers, err)
+			t.Fatalf("LoadFeeds(all, workers=%d): %v", workers, err)
 		}
 		want := fullFingerprint(t, cold)
 
-		base, err := StreamFeeds(basePaths, WithParallelism(workers))
+		base, err := LoadFeeds(basePaths, WithParallelism(workers))
 		if err != nil {
-			t.Fatalf("StreamFeeds(base, workers=%d): %v", workers, err)
+			t.Fatalf("LoadFeeds(base, workers=%d): %v", workers, err)
 		}
 		baseBefore := fullFingerprint(t, base)
 		merged, err := base.ApplyDelta(deltaPaths)
@@ -52,8 +52,8 @@ func TestApplyDeltaMatchesColdBuild(t *testing.T) {
 
 	// The production reload shape: snapshot-booted base + delta feeds.
 	snapPath := filepath.Join(dir, "base.osds")
-	if _, err := StreamFeeds(basePaths, WithSnapshot(snapPath)); err != nil {
-		t.Fatalf("StreamFeeds(tee): %v", err)
+	if _, err := LoadFeeds(basePaths, WithSnapshot(snapPath)); err != nil {
+		t.Fatalf("LoadFeeds(tee): %v", err)
 	}
 	booted, err := LoadSnapshot(snapPath)
 	if err != nil {
@@ -65,9 +65,9 @@ func TestApplyDeltaMatchesColdBuild(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ApplyDelta(snapshot base): %v", err)
 	}
-	cold, err := StreamFeeds(feeds)
+	cold, err := LoadFeeds(feeds)
 	if err != nil {
-		t.Fatalf("StreamFeeds(all): %v", err)
+		t.Fatalf("LoadFeeds(all): %v", err)
 	}
 	if got, want := fullFingerprint(t, merged), fullFingerprint(t, cold); !bytes.Equal(want, got) {
 		t.Error("delta on snapshot-booted base differs from cold build")
@@ -103,9 +103,9 @@ func TestApplyDeltaFailuresLeaveBaseUsable(t *testing.T) {
 	if err != nil {
 		t.Fatalf("GenerateFeeds: %v", err)
 	}
-	base, err := StreamFeeds(feeds[:len(feeds)-1])
+	base, err := LoadFeeds(feeds[:len(feeds)-1])
 	if err != nil {
-		t.Fatalf("StreamFeeds: %v", err)
+		t.Fatalf("LoadFeeds: %v", err)
 	}
 	before := fullFingerprint(t, base)
 

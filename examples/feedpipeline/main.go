@@ -31,13 +31,13 @@ func main() {
 	}
 
 	// Stream the feeds straight into the SQL store: entries flow from
-	// the XML tokenizers through bounded channels into chunked inserts,
+	// the XML tokenizers through bounded channels into batched inserts,
 	// so ingestion memory stays flat no matter how large the feed set
-	// grows. The persisted database is byte-identical to the
-	// materialized ImportFeeds path.
+	// grows. The persisted database is byte-identical at any worker
+	// count.
 	dbPath := filepath.Join(dir, "study.db")
 	var stats osdiversity.FeedStats
-	stored, skipped, err := osdiversity.ImportFeedsStream(dbPath, feeds,
+	stored, skipped, err := osdiversity.ImportFeeds(dbPath, feeds,
 		osdiversity.WithParallelism(0),
 		osdiversity.WithLenient(),
 		osdiversity.WithFeedStats(&stats))
@@ -94,7 +94,7 @@ func main() {
 	// The same feeds also stream into the in-memory analysis — the
 	// incremental Study builder digests batches as they decode, so the
 	// full entry slice never has to exist at once.
-	a, err := osdiversity.StreamFeeds(feeds, osdiversity.WithParallelism(0))
+	a, err := osdiversity.LoadFeeds(feeds, osdiversity.WithParallelism(0))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -14,6 +14,7 @@ import (
 	"sync"
 	"testing"
 
+	"osdiversity/internal/cve"
 	"osdiversity/internal/nvdfeed"
 )
 
@@ -107,18 +108,23 @@ func peakStreamFootprint(tb testing.TB, paths []string, workers int) (entries in
 	return entries, maxHeap - base
 }
 
-// materializedLive measures the heap the materialized path retains once
-// the whole 4× entry slice is resident — the reference the streaming
-// peak must stay well under.
+// materializedLive measures the heap a consumer that collects the
+// stream into a slice retains once the whole 4× entry slice is
+// resident — the reference the streaming peak must stay well under.
 func materializedLive(tb testing.TB, paths []string) uint64 {
 	tb.Helper()
 	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	base := ms.HeapAlloc
-	entries, err := nvdfeed.ReadFiles(paths, nvdfeed.Workers(4))
-	if err != nil {
-		tb.Fatalf("ReadFiles: %v", err)
+	st := nvdfeed.StreamFiles(paths, nvdfeed.Workers(4))
+	defer st.Close()
+	var entries []*cve.Entry
+	for e := range st.Entries() {
+		entries = append(entries, e)
+	}
+	if err := st.Err(); err != nil {
+		tb.Fatalf("stream: %v", err)
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&ms)
@@ -132,7 +138,7 @@ func materializedLive(tb testing.TB, paths []string) uint64 {
 
 // footprintSlack absorbs allocator and GC-timing noise in the flatness
 // comparison: both volumes' peaks sit within a few MB of each other,
-// while the materialized path grows by tens of MB per volume step.
+// while a collected entry slice grows by tens of MB per volume step.
 const footprintSlack = 8 << 20
 
 func checkFootprintFlat(tb testing.TB, workers int) (peak1, peak4 uint64) {
@@ -151,7 +157,7 @@ func checkFootprintFlat(tb testing.TB, workers int) (peak1, peak4 uint64) {
 
 // TestStreamIngestConstantFootprint is the acceptance gate: 4× the feed
 // volume must not grow the streaming peak beyond 1.5× (plus slack), and
-// the peak must stay under what the materialized path retains just to
+// the peak must stay under what a collecting consumer retains just to
 // hold the 4× slice.
 func TestStreamIngestConstantFootprint(t *testing.T) {
 	if testing.Short() {
@@ -159,9 +165,9 @@ func TestStreamIngestConstantFootprint(t *testing.T) {
 	}
 	peak1, peak4 := checkFootprintFlat(t, 4)
 	live := materializedLive(t, footprintFeeds(t)[footprint4x])
-	t.Logf("stream peak 1x=%dKB 4x=%dKB; materialized 4x live=%dKB", peak1>>10, peak4>>10, live>>10)
+	t.Logf("stream peak 1x=%dKB 4x=%dKB; collected 4x live=%dKB", peak1>>10, peak4>>10, live>>10)
 	if peak4 >= live {
-		t.Errorf("streaming peak (%d bytes) not below materialized 4x live heap (%d bytes)", peak4, live)
+		t.Errorf("streaming peak (%d bytes) not below the collected 4x live heap (%d bytes)", peak4, live)
 	}
 }
 

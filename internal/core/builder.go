@@ -2,24 +2,23 @@ package core
 
 import "osdiversity/internal/cve"
 
-// Builder assembles a Study incrementally — the digestion half of the
-// streaming ingestion pipeline. Where NewStudy needs every entry
-// materialized up front, a Builder consumes batches as they decode
-// (each batch digesting on the WithParallelism worker pool) and only
-// keeps the compact per-entry records, so the full []*cve.Entry slice
-// never has to exist at once.
+// Builder assembles a Study incrementally — the digestion sink of feed
+// ingestion. It consumes batches as they decode (each batch digesting
+// on the WithParallelism worker pool) and keeps only the compact
+// per-entry records, so the full []*cve.Entry slice never has to exist
+// at once.
 //
 // Identity guarantee: for the same entry sequence, any batch split
 // produces a Study identical to NewStudy's — batches append records in
 // input order and Finish applies the same stable year sort, so every
-// table is byte-identical to the materialized path.
+// table is byte-identical to an all-at-once build.
 type Builder struct {
 	s        *Study
 	finished bool
 }
 
 // NewBuilder starts an incremental Study build. The options are those
-// of NewStudy (registry, classifier, engine, parallelism).
+// of NewStudy (registry, classifier, parallelism).
 func NewBuilder(opts ...Option) *Builder {
 	return &Builder{s: newStudyShell(opts)}
 }
@@ -33,12 +32,6 @@ func (b *Builder) Add(entries ...*cve.Entry) {
 		panic("core: Builder.Add after Finish")
 	}
 	b.s.ingest(entries)
-}
-
-// Added reports how many entries the builder has digested so far
-// (valid + invalid + skipped).
-func (b *Builder) Added() int {
-	return len(b.s.records) + len(b.s.invalid) + b.s.skipped
 }
 
 // Finish seals the record set and returns the Study. The Builder must

@@ -120,9 +120,6 @@ func (b *DeltaBuilder) Add(entries ...*cve.Entry) {
 	}
 }
 
-// Added reports how many delta entries the builder has digested so far.
-func (b *DeltaBuilder) Added() int { return len(b.outcomes) }
-
 // Finish resolves the per-ID outcomes against the base and seals the
 // merged Study. The builder must not be used afterwards.
 func (b *DeltaBuilder) Finish() *Study {

@@ -116,9 +116,6 @@ func TestDeltaMatchesColdBuild(t *testing.T) {
 			want := NewStudy(fx.merged, tc.opts...)
 			b := NewDeltaBuilder(base)
 			applyInBatches(b, fx.delta, tc.batch)
-			if got := b.Added(); got != len(fx.delta) {
-				t.Fatalf("Added() = %d, want %d", got, len(fx.delta))
-			}
 			s := b.Finish()
 			if !reflect.DeepEqual(s.ExportColumns(), want.ExportColumns()) {
 				t.Fatal("delta-applied columns differ from cold build")

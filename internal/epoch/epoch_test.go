@@ -32,9 +32,9 @@ func makeFixture(t *testing.T) *fixture {
 	if len(feeds) < 2 {
 		t.Fatalf("calibrated corpus spans only %d feed files", len(feeds))
 	}
-	base, err := osdiversity.StreamFeeds(feeds[:len(feeds)-1])
+	base, err := osdiversity.LoadFeeds(feeds[:len(feeds)-1])
 	if err != nil {
-		t.Fatalf("StreamFeeds: %v", err)
+		t.Fatalf("LoadFeeds: %v", err)
 	}
 	return &fixture{base: base, delta: feeds[len(feeds)-1:], dir: dir}
 }
@@ -351,9 +351,9 @@ func TestDefaultValidate(t *testing.T) {
 	if err := DefaultValidate(nil); err == nil {
 		t.Error("DefaultValidate(nil) = nil, want error")
 	}
-	empty, err := osdiversity.StreamFeeds(nil)
+	empty, err := osdiversity.LoadFeeds(nil)
 	if err != nil {
-		t.Fatalf("StreamFeeds(nil): %v", err)
+		t.Fatalf("LoadFeeds(nil): %v", err)
 	}
 	if err := DefaultValidate(empty); err == nil {
 		t.Error("DefaultValidate(empty) = nil, want error")

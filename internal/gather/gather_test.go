@@ -192,29 +192,45 @@ func TestGatewayByteIdentity(t *testing.T) {
 		}
 	}
 
-	feed := filepath.Join(t.TempDir(), "empty.xml")
-	if err := nvdfeed.WriteFile(feed, "empty", nil); err != nil {
+	// Feed-backed shards: LoadFeeds collects its stream to take the
+	// year slice, over an empty feed and over the calibrated feeds.
+	dir := t.TempDir()
+	empty := filepath.Join(dir, "empty.xml")
+	if err := nvdfeed.WriteFile(empty, "empty", nil); err != nil {
 		t.Fatalf("write empty feed: %v", err)
 	}
-	serve := func(t *testing.T, opts ...osdiversity.Option) string {
-		a, err := osdiversity.LoadFeeds([]string{feed}, opts...)
+	calibrated, err := osdiversity.GenerateFeeds(filepath.Join(dir, "feeds"), osdiversity.WithParallelism(4))
+	if err != nil {
+		t.Fatalf("GenerateFeeds: %v", err)
+	}
+	serve := func(t *testing.T, feeds []string, opts ...osdiversity.Option) string {
+		a, err := osdiversity.LoadFeeds(feeds, opts...)
 		if err != nil {
 			t.Fatalf("LoadFeeds: %v", err)
 		}
-		ts := httptest.NewServer(server.New(a, server.Config{Source: "empty", Workers: 1}).Handler())
+		ts := httptest.NewServer(server.New(a, server.Config{Source: "feeds", Workers: 1}).Handler())
 		t.Cleanup(ts.Close)
 		return ts.URL
 	}
-	emptyRef := serve(t)
-	for _, shards := range []int{1, 2} {
-		t.Run(fmt.Sprintf("empty/shards=%d", shards), func(t *testing.T) {
-			backends := make([]string, shards)
-			for i := range backends {
-				backends[i] = serve(t, osdiversity.WithYearShard(i+1, shards))
-			}
-			_, gwts := newGateway(t, gather.Config{Backends: backends})
-			assertIdentical(t, emptyRef, gwts.URL)
-		})
+	for _, tc := range []struct {
+		name   string
+		feeds  []string
+		shards []int
+	}{
+		{"empty", []string{empty}, []int{1, 2}},
+		{"feeds", calibrated, []int{2, 4}},
+	} {
+		ref := serve(t, tc.feeds)
+		for _, shards := range tc.shards {
+			t.Run(fmt.Sprintf("%s/shards=%d", tc.name, shards), func(t *testing.T) {
+				backends := make([]string, shards)
+				for i := range backends {
+					backends[i] = serve(t, tc.feeds, osdiversity.WithYearShard(i+1, shards))
+				}
+				_, gwts := newGateway(t, gather.Config{Backends: backends})
+				assertIdentical(t, ref, gwts.URL)
+			})
+		}
 	}
 }
 

@@ -87,7 +87,7 @@ type Reader struct {
 	dec     *xml.Decoder
 	lenient bool
 	skipped atomic.Int64
-	stats   []*SkipStats
+	stats   *SkipStats
 	workers int
 	closers []io.Closer
 }
@@ -101,12 +101,12 @@ func Lenient() ReaderOption {
 	return func(r *Reader) { r.lenient = true }
 }
 
-// Workers sets the parallelism of the batch readers (ReadAll, ReadFile,
-// ReadFiles). The XML tokenizer stays sequential per file, but entry
-// conversion (CPE parsing, datetime parsing, CVSS mapping) fans out to
-// the worker pool, and ReadFiles additionally decodes whole files
-// concurrently. Entry order is preserved exactly. n <= 0 selects
-// GOMAXPROCS; the default is 1. The streaming Next path ignores this.
+// Workers sets the parallelism of StreamFiles. The XML tokenizer stays
+// sequential per file, but entry conversion (CPE parsing, datetime
+// parsing, CVSS mapping) fans out to the worker pool, or whole files
+// decode concurrently when there are several. Entry order is preserved
+// exactly. n <= 0 selects GOMAXPROCS; the default is 1. Reader.Next
+// ignores it.
 func Workers(n int) ReaderOption {
 	return func(r *Reader) {
 		if n <= 0 {
@@ -164,13 +164,13 @@ func (r *Reader) Close() error {
 // Skipped reports how many entries a lenient reader has dropped so far.
 func (r *Reader) Skipped() int { return int(r.skipped.Load()) }
 
-// noteSkip counts one dropped entry, both on the reader and on every
+// noteSkip counts one dropped entry, both on the reader and on any
 // attached SkipStats aggregate. The pipelined paths skip from more than
 // one goroutine, hence the atomics.
 func (r *Reader) noteSkip() {
 	r.skipped.Add(1)
-	for _, st := range r.stats {
-		st.n.Add(1)
+	if r.stats != nil {
+		r.stats.n.Add(1)
 	}
 }
 
@@ -195,63 +195,6 @@ func (r *Reader) Next() (*cve.Entry, error) {
 		}
 		return entry, nil
 	}
-}
-
-// ReadAll drains the reader into a slice. With Workers(n > 1) the
-// structural XML decode stays sequential while the per-entry conversion
-// runs on the worker pool over a bounded window (see convertPipeline in
-// stream.go); results keep feed order.
-func (r *Reader) ReadAll() ([]*cve.Entry, error) {
-	if r.workers > 1 {
-		var out []*cve.Entry
-		if err := r.convertPipeline(func(e *cve.Entry) bool {
-			out = append(out, e)
-			return true
-		}); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	var out []*cve.Entry
-	for {
-		e, err := r.Next()
-		if errors.Is(err, io.EOF) {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, e)
-	}
-}
-
-// ReadFile parses a whole feed file.
-func ReadFile(path string, opts ...ReaderOption) ([]*cve.Entry, error) {
-	r, err := OpenFile(path, opts...)
-	if err != nil {
-		return nil, err
-	}
-	defer r.Close()
-	return r.ReadAll()
-}
-
-// ReadFiles parses several feed files, concatenating the entries in path
-// order. It is a thin wrapper over the StreamFiles pipeline: with
-// Workers(n > 1) up to n files decode concurrently through bounded
-// channels, which is the ingestion fast path for per-year feed
-// directories. Lenient skip counts aggregate into any WithSkipStats
-// option (they are not silently dropped with the per-file readers).
-func ReadFiles(paths []string, opts ...ReaderOption) ([]*cve.Entry, error) {
-	st := StreamFiles(paths, opts...)
-	defer st.Close()
-	var out []*cve.Entry
-	for e := range st.Entries() {
-		out = append(out, e)
-	}
-	if err := st.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 func (raw *xmlEntry) toEntry() (*cve.Entry, error) {

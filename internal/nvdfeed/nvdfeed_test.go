@@ -60,10 +60,9 @@ const sampleFeed = `<?xml version='1.0' encoding='UTF-8'?>
 `
 
 func TestReaderParsesSampleFeed(t *testing.T) {
-	r := NewReader(strings.NewReader(sampleFeed))
-	entries, err := r.ReadAll()
+	entries, err := readAll(NewReader(strings.NewReader(sampleFeed)))
 	if err != nil {
-		t.Fatalf("ReadAll: %v", err)
+		t.Fatalf("readAll: %v", err)
 	}
 	if len(entries) != 2 {
 		t.Fatalf("got %d entries, want 2", len(entries))
@@ -136,9 +135,9 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if err := WriteFeed(&buf, "CVE-TEST", entries); err != nil {
 		t.Fatalf("WriteFeed: %v", err)
 	}
-	got, err := NewReader(strings.NewReader(buf.String())).ReadAll()
+	got, err := readAll(NewReader(strings.NewReader(buf.String())))
 	if err != nil {
-		t.Fatalf("ReadAll(written feed): %v\nfeed:\n%s", err, buf.String())
+		t.Fatalf("readAll(written feed): %v\nfeed:\n%s", err, buf.String())
 	}
 	if len(got) != len(entries) {
 		t.Fatalf("round trip count %d, want %d", len(got), len(entries))
@@ -176,20 +175,19 @@ func TestFileRoundTripPlainAndGzip(t *testing.T) {
 		if err := WriteFile(path, "CVE-TEST", entries); err != nil {
 			t.Fatalf("WriteFile(%s): %v", name, err)
 		}
-		got, err := ReadFile(path)
+		got, _, err := readFiles([]string{path})
 		if err != nil {
-			t.Fatalf("ReadFile(%s): %v", name, err)
+			t.Fatalf("readFiles(%s): %v", name, err)
 		}
 		if len(got) != len(entries) {
-			t.Fatalf("ReadFile(%s) = %d entries, want %d", name, len(got), len(entries))
+			t.Fatalf("readFiles(%s) = %d entries, want %d", name, len(got), len(entries))
 		}
 	}
 }
 
 func TestReaderStrictFailsOnBadEntry(t *testing.T) {
 	feed := strings.Replace(sampleFeed, "CVE-2007-5365</vuln:cve-id>", "NOT-A-CVE</vuln:cve-id>", 1)
-	r := NewReader(strings.NewReader(feed))
-	_, err := r.ReadAll()
+	_, err := readAll(NewReader(strings.NewReader(feed)))
 	if err == nil {
 		t.Fatal("strict reader accepted malformed CVE id")
 	}
@@ -198,9 +196,9 @@ func TestReaderStrictFailsOnBadEntry(t *testing.T) {
 func TestReaderLenientSkipsBadEntry(t *testing.T) {
 	feed := strings.Replace(sampleFeed, "CVE-2007-5365</vuln:cve-id>", "NOT-A-CVE</vuln:cve-id>", 1)
 	r := NewReader(strings.NewReader(feed), Lenient())
-	entries, err := r.ReadAll()
+	entries, err := readAll(r)
 	if err != nil {
-		t.Fatalf("lenient ReadAll: %v", err)
+		t.Fatalf("lenient readAll: %v", err)
 	}
 	if len(entries) != 1 || r.Skipped() != 1 {
 		t.Fatalf("lenient reader: %d entries, %d skipped; want 1 and 1", len(entries), r.Skipped())
@@ -209,7 +207,7 @@ func TestReaderLenientSkipsBadEntry(t *testing.T) {
 
 func TestReaderRejectsBadProducts(t *testing.T) {
 	feed := strings.Replace(sampleFeed, "cpe:/o:netbsd:netbsd:4.0", "not-a-cpe", 1)
-	if _, err := NewReader(strings.NewReader(feed)).ReadAll(); err == nil {
+	if _, err := readAll(NewReader(strings.NewReader(feed))); err == nil {
 		t.Fatal("reader accepted malformed CPE uri")
 	}
 }
@@ -217,7 +215,7 @@ func TestReaderRejectsBadProducts(t *testing.T) {
 func TestReaderRejectsBadCVSS(t *testing.T) {
 	feed := strings.Replace(sampleFeed, "<cvss:access-vector>NETWORK</cvss:access-vector>",
 		"<cvss:access-vector>TELEPATHY</cvss:access-vector>", 1)
-	if _, err := NewReader(strings.NewReader(feed)).ReadAll(); err == nil {
+	if _, err := readAll(NewReader(strings.NewReader(feed))); err == nil {
 		t.Fatal("reader accepted bad access vector")
 	}
 }
@@ -225,7 +223,7 @@ func TestReaderRejectsBadCVSS(t *testing.T) {
 func TestReaderRejectsMissingDate(t *testing.T) {
 	feed := strings.Replace(sampleFeed,
 		"<vuln:published-datetime>2007-10-11T18:17:00.000-04:00</vuln:published-datetime>", "", 1)
-	if _, err := NewReader(strings.NewReader(feed)).ReadAll(); err == nil {
+	if _, err := readAll(NewReader(strings.NewReader(feed))); err == nil {
 		t.Fatal("reader accepted entry without a publication date")
 	}
 }
@@ -288,7 +286,7 @@ func TestXMLEscaping(t *testing.T) {
 	if strings.Contains(out, "<spoofing>") {
 		t.Error("summary markup not escaped")
 	}
-	got, err := NewReader(strings.NewReader(out)).ReadAll()
+	got, err := readAll(NewReader(strings.NewReader(out)))
 	if err != nil || len(got) != 1 || got[0].Summary != e.Summary {
 		t.Fatalf("escaped summary did not round trip: %v, %v", err, got)
 	}

@@ -1,79 +1,48 @@
 package nvdfeed
 
 import (
-	"path/filepath"
 	"reflect"
-	"strconv"
 	"strings"
 	"testing"
 
-	"osdiversity/internal/corpus"
 	"osdiversity/internal/cve"
 )
 
-// writeCorpusFeeds renders the calibrated corpus into per-year feed
-// files and returns the paths in year order.
-func writeCorpusFeeds(t testing.TB) ([]string, []*cve.Entry) {
-	t.Helper()
-	c, err := corpus.Generate()
-	if err != nil {
-		t.Fatalf("corpus.Generate: %v", err)
-	}
-	dir := t.TempDir()
-	var paths []string
-	var want []*cve.Entry
-	for _, g := range corpus.SplitByYear(c.Entries) {
-		path := filepath.Join(dir, "nvdcve-2.0-"+strconv.Itoa(g.Year)+".xml.gz")
-		if err := WriteFile(path, "CVE-"+strconv.Itoa(g.Year), g.Entries); err != nil {
-			t.Fatalf("WriteFile(%d): %v", g.Year, err)
-		}
-		paths = append(paths, path)
-		want = append(want, g.Entries...)
-	}
-	return paths, want
-}
-
-// TestReadFilesParallelIdentical verifies the decode pipeline returns
-// the same entries in the same order at every parallelism level.
-func TestReadFilesParallelIdentical(t *testing.T) {
-	paths, want := writeCorpusFeeds(t)
-
-	serial, err := ReadFiles(paths)
-	if err != nil {
-		t.Fatalf("ReadFiles serial: %v", err)
-	}
-	parallel, err := ReadFiles(paths, Workers(4))
-	if err != nil {
-		t.Fatalf("ReadFiles parallel: %v", err)
-	}
-	if len(serial) != len(want) || len(parallel) != len(want) {
-		t.Fatalf("lengths: serial %d, parallel %d, want %d", len(serial), len(parallel), len(want))
-	}
-	for i := range serial {
-		if !reflect.DeepEqual(serial[i], parallel[i]) {
-			t.Fatalf("entry %d differs between serial and parallel decode", i)
-		}
-	}
+// emitAllEntries drains r through emitAll, the decode StreamFiles runs
+// per file (pooled with Workers(n > 1)).
+func emitAllEntries(r *Reader) ([]*cve.Entry, error) {
+	var out []*cve.Entry
+	err := r.emitAll(func(e *cve.Entry) bool {
+		out = append(out, e)
+		return true
+	})
+	return out, err
 }
 
 // TestReadFileParallelWithinFile exercises the two-stage pipeline inside
-// one file.
+// one file: the pooled emitAll must yield readAll's entries in order.
 func TestReadFileParallelWithinFile(t *testing.T) {
 	paths, _ := writeCorpusFeeds(t)
-	serial, err := ReadFile(paths[len(paths)-1])
+	path := paths[len(paths)-1]
+	serial, _, err := readFiles([]string{path})
 	if err != nil {
-		t.Fatalf("ReadFile serial: %v", err)
+		t.Fatalf("readFiles: %v", err)
 	}
-	parallel, err := ReadFile(paths[len(paths)-1], Workers(4))
+	r, err := OpenFile(path, Workers(4))
 	if err != nil {
-		t.Fatalf("ReadFile parallel: %v", err)
+		t.Fatalf("OpenFile: %v", err)
+	}
+	defer r.Close()
+	parallel, err := emitAllEntries(r)
+	if err != nil {
+		t.Fatalf("emitAll: %v", err)
 	}
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatal("single-file parallel decode differs from serial")
 	}
 }
 
-// TestReadAllParallelLenient checks that the parallel pipeline still
+// TestReadAllParallelLenient checks that the pooled pipeline still
 // counts skipped entries in lenient mode.
 func TestReadAllParallelLenient(t *testing.T) {
 	feed := `<?xml version="1.0"?>
@@ -91,9 +60,9 @@ func TestReadAllParallelLenient(t *testing.T) {
   </entry>
 </nvd>`
 	r := NewReader(strings.NewReader(feed), Lenient(), Workers(4))
-	entries, err := r.ReadAll()
+	entries, err := emitAllEntries(r)
 	if err != nil {
-		t.Fatalf("ReadAll: %v", err)
+		t.Fatalf("emitAll: %v", err)
 	}
 	if len(entries) != 1 || entries[0].ID.String() != "CVE-2001-0001" {
 		t.Fatalf("entries = %v", entries)

@@ -1,20 +1,20 @@
 package nvdfeed
 
-// This file is the bounded-channel streaming pipeline: entries flow from
+// This file is the bounded-channel streaming pipeline behind
+// StreamFiles, the one way feed files are decoded: entries flow from
 // the XML tokenizer to the consumer through fixed-capacity channels, so
-// feed sets far larger than memory ingest with a constant footprint. The
-// pipeline has three shapes, all emitting entries in exact feed order
-// (path order, in-file order), so every downstream digest is identical
-// to the materialized ReadFiles path:
+// feed sets far larger than memory ingest with a constant footprint.
+// The pipeline has two shapes, both emitting entries in exact feed
+// order (path order, in-file order) — the order a serial Reader.Next
+// walk of the files yields:
 //
-//   - workers <= 1: one goroutine walks the files with the sequential
-//     Reader and sends entries through the output window.
-//   - one file, workers > 1: convertPipeline — the tokenizer fills a
-//     bounded window of raw elements, the worker pool converts them
-//     concurrently, and a collector emits the results in order.
-//   - many files, workers > 1: up to `workers` files decode concurrently
-//     (mirroring the old ReadFiles fan-out), each into its own bounded
-//     channel; the collector drains the per-file channels in path order.
+//   - workers <= 1, or one file: one goroutine walks the files in
+//     order and sends entries through the output window. With
+//     workers > 1 the file's entries convert on the pool (see
+//     Reader.emitAll).
+//   - many files, workers > 1: up to `workers` files decode
+//     concurrently, each into its own bounded channel; the collector
+//     drains the per-file channels in path order.
 //
 // At most (workers + 1) × streamWindow entries are in flight at any
 // moment (the per-file/stage windows plus the output window) — a
@@ -36,9 +36,9 @@ import (
 const streamWindow = 256
 
 // SkipStats aggregates lenient-skip counts across every reader that an
-// operation opens (ReadFile, ReadFiles, StreamFiles spawn per-file
-// readers internally, whose own Skipped() counters are unreachable).
-// Attach one with WithSkipStats; the counter is safe for concurrent use.
+// operation opens (StreamFiles spawns per-file readers internally, whose
+// own Skipped() counters are unreachable). Attach one with
+// WithSkipStats; the counter is safe for concurrent use.
 type SkipStats struct {
 	n atomic.Int64
 }
@@ -48,27 +48,22 @@ type SkipStats struct {
 func (s *SkipStats) Skipped() int { return int(s.n.Load()) }
 
 // WithSkipStats makes the reader add every lenient skip to st, in
-// addition to its own Skipped counter. The batch helpers propagate the
-// option to the readers they open internally, so callers of ReadFiles
-// and StreamFiles can account for every dropped entry.
+// addition to its own Skipped counter. StreamFiles propagates the
+// option to the readers it opens internally, so its callers can account
+// for every dropped entry.
 func WithSkipStats(st *SkipStats) ReaderOption {
-	return func(r *Reader) {
-		if st != nil {
-			r.stats = append(r.stats, st)
-		}
-	}
+	return func(r *Reader) { r.stats = st }
 }
 
 // Stream is a running feed pipeline built by StreamFiles. Consume the
-// Entries channel until it closes, then check Err; Skipped reports the
-// lenient-skip total. Close cancels the pipeline early (safe to call at
-// any time, including after a full drain).
+// Entries channel until it closes, then check Err; a WithSkipStats
+// aggregate holds the lenient-skip total. Close cancels the pipeline
+// early (safe to call at any time, including after a full drain).
 type Stream struct {
 	ch       chan *cve.Entry
 	err      error // written by the pipeline before ch closes
 	quit     chan struct{}
 	quitOnce sync.Once
-	stats    *SkipStats
 }
 
 // Entries returns the ordered entry channel. It closes when the feed
@@ -81,111 +76,42 @@ func (st *Stream) Entries() <-chan *cve.Entry { return st.ch }
 // once Entries has closed.
 func (st *Stream) Err() error { return st.err }
 
-// Skipped reports how many malformed entries the lenient pipeline has
-// dropped so far (always 0 for strict streams, which fail instead).
-func (st *Stream) Skipped() int { return st.stats.Skipped() }
-
 // Close cancels the pipeline and releases its goroutines and file
 // handles. It is idempotent and safe concurrently with consumption.
 func (st *Stream) Close() {
 	st.quitOnce.Do(func() { close(st.quit) })
 }
 
-// Next returns the next entry, io.EOF after a clean drain, or the
-// stream's terminal error — the channel-free consumption style.
-func (st *Stream) Next() (*cve.Entry, error) {
-	e, ok := <-st.ch
-	if !ok {
-		if st.err != nil {
-			return nil, st.err
-		}
-		return nil, io.EOF
-	}
-	return e, nil
-}
-
 // StreamFiles streams several feed files' entries in path order through
 // a bounded pipeline. With Workers(n > 1) up to n files decode
 // concurrently (or, for a single file, per-entry conversion fans out to
 // the pool); memory in flight stays bounded by the channel windows
-// regardless of the feed volume. Lenient skips count into Skipped and
-// any WithSkipStats aggregate.
+// regardless of the feed volume. Lenient skips count into any
+// WithSkipStats aggregate.
 func StreamFiles(paths []string, opts ...ReaderOption) *Stream {
-	probe := NewReader(nil, opts...)
 	st := &Stream{
-		ch:    make(chan *cve.Entry, streamWindow),
-		quit:  make(chan struct{}),
-		stats: &SkipStats{},
+		ch:   make(chan *cve.Entry, streamWindow),
+		quit: make(chan struct{}),
 	}
-	// Chain the stream's own aggregate after any caller-supplied stats.
-	opts = append(append([]ReaderOption(nil), opts...), WithSkipStats(st.stats))
-	switch {
-	case probe.workers > 1 && len(paths) > 1:
-		st.runMultiFile(paths, opts, probe.workers)
-	case probe.workers > 1 && len(paths) == 1:
-		go func() {
-			defer close(st.ch)
-			st.err = st.pipelineFile(paths[0], opts)
-		}()
-	default:
-		go func() {
-			defer close(st.ch)
-			for _, path := range paths {
-				if err := st.serialFile(path, opts); err != nil {
-					st.err = err
-					return
-				}
-				select {
-				case <-st.quit:
-					return
-				default:
-				}
+	if workers := NewReader(nil, opts...).workers; workers > 1 && len(paths) > 1 {
+		st.runMultiFile(paths, opts, workers)
+		return st
+	}
+	go func() {
+		defer close(st.ch)
+		for _, path := range paths {
+			if err := decodeInto(path, opts, st.ch, st.quit); err != nil {
+				st.err = err
+				return
 			}
-		}()
-	}
+			select {
+			case <-st.quit:
+				return
+			default:
+			}
+		}
+	}()
 	return st
-}
-
-// serialFile walks one file with the sequential Reader, sending entries
-// through the output window.
-func (st *Stream) serialFile(path string, opts []ReaderOption) error {
-	r, err := OpenFile(path, opts...)
-	if err != nil {
-		return err
-	}
-	defer r.Close()
-	for {
-		e, err := r.Next()
-		if errors.Is(err, io.EOF) {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		select {
-		case st.ch <- e:
-		case <-st.quit:
-			return nil
-		}
-	}
-}
-
-// pipelineFile runs one file through the bounded conversion pipeline,
-// emitting straight into the stream's output channel.
-func (st *Stream) pipelineFile(path string, opts []ReaderOption) error {
-	r, err := OpenFile(path, opts...)
-	if err != nil {
-		return err
-	}
-	defer r.Close()
-	return r.convertPipeline(func(e *cve.Entry) bool {
-		select {
-		case st.ch <- e:
-			return true
-		case <-st.quit:
-			return false
-		}
-	})
 }
 
 // fileStream is one file's bounded leg of the multi-file fan-out.
@@ -207,7 +133,7 @@ type fileStream struct {
 func (st *Stream) runMultiFile(paths []string, opts []ReaderOption, workers int) {
 	// Cross-file fan-out already saturates the pool; forcing each file
 	// to the sequential decoder avoids stacking the within-file pipeline
-	// on top of it (same policy the materialized fast path used).
+	// on top of it.
 	perFileOpts := append(append([]ReaderOption(nil), opts...), Workers(1))
 	files := make(chan *fileStream, workers-1)
 
@@ -248,7 +174,7 @@ func (st *Stream) runMultiFile(paths []string, opts []ReaderOption, workers int)
 	}()
 }
 
-// decodeInto decodes one file sequentially into a bounded channel,
+// decodeInto decodes one file into a bounded channel in feed order,
 // stopping early when quit closes.
 func decodeInto(path string, opts []ReaderOption, out chan<- *cve.Entry, quit <-chan struct{}) error {
 	r, err := OpenFile(path, opts...)
@@ -256,20 +182,14 @@ func decodeInto(path string, opts []ReaderOption, out chan<- *cve.Entry, quit <-
 		return err
 	}
 	defer r.Close()
-	for {
-		e, err := r.Next()
-		if errors.Is(err, io.EOF) {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
+	return r.emitAll(func(e *cve.Entry) bool {
 		select {
 		case out <- e:
+			return true
 		case <-quit:
-			return nil
+			return false
 		}
-	}
+	})
 }
 
 // convResult is one converted entry of the within-file pipeline.
@@ -278,20 +198,30 @@ type convResult struct {
 	err   error
 }
 
-// convertPipeline is the bounded two-stage decode of one token stream:
-// the tokenizer goroutine fills a window of raw <entry> elements, the
-// worker pool converts them concurrently, and emit receives the results
-// in feed order. emit returns false to stop early. The returned error
-// is nil on a clean EOF or early stop. convertPipeline does not return
-// until the tokenizer goroutine has exited, so the caller may close the
-// underlying reader immediately afterwards.
-//
-// Unlike the old readAllParallel, nothing buffers the whole feed: at
-// most streamWindow raw elements and their conversions are in flight.
-func (r *Reader) convertPipeline(emit func(*cve.Entry) bool) error {
-	workers := r.workers
-	if workers < 1 {
-		workers = 1
+// emitAll decodes the rest of the token stream, handing each entry to
+// emit in feed order; emit returns false to stop early. The returned
+// error is nil on a clean EOF or early stop. With one worker it walks
+// Next. Otherwise it is a bounded two-stage decode: the tokenizer
+// goroutine fills a window of raw <entry> elements, the worker pool
+// converts them concurrently, and a collector emits the results in
+// order. emitAll does not return until the tokenizer goroutine has
+// exited, so the caller may close the underlying reader immediately
+// afterwards. Nothing buffers the whole feed: at most streamWindow raw
+// elements and their conversions are in flight.
+func (r *Reader) emitAll(emit func(*cve.Entry) bool) error {
+	if r.workers <= 1 {
+		for {
+			e, err := r.Next()
+			if err != nil {
+				if errors.Is(err, io.EOF) {
+					return nil
+				}
+				return err
+			}
+			if !emit(e) {
+				return nil
+			}
+		}
 	}
 	type job struct {
 		raw xmlEntry
@@ -340,7 +270,7 @@ func (r *Reader) convertPipeline(emit func(*cve.Entry) bool) error {
 			}
 		}
 	}()
-	for i := 0; i < workers; i++ {
+	for i := 0; i < r.workers; i++ {
 		go func() {
 			for j := range tasks {
 				e, err := j.raw.toEntry()

@@ -6,11 +6,49 @@ import (
 	"io"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"osdiversity/internal/corpus"
 	"osdiversity/internal/cve"
 )
+
+// readAll drains r with the sequential Reader.Next — the reference
+// decode every StreamFiles pipeline shape is compared against.
+func readAll(r *Reader) ([]*cve.Entry, error) {
+	var out []*cve.Entry
+	for {
+		e, err := r.Next()
+		if errors.Is(err, io.EOF) {
+			return out, nil
+		}
+		if err != nil {
+			return out, err
+		}
+		out = append(out, e)
+	}
+}
+
+// readFiles is readAll over each file in path order: the entries up to
+// the first failure, the lenient skip total, and that failure.
+func readFiles(paths []string, opts ...ReaderOption) ([]*cve.Entry, int, error) {
+	var out []*cve.Entry
+	skipped := 0
+	for _, path := range paths {
+		r, err := OpenFile(path, opts...)
+		if err != nil {
+			return out, skipped, err
+		}
+		entries, err := readAll(r)
+		skipped += r.Skipped()
+		r.Close()
+		out = append(out, entries...)
+		if err != nil {
+			return out, skipped, err
+		}
+	}
+	return out, skipped, nil
+}
 
 // drainStream consumes a stream fully, returning the entries and the
 // terminal error.
@@ -23,41 +61,74 @@ func drainStream(st *Stream) ([]*cve.Entry, error) {
 	return out, st.Err()
 }
 
-// TestStreamFilesMatchesReadFiles asserts the streaming pipeline emits
-// exactly the materialized path's entries, in order, at every pipeline
-// shape (serial, single-file pool, multi-file fan-out).
+// writeCorpusFeeds renders the calibrated corpus into per-year feed
+// files and returns the paths in year order.
+func writeCorpusFeeds(t testing.TB) ([]string, []*cve.Entry) {
+	t.Helper()
+	c, err := corpus.Generate()
+	if err != nil {
+		t.Fatalf("corpus.Generate: %v", err)
+	}
+	dir := t.TempDir()
+	var paths []string
+	var want []*cve.Entry
+	for _, g := range corpus.SplitByYear(c.Entries) {
+		path := filepath.Join(dir, "nvdcve-2.0-"+strconv.Itoa(g.Year)+".xml.gz")
+		if err := WriteFile(path, "CVE-"+strconv.Itoa(g.Year), g.Entries); err != nil {
+			t.Fatalf("WriteFile(%d): %v", g.Year, err)
+		}
+		paths = append(paths, path)
+		want = append(want, g.Entries...)
+	}
+	return paths, want
+}
+
+// TestStreamFilesMatchesReadFiles asserts every pipeline shape (serial,
+// single-file pool, multi-file fan-out) emits exactly the entries of
+// readFiles' serial walk, in order, with the same lenient skip count,
+// over clean and malformed feeds.
 func TestStreamFilesMatchesReadFiles(t *testing.T) {
 	paths, want := writeCorpusFeeds(t)
+	malformed, _, _ := writeMalformedFeeds(t)
 	cases := []struct {
 		name    string
 		paths   []string
 		workers int
+		opts    []ReaderOption
 	}{
-		{"serial multi-file", paths, 1},
-		{"fan-out multi-file", paths, 4},
-		{"single file serial", paths[len(paths)-1:], 1},
-		{"single file pooled", paths[len(paths)-1:], 4},
+		{"serial multi-file", paths, 1, nil},
+		{"fan-out multi-file", paths, 4, nil},
+		{"single file serial", paths[len(paths)-1:], 1, nil},
+		{"single file pooled", paths[len(paths)-1:], 4, nil},
+		{"lenient serial multi-file", malformed, 1, []ReaderOption{Lenient()}},
+		{"lenient fan-out multi-file", malformed, 4, []ReaderOption{Lenient()}},
+		{"lenient single file pooled", malformed[:1], 4, []ReaderOption{Lenient()}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ref, err := ReadFiles(tc.paths, Workers(tc.workers))
+			ref, refSkipped, err := readFiles(tc.paths, tc.opts...)
 			if err != nil {
-				t.Fatalf("ReadFiles: %v", err)
-			}
-			got, err := drainStream(StreamFiles(tc.paths, Workers(tc.workers)))
-			if err != nil {
-				t.Fatalf("stream: %v", err)
+				t.Fatalf("readFiles: %v", err)
 			}
 			if len(tc.paths) == len(paths) && len(ref) != len(want) {
-				t.Fatalf("materialized path lost entries: %d != %d", len(ref), len(want))
+				t.Fatalf("serial walk lost entries: %d != %d", len(ref), len(want))
+			}
+			var skips SkipStats
+			opts := append([]ReaderOption{Workers(tc.workers), WithSkipStats(&skips)}, tc.opts...)
+			got, err := drainStream(StreamFiles(tc.paths, opts...))
+			if err != nil {
+				t.Fatalf("stream: %v", err)
 			}
 			if len(got) != len(ref) {
 				t.Fatalf("stream emitted %d entries, want %d", len(got), len(ref))
 			}
 			for i := range got {
 				if !reflect.DeepEqual(got[i], ref[i]) {
-					t.Fatalf("entry %d differs between stream and materialized path", i)
+					t.Fatalf("entry %d differs between stream and serial walk", i)
 				}
+			}
+			if skips.Skipped() != refSkipped {
+				t.Errorf("stream skipped %d, serial walk %d", skips.Skipped(), refSkipped)
 			}
 		})
 	}
@@ -88,60 +159,58 @@ func writeMalformedFeeds(t *testing.T) (paths []string, good, bad int) {
 }
 
 // TestStreamLenientSkipStats asserts lenient skip counts aggregate (not
-// silently dropped) through the stream, ReadFiles and ReadFile, and
-// agree across worker counts.
+// silently dropped) through the stream at every worker count and
+// through a single file's Reader, matching what the fixture wrote.
 func TestStreamLenientSkipStats(t *testing.T) {
 	paths, good, bad := writeMalformedFeeds(t)
 	for _, workers := range []int{1, 4} {
-		st := StreamFiles(paths, Lenient(), Workers(workers))
-		entries, err := drainStream(st)
+		var stats SkipStats
+		entries, err := drainStream(StreamFiles(paths, Lenient(), Workers(workers), WithSkipStats(&stats)))
 		if err != nil {
 			t.Fatalf("workers %d: stream: %v", workers, err)
 		}
-		if len(entries) != good {
-			t.Errorf("workers %d: stream emitted %d entries, want %d", workers, len(entries), good)
-		}
-		if st.Skipped() != bad {
-			t.Errorf("workers %d: stream skipped %d, want %d", workers, st.Skipped(), bad)
-		}
-
-		var stats SkipStats
-		ref, err := ReadFiles(paths, Lenient(), Workers(workers), WithSkipStats(&stats))
-		if err != nil {
-			t.Fatalf("workers %d: ReadFiles: %v", workers, err)
-		}
-		if len(ref) != good || stats.Skipped() != bad {
-			t.Errorf("workers %d: ReadFiles = %d entries, %d skipped; want %d, %d",
-				workers, len(ref), stats.Skipped(), good, bad)
+		if len(entries) != good || stats.Skipped() != bad {
+			t.Errorf("workers %d: stream = %d entries, %d skipped; want %d, %d",
+				workers, len(entries), stats.Skipped(), good, bad)
 		}
 	}
 
-	// The per-file path aggregates too (the reader is dropped inside).
+	// A single reader feeds the aggregate too.
 	var one SkipStats
-	if _, err := ReadFile(paths[0], Lenient(), WithSkipStats(&one)); err != nil {
-		t.Fatalf("ReadFile: %v", err)
+	r, err := OpenFile(paths[0], Lenient(), WithSkipStats(&one))
+	if err != nil {
+		t.Fatalf("OpenFile: %v", err)
 	}
-	if one.Skipped() != 2 {
-		t.Errorf("ReadFile skipped %d, want 2", one.Skipped())
+	defer r.Close()
+	if _, err := readAll(r); err != nil {
+		t.Fatalf("readAll: %v", err)
+	}
+	if one.Skipped() != 2 || r.Skipped() != 2 {
+		t.Errorf("reader skipped %d (aggregate %d), want 2", r.Skipped(), one.Skipped())
 	}
 }
 
 // TestStreamStrictError asserts strict streams fail on the first
-// malformed entry at every pipeline shape, and ReadFiles reports the
-// same failure.
+// malformed entry at every pipeline shape, emitting the entries before
+// it and reporting the failure the serial walk reports.
 func TestStreamStrictError(t *testing.T) {
 	paths, _, _ := writeMalformedFeeds(t)
-	for _, workers := range []int{1, 4} {
-		if _, err := drainStream(StreamFiles(paths, Workers(workers))); err == nil {
-			t.Errorf("workers %d: strict stream succeeded over malformed feeds", workers)
+	for _, tc := range []struct {
+		paths   []string
+		workers int
+	}{{paths, 1}, {paths, 4}, {paths[:1], 4}} {
+		ref, _, refErr := readFiles(tc.paths)
+		if refErr == nil {
+			t.Fatal("serial walk succeeded over malformed feeds")
 		}
-		if _, err := ReadFiles(paths, Workers(workers)); err == nil {
-			t.Errorf("workers %d: strict ReadFiles succeeded over malformed feeds", workers)
+		got, err := drainStream(StreamFiles(tc.paths, Workers(tc.workers)))
+		if err == nil || err.Error() != refErr.Error() {
+			t.Errorf("%d files, workers %d: stream error %v, want %v", len(tc.paths), tc.workers, err, refErr)
 		}
-	}
-	// Single malformed file through the within-file pipeline.
-	if _, err := drainStream(StreamFiles(paths[:1], Workers(4))); err == nil {
-		t.Error("strict single-file stream succeeded over a malformed feed")
+		if !reflect.DeepEqual(got, ref) {
+			t.Errorf("%d files, workers %d: stream emitted %d entries before failing, serial walk %d",
+				len(tc.paths), tc.workers, len(got), len(ref))
+		}
 	}
 }
 
@@ -214,26 +283,5 @@ func TestStreamLargeFilesBeyondWindow(t *testing.T) {
 				t.Fatalf("workers %d: entry %d out of order", workers, i)
 			}
 		}
-	}
-}
-
-// TestStreamNext exercises the channel-free consumption style.
-func TestStreamNext(t *testing.T) {
-	paths, want := writeCorpusFeeds(t)
-	st := StreamFiles(paths, Workers(2))
-	defer st.Close()
-	var n int
-	for {
-		_, err := st.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			t.Fatalf("Next: %v", err)
-		}
-		n++
-	}
-	if n != len(want) {
-		t.Fatalf("Next drained %d entries, want %d", n, len(want))
 	}
 }

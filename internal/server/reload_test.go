@@ -40,9 +40,9 @@ func makeReloadFixture(t *testing.T) *reloadFixture {
 	if len(feeds) < 2 {
 		t.Fatalf("calibrated corpus spans only %d feed files", len(feeds))
 	}
-	base, err := osdiversity.StreamFeeds(feeds[:len(feeds)-1], osdiversity.WithParallelism(2))
+	base, err := osdiversity.LoadFeeds(feeds[:len(feeds)-1], osdiversity.WithParallelism(2))
 	if err != nil {
-		t.Fatalf("StreamFeeds: %v", err)
+		t.Fatalf("LoadFeeds: %v", err)
 	}
 	dbPath := filepath.Join(dir, "study.db")
 	if _, _, err := osdiversity.ImportFeeds(dbPath, feeds[:len(feeds)-1], osdiversity.WithParallelism(2)); err != nil {

@@ -2,7 +2,6 @@ package vulndb
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 
 	"osdiversity/internal/classify"
@@ -11,16 +10,16 @@ import (
 	"osdiversity/internal/relstore"
 )
 
-// This file is the ingestion fast path: entry digestion (classification,
+// This file is the ingestion path: entry digestion (classification,
 // validity tagging, CPE clustering — the CPU-bound half of an insert)
 // fans out to a worker pool, and the resulting rows reach the store
 // through batched InsertRows calls instead of one lock round trip per
-// row. The produced database is identical to the serial LoadEntries
-// path: IDs are assigned and products interned in entry order by the
-// sequential stage.
+// row. IDs are assigned and products interned in entry order by the
+// sequential stage, so the database is the same at any worker count.
 
-// batchSize is how many entries' rows accumulate between flushes.
-const batchSize = 256
+// batchSize is how many entries LoadEntries digests and inserts at a
+// time — the memory bound of one call, whatever its slice length.
+const batchSize = 1024
 
 // entryDigest carries the parallel-computable part of one insert.
 type entryDigest struct {
@@ -62,7 +61,6 @@ type rowBatch struct {
 	product       [][]relstore.Value
 	osVuln        [][]relstore.Value
 	vulnProduct   [][]relstore.Value
-	pending       int
 }
 
 func (b *rowBatch) flush(db *DB) error {
@@ -85,13 +83,12 @@ func (b *rowBatch) flush(db *DB) error {
 		}
 		*t.rows = (*t.rows)[:0]
 	}
-	b.pending = 0
 	return nil
 }
 
-// appendEntry stages one digested entry's rows. It runs in the
-// sequential stage: vulnerability IDs and product interning follow entry
-// order exactly as in InsertEntry.
+// appendEntry stages one digested entry's rows — the Figure 1 row
+// layout. It runs in the sequential stage: vulnerability IDs and
+// product interning follow entry order.
 func (db *DB) appendEntry(e *cve.Entry, dig *entryDigest, b *rowBatch) {
 	db.nextVuln++
 	vulnID := db.nextVuln
@@ -134,23 +131,16 @@ func (db *DB) appendEntry(e *cve.Entry, dig *entryDigest, b *rowBatch) {
 			})
 		}
 	}
-	b.pending++
 }
 
 // digestAll fills digests[i] for each entry, fanning the CPU-bound
 // digestion out to the worker pool when the batch is large enough.
 func (db *DB) digestAll(entries []*cve.Entry, classifier *classify.Classifier, workers int, digests []entryDigest) {
 	if workers > 1 && len(entries) >= 2*workers {
-		if workers > len(entries) {
-			workers = len(entries)
-		}
 		chunk := (len(entries) + workers - 1) / workers
 		var wg sync.WaitGroup
 		for lo := 0; lo < len(entries); lo += chunk {
-			hi := lo + chunk
-			if hi > len(entries) {
-				hi = len(entries)
-			}
+			hi := min(lo+chunk, len(entries))
 			wg.Add(1)
 			go func(lo, hi int) {
 				defer wg.Done()
@@ -167,83 +157,33 @@ func (db *DB) digestAll(entries []*cve.Entry, classifier *classify.Classifier, w
 	}
 }
 
-// appendAll stages one digested batch in entry order, flushing whenever
-// batchSize rows are pending. It mutates stored/skipped in place.
-func (db *DB) appendAll(entries []*cve.Entry, digests []entryDigest, batch *rowBatch, stored, skipped *int) error {
-	for i, e := range entries {
-		if !digests[i].clustered {
-			*skipped++
-			continue
-		}
-		db.appendEntry(e, &digests[i], batch)
-		*stored++
-		if batch.pending >= batchSize {
-			if err := batch.flush(db); err != nil {
-				return fmt.Errorf("vulndb: %s: %w", e.ID, err)
+// LoadEntries inserts entries through the Figure 1 schema and reports
+// how many were stored and how many skipped: an entry without any
+// clustered OS product is dropped (the paper keeps only its 64 CPEs).
+// Entries go in batchSize at a time: the batch digests on the
+// SetParallelism worker count, then the sequential stage stages its
+// rows in entry order and inserts them in one batch per table. IDs and
+// product interning carry over from call to call, so a feed loaded in
+// batches of any size saves the same bytes as one call over the whole
+// slice, at any worker count.
+func (db *DB) LoadEntries(entries []*cve.Entry, classifier *classify.Classifier) (stored, skipped int, err error) {
+	workers := db.store.Parallelism()
+	digests := make([]entryDigest, min(len(entries), batchSize))
+	var rows rowBatch
+	for lo := 0; lo < len(entries); lo += batchSize {
+		batch := entries[lo:min(lo+batchSize, len(entries))]
+		db.digestAll(batch, classifier, workers, digests)
+		for i, e := range batch {
+			if !digests[i].clustered {
+				skipped++
+				continue
 			}
+			db.appendEntry(e, &digests[i], &rows)
+			stored++
 		}
-	}
-	return nil
-}
-
-// LoadEntriesParallel bulk-inserts entries through the pipeline: workers
-// digest entries concurrently, the sequential stage assigns IDs in entry
-// order and feeds batched inserts. The resulting database is identical
-// to LoadEntries'. workers <= 0 selects GOMAXPROCS.
-func (db *DB) LoadEntriesParallel(entries []*cve.Entry, classifier *classify.Classifier, workers int) (stored, skipped int, err error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	digests := make([]entryDigest, len(entries))
-	db.digestAll(entries, classifier, workers, digests)
-	var batch rowBatch
-	if err := db.appendAll(entries, digests, &batch, &stored, &skipped); err != nil {
-		return stored, skipped, err
-	}
-	if err := batch.flush(db); err != nil {
-		return stored, skipped, fmt.Errorf("vulndb: flush: %w", err)
-	}
-	return stored, skipped, nil
-}
-
-// streamChunk is how many entries LoadEntriesStream accumulates before
-// digesting a batch on the worker pool — the memory bound of the
-// streaming insert path.
-const streamChunk = 1024
-
-// LoadEntriesStream inserts entries as they arrive on the channel,
-// digesting fixed-size chunks on the worker pool and feeding the same
-// batched inserts as LoadEntriesParallel — for the same entry sequence
-// the resulting database is byte-identical, but only streamChunk
-// entries are ever held by the loader at once, so feeds larger than
-// memory can stream straight into the store. The channel must be closed
-// by the producer; workers <= 0 selects GOMAXPROCS.
-func (db *DB) LoadEntriesStream(entries <-chan *cve.Entry, classifier *classify.Classifier, workers int) (stored, skipped int, err error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	chunk := make([]*cve.Entry, 0, streamChunk)
-	digests := make([]entryDigest, streamChunk)
-	var batch rowBatch
-	process := func() error {
-		db.digestAll(chunk, classifier, workers, digests[:len(chunk)])
-		err := db.appendAll(chunk, digests[:len(chunk)], &batch, &stored, &skipped)
-		chunk = chunk[:0]
-		return err
-	}
-	for e := range entries {
-		chunk = append(chunk, e)
-		if len(chunk) == streamChunk {
-			if err := process(); err != nil {
-				return stored, skipped, err
-			}
+		if err := rows.flush(db); err != nil {
+			return stored, skipped, fmt.Errorf("vulndb: batch from %s: %w", batch[0].ID, err)
 		}
-	}
-	if err := process(); err != nil {
-		return stored, skipped, err
-	}
-	if err := batch.flush(db); err != nil {
-		return stored, skipped, fmt.Errorf("vulndb: flush: %w", err)
 	}
 	return stored, skipped, nil
 }

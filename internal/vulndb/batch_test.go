@@ -1,83 +1,93 @@
 package vulndb
 
 import (
-	"reflect"
+	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"osdiversity/internal/classify"
 	"osdiversity/internal/corpus"
+	"osdiversity/internal/cve"
+	"osdiversity/internal/osmap"
 	"osdiversity/internal/relstore"
 )
 
-// TestLoadEntriesParallelIdenticalDB loads the full corpus through the
-// serial per-row path and the parallel batched pipeline and compares
-// every table row: the pipelined database must be indistinguishable.
+// TestLoadEntriesParallelIdenticalDB: LoadEntries at workers 1 and 4,
+// in one call and split into batches of 1, 7 and 512, must save the
+// bytes the per-row InsertEntry oracle saves — over the calibrated
+// corpus and over a 16-distro synthetic corpus, whose universe and
+// unclustered entries exercise the registry and the skip path.
 func TestLoadEntriesParallelIdenticalDB(t *testing.T) {
 	c, err := corpus.Generate()
 	if err != nil {
 		t.Fatalf("corpus.Generate: %v", err)
 	}
+	sc, err := corpus.GenerateSynthetic(corpus.SyntheticConfig{
+		Entries: 3000, Distros: 16, Seed: 7, Workers: 4,
+	})
+	if err != nil {
+		t.Fatalf("GenerateSynthetic: %v", err)
+	}
 	classifier := classify.NewClassifier()
-
-	serial, err := Create()
-	if err != nil {
-		t.Fatalf("Create: %v", err)
-	}
-	sStored, sSkipped, err := serial.LoadEntries(c.Entries, classifier)
-	if err != nil {
-		t.Fatalf("LoadEntries: %v", err)
-	}
-
-	parallel, err := Create()
-	if err != nil {
-		t.Fatalf("Create: %v", err)
-	}
-	pStored, pSkipped, err := parallel.LoadEntriesParallel(c.Entries, classifier, 4)
-	if err != nil {
-		t.Fatalf("LoadEntriesParallel: %v", err)
+	dir := t.TempDir()
+	save := func(db *DB) []byte {
+		path := filepath.Join(dir, "study.db")
+		if err := db.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
 	}
 
-	if sStored != pStored || sSkipped != pSkipped {
-		t.Fatalf("counts differ: serial %d/%d, parallel %d/%d", sStored, sSkipped, pStored, pSkipped)
-	}
-	for _, table := range []string{
-		"vulnerability", "vulnerability_type", "security_protection",
-		"cvss", "product", "os_vuln", "vuln_product",
+	for _, tc := range []struct {
+		name     string
+		registry *osmap.Registry
+		entries  []*cve.Entry
+	}{
+		{"calibrated", osmap.NewRegistry(), c.Entries},
+		{"synthetic16", sc.Registry, sc.Entries},
 	} {
-		var sRows, pRows [][]relstore.Value
-		if err := relstore.ScanTable(serial.Store(), table, func(row []relstore.Value) bool {
-			sRows = append(sRows, append([]relstore.Value(nil), row...))
-			return true
-		}); err != nil {
-			t.Fatalf("scan serial %s: %v", table, err)
+		oracle, err := CreateForRegistry(tc.registry)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if err := relstore.ScanTable(parallel.Store(), table, func(row []relstore.Value) bool {
-			pRows = append(pRows, append([]relstore.Value(nil), row...))
-			return true
-		}); err != nil {
-			t.Fatalf("scan parallel %s: %v", table, err)
+		wantStored, wantSkipped, err := oracle.insertAll(tc.entries, classifier)
+		if err != nil {
+			t.Fatalf("%s: oracle: %v", tc.name, err)
 		}
-		if len(sRows) != len(pRows) {
-			t.Fatalf("table %s: %d rows serial, %d parallel", table, len(sRows), len(pRows))
+		if wantStored == 0 {
+			t.Fatalf("%s: oracle stored nothing", tc.name)
 		}
-		for i := range sRows {
-			if !reflect.DeepEqual(sRows[i], pRows[i]) {
-				t.Fatalf("table %s row %d differs:\nserial   %v\nparallel %v",
-					table, i, sRows[i], pRows[i])
+		want := save(oracle)
+		for _, workers := range []int{1, 4} {
+			for _, batch := range []int{len(tc.entries), 1, 7, 512} {
+				db, err := CreateForRegistry(tc.registry)
+				if err != nil {
+					t.Fatal(err)
+				}
+				db.SetParallelism(workers)
+				var stored, skipped int
+				for lo := 0; lo < len(tc.entries); lo += batch {
+					n, s, err := db.LoadEntries(tc.entries[lo:min(lo+batch, len(tc.entries))], classifier)
+					if err != nil {
+						t.Fatalf("%s workers %d batch %d: LoadEntries: %v", tc.name, workers, batch, err)
+					}
+					stored, skipped = stored+n, skipped+s
+				}
+				if stored != wantStored || skipped != wantSkipped {
+					t.Errorf("%s workers %d batch %d: stored/skipped %d/%d, oracle %d/%d",
+						tc.name, workers, batch, stored, skipped, wantStored, wantSkipped)
+				}
+				if !bytes.Equal(save(db), want) {
+					t.Errorf("%s workers %d batch %d: database differs from the InsertEntry oracle",
+						tc.name, workers, batch)
+				}
 			}
 		}
-	}
-
-	sEntries, err := serial.Entries()
-	if err != nil {
-		t.Fatalf("serial Entries: %v", err)
-	}
-	pEntries, err := parallel.Entries()
-	if err != nil {
-		t.Fatalf("parallel Entries: %v", err)
-	}
-	if !reflect.DeepEqual(sEntries, pEntries) {
-		t.Fatal("reconstructed entries differ between serial and parallel load")
 	}
 }
 

@@ -45,11 +45,11 @@ func benchMatrixDB(b *testing.B) (*DB, *core.Study) {
 			benchMatrixOnce.err = err
 			return
 		}
-		if _, _, err := db.LoadEntriesParallel(sc.Entries, classify.NewClassifier(), benchWorkers); err != nil {
+		db.SetParallelism(benchWorkers)
+		if _, _, err := db.LoadEntries(sc.Entries, classify.NewClassifier()); err != nil {
 			benchMatrixOnce.err = err
 			return
 		}
-		db.SetParallelism(benchWorkers)
 		benchMatrixOnce.db = db
 		benchMatrixOnce.study = core.NewStudy(sc.Entries,
 			core.WithRegistry(sc.Registry), core.WithParallelism(benchWorkers))

@@ -76,9 +76,10 @@ func TestSharedMatrixMatchesStudySynthetic(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CreateForRegistry: %v", err)
 	}
-	stored, _, err := db.LoadEntriesParallel(sc.Entries, classify.NewClassifier(), 4)
+	db.SetParallelism(4)
+	stored, _, err := db.LoadEntries(sc.Entries, classify.NewClassifier())
 	if err != nil {
-		t.Fatalf("LoadEntriesParallel: %v", err)
+		t.Fatalf("LoadEntries: %v", err)
 	}
 	if stored == 0 {
 		t.Fatal("synthetic corpus stored nothing")

@@ -113,9 +113,13 @@ func TestFullPipelineFeedsToStudy(t *testing.T) {
 	classifier := classify.NewClassifier()
 	total := 0
 	for _, path := range paths {
-		entries, err := nvdfeed.ReadFile(path)
-		if err != nil {
-			t.Fatalf("ReadFile(%s): %v", path, err)
+		st := nvdfeed.StreamFiles([]string{path})
+		var entries []*cve.Entry
+		for e := range st.Entries() {
+			entries = append(entries, e)
+		}
+		if err := st.Err(); err != nil {
+			t.Fatalf("StreamFiles(%s): %v", path, err)
 		}
 		stored, _, err := db.LoadEntries(entries, classifier)
 		if err != nil {
@@ -172,9 +176,9 @@ func TestSaveOpen(t *testing.T) {
 		Summary:   "Integer overflow in the kernel memory management allows remote attackers to execute arbitrary code.",
 		Products:  []cpe.Name{mustCPE(t, "cpe:/o:debian:debian_linux:5.0")},
 	}
-	ok, err := back.InsertEntry(extra, classify.NewClassifier())
-	if err != nil || !ok {
-		t.Fatalf("insert after reload: %v, %v", ok, err)
+	stored, _, err := back.LoadEntries([]*cve.Entry{extra}, classify.NewClassifier())
+	if err != nil || stored != 1 {
+		t.Fatalf("insert after reload: %d stored, %v", stored, err)
 	}
 	counts, err = back.CountByOS()
 	if err != nil {

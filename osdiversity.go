@@ -65,9 +65,10 @@ func WithParallelism(n int) Option {
 	}
 }
 
-// WithSyntheticUniverse makes LoadFeeds resolve products against the
-// n-distro synthetic registry (as written by GenerateSyntheticFeeds)
-// instead of the paper's 11-distro registry.
+// WithSyntheticUniverse makes the feed and database loaders and
+// ImportFeeds resolve products against the n-distro synthetic registry
+// (as written by GenerateSyntheticFeeds) instead of the paper's
+// 11-distro registry.
 func WithSyntheticUniverse(n int) Option {
 	return func(c *config) { c.universe = n }
 }
@@ -88,24 +89,24 @@ type FeedStats struct {
 	MalformedSkipped int
 }
 
-// WithYearShard restricts the materializing loaders (LoadFeeds,
-// LoadCalibrated, LoadSynthetic, LoadDatabase) to year-range shard i of
-// n, 1-based as `osdiv serve -shard i/N` spells it: contiguous chunk
-// i-1 of the corpus's ascending year groups per corpus.ShardByYear. The
-// n shards partition the corpus, so every additive aggregate of a
-// sharded analysis merges with its siblings to the full-corpus figure —
-// the contract the scatter-gather gateway (internal/gather) is built
-// on. Out-of-range i/n fails the load; StreamFeeds and LoadSnapshot
-// reject sharding (they never materialize the entry slice the split
-// needs).
+// WithYearShard restricts the loaders LoadFeeds, LoadCalibrated,
+// LoadSynthetic and LoadDatabase to year-range shard i of n, 1-based as
+// `osdiv serve -shard i/N` spells it: contiguous chunk i-1 of the
+// corpus's ascending year groups per corpus.ShardByYear. The n shards
+// partition the corpus, so every additive aggregate of a sharded
+// analysis merges with its siblings to the full-corpus figure — the
+// contract the scatter-gather gateway (internal/gather) is built on.
+// Out-of-range i/n fails the load. LoadSnapshot and ImportFeeds reject
+// the option: a snapshot holds no entries to split, and an import
+// stores the whole corpus (shard it when loading it with LoadDatabase).
 func WithYearShard(i, n int) Option {
 	return func(c *config) { c.shardIdx, c.shardN = i, n }
 }
 
-// WithFeedStats makes LoadFeeds, StreamFeeds, ImportFeeds and
-// ImportFeedsStream record their skip counters into st, so callers
-// ingesting with WithLenient can report how many malformed entries were
-// lost rather than losing the count with the internal readers.
+// WithFeedStats makes LoadFeeds, ImportFeeds and ApplyDelta record
+// their skip counters into st, so callers ingesting with WithLenient can
+// report how many malformed entries were lost rather than losing the
+// count with the internal readers.
 func WithFeedStats(st *FeedStats) Option {
 	return func(c *config) { c.feedStats = st }
 }
@@ -118,45 +119,73 @@ func newConfig(opts []Option) config {
 	return c
 }
 
-// readerOptions translates the facade config into nvdfeed options,
-// wiring the given skip aggregate into every reader the load opens.
-func (c config) readerOptions(skips *nvdfeed.SkipStats) []nvdfeed.ReaderOption {
+// streamBatch is how many decoded entries drainFeeds hands its sink at
+// a time.
+const streamBatch = 512
+
+// drainFeeds streams the feed files through the bounded decode pipeline
+// (nvdfeed.StreamFiles) into sink, in feed order and in streamBatch
+// chunks whose backing array is reused between calls — the one way
+// every feed loader ingests. Ingestion memory stays constant however
+// large the feed set is. It returns the lenient skip count, also
+// recorded in any WithFeedStats.
+func (c config) drainFeeds(paths []string, sink func([]*cve.Entry) error) (int, error) {
+	skips := &nvdfeed.SkipStats{}
 	opts := []nvdfeed.ReaderOption{nvdfeed.Workers(c.workers), nvdfeed.WithSkipStats(skips)}
 	if c.lenient {
 		opts = append(opts, nvdfeed.Lenient())
 	}
-	return opts
-}
-
-// noteSkips copies the aggregated reader skip counts into the caller's
-// FeedStats, when one was attached.
-func (c config) noteSkips(skips *nvdfeed.SkipStats) {
+	st := nvdfeed.StreamFiles(paths, opts...)
+	defer st.Close()
+	batch := make([]*cve.Entry, 0, streamBatch)
+	for e := range st.Entries() {
+		if batch = append(batch, e); len(batch) == streamBatch {
+			if err := sink(batch); err != nil {
+				return 0, err
+			}
+			batch = batch[:0]
+		}
+	}
+	if err := st.Err(); err != nil {
+		return 0, err
+	}
+	if err := sink(batch); err != nil {
+		return 0, err
+	}
 	if c.feedStats != nil {
 		c.feedStats.MalformedSkipped = skips.Skipped()
 	}
-}
-
-// shardEntries applies the WithYearShard slice, validating the spec.
-func (c config) shardEntries(entries []*cve.Entry) ([]*cve.Entry, error) {
-	if c.shardN == 0 && c.shardIdx == 0 {
-		return entries, nil
-	}
-	if c.shardN < 1 || c.shardIdx < 1 || c.shardIdx > c.shardN {
-		return nil, fmt.Errorf("osdiversity: invalid shard %d/%d: need 1 <= i <= n", c.shardIdx, c.shardN)
-	}
-	return corpus.ShardByYear(entries, c.shardIdx-1, c.shardN), nil
+	return skips.Skipped(), nil
 }
 
 // sharded reports whether WithYearShard was requested at all.
 func (c config) sharded() bool { return c.shardN != 0 || c.shardIdx != 0 }
 
+// analyze takes the WithYearShard slice of the whole entry set and
+// builds the analysis over it — the tail of every loader that holds the
+// corpus's entries at once.
+func (c config) analyze(entries []*cve.Entry, source string, malformed int, opts ...core.Option) (*Analysis, error) {
+	if c.sharded() {
+		if c.shardN < 1 || c.shardIdx < 1 || c.shardIdx > c.shardN {
+			return nil, fmt.Errorf("osdiversity: invalid shard %d/%d: need 1 <= i <= n", c.shardIdx, c.shardN)
+		}
+		entries = corpus.ShardByYear(entries, c.shardIdx-1, c.shardN)
+	}
+	return c.finishAnalysis(core.NewStudy(entries, append(c.studyOptions(), opts...)...), source, malformed)
+}
+
+// registry is the distro universe products resolve against: the
+// WithSyntheticUniverse registry, or the paper's 11 distros.
+func (c config) registry() *osmap.Registry {
+	if c.universe > 0 {
+		return osmap.NewSyntheticRegistry(c.universe)
+	}
+	return osmap.NewRegistry()
+}
+
 // studyOptions translates the facade config into core options.
 func (c config) studyOptions() []core.Option {
-	opts := []core.Option{core.WithParallelism(c.workers)}
-	if c.universe > 0 {
-		opts = append(opts, core.WithRegistry(osmap.NewSyntheticRegistry(c.universe)))
-	}
-	return opts
+	return []core.Option{core.WithParallelism(c.workers), core.WithRegistry(c.registry())}
 }
 
 // OSNames returns the 11 distribution names of the study, in the paper's
@@ -241,58 +270,35 @@ type Analysis struct {
 }
 
 // LoadFeeds parses NVD XML feed files (plain or .gz) and builds the
-// analysis. With WithParallelism files decode concurrently and the
-// analysis queries shard across the workers. The decode runs over the
-// streaming pipeline (materializing the entries once for the digest);
-// StreamFeeds skips even that materialization.
+// analysis. Entries flow from the XML tokenizers through bounded
+// channels into the incremental Study builder in batches, so ingestion
+// memory stays constant however large the feed set is (only the compact
+// per-entry digests accumulate). With WithParallelism files decode
+// concurrently and digestion and queries shard across the workers; the
+// tables are byte-identical at any worker count. With WithYearShard the
+// stream is collected first, since the year split needs every entry.
 func LoadFeeds(paths []string, opts ...Option) (*Analysis, error) {
 	cfg := newConfig(opts)
-	skips := &nvdfeed.SkipStats{}
-	entries, err := nvdfeed.ReadFiles(paths, cfg.readerOptions(skips)...)
+	if cfg.sharded() {
+		var entries []*cve.Entry
+		malformed, err := cfg.drainFeeds(paths, func(batch []*cve.Entry) error {
+			entries = append(entries, batch...)
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		return cfg.analyze(entries, "feeds", malformed)
+	}
+	b := core.NewBuilder(cfg.studyOptions()...)
+	malformed, err := cfg.drainFeeds(paths, func(batch []*cve.Entry) error {
+		b.Add(batch...)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	if entries, err = cfg.shardEntries(entries); err != nil {
-		return nil, err
-	}
-	cfg.noteSkips(skips)
-	return cfg.finishAnalysis(core.NewStudy(entries, cfg.studyOptions()...), "feeds", skips.Skipped())
-}
-
-// streamBatch is how many decoded entries StreamFeeds hands to the
-// incremental Study builder at a time.
-const streamBatch = 512
-
-// StreamFeeds builds the analysis end to end over the bounded streaming
-// pipeline: entries flow from the XML tokenizers through fixed-capacity
-// channels into the incremental Study builder in streamBatch chunks, so
-// ingestion memory stays constant no matter how large the feed set is
-// (only the compact per-entry digests accumulate). The resulting
-// analysis is identical to LoadFeeds' — byte-identical tables at any
-// worker count.
-func StreamFeeds(paths []string, opts ...Option) (*Analysis, error) {
-	cfg := newConfig(opts)
-	if cfg.sharded() {
-		return nil, fmt.Errorf("osdiversity: WithYearShard needs materialized entries; use LoadFeeds")
-	}
-	skips := &nvdfeed.SkipStats{}
-	st := nvdfeed.StreamFiles(paths, cfg.readerOptions(skips)...)
-	defer st.Close()
-	b := core.NewBuilder(cfg.studyOptions()...)
-	batch := make([]*cve.Entry, 0, streamBatch)
-	for e := range st.Entries() {
-		batch = append(batch, e)
-		if len(batch) == streamBatch {
-			b.Add(batch...)
-			batch = batch[:0]
-		}
-	}
-	if err := st.Err(); err != nil {
-		return nil, err
-	}
-	b.Add(batch...)
-	cfg.noteSkips(skips)
-	return cfg.finishAnalysis(b.Finish(), "feeds", skips.Skipped())
+	return cfg.finishAnalysis(b.Finish(), "feeds", malformed)
 }
 
 // LoadCalibrated builds the analysis directly over the calibrated
@@ -303,11 +309,7 @@ func LoadCalibrated(opts ...Option) (*Analysis, error) {
 	if err != nil {
 		return nil, err
 	}
-	entries, err := cfg.shardEntries(c.Entries)
-	if err != nil {
-		return nil, err
-	}
-	return cfg.finishAnalysis(core.NewStudy(entries, cfg.studyOptions()...), "calibrated", 0)
+	return cfg.analyze(c.Entries, "calibrated", 0)
 }
 
 // SyntheticSpec parameterizes the synthetic "modern NVD" corpus: a
@@ -342,13 +344,8 @@ func LoadSynthetic(spec SyntheticSpec, opts ...Option) (*Analysis, error) {
 	if err != nil {
 		return nil, err
 	}
-	entries, err := cfg.shardEntries(sc.Entries)
-	if err != nil {
-		return nil, err
-	}
-	studyOpts := append(cfg.studyOptions(), core.WithRegistry(sc.Registry))
-	st := core.NewStudy(entries, studyOpts...)
-	return cfg.finishAnalysis(st, fmt.Sprintf("synthetic:%d", len(st.Distros())), 0)
+	source := fmt.Sprintf("synthetic:%d", len(sc.Registry.Distros()))
+	return cfg.analyze(sc.Entries, source, 0, core.WithRegistry(sc.Registry))
 }
 
 // GenerateSyntheticFeeds writes the synthetic corpus as per-year NVD 2.0
@@ -364,103 +361,45 @@ func GenerateSyntheticFeeds(dir string, spec SyntheticSpec, opts ...Option) ([]s
 }
 
 // ImportFeeds parses feeds into the paper's SQL schema and persists the
-// database at dbPath. Returns (stored, skipped). With WithParallelism
-// the feeds decode concurrently and the entries reach the store through
-// the parallel-digest, batched-insert pipeline.
+// database at dbPath. Returns (stored, skipped), where skipped counts
+// the entries without a clustered OS product. The feeds stream through
+// LoadFeeds' bounded pipeline into the store's batched insert; with
+// WithSnapshot the same batches also feed the incremental Study
+// builder, so one pass over the feeds fills both. With WithParallelism
+// the feeds decode and the entries digest on the worker pool; the
+// database bytes are identical at any worker count.
 func ImportFeeds(dbPath string, feedPaths []string, opts ...Option) (int, int, error) {
 	cfg := newConfig(opts)
-	db, err := vulndb.Create()
+	if cfg.sharded() {
+		return 0, 0, fmt.Errorf("osdiversity: ImportFeeds stores the whole corpus; shard it when loading (LoadDatabase with WithYearShard)")
+	}
+	db, err := vulndb.CreateForRegistry(cfg.registry())
 	if err != nil {
 		return 0, 0, err
 	}
-	skips := &nvdfeed.SkipStats{}
-	entries, err := nvdfeed.ReadFiles(feedPaths, cfg.readerOptions(skips)...)
-	if err != nil {
-		return 0, 0, err
-	}
-	stored, skipped, err := db.LoadEntriesParallel(entries, classify.NewClassifier(), cfg.workers)
-	if err != nil {
-		return stored, skipped, err
-	}
-	cfg.noteSkips(skips)
-	if err := db.Save(dbPath); err != nil {
-		return stored, skipped, err
-	}
-	if cfg.snapshot != "" {
-		st := core.NewStudy(entries, cfg.studyOptions()...)
-		if _, err := cfg.finishAnalysis(st, "feeds", skips.Skipped()); err != nil {
-			return stored, skipped, err
-		}
-	}
-	return stored, skipped, nil
-}
-
-// ImportFeedsStream is ImportFeeds over the bounded streaming pipeline:
-// decoded entries flow straight from the feed channels into the store's
-// chunked insert loop without ever materializing the full entry slice,
-// so feeds larger than memory import with constant ingestion footprint.
-// The persisted database is byte-identical to ImportFeeds' for the same
-// feed set at any worker count.
-func ImportFeedsStream(dbPath string, feedPaths []string, opts ...Option) (int, int, error) {
-	cfg := newConfig(opts)
-	db, err := vulndb.Create()
-	if err != nil {
-		return 0, 0, err
-	}
-	skips := &nvdfeed.SkipStats{}
-	st := nvdfeed.StreamFiles(feedPaths, cfg.readerOptions(skips)...)
-	defer st.Close()
-
-	// With a snapshot requested, the entry stream tees through the
-	// incremental Study builder on its way to the store — one pass over
-	// the feeds feeds both sinks, still in streamBatch chunks.
-	src := st.Entries()
+	db.SetParallelism(cfg.workers)
+	classifier := classify.NewClassifier()
 	var b *core.Builder
-	var tee sync.WaitGroup
 	if cfg.snapshot != "" {
 		b = core.NewBuilder(cfg.studyOptions()...)
-		in := src // the goroutine must not see the src = teed reassignment below
-		teed := make(chan *cve.Entry, streamBatch)
-		tee.Add(1)
-		go func() {
-			defer tee.Done()
-			defer close(teed)
-			batch := make([]*cve.Entry, 0, streamBatch)
-			for e := range in {
-				teed <- e
-				batch = append(batch, e)
-				if len(batch) == streamBatch {
-					b.Add(batch...)
-					batch = batch[:0]
-				}
-			}
+	}
+	var stored, skipped int
+	malformed, err := cfg.drainFeeds(feedPaths, func(batch []*cve.Entry) error {
+		n, s, err := db.LoadEntries(batch, classifier)
+		stored, skipped = stored+n, skipped+s
+		if b != nil {
 			b.Add(batch...)
-		}()
-		src = teed
-	}
-
-	stored, skipped, err := db.LoadEntriesStream(src, classify.NewClassifier(), cfg.workers)
-	if err != nil {
-		if cfg.snapshot != "" {
-			// Unblock the tee goroutine; st.Close (deferred) stops the
-			// producers, so the drain terminates.
-			go func() {
-				for range src {
-				}
-			}()
 		}
+		return err
+	})
+	if err != nil {
 		return stored, skipped, err
 	}
-	tee.Wait()
-	if err := st.Err(); err != nil {
-		return stored, skipped, err
-	}
-	cfg.noteSkips(skips)
 	if err := db.Save(dbPath); err != nil {
 		return stored, skipped, err
 	}
-	if cfg.snapshot != "" {
-		if _, err := cfg.finishAnalysis(b.Finish(), "feeds", skips.Skipped()); err != nil {
+	if b != nil {
+		if _, err := cfg.finishAnalysis(b.Finish(), "feeds", malformed); err != nil {
 			return stored, skipped, err
 		}
 	}
@@ -509,10 +448,7 @@ func LoadDatabase(dbPath string, opts ...Option) (*Analysis, error) {
 	if err != nil {
 		return nil, err
 	}
-	if entries, err = cfg.shardEntries(entries); err != nil {
-		return nil, err
-	}
-	return cfg.finishAnalysis(core.NewStudy(entries, cfg.studyOptions()...), "db", 0)
+	return cfg.analyze(entries, "db", 0)
 }
 
 // OSNames returns the distribution names of this analysis's universe in

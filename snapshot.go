@@ -18,10 +18,10 @@ import (
 // file's columns zero-copy (mmap where available), so a 100k-entry boot
 // is dominated by one checksum pass instead of XML decode + digestion.
 
-// WithSnapshot makes the analysis loaders (LoadFeeds, StreamFeeds,
-// LoadCalibrated, LoadSynthetic, LoadDatabase) and the importers
-// (ImportFeeds, ImportFeedsStream) also persist the digested study as a
-// snapshot at path, atomically, after a successful load.
+// WithSnapshot makes the analysis loaders (LoadFeeds, LoadCalibrated,
+// LoadSynthetic, LoadDatabase), ImportFeeds and ApplyDelta also persist
+// the digested study as a snapshot at path, atomically, after a
+// successful load.
 func WithSnapshot(path string) Option {
 	return func(c *config) { c.snapshot = path }
 }
@@ -72,7 +72,7 @@ func (a *Analysis) SaveSnapshot(path string) error {
 func LoadSnapshot(path string, opts ...Option) (*Analysis, error) {
 	cfg := newConfig(opts)
 	if cfg.sharded() {
-		return nil, fmt.Errorf("osdiversity: WithYearShard needs materialized entries; shard from feeds or a database")
+		return nil, fmt.Errorf("osdiversity: WithYearShard needs the corpus's entries, which a snapshot does not hold; shard from feeds or a database")
 	}
 	snap, err := snapshot.Open(path)
 	if err != nil {

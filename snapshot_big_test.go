@@ -53,10 +53,10 @@ func TestSnapshotWarmStartSpeedup(t *testing.T) {
 	snapPath := filepath.Join(dir, "warm.osds")
 
 	feedStart := time.Now()
-	a, err := StreamFeeds(paths, WithParallelism(4),
+	a, err := LoadFeeds(paths, WithParallelism(4),
 		WithSyntheticUniverse(32), WithSnapshot(snapPath))
 	if err != nil {
-		t.Fatalf("StreamFeeds: %v", err)
+		t.Fatalf("LoadFeeds: %v", err)
 	}
 	feedCost := time.Since(feedStart) // includes the snapshot save: a conservative baseline
 	valid := a.ValidCount()

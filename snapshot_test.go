@@ -100,12 +100,10 @@ func TestSnapshotRoundTripSynthetic(t *testing.T) {
 	}
 }
 
-// TestSnapshotFromStreamImport covers the nvdimport path: the streamed
-// SQL import tees the entry flow through the incremental Study builder
-// when a snapshot is requested, and the snapshot it writes must answer
-// like a directly feed-built analysis. (Regression: the tee goroutine
-// once captured the reassigned channel variable and deadlocked on its
-// own output.)
+// TestSnapshotFromStreamImport covers the nvdimport path: the SQL import
+// feeds the same entry batches to the incremental Study builder when a
+// snapshot is requested, and the snapshot it writes must answer like a
+// directly feed-built analysis.
 func TestSnapshotFromStreamImport(t *testing.T) {
 	dir := t.TempDir()
 	feeds, err := GenerateFeeds(filepath.Join(dir, "feeds"), WithParallelism(4))
@@ -113,10 +111,10 @@ func TestSnapshotFromStreamImport(t *testing.T) {
 		t.Fatalf("GenerateFeeds: %v", err)
 	}
 	snap := filepath.Join(dir, "import.osds")
-	stored, _, err := ImportFeedsStream(filepath.Join(dir, "s.db"), feeds,
+	stored, _, err := ImportFeeds(filepath.Join(dir, "s.db"), feeds,
 		WithParallelism(2), WithSnapshot(snap))
 	if err != nil || stored == 0 {
-		t.Fatalf("ImportFeedsStream: %v, %d stored", err, stored)
+		t.Fatalf("ImportFeeds: %v, %d stored", err, stored)
 	}
 	loaded, err := LoadSnapshot(snap, WithParallelism(2))
 	if err != nil {
@@ -128,7 +126,7 @@ func TestSnapshotFromStreamImport(t *testing.T) {
 		t.Fatalf("LoadFeeds: %v", err)
 	}
 	if want, got := fullFingerprint(t, built), fullFingerprint(t, loaded); !bytes.Equal(want, got) {
-		t.Error("stream-import snapshot differs from feed-built tables")
+		t.Error("import snapshot differs from feed-built tables")
 	}
 }
 
@@ -141,15 +139,15 @@ func TestSnapshotLenientSkipCounts(t *testing.T) {
 		t.Fatal("fixture wrote no malformed entries")
 	}
 	path := filepath.Join(t.TempDir(), "lenient.osds")
-	var streamStats FeedStats
-	streamed, err := StreamFeeds(paths, WithParallelism(4), WithLenient(),
-		WithFeedStats(&streamStats), WithSnapshot(path))
+	var feedStats FeedStats
+	built, err := LoadFeeds(paths, WithParallelism(4), WithLenient(),
+		WithFeedStats(&feedStats), WithSnapshot(path))
 	if err != nil {
-		t.Fatalf("StreamFeeds: %v", err)
+		t.Fatalf("LoadFeeds: %v", err)
 	}
-	if streamStats.MalformedSkipped != bad || streamed.MalformedSkipped() != bad {
-		t.Errorf("stream skip counts (%d, %d) != %d written",
-			streamStats.MalformedSkipped, streamed.MalformedSkipped(), bad)
+	if feedStats.MalformedSkipped != bad || built.MalformedSkipped() != bad {
+		t.Errorf("feed skip counts (%d, %d) != %d written",
+			feedStats.MalformedSkipped, built.MalformedSkipped(), bad)
 	}
 	var loadStats FeedStats
 	loaded, err := LoadSnapshot(path, WithParallelism(4), WithFeedStats(&loadStats))
@@ -161,7 +159,7 @@ func TestSnapshotLenientSkipCounts(t *testing.T) {
 		t.Errorf("snapshot skip counts (%d, %d) != %d written",
 			loadStats.MalformedSkipped, loaded.MalformedSkipped(), bad)
 	}
-	if want, got := fullFingerprint(t, streamed), fullFingerprint(t, loaded); !bytes.Equal(want, got) {
+	if want, got := fullFingerprint(t, built), fullFingerprint(t, loaded); !bytes.Equal(want, got) {
 		t.Error("lenient snapshot round trip changed the tables")
 	}
 }
