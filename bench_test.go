@@ -1,7 +1,8 @@
 package osdiversity
 
 // The benchmark harness: one benchmark per experiment of the paper's
-// evaluation (E1-E11 per DESIGN.md's index, plus the E12 extension).
+// evaluation (E1-E11, plus the E12 attack extension; README's
+// Performance section lists what they measure).
 // Each benchmark regenerates its table or figure from the calibrated
 // corpus through the real analysis pipeline and asserts the paper's
 // numbers, so `go test -bench=.` doubles as the reproduction script.

@@ -8,7 +8,7 @@
 // by simulation under the paper's own assumption (footnote 5): "the cost
 // to compromise each OS is non-negligible and approximately the same".
 // The adversary therefore runs sequential exploit campaigns, one per
-// target OS, each taking Exp(MeanEffort) time; a successful campaign
+// target OS, each taking Exp(1) time; a successful campaign
 // exploits one concrete vulnerability of the target, and every OS
 // sharing that vulnerability is compromised for free at the same
 // instant. The system falls when more than F replicas are compromised.
@@ -20,111 +20,46 @@
 // diversity gain as a function of the overlap structure the paper
 // measures. The paper has no such experiment (it laments the missing
 // exploit-rate data in §V); this module is the reproduction's extension,
-// clearly labeled as such in DESIGN.md and EXPERIMENTS.md.
+// described in the README's "Attack simulation" section.
 package attack
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"sync"
 
-	"osdiversity/internal/bft"
 	"osdiversity/internal/core"
 	"osdiversity/internal/osmap"
 )
 
-// Model holds the vulnerability population driving the simulation.
+// meanEffort is the expected exploit-development effort per
+// vulnerability in abstract time units: the paper's footnote 5 takes the
+// cost to compromise each OS as approximately the same.
+const meanEffort = 1.0
+
+// Model is a per-request view of a study's attack population under one
+// profile. Building one is cheap: the Study builds the population once
+// (core.Study.Population) and every model over it shares it. Monte
+// Carlo batches run on the Study's worker count.
 type Model struct {
-	vulns []core.VulnRef
-	// MeanEffort is the expected exploit-development effort per
-	// vulnerability in abstract time units (default 1.0).
-	MeanEffort float64
-	// workers bounds the Monte Carlo trial pool (1 = serial).
-	workers int
-	// byOSOnce/byOSIdx memoize the per-distro vulnerability lists (the
-	// population is immutable, so every trial shares them).
-	byOSOnce sync.Once
-	byOSIdx  map[osmap.Distro][]core.VulnRef
-	// winMu/winIdx memoize window-scoped slices of the population for
-	// rotation schedules (one map per distinct temporal window).
-	winMu  sync.Mutex
-	winIdx map[core.SelectionWindow]map[osmap.Distro][]core.VulnRef
+	study *core.Study
+	pop   *core.Population
 }
 
-// byOS returns the per-distro vulnerability lists, built once.
-func (m *Model) byOS() map[osmap.Distro][]core.VulnRef {
-	m.byOSOnce.Do(func() {
-		m.byOSIdx = make(map[osmap.Distro][]core.VulnRef)
-		for _, v := range m.vulns {
-			for _, d := range v.Distros {
-				m.byOSIdx[d] = append(m.byOSIdx[d], v)
-			}
-		}
-	})
-	return m.byOSIdx
-}
-
-// byOSInWindow returns the per-distro vulnerability lists restricted to
-// disclosures inside the temporal window, memoized per window. The
-// zero window is the whole population.
-func (m *Model) byOSInWindow(w core.SelectionWindow) map[osmap.Distro][]core.VulnRef {
-	if w == (core.SelectionWindow{}) {
-		return m.byOS()
-	}
-	m.winMu.Lock()
-	defer m.winMu.Unlock()
-	if idx, ok := m.winIdx[w]; ok {
-		return idx
-	}
-	idx := make(map[osmap.Distro][]core.VulnRef)
-	for _, v := range m.vulns {
-		if !w.Contains(v.Year) {
-			continue
-		}
-		for _, d := range v.Distros {
-			idx[d] = append(idx[d], v)
-		}
-	}
-	if m.winIdx == nil {
-		m.winIdx = make(map[core.SelectionWindow]map[osmap.Distro][]core.VulnRef)
-	}
-	m.winIdx[w] = idx
-	return idx
-}
-
-// NewModel extracts the vulnerability population from a study under a
-// profile (the Isolated Thin Server profile matches the paper's
-// hardened-replica assumption).
+// NewModel views the study's vulnerability population under a profile
+// (the Isolated Thin Server profile matches the paper's hardened-replica
+// assumption).
 func NewModel(study *core.Study, profile core.Profile) *Model {
-	return &Model{vulns: study.Vulnerabilities(profile), MeanEffort: 1.0, workers: 1}
+	return &Model{study: study, pop: study.Population(profile)}
 }
 
-// SetParallelism sets the worker count for Monte Carlo batches
-// (MonteCarlo, Gain, SurvivalRate). Every trial draws from its own
-// seeded RNG stream, so results are identical at any worker count.
-// n <= 0 selects GOMAXPROCS.
-func (m *Model) SetParallelism(n int) {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	m.workers = n
-}
-
-// Parallelism reports the effective trial worker count.
-func (m *Model) Parallelism() int {
-	if m.workers > 1 {
-		return m.workers
-	}
-	return 1
-}
-
-// runTrials executes body(t) for t in [0, trials) across the worker
-// pool, sharding contiguous trial ranges.
+// runTrials executes body(t) for t in [0, trials) across the study's
+// worker pool, sharding contiguous trial ranges. Every trial draws from
+// its own seeded stream, so results are identical at any worker count.
 func (m *Model) runTrials(trials int, body func(t int)) {
-	workers := m.Parallelism()
+	workers := m.study.Parallelism()
 	if workers <= 1 || trials < 2 {
 		for t := 0; t < trials; t++ {
 			body(t)
@@ -137,10 +72,7 @@ func (m *Model) runTrials(trials int, body func(t int)) {
 	chunk := (trials + workers - 1) / workers
 	var wg sync.WaitGroup
 	for lo := 0; lo < trials; lo += chunk {
-		hi := lo + chunk
-		if hi > trials {
-			hi = trials
-		}
+		hi := min(lo+chunk, trials)
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
@@ -153,7 +85,7 @@ func (m *Model) runTrials(trials int, body func(t int)) {
 }
 
 // VulnCount returns the population size.
-func (m *Model) VulnCount() int { return len(m.vulns) }
+func (m *Model) VulnCount() int { return m.pop.Len() }
 
 // Scenario is one replica configuration under attack.
 type Scenario struct {
@@ -210,76 +142,36 @@ func (r *rng) expDraw(mean float64) float64 {
 // Simulate runs one attack with a deterministic seed.
 //
 // The adversary repeatedly picks the not-yet-compromised OS covering the
-// most surviving replicas (ties by replica order), spends Exp(MeanEffort)
-// time on a campaign against it, exploits one of its vulnerabilities
-// (chosen uniformly), and thereby also compromises every OS sharing that
-// vulnerability.
+// most surviving replicas (ties by replica order), spends Exp(1) time on
+// a campaign against it, exploits one of its vulnerabilities (chosen
+// uniformly), and thereby also compromises every OS sharing that
+// vulnerability. This is SimulateRotation's campaign loop over one step
+// that never rotates.
 func (m *Model) Simulate(sc Scenario, seed uint64) (Result, error) {
-	if err := sc.Validate(); err != nil {
+	c, err := m.oneStep(sc)
+	if err != nil {
 		return Result{}, err
 	}
-	rnd := rng{state: seed*0x9E3779B97F4A7C15 + 1}
-	byOS := m.byOS()
+	return c.run(seed).result(), nil
+}
 
-	compromisedOS := make(map[osmap.Distro]bool)
-	replicasDown := func() int {
-		n := 0
-		for _, os := range sc.OSes {
-			if compromisedOS[os] {
-				n++
-			}
-		}
-		return n
+// oneStep resolves a static scenario as a one-step campaign over the
+// whole population. The step's interval is the largest finite one
+// rather than +Inf, whose product with the step index 0 would be NaN.
+func (m *Model) oneStep(sc Scenario) (*campaign, error) {
+	if err := sc.Validate(); err != nil {
+		return nil, err
 	}
+	return m.campaign(sc.F, []RotationStep{{OSes: sc.OSes}}, math.MaxFloat64)
+}
 
-	now := 0.0
-	campaigns := 0
-	for {
-		if replicasDown() > sc.F {
-			break // already past the threshold (cannot happen on entry)
-		}
-		// Choose the target covering the most surviving replicas.
-		var target osmap.Distro
-		bestCover := 0
-		for _, os := range distinctOSes(sc.OSes) {
-			if compromisedOS[os] || len(byOS[os]) == 0 {
-				continue
-			}
-			cover := 0
-			for _, o := range sc.OSes {
-				if o == os {
-					cover++
-				}
-			}
-			if cover > bestCover {
-				bestCover = cover
-				target = os
-			}
-		}
-		if bestCover == 0 {
-			return Result{TimeToCompromise: math.Inf(1), ExploitsUsed: campaigns}, nil
-		}
-
-		now += rnd.expDraw(m.MeanEffort)
-		campaigns++
-		vulns := byOS[target]
-		v := vulns[int(rnd.next()%uint64(len(vulns)))]
-
-		before := replicasDown()
-		compromisedOS[target] = true
-		for _, d := range v.Distros {
-			compromisedOS[d] = true
-		}
-		after := replicasDown()
-		if after > sc.F {
-			return Result{
-				TimeToCompromise: now,
-				ExploitsUsed:     campaigns,
-				FatalExploit:     after - before,
-			}, nil
-		}
+// result maps a one-step run onto the static attack's result: a run
+// that outlasts its unbounded step was never compromised.
+func (r RotationResult) result() Result {
+	if r.Survived {
+		return Result{TimeToCompromise: math.Inf(1), ExploitsUsed: r.Campaigns}
 	}
-	return Result{TimeToCompromise: now, ExploitsUsed: campaigns}, nil
+	return Result{TimeToCompromise: r.When, ExploitsUsed: r.Campaigns, FatalExploit: r.FatalReplicas}
 }
 
 // Summary aggregates a Monte Carlo batch.
@@ -296,22 +188,20 @@ type Summary struct {
 	Unbroken int
 }
 
-// MonteCarlo runs `trials` deterministic simulations (seeds 1..trials).
-// With SetParallelism the trials run on the worker pool; each trial is
-// an independent seeded stream and the aggregation walks the results in
-// trial order, so the summary is identical at any worker count.
+// MonteCarlo runs `trials` deterministic simulations (seeds 1..trials)
+// on the study's worker pool. Each trial is an independent seeded
+// stream and the aggregation walks the results in trial order, so the
+// summary is identical at any worker count.
 func (m *Model) MonteCarlo(sc Scenario, trials int) (Summary, error) {
 	if trials < 1 {
 		return Summary{}, errors.New("attack: at least one trial required")
 	}
-	if err := sc.Validate(); err != nil {
+	c, err := m.oneStep(sc)
+	if err != nil {
 		return Summary{}, err
 	}
 	results := make([]Result, trials)
-	m.runTrials(trials, func(t int) {
-		// Validate passed above; per-trial errors cannot occur.
-		results[t], _ = m.Simulate(sc, uint64(t+1))
-	})
+	m.runTrials(trials, func(t int) { results[t] = c.run(uint64(t + 1)).result() })
 	times := make([]float64, 0, trials)
 	shared := 0
 	unbroken := 0
@@ -353,197 +243,8 @@ func (m *Model) Gain(baseline, diverse Scenario, trials int) (float64, error) {
 	if b.MeanTTC == 0 {
 		return 0, errors.New("attack: baseline never compromised")
 	}
+	if d.MeanTTC == 0 {
+		return 0, fmt.Errorf("attack: diverse configuration %q never compromised", diverse.Name)
+	}
 	return d.MeanTTC / b.MeanTTC, nil
-}
-
-// ReplayOnCluster verifies one simulated attack against the BFT
-// substrate: it builds the scenario's cluster, applies the exploit
-// sequence up to (but not beyond) the fault threshold, checks the
-// service still commits correctly, then crosses the threshold and
-// checks a safety violation becomes observable.
-func (m *Model) ReplayOnCluster(sc Scenario, seed uint64) (preViolations, postViolations []string, err error) {
-	if err := sc.Validate(); err != nil {
-		return nil, nil, err
-	}
-	cluster, err := bft.NewCluster(bft.Config{F: sc.F, OSes: sc.OSes, Seed: seed})
-	if err != nil {
-		return nil, nil, err
-	}
-	// Compromise up to F replicas (by OS, as exploits do), run a
-	// request, and verify correctness.
-	budget := sc.F
-	for _, os := range distinctOSes(sc.OSes) {
-		if budget == 0 {
-			break
-		}
-		hits := 0
-		for _, o := range sc.OSes {
-			if o == os {
-				hits++
-			}
-		}
-		if hits <= budget {
-			cluster.CompromiseByOS(os, bft.ForgeReplies)
-			budget -= hits
-		}
-	}
-	cluster.Submit("pre-threshold")
-	cluster.Run(10000)
-	preViolations = cluster.SafetyReport()
-
-	// Cross the threshold: compromise OSes until more than F replicas
-	// are down, then observe the forged result reaching the client.
-	for _, os := range distinctOSes(sc.OSes) {
-		if cluster.CompromisedCount() > sc.F {
-			break
-		}
-		cluster.CompromiseByOS(os, bft.ForgeReplies)
-	}
-	cluster.Submit("post-threshold")
-	cluster.Run(20000)
-	postViolations = cluster.SafetyReport()
-	return preViolations, postViolations, nil
-}
-
-// RecoveryResult summarizes a simulation with proactive recovery.
-type RecoveryResult struct {
-	// Compromised reports whether the adversary ever held more than F
-	// replicas simultaneously within the horizon.
-	Compromised bool
-	// When is the compromise time (horizon if never compromised).
-	When float64
-	// Recoveries counts rejuvenations performed.
-	Recoveries int
-}
-
-// SimulateWithRecovery extends the campaign model with proactive
-// recovery (the paper's reference [3] pairs BFT with rejuvenation):
-// every `interval` time units, all compromised replicas are restored and
-// the exploits the adversary holds become useless (the rejuvenated OS is
-// patched against them), so campaigns against recovered OSes start over.
-// The system fails only if the adversary crosses the threshold *between*
-// recoveries — which shared vulnerabilities make dramatically easier,
-// since one campaign can take several replicas inside one window.
-func (m *Model) SimulateWithRecovery(sc Scenario, interval, horizon float64, seed uint64) (RecoveryResult, error) {
-	if err := sc.Validate(); err != nil {
-		return RecoveryResult{}, err
-	}
-	if interval <= 0 || horizon <= 0 {
-		return RecoveryResult{}, errors.New("attack: interval and horizon must be positive")
-	}
-	rnd := rng{state: seed*0x9E3779B97F4A7C15 + 1}
-	byOS := m.byOS()
-
-	compromisedOS := make(map[osmap.Distro]bool)
-	replicasDown := func() int {
-		n := 0
-		for _, os := range sc.OSes {
-			if compromisedOS[os] {
-				n++
-			}
-		}
-		return n
-	}
-
-	now := 0.0
-	nextRecovery := interval
-	res := RecoveryResult{}
-	for now < horizon {
-		// Next campaign completion.
-		var target osmap.Distro
-		bestCover := 0
-		for _, os := range distinctOSes(sc.OSes) {
-			if compromisedOS[os] || len(byOS[os]) == 0 {
-				continue
-			}
-			cover := 0
-			for _, o := range sc.OSes {
-				if o == os {
-					cover++
-				}
-			}
-			if cover > bestCover {
-				bestCover = cover
-				target = os
-			}
-		}
-		if bestCover == 0 {
-			// Nothing left to attack before the next recovery.
-			now = nextRecovery
-		} else {
-			done := now + rnd.expDraw(m.MeanEffort)
-			// Process any recoveries that fire first.
-			for nextRecovery <= done && nextRecovery <= horizon {
-				if n := len(compromisedOS); n > 0 {
-					res.Recoveries += n
-					compromisedOS = make(map[osmap.Distro]bool)
-				}
-				nextRecovery += interval
-			}
-			if done > horizon {
-				break
-			}
-			now = done
-			vulns := byOS[target]
-			v := vulns[int(rnd.next()%uint64(len(vulns)))]
-			compromisedOS[target] = true
-			for _, d := range v.Distros {
-				compromisedOS[d] = true
-			}
-			if replicasDown() > sc.F {
-				res.Compromised = true
-				res.When = now
-				return res, nil
-			}
-		}
-		if now >= nextRecovery {
-			if n := len(compromisedOS); n > 0 {
-				res.Recoveries += n
-				compromisedOS = make(map[osmap.Distro]bool)
-			}
-			nextRecovery += interval
-		}
-	}
-	res.When = horizon
-	return res, nil
-}
-
-// SurvivalRate runs the recovery simulation over many trials and
-// returns the fraction that survived the horizon. Trials run on the
-// Monte Carlo worker pool with per-trial seeded streams, so the rate is
-// identical at any worker count.
-func (m *Model) SurvivalRate(sc Scenario, interval, horizon float64, trials int) (float64, error) {
-	if trials < 1 {
-		return 0, errors.New("attack: at least one trial required")
-	}
-	if err := sc.Validate(); err != nil {
-		return 0, err
-	}
-	if interval <= 0 || horizon <= 0 {
-		return 0, errors.New("attack: interval and horizon must be positive")
-	}
-	results := make([]RecoveryResult, trials)
-	m.runTrials(trials, func(t int) {
-		// All arguments validated above; per-trial errors cannot occur.
-		results[t], _ = m.SimulateWithRecovery(sc, interval, horizon, uint64(t+1))
-	})
-	survived := 0
-	for _, res := range results {
-		if !res.Compromised {
-			survived++
-		}
-	}
-	return float64(survived) / float64(trials), nil
-}
-
-func distinctOSes(oses []osmap.Distro) []osmap.Distro {
-	seen := make(map[osmap.Distro]bool, len(oses))
-	var out []osmap.Distro
-	for _, o := range oses {
-		if !seen[o] {
-			seen[o] = true
-			out = append(out, o)
-		}
-	}
-	return out
 }

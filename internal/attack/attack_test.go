@@ -9,18 +9,24 @@ import (
 	"osdiversity/internal/osmap"
 )
 
-var modelCache *Model
+var studyCache *core.Study
 
-func paperModel(t testing.TB) *Model {
+// paperStudy is the calibrated corpus's study, shared by the package's
+// tests; a test that changes its worker count restores it.
+func paperStudy(t testing.TB) *core.Study {
 	t.Helper()
-	if modelCache == nil {
+	if studyCache == nil {
 		c, err := corpus.Generate()
 		if err != nil {
 			t.Fatalf("corpus.Generate: %v", err)
 		}
-		modelCache = NewModel(core.NewStudy(c.Entries), core.IsolatedThinServer)
+		studyCache = core.NewStudy(c.Entries)
 	}
-	return modelCache
+	return studyCache
+}
+
+func paperModel(t testing.TB) *Model {
+	return NewModel(paperStudy(t), core.IsolatedThinServer)
 }
 
 func homogeneous(d osmap.Distro) Scenario {
@@ -152,40 +158,8 @@ func TestMonteCarloErrors(t *testing.T) {
 	}
 }
 
-func TestReplayOnCluster(t *testing.T) {
-	m := paperModel(t)
-	pre, post, err := m.ReplayOnCluster(set1(), 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pre) != 0 {
-		t.Errorf("violations below the threshold: %v", pre)
-	}
-	if len(post) == 0 {
-		t.Error("no violation observed beyond the threshold")
-	}
-}
-
-func TestReplayHomogeneous(t *testing.T) {
-	// A homogeneous cluster cannot be compromised "up to F" by OS —
-	// the first exploit takes everything, so even the pre-threshold
-	// phase stays honest only because no exploit is applied; the
-	// post-threshold phase must violate.
-	m := paperModel(t)
-	pre, post, err := m.ReplayOnCluster(homogeneous(osmap.Debian), 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pre) != 0 {
-		t.Errorf("pre-threshold violations: %v", pre)
-	}
-	if len(post) == 0 {
-		t.Error("homogeneous cluster survived full compromise")
-	}
-}
-
 func TestInfinityWhenNoVulns(t *testing.T) {
-	empty := &Model{MeanEffort: 1}
+	empty := NewModel(core.NewStudy(nil), core.IsolatedThinServer)
 	res, err := empty.Simulate(set1(), 1)
 	if err != nil {
 		t.Fatal(err)

@@ -2,70 +2,51 @@ package attack
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"osdiversity/internal/osmap"
 )
 
 // The Monte Carlo batches are embarrassingly parallel; these tests pin
-// the determinism contract: identical summaries at any worker count.
-// (Each trial draws from its own seeded stream, so even the shared
-// paperModel can switch worker counts without changing any result.)
+// the determinism contract: identical summaries at any worker count of
+// the study. (Each trial draws from its own seeded stream, so the
+// shared study can switch worker counts without changing any result.)
 
 func TestMonteCarloIdenticalAcrossWorkers(t *testing.T) {
+	s := paperStudy(t)
+	defer s.SetParallelism(1)
 	m := paperModel(t)
-	defer m.SetParallelism(1)
-	m.SetParallelism(1)
+	s.SetParallelism(1)
 	serial, err := m.MonteCarlo(set1(), 500)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 0} {
-		m.SetParallelism(workers)
+		s.SetParallelism(workers)
 		got, err := m.MonteCarlo(set1(), 500)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.MeanTTC != serial.MeanTTC || got.MedianTTC != serial.MedianTTC ||
-			got.SharedFatal != serial.SharedFatal || got.Unbroken != serial.Unbroken {
+		if !reflect.DeepEqual(got, serial) {
 			t.Fatalf("workers=%d summary differs: %+v vs %+v", workers, got, serial)
 		}
 	}
 }
 
-func TestSurvivalRateIdenticalAcrossWorkers(t *testing.T) {
-	m := paperModel(t)
-	defer m.SetParallelism(1)
-	m.SetParallelism(1)
-	serial, err := m.SurvivalRate(set1(), 2.0, 20.0, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.SetParallelism(4)
-	got, err := m.SurvivalRate(set1(), 2.0, 20.0, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != serial {
-		t.Fatalf("survival rate differs: %v vs %v", got, serial)
-	}
-}
-
 func TestParallelMonteCarloValidation(t *testing.T) {
+	s := paperStudy(t)
+	defer s.SetParallelism(1)
+	s.SetParallelism(4)
 	m := paperModel(t)
-	defer m.SetParallelism(1)
-	m.SetParallelism(4)
 	if _, err := m.MonteCarlo(Scenario{F: 0}, 10); err == nil {
 		t.Fatal("invalid scenario accepted")
 	}
-	if _, err := m.SurvivalRate(set1(), 0, 10, 10); err == nil {
+	if _, err := m.RotationSurvival(1, disjointSteps(), 0, 10, 1); err == nil {
 		t.Fatal("zero interval accepted")
 	}
-	if _, err := m.SurvivalRate(set1(), 1, 10, 0); err == nil {
+	if _, err := m.RotationSurvival(1, disjointSteps(), 1, 0, 1); err == nil {
 		t.Fatal("zero trials accepted")
-	}
-	if m.Parallelism() != 4 {
-		t.Fatalf("Parallelism = %d, want 4", m.Parallelism())
 	}
 	if sum, err := m.MonteCarlo(set1(), 1); err != nil || sum.Trials != 1 {
 		t.Fatalf("single-trial batch: %+v, %v", sum, err)

@@ -3,9 +3,12 @@ package attack
 import (
 	"reflect"
 	"testing"
+	"time"
 
 	"osdiversity/internal/core"
+	"osdiversity/internal/cpe"
 	"osdiversity/internal/cve"
+	"osdiversity/internal/cvss"
 	"osdiversity/internal/osmap"
 )
 
@@ -68,11 +71,21 @@ func TestSimulateRotationDeterministic(t *testing.T) {
 // semantics exactly: Debian and RedHat each have one vulnerability
 // disclosed in 2000, Windows2000 one in 2005.
 func arsenalModel() *Model {
-	return &Model{vulns: []core.VulnRef{
-		{ID: cve.ID{Year: 2000, Seq: 1}, Year: 2000, Distros: []osmap.Distro{osmap.Debian}},
-		{ID: cve.ID{Year: 2000, Seq: 2}, Year: 2000, Distros: []osmap.Distro{osmap.RedHat}},
-		{ID: cve.ID{Year: 2005, Seq: 1}, Year: 2005, Distros: []osmap.Distro{osmap.Windows2000}},
-	}, MeanEffort: 1, workers: 1}
+	vuln := func(id, product string, year int) *cve.Entry {
+		return &cve.Entry{
+			ID:        cve.MustID(id),
+			Published: time.Date(year, 3, 1, 0, 0, 0, 0, time.UTC),
+			Summary:   "The TCP implementation allows remote attackers to exhaust connection state.",
+			CVSS:      cvss.Vector{AV: cvss.AccessNetwork},
+			Products:  []cpe.Name{cpe.MustParse(product)},
+		}
+	}
+	study := core.NewStudy([]*cve.Entry{
+		vuln("CVE-2000-0001", "cpe:/o:debian:debian_linux", 2000),
+		vuln("CVE-2000-0002", "cpe:/o:redhat:enterprise_linux", 2000),
+		vuln("CVE-2005-0001", "cpe:/o:microsoft:windows_2000", 2005),
+	})
+	return NewModel(study, core.IsolatedThinServer)
 }
 
 // TestRotationArsenalPersists pins the core rotation rule: rotation
@@ -80,6 +93,9 @@ func arsenalModel() *Model {
 // window falls the instant a later window redeploys it.
 func TestRotationArsenalPersists(t *testing.T) {
 	m := arsenalModel()
+	if m.VulnCount() != 3 {
+		t.Fatalf("hand-built population has %d vulnerabilities, want 3", m.VulnCount())
+	}
 	early := core.SelectionWindow{ToYear: 2002}
 	late := core.SelectionWindow{FromYear: 2003}
 	// Step 0 only exposes Debian (the one attackable OS in the early
@@ -141,19 +157,19 @@ func TestDisjointRanksAboveHomogeneous(t *testing.T) {
 }
 
 func TestRotationSurvivalWorkerIdentity(t *testing.T) {
-	serial := paperModel(t)
-	serial.SetParallelism(1)
-	want, err := serial.RotationSurvival(1, disjointSteps(), 2, 250, 99)
+	s := paperStudy(t)
+	defer s.SetParallelism(1)
+	m := paperModel(t)
+	s.SetParallelism(1)
+	want, err := m.RotationSurvival(1, disjointSteps(), 2, 250, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel := paperModel(t)
-	parallel.SetParallelism(4)
-	got, err := parallel.RotationSurvival(1, disjointSteps(), 2, 250, 99)
+	s.SetParallelism(4)
+	got, err := m.RotationSurvival(1, disjointSteps(), 2, 250, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel.SetParallelism(1)
 	if got != want {
 		t.Fatalf("survival at 4 workers = %v, serial = %v", got, want)
 	}

@@ -186,8 +186,8 @@ func TestDeltaOnAdoptedBase(t *testing.T) {
 	// superseded; restrict the delta to valid-record and fresh IDs so
 	// both bases resolve it identically.
 	validIDs := make(map[cve.ID]bool)
-	for _, ref := range entryBase.Vulnerabilities(FatServer) {
-		validIDs[ref.ID] = true
+	for _, r := range entryBase.records {
+		validIDs[r.id] = true
 	}
 	baseIDs := make(map[cve.ID]bool)
 	for _, e := range fx.base {

@@ -293,3 +293,30 @@ func (o *oracleTables) setCost(members []osmap.Distro) int {
 	}
 	return cost
 }
+
+// oraclePopulation is the serial walk behind Study.Population: the
+// records surviving the profile sorted by CVE ID, and for each distro
+// bit the positions of the ones inside the window that affect it.
+func oraclePopulation(s *Study, profile Profile, w SelectionWindow) (masks []osmap.Mask, years []int, byDistro [][]int32) {
+	var recs []*record
+	for i := range s.records {
+		if s.records[i].matches(profile) {
+			recs = append(recs, &s.records[i])
+		}
+	}
+	sort.SliceStable(recs, func(i, j int) bool { return recs[i].id.Less(recs[j].id) })
+	byDistro = make([][]int32, s.nd)
+	for i, r := range recs {
+		masks = append(masks, r.mask)
+		years = append(years, r.year)
+		if !w.Contains(r.year) {
+			continue
+		}
+		for b := 0; b < s.nd; b++ {
+			if r.mask.Has(b) {
+				byDistro[b] = append(byDistro[b], int32(i))
+			}
+		}
+	}
+	return masks, years, byDistro
+}

@@ -64,6 +64,8 @@ const (
 	qWindowTotals
 	qPairsAll
 	qMostShared
+	qPopulation
+	qPopulationWindow
 )
 
 // ckey identifies one memoized table: the query, the profile filter and
@@ -97,10 +99,10 @@ func (s *Study) cached(k ckey, compute func() any) any {
 	return e.val
 }
 
-// ClearCache drops every memoized table (the columnar bitset index and
-// release postings are structural, not results, and are kept). The
-// record set is immutable, so this is only needed to benchmark the raw
-// compute paths.
+// ClearCache drops every memoized table and attack population (the
+// columnar bitset index and release postings are structural, not
+// results, and are kept). The record set is immutable, so this is only
+// needed to benchmark the raw compute paths.
 func (s *Study) ClearCache() {
 	s.cacheMu.Lock()
 	s.cache = nil

@@ -63,7 +63,7 @@ func TestOnePerFamilySelectionFindsPaperSets(t *testing.T) {
 }
 
 func TestUnconstrainedSelectionBeatsSet2(t *testing.T) {
-	// Documented delta (DESIGN.md §5): exhaustive search finds
+	// A known delta from the paper: exhaustive search finds
 	// {Windows2003, Debian, OpenBSD, NetBSD} at cost 12, better than the
 	// paper's Set2 (13). The pipeline must reproduce that finding.
 	s := paperStudy(t)

@@ -16,7 +16,8 @@
 // index — per-distro, per-profile and per-class posting bitsets packed
 // as []uint64 with per-year segment offsets — that turns each table into
 // word-wise AND + popcount loops, sharded across WithParallelism(n)
-// workers. Completed tables are memoized per Study. The identity tests
+// workers. Completed tables are memoized per Study, and so is the attack
+// model's vulnerability population (population.go). The identity tests
 // check every answer against a serial record walk kept in
 // oracle_test.go.
 package core
@@ -540,34 +541,6 @@ func (s *Study) FilterReduction(from, to Profile) float64 {
 // memoized per-release posting bitsets (see releaseBits).
 func (s *Study) ReleaseOverlap(da osmap.Distro, va string, db osmap.Distro, vb string) int {
 	return and3Popcount(s.releaseBits(da, va), s.releaseBits(db, vb), s.bitIndex().profile[IsolatedThinServer-1])
-}
-
-// VulnRef is one valid vulnerability with its affected distributions,
-// the digest the attack model consumes. Year carries the disclosure
-// year so callers can slice populations by temporal window.
-type VulnRef struct {
-	ID      cve.ID
-	Year    int
-	Distros []osmap.Distro
-}
-
-// Vulnerabilities lists the valid vulnerabilities surviving the profile
-// filter, each with its affected distributions, sorted by ID.
-func (s *Study) Vulnerabilities(profile Profile) []VulnRef {
-	var out []VulnRef
-	for i := range s.records {
-		r := &s.records[i]
-		if !r.matches(profile) {
-			continue
-		}
-		ref := VulnRef{ID: r.id, Year: r.year, Distros: make([]osmap.Distro, 0, r.nos)}
-		r.mask.ForEachBit(func(b int) {
-			ref.Distros = append(ref.Distros, s.distros[b])
-		})
-		out = append(out, ref)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID.Less(out[j].ID) })
-	return out
 }
 
 // Describe summarizes the study for logs and CLIs.

@@ -20,7 +20,7 @@
 // pairs, with triangles merged into triples wherever the per-OS totals
 // force it (for example, at least 37 application vulnerabilities must hit
 // all three Windows versions at once, or Windows 2008's application
-// column would overflow). See DESIGN.md §5 for the feasibility analysis.
+// column would overflow).
 package corpus
 
 import (
@@ -151,8 +151,8 @@ func (d *decomposition) allSets() []groupedSet {
 // one unit on each of {A,B}, {A,C}, {B,C} (within one bucket, so part and
 // period stay coherent) becomes one {A,B,C} set, reducing each member's
 // participation by one. The repair loop applies merges until no OS is
-// over budget; DESIGN.md §5 shows the paper's tables always leave enough
-// triangles for this to succeed.
+// over budget; the paper's tables leave enough triangles for this to
+// succeed, which the exact Table III-V reproduction tests check.
 func decomposeTier(matrices map[bucket]pairMatrix, budget map[osmap.Distro]int, preUsed map[osmap.Distro]int) *decomposition {
 	dec := &decomposition{buckets: make(map[bucket][]groupedSet, len(matrices))}
 	remaining := make(map[bucket]pairMatrix, len(matrices))
@@ -309,7 +309,7 @@ func min3(a, b, c int) int {
 // (history, observed) of one pair's remote count, produce a joint
 // part×period split. The greedy fills kernel into history first, which
 // keeps observed kernel/syssoft mass available for the Windows triple
-// merges the budgets require (see DESIGN.md §5).
+// merges the budgets require.
 func splitPartPeriod(parts [3]int, periods [2]int) [3][2]int {
 	var out [3][2]int
 	rem := periods

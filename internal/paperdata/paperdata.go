@@ -8,8 +8,8 @@
 //     derived statistics match these tables, so the full pipeline
 //     (XML → SQL → analysis) reproduces the paper without access to the
 //     2010 NVD snapshot;
-//   - verification: EXPERIMENTS.md and the benchmark harness compare the
-//     pipeline's outputs against these numbers cell by cell.
+//   - verification: the tests and the benchmark harness (bench_test.go)
+//     compare the pipeline's outputs against these numbers cell by cell.
 //
 // Internal consistency of the transcription is enforced by tests (for
 // example, Table V's history+observed splits must sum to Table III's
@@ -292,7 +292,6 @@ var PeriodTable = map[osmap.Pair]PeriodCounts{
 // SpecialCVE describes one of the three named multi-OS vulnerabilities
 // of §IV-B, with the cluster footprint and extra (unclustered) products
 // chosen so that every pairwise budget of Tables III/IV/V is respected.
-// See DESIGN.md §5 for the feasibility analysis.
 type SpecialCVE struct {
 	ID            string
 	Year          int
@@ -345,7 +344,7 @@ var SpecialCVEs = []SpecialCVE{
 // granularity: the number of distinct vulnerabilities affecting at least
 // k products. (The paper's cluster-level Table III is arithmetically
 // incompatible with a nine-cluster vulnerability, so the k-wise sentences
-// are reproduced at product level; see DESIGN.md §5.)
+// are reproduced at product level.)
 var KWiseProducts = map[int]int{
 	3: 285,
 	4: 102,
@@ -398,8 +397,8 @@ var Figure3Sets = []Figure3Set{
 // Figure3Expected gives the history/observed bar heights *derivable from
 // Table V* (pair sums; the Debian bar is its remote total split by
 // period). The printed figure differs slightly on some bars (11 vs 10
-// for Set1's history, for instance); EXPERIMENTS.md discusses the
-// deltas. Our pipeline is checked against these derived values.
+// for Set1's history, for instance). Our pipeline is checked against
+// these derived values.
 var Figure3Expected = map[string]PeriodCounts{
 	"Debian": {History: 16, Observed: 9},
 	"Set1":   {History: 10, Observed: 1},

@@ -1,6 +1,6 @@
 // Package report renders the study's tables and figures as aligned
 // ASCII tables, CSV, Markdown, and text bar charts — the presentation
-// layer behind cmd/osdiv and EXPERIMENTS.md.
+// layer behind cmd/osdiv.
 package report
 
 import (

@@ -12,7 +12,6 @@ import (
 // the work behind one cold `osdiv recommend` / POST /api/recommend.
 func BenchmarkRecommendSearch(b *testing.B) {
 	eng := NewEngine(paperStudy(b), core.IsolatedThinServer)
-	eng.SetParallelism(1)
 	spec := testSpec()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -16,7 +16,7 @@
 // scores every schedule's survival with attack.SimulateRotation over
 // deterministic per-candidate seed streams, and replays the winning
 // schedule's compromises on a real bft.Cluster. Trials run on the
-// attack model's worker pool, so results are byte-identical at any
+// study's worker pool, so results are byte-identical at any
 // parallelism.
 package scenario
 
@@ -145,16 +145,14 @@ type Engine struct {
 	model *attack.Model
 }
 
-// NewEngine builds an engine over the study's population under the
-// profile (IsolatedThinServer matches the paper's hardened replicas).
+// NewEngine builds an engine over the study's attack population under
+// the profile (IsolatedThinServer matches the paper's hardened
+// replicas). Monte Carlo trials run on the study's worker count; every
+// trial is an independent seeded stream, so Search output is identical
+// at any worker count.
 func NewEngine(study *core.Study, profile core.Profile) *Engine {
 	return &Engine{study: study, model: attack.NewModel(study, profile)}
 }
-
-// SetParallelism sets the Monte Carlo worker pool size. Every trial is
-// an independent seeded stream, so Search output is identical at any
-// worker count. n <= 0 selects GOMAXPROCS.
-func (e *Engine) SetParallelism(n int) { e.model.SetParallelism(n) }
 
 // scoredSet is one enumerated assignment with its per-window costs.
 type scoredSet struct {

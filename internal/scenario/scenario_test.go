@@ -69,15 +69,14 @@ func TestSpecValidate(t *testing.T) {
 // replay verdict are byte-for-byte equal at any worker count.
 func TestSearchDeterministicAcrossWorkers(t *testing.T) {
 	study := paperStudy(t)
-	serial := NewEngine(study, core.IsolatedThinServer)
-	serial.SetParallelism(1)
-	want, err := serial.Search(testSpec())
+	defer study.SetParallelism(1)
+	study.SetParallelism(1)
+	want, err := NewEngine(study, core.IsolatedThinServer).Search(testSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel := NewEngine(study, core.IsolatedThinServer)
-	parallel.SetParallelism(4)
-	got, err := parallel.Search(testSpec())
+	study.SetParallelism(4)
+	got, err := NewEngine(study, core.IsolatedThinServer).Search(testSpec())
 	if err != nil {
 		t.Fatal(err)
 	}

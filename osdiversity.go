@@ -781,14 +781,15 @@ type AttackSummary struct {
 
 // SimulateAttack runs the sequential-campaign adversary of
 // internal/attack against a replica configuration with fault threshold
-// f (the configuration needs 3f+1 members).
+// f (the configuration needs 3f+1 members). The adversary's population
+// is built on the analysis's first attack or recommend and shared by
+// every later one.
 func (a *Analysis) SimulateAttack(name string, osNames []string, f, trials int) (AttackSummary, error) {
 	ds, err := parseDistros(osNames)
 	if err != nil {
 		return AttackSummary{}, err
 	}
 	model := attack.NewModel(a.study, core.IsolatedThinServer)
-	model.SetParallelism(a.study.Parallelism())
 	sum, err := model.MonteCarlo(attack.Scenario{Name: name, F: f, OSes: ds}, trials)
 	if err != nil {
 		return AttackSummary{}, err
@@ -800,7 +801,8 @@ func (a *Analysis) SimulateAttack(name string, osNames []string, f, trials int) 
 }
 
 // DiversityGain compares mean time-to-compromise of a diverse
-// configuration against a homogeneous baseline of baselineOS.
+// configuration against a homogeneous baseline of baselineOS. A side
+// the adversary never breaks has no mean to compare and is an error.
 func (a *Analysis) DiversityGain(baselineOS string, diverse []string, f, trials int) (float64, error) {
 	base, err := parseDistros([]string{baselineOS})
 	if err != nil {
@@ -815,7 +817,6 @@ func (a *Analysis) DiversityGain(baselineOS string, diverse []string, f, trials 
 		homog[i] = base[0]
 	}
 	model := attack.NewModel(a.study, core.IsolatedThinServer)
-	model.SetParallelism(a.study.Parallelism())
 	return model.Gain(
 		attack.Scenario{Name: "homogeneous", F: f, OSes: homog},
 		attack.Scenario{Name: "diverse", F: f, OSes: ds},
@@ -986,9 +987,7 @@ func (a *Analysis) Recommend(spec RecommendSpec) (Recommendation, error) {
 	if err != nil {
 		return Recommendation{}, err
 	}
-	eng := scenario.NewEngine(a.study, core.IsolatedThinServer)
-	eng.SetParallelism(a.study.Parallelism())
-	res, err := eng.Search(scenario.Spec{
+	res, err := scenario.NewEngine(a.study, core.IsolatedThinServer).Search(scenario.Spec{
 		F:        canon.F,
 		Universe: ds,
 		Windows:  splitWindows(canon.FromYear, canon.ToYear, canon.Windows),
