@@ -52,6 +52,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -187,12 +188,10 @@ func runQuery(dbPath string, workers int, args []string) error {
 		return fmt.Errorf("usage: osdiv -db file query \"SELECT ...\" [arg ...]")
 	}
 	sql := args[0]
-	stmt, err := relstore.Parse(sql)
-	if err != nil {
-		return err
-	}
-	if _, ok := stmt.(*relstore.SelectStmt); !ok {
+	if _, err := relstore.ParseSelect(sql); errors.Is(err, relstore.ErrNotSelect) {
 		return fmt.Errorf("only SELECT statements are served; data and schema changes go through nvdimport")
+	} else if err != nil {
+		return err
 	}
 	jsonArgs := make([]any, 0, len(args)-1)
 	for _, raw := range args[1:] {

@@ -82,14 +82,3 @@ func ScanTable(db *DB, tableName string, fn func(row []Value) bool) error {
 	}
 	return nil
 }
-
-// ColumnNames returns a table's column names in declaration order.
-func ColumnNames(db *DB, tableName string) ([]string, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	t, ok := db.tables[tableName]
-	if !ok {
-		return nil, fmt.Errorf("relstore: no table %q", tableName)
-	}
-	return t.columnNames(), nil
-}

@@ -1,15 +1,19 @@
 package relstore
 
-import "sync/atomic"
+import (
+	"slices"
+	"sync/atomic"
+)
 
 // This file defines the statement and expression trees produced by the
 // parser and consumed by the executor.
 
-// Statement is any parsed SQL statement.
-type Statement interface{ stmt() }
+// statement is any parsed SQL statement: one of the two DDL forms Exec
+// runs, or a SELECT.
+type statement interface{ stmt() }
 
-// CreateTableStmt is CREATE TABLE name (col TYPE [PRIMARY KEY], ...).
-type CreateTableStmt struct {
+// createTableStmt is CREATE TABLE name (col TYPE [PRIMARY KEY], ...).
+type createTableStmt struct {
 	Table   string
 	Columns []ColumnDef
 }
@@ -21,22 +25,10 @@ type ColumnDef struct {
 	PrimaryKey bool
 }
 
-// CreateIndexStmt is CREATE INDEX ON table (col).
-type CreateIndexStmt struct {
+// createIndexStmt is CREATE INDEX ON table (col).
+type createIndexStmt struct {
 	Table  string
 	Column string
-}
-
-// DropTableStmt is DROP TABLE name.
-type DropTableStmt struct {
-	Table string
-}
-
-// InsertStmt is INSERT INTO t (cols) VALUES (...), (...).
-type InsertStmt struct {
-	Table   string
-	Columns []string
-	Rows    [][]Expr
 }
 
 // SelectStmt is the full SELECT form of the dialect.
@@ -86,32 +78,9 @@ type OrderKey struct {
 	Desc bool
 }
 
-// UpdateStmt is UPDATE t SET col = expr, ... [WHERE expr].
-type UpdateStmt struct {
-	Table string
-	Set   []Assignment
-	Where Expr
-}
-
-// Assignment is one SET clause.
-type Assignment struct {
-	Column string
-	Expr   Expr
-}
-
-// DeleteStmt is DELETE FROM t [WHERE expr].
-type DeleteStmt struct {
-	Table string
-	Where Expr
-}
-
-func (*CreateTableStmt) stmt() {}
-func (*CreateIndexStmt) stmt() {}
-func (*DropTableStmt) stmt()   {}
-func (*InsertStmt) stmt()      {}
+func (*createTableStmt) stmt() {}
+func (*createIndexStmt) stmt() {}
 func (*SelectStmt) stmt()      {}
-func (*UpdateStmt) stmt()      {}
-func (*DeleteStmt) stmt()      {}
 
 // Expr is any expression node.
 type Expr interface{ expr() }
@@ -168,8 +137,8 @@ func (x *LikeExpr) program() *likeProg {
 }
 
 // PlaceholderExpr is a positional `?` parameter, bound to one of the
-// Value arguments of Query/Exec before execution. Index is the 0-based
-// position of the `?` in the statement.
+// Value arguments of Query or Stmt.Query before execution. Index is the
+// 0-based position of the `?` in the statement.
 type PlaceholderExpr struct {
 	Index int
 }
@@ -203,7 +172,7 @@ func hasAggregate(e Expr) bool {
 	case *NotExpr:
 		return hasAggregate(x.Inner)
 	case *InExpr:
-		return hasAggregate(x.Target)
+		return hasAggregate(x.Target) || slices.ContainsFunc(x.List, hasAggregate)
 	case *LikeExpr:
 		return hasAggregate(x.Target)
 	default:

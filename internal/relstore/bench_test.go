@@ -8,7 +8,7 @@ import (
 func benchDB(b *testing.B, rows int, indexed bool) *DB {
 	b.Helper()
 	db := Open()
-	if _, err := db.Exec(`CREATE TABLE t (id INTEGER PRIMARY KEY, k INTEGER, v TEXT)`); err != nil {
+	if err := db.Exec(`CREATE TABLE t (id INTEGER PRIMARY KEY, k INTEGER, v TEXT)`); err != nil {
 		b.Fatal(err)
 	}
 	for i := 0; i < rows; i++ {
@@ -19,7 +19,7 @@ func benchDB(b *testing.B, rows int, indexed bool) *DB {
 		}
 	}
 	if indexed {
-		if _, err := db.Exec(`CREATE INDEX ON t (k)`); err != nil {
+		if err := db.Exec(`CREATE INDEX ON t (k)`); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -28,7 +28,7 @@ func benchDB(b *testing.B, rows int, indexed bool) *DB {
 
 func BenchmarkInsertRow(b *testing.B) {
 	db := Open()
-	if _, err := db.Exec(`CREATE TABLE t (id INTEGER PRIMARY KEY, k INTEGER, v TEXT)`); err != nil {
+	if err := db.Exec(`CREATE TABLE t (id INTEGER PRIMARY KEY, k INTEGER, v TEXT)`); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
@@ -76,7 +76,7 @@ func BenchmarkGroupByAggregate(b *testing.B) {
 
 func BenchmarkHashJoin(b *testing.B) {
 	db := benchDB(b, 2000, false)
-	if _, err := db.Exec(`CREATE TABLE names (k INTEGER, label TEXT)`); err != nil {
+	if err := db.Exec(`CREATE TABLE names (k INTEGER, label TEXT)`); err != nil {
 		b.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
@@ -96,12 +96,12 @@ func BenchmarkHashJoin(b *testing.B) {
 
 // compoundJoinDB builds the planner benchmark fixture: a fact table
 // joined against a dimension table through a compound ON clause (equi
-// key + residual range), the shape the naive executor answers with an
+// key + residual range), the shape the oracle executor answers with an
 // O(n*m) nested loop.
 func compoundJoinDB(b *testing.B) *DB {
 	b.Helper()
 	db := benchDB(b, 5000, true)
-	if _, err := db.Exec(`CREATE TABLE dim (k INTEGER, tier INTEGER, label TEXT)`); err != nil {
+	if err := db.Exec(`CREATE TABLE dim (k INTEGER, tier INTEGER, label TEXT)`); err != nil {
 		b.Fatal(err)
 	}
 	for i := 0; i < 400; i++ {
@@ -119,25 +119,28 @@ const compoundJoinQuery = `
 	WHERE t.id > 100 AND t.k < 50
 	GROUP BY dim.label`
 
-func benchmarkCompoundJoin(b *testing.B, mode PlanMode) {
-	db := compoundJoinDB(b)
-	db.SetPlanMode(mode)
+func benchmarkCompoundJoin(b *testing.B, query func(string, ...Value) (*Result, error)) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := db.Query(compoundJoinQuery)
+		res, err := query(compoundJoinQuery)
 		if err != nil || len(res.Rows) == 0 {
 			b.Fatalf("%v, %d rows", err, len(res.Rows))
 		}
 	}
 }
 
-// BenchmarkJoinCompoundOnNaive measures the reference executor: the
-// compound ON falls to the nested loop, WHERE filters after the join.
-func BenchmarkJoinCompoundOnNaive(b *testing.B) { benchmarkCompoundJoin(b, PlanNaive) }
+// BenchmarkJoinCompoundOnNaive measures the oracle executor
+// (oracle_test.go): the compound ON falls to the nested loop, WHERE
+// filters after the join.
+func BenchmarkJoinCompoundOnNaive(b *testing.B) {
+	benchmarkCompoundJoin(b, compoundJoinDB(b).queryNaive)
+}
 
 // BenchmarkJoinCompoundOnPlanned measures the planner on the same
 // query: pushdown + hash join with residual probe predicates.
-func BenchmarkJoinCompoundOnPlanned(b *testing.B) { benchmarkCompoundJoin(b, PlanJoin) }
+func BenchmarkJoinCompoundOnPlanned(b *testing.B) {
+	benchmarkCompoundJoin(b, compoundJoinDB(b).Query)
+}
 
 // preparedBenchDB keeps the tables tiny under a deliberately wide
 // query, so parse + plan time dominates row processing and the
@@ -145,20 +148,20 @@ func BenchmarkJoinCompoundOnPlanned(b *testing.B) { benchmarkCompoundJoin(b, Pla
 func preparedBenchDB(b *testing.B) *DB {
 	b.Helper()
 	db := Open()
-	if _, err := db.Exec(`CREATE TABLE t (id INTEGER PRIMARY KEY, k INTEGER, v TEXT)`); err != nil {
+	if err := db.Exec(`CREATE TABLE t (id INTEGER PRIMARY KEY, k INTEGER, v TEXT)`); err != nil {
 		b.Fatal(err)
 	}
-	if _, err := db.Exec(`CREATE TABLE dim (k INTEGER, tier INTEGER, label TEXT)`); err != nil {
+	if err := db.Exec(`CREATE TABLE dim (k INTEGER, tier INTEGER, label TEXT)`); err != nil {
 		b.Fatal(err)
 	}
-	if _, err := db.Exec(`CREATE INDEX ON dim (k)`); err != nil {
+	if err := db.Exec(`CREATE INDEX ON dim (k)`); err != nil {
 		b.Fatal(err)
 	}
 	for j := 1; j <= 4; j++ {
-		if _, err := db.Exec(fmt.Sprintf(`CREATE TABLE aux%d (k INTEGER, w INTEGER)`, j)); err != nil {
+		if err := db.Exec(fmt.Sprintf(`CREATE TABLE aux%d (k INTEGER, w INTEGER)`, j)); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := db.Exec(fmt.Sprintf(`CREATE INDEX ON aux%d (k)`, j)); err != nil {
+		if err := db.Exec(fmt.Sprintf(`CREATE INDEX ON aux%d (k)`, j)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -249,7 +252,7 @@ func BenchmarkParseOnly(b *testing.B) {
 	const q = `SELECT a.name, COUNT(DISTINCT x.vuln_id) FROM os a JOIN os_vuln x ON a.id = x.os_id WHERE a.family = 'BSD' AND x.version LIKE '4.%' GROUP BY a.name ORDER BY a.name DESC LIMIT 10`
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Parse(q); err != nil {
+		if _, err := ParseSelect(q); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -18,12 +18,10 @@ import (
 type DB struct {
 	mu     sync.RWMutex
 	tables map[string]*table
-	// workers is the SELECT execution parallelism (join probes and
-	// post-join filters shard across this many goroutines); <= 1 runs
-	// serially. Atomic so SetParallelism can race with in-flight queries.
+	// workers is the SELECT execution parallelism (join probes shard
+	// across this many goroutines); <= 1 runs serially. Atomic so
+	// SetParallelism can race with in-flight queries.
 	workers atomic.Int32
-	// planMode selects the SELECT executor (see PlanMode).
-	planMode atomic.Int32
 	// plans is the shared LRU cache of compiled query plans, keyed on
 	// normalized shape (see prepare.go).
 	plans *planCache
@@ -32,37 +30,13 @@ type DB struct {
 	schemaGen atomic.Uint64
 }
 
-// Option configures a database at Open time.
-type Option func(*DB)
-
-// Workers sets the query parallelism, mirroring core.WithParallelism:
-// n <= 0 selects GOMAXPROCS, the default (no option) is the serial
-// path. Both settings produce byte-identical results.
-func Workers(n int) Option {
-	return func(db *DB) { db.SetParallelism(n) }
-}
-
-// PlanCacheCapacity bounds the shared plan cache at Open time; n <= 0
-// selects the default capacity.
-func PlanCacheCapacity(n int) Option {
-	return func(db *DB) { db.plans.setCapacity(n) }
-}
-
-// Open returns an empty database.
-func Open(opts ...Option) *DB {
-	db := &DB{
+// Open returns an empty database that runs queries serially.
+func Open() *DB {
+	return &DB{
 		tables: make(map[string]*table),
 		plans:  newPlanCache(defaultPlanCacheCapacity),
 	}
-	for _, opt := range opts {
-		opt(db)
-	}
-	return db
 }
-
-// SetPlanCacheCapacity rebounds the plan cache of a live database,
-// evicting least-recently-used plans beyond the new capacity.
-func (db *DB) SetPlanCacheCapacity(n int) { db.plans.setCapacity(n) }
 
 // PlanCacheStats reports the shared plan cache counters.
 func (db *DB) PlanCacheStats() PlanCacheStats { return db.plans.stats() }
@@ -85,8 +59,9 @@ func (db *DB) invalidatePlans() {
 // not serve a plan compiled against a retired schema.
 func (db *DB) InvalidatePlans() { db.invalidatePlans() }
 
-// SetParallelism changes the query worker count of an existing
-// database. n <= 0 selects GOMAXPROCS.
+// SetParallelism changes the query worker count, mirroring
+// core.WithParallelism: n <= 0 selects GOMAXPROCS. Every worker count
+// produces byte-identical results.
 func (db *DB) SetParallelism(n int) {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
@@ -101,31 +76,6 @@ func (db *DB) Parallelism() int {
 	}
 	return 1
 }
-
-// PlanMode selects the SELECT execution strategy.
-type PlanMode int32
-
-const (
-	// PlanJoin (the default) runs the conjunct-aware planner: WHERE
-	// conjuncts touching one table push down into its base scan (with
-	// index narrowing), compound ON clauses decompose into multi-column
-	// hash-join keys plus residual predicates applied during the probe,
-	// primary-key and secondary indexes serve as prebuilt build sides,
-	// and the probe phase shards across the Workers pool.
-	PlanJoin PlanMode = iota
-	// PlanNaive is the pre-planner reference executor: single-equality
-	// hash joins, nested loops for every compound ON clause, WHERE
-	// applied only after all joins. Kept for identity tests and as the
-	// benchmark baseline.
-	PlanNaive
-)
-
-// SetPlanMode switches the SELECT executor. Both modes produce
-// byte-identical results; PlanNaive exists as the reference baseline.
-func (db *DB) SetPlanMode(m PlanMode) { db.planMode.Store(int32(m)) }
-
-// Plan reports the active SELECT executor.
-func (db *DB) Plan() PlanMode { return PlanMode(db.planMode.Load()) }
 
 // table is the storage for one relation.
 type table struct {
@@ -162,14 +112,6 @@ func newTable(name string, cols []ColumnDef) (*table, error) {
 	return t, nil
 }
 
-func (t *table) columnNames() []string {
-	out := make([]string, len(t.cols))
-	for i, c := range t.cols {
-		out[i] = c.Name
-	}
-	return out
-}
-
 func (t *table) insert(row []Value) error {
 	if len(row) != len(t.cols) {
 		return fmt.Errorf("relstore: table %s: row width %d, want %d", t.name, len(row), len(t.cols))
@@ -201,74 +143,27 @@ func (t *table) insert(row []Value) error {
 	return nil
 }
 
-// rebuildDerived reconstructs the primary-key map and all secondary
-// indexes after a bulk mutation (UPDATE/DELETE).
-func (t *table) rebuildDerived() error {
-	if t.pkCol != -1 {
-		t.pk = make(map[string]int, len(t.rows))
-		for i, row := range t.rows {
-			k := row[t.pkCol].key()
-			if _, dup := t.pk[k]; dup {
-				return fmt.Errorf("relstore: table %s: duplicate primary key %s after update", t.name, row[t.pkCol])
-			}
-			t.pk[k] = i
-		}
-	}
-	for col := range t.indexes {
-		ci := t.colIdx[col]
-		idx := make(map[string][]int, len(t.rows))
-		for i, row := range t.rows {
-			k := row[ci].key()
-			idx[k] = append(idx[k], i)
-		}
-		t.indexes[col] = idx
-	}
-	return nil
-}
-
 // Result is the output of a query: column headers and rows.
 type Result struct {
 	Columns []string
 	Rows    [][]Value
 }
 
-// Exec runs a statement that does not produce rows (DDL and DML). It
-// returns the number of affected rows (0 for DDL). `?` placeholders in
-// the statement bind positionally to args.
-func (db *DB) Exec(sql string, args ...Value) (int, error) {
-	stmt, err := Parse(sql)
+// Exec runs a CREATE TABLE or CREATE INDEX statement. Rows arrive
+// through InsertRow and InsertRows, and no statement changes or drops
+// them.
+func (db *DB) Exec(sql string) error {
+	stmt, err := parse(sql)
 	if err != nil {
-		return 0, err
-	}
-	return db.ExecStmt(stmt, args...)
-}
-
-// ExecStmt is Exec for a pre-parsed statement, letting hot ingestion
-// loops skip re-parsing. Binding placeholder arguments never mutates
-// stmt, so one parsed statement may execute concurrently with
-// different args.
-func (db *DB) ExecStmt(stmt Statement, args ...Value) (int, error) {
-	stmt, err := bindStatement(stmt, args)
-	if err != nil {
-		return 0, err
+		return err
 	}
 	switch s := stmt.(type) {
-	case *CreateTableStmt:
-		return 0, db.createTable(s)
-	case *CreateIndexStmt:
-		return 0, db.createIndex(s)
-	case *DropTableStmt:
-		return 0, db.dropTable(s)
-	case *InsertStmt:
-		return db.insert(s)
-	case *UpdateStmt:
-		return db.update(s)
-	case *DeleteStmt:
-		return db.delete(s)
-	case *SelectStmt:
-		return 0, fmt.Errorf("relstore: use Query for SELECT")
+	case *createTableStmt:
+		return db.createTable(s)
+	case *createIndexStmt:
+		return db.createIndex(s)
 	default:
-		return 0, fmt.Errorf("relstore: unsupported statement %T", stmt)
+		return fmt.Errorf("relstore: use Query for SELECT")
 	}
 }
 
@@ -278,12 +173,9 @@ func (db *DB) ExecStmt(stmt Statement, args ...Value) (int, error) {
 // through the shared plan cache: its text normalizes to a shape
 // (literals canonicalized to placeholders) and the shape's parsed AST
 // and plan are reused across calls; execution binds the literals plus
-// args onto copy-on-write clones. PlanNaive bypasses the cache and runs
-// the uncached reference path.
+// args onto copy-on-write clones. A statement that is not a SELECT
+// fails with an error wrapping ErrNotSelect.
 func (db *DB) Query(sql string, args ...Value) (*Result, error) {
-	if db.Plan() == PlanNaive {
-		return db.queryUncached(sql, args...)
-	}
 	shape, slots, err := normalizeSQL(sql)
 	if err != nil {
 		return nil, err
@@ -298,27 +190,6 @@ func (db *DB) Query(sql string, args ...Value) (*Result, error) {
 		return nil, fmt.Errorf("relstore: statement has %d placeholders, got %d arguments", n, len(args))
 	}
 	return db.execCompiled(c, mergeSlots(slots, args))
-}
-
-// queryUncached is the reference query path: parse, bind and plan on
-// every call, never touching the plan cache. PlanNaive runs through it,
-// and the identity tests compare it against the cached path.
-func (db *DB) queryUncached(sql string, args ...Value) (*Result, error) {
-	stmt, err := Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	stmt, err = bindStatement(stmt, args)
-	if err != nil {
-		return nil, err
-	}
-	sel, ok := stmt.(*SelectStmt)
-	if !ok {
-		return nil, fmt.Errorf("relstore: Query needs a SELECT, got %T", stmt)
-	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.execSelect(sel)
 }
 
 // QueryInt runs a single-value SELECT (for example a COUNT) and returns
@@ -370,7 +241,7 @@ func (db *DB) RowCount(tableName string) (int, error) {
 	return len(t.rows), nil
 }
 
-func (db *DB) createTable(s *CreateTableStmt) error {
+func (db *DB) createTable(s *createTableStmt) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if _, exists := db.tables[s.Table]; exists {
@@ -388,154 +259,21 @@ func (db *DB) createTable(s *CreateTableStmt) error {
 	return nil
 }
 
-func (db *DB) createIndex(s *CreateIndexStmt) error {
+func (db *DB) createIndex(s *createIndexStmt) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	t, ok := db.tables[s.Table]
 	if !ok {
 		return fmt.Errorf("relstore: no table %q", s.Table)
-	}
-	ci, ok := t.colIdx[s.Column]
-	if !ok {
-		return fmt.Errorf("relstore: table %s has no column %q", s.Table, s.Column)
 	}
 	if _, exists := t.indexes[s.Column]; exists {
 		return nil // idempotent
 	}
-	idx := make(map[string][]int, len(t.rows))
-	for i, row := range t.rows {
-		k := row[ci].key()
-		idx[k] = append(idx[k], i)
+	if err := db.createIndexLocked(t, s.Column); err != nil {
+		return err
 	}
-	t.indexes[s.Column] = idx
 	db.invalidatePlans()
 	return nil
-}
-
-func (db *DB) dropTable(s *DropTableStmt) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if _, ok := db.tables[s.Table]; !ok {
-		return fmt.Errorf("relstore: no table %q", s.Table)
-	}
-	delete(db.tables, s.Table)
-	db.invalidatePlans()
-	return nil
-}
-
-func (db *DB) insert(s *InsertStmt) (int, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	t, ok := db.tables[s.Table]
-	if !ok {
-		return 0, fmt.Errorf("relstore: no table %q", s.Table)
-	}
-	targets := make([]int, len(s.Columns))
-	for i, col := range s.Columns {
-		ci, ok := t.colIdx[col]
-		if !ok {
-			return 0, fmt.Errorf("relstore: table %s has no column %q", s.Table, col)
-		}
-		targets[i] = ci
-	}
-	n := 0
-	for _, exprRow := range s.Rows {
-		row := make([]Value, len(t.cols))
-		for i, e := range exprRow {
-			v, err := evalConst(e)
-			if err != nil {
-				return n, err
-			}
-			row[targets[i]] = v
-		}
-		if err := t.insert(row); err != nil {
-			return n, err
-		}
-		n++
-	}
-	return n, nil
-}
-
-func (db *DB) update(s *UpdateStmt) (int, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	t, ok := db.tables[s.Table]
-	if !ok {
-		return 0, fmt.Errorf("relstore: no table %q", s.Table)
-	}
-	env := newRowEnv([]TableRef{{Table: s.Table}}, [][]ColumnDef{t.cols})
-	n := 0
-	for i, row := range t.rows {
-		env.set(0, row)
-		match := true
-		if s.Where != nil {
-			v, err := eval(s.Where, env)
-			if err != nil {
-				return n, err
-			}
-			match = truthy(v)
-		}
-		if !match {
-			continue
-		}
-		for _, asg := range s.Set {
-			ci, ok := t.colIdx[asg.Column]
-			if !ok {
-				return n, fmt.Errorf("relstore: table %s has no column %q", s.Table, asg.Column)
-			}
-			v, err := eval(asg.Expr, env)
-			if err != nil {
-				return n, err
-			}
-			cv, err := coerce(v, t.cols[ci].Kind)
-			if err != nil {
-				return n, fmt.Errorf("%w (column %s)", err, asg.Column)
-			}
-			t.rows[i][ci] = cv
-		}
-		n++
-	}
-	if n > 0 {
-		if err := t.rebuildDerived(); err != nil {
-			return n, err
-		}
-	}
-	return n, nil
-}
-
-func (db *DB) delete(s *DeleteStmt) (int, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	t, ok := db.tables[s.Table]
-	if !ok {
-		return 0, fmt.Errorf("relstore: no table %q", s.Table)
-	}
-	env := newRowEnv([]TableRef{{Table: s.Table}}, [][]ColumnDef{t.cols})
-	kept := t.rows[:0]
-	n := 0
-	for _, row := range t.rows {
-		match := true
-		if s.Where != nil {
-			env.set(0, row)
-			v, err := eval(s.Where, env)
-			if err != nil {
-				return 0, err
-			}
-			match = truthy(v)
-		}
-		if match {
-			n++
-			continue
-		}
-		kept = append(kept, row)
-	}
-	t.rows = kept
-	if n > 0 {
-		if err := t.rebuildDerived(); err != nil {
-			return n, err
-		}
-	}
-	return n, nil
 }
 
 // gobTable is the persisted form of a table.
@@ -669,6 +407,8 @@ func Load(path string) (*DB, error) {
 	return db, nil
 }
 
+// createIndexLocked builds a hash index over one column; callers hold
+// db.mu.Lock or own the database exclusively.
 func (db *DB) createIndexLocked(t *table, col string) error {
 	ci, ok := t.colIdx[col]
 	if !ok {

@@ -121,17 +121,6 @@ func (g *groupEnv) aggregate(c *CallExpr) (Value, bool) {
 	return v, ok
 }
 
-// constEnv rejects all columns; used for INSERT value lists.
-type constEnv struct{}
-
-func (constEnv) lookupColumn(tbl, col string) (Value, error) {
-	return Value{}, fmt.Errorf("relstore: column reference %q not allowed here", col)
-}
-
-func (constEnv) aggregate(*CallExpr) (Value, bool) { return Value{}, false }
-
-func evalConst(e Expr) (Value, error) { return eval(e, constEnv{}) }
-
 // truthy converts a value to a WHERE-clause boolean: TRUE is true,
 // everything else (FALSE, NULL, other kinds) is false.
 func truthy(v Value) bool { return v.Kind() == KindBool && v.AsBool() }
@@ -262,76 +251,9 @@ type joinedRows struct {
 	combos  [][][]Value // combos[i][t] = row of table t in combined row i
 }
 
-// maxPlannedTables bounds the planner's table bitmask; wider joins
-// (never seen in practice) fall back to the reference executor.
-const maxPlannedTables = 64
-
-func (db *DB) execSelect(s *SelectStmt) (*Result, error) {
-	if db.Plan() == PlanNaive || len(s.Joins)+1 > maxPlannedTables {
-		return db.execSelectNaive(s)
-	}
-	return db.execSelectPlanned(s)
-}
-
-// execSelectNaive is the reference SELECT executor: base-table index
-// narrowing only without joins, one hash join per bare `L.col = R.col`
-// ON clause (nested loop otherwise), WHERE applied after all joins.
-// PlanJoin must produce byte-identical results.
-func (db *DB) execSelectNaive(s *SelectStmt) (*Result, error) {
-	base, ok := db.tables[s.From.Table]
-	if !ok {
-		return nil, fmt.Errorf("relstore: no table %q", s.From.Table)
-	}
-	work := &joinedRows{
-		refs:    []TableRef{s.From},
-		schemas: [][]ColumnDef{base.cols},
-	}
-	for _, row := range db.candidateRows(base, s) {
-		work.combos = append(work.combos, [][]Value{row})
-	}
-
-	for _, join := range s.Joins {
-		t, ok := db.tables[join.Table.Table]
-		if !ok {
-			return nil, fmt.Errorf("relstore: no table %q", join.Table.Table)
-		}
-		onEnv := newRowEnv(append(append([]TableRef(nil), work.refs...), join.Table),
-			append(append([][]ColumnDef(nil), work.schemas...), t.cols))
-		if err := validateExpr(join.On, onEnv, nil); err != nil {
-			return nil, err
-		}
-		next, err := db.execJoin(work, join, t)
-		if err != nil {
-			return nil, err
-		}
-		work = next
-	}
-
-	if err := validateSelect(s, newRowEnv(work.refs, work.schemas)); err != nil {
-		return nil, err
-	}
-
-	env := newRowEnv(work.refs, work.schemas)
-	var filtered [][][]Value
-	if s.Where != nil {
-		for _, combo := range work.combos {
-			env.rows = combo
-			v, err := eval(s.Where, env)
-			if err != nil {
-				return nil, err
-			}
-			if truthy(v) {
-				filtered = append(filtered, combo)
-			}
-		}
-	} else {
-		filtered = work.combos
-	}
-	return db.finishSelect(s, work, filtered)
-}
-
-// finishSelect is the strategy-independent tail of a SELECT: projection
-// or grouping over the surviving combos, DISTINCT, ORDER BY, LIMIT.
+// finishSelect is the tail of a SELECT once its FROM, JOIN and WHERE
+// clauses have produced the surviving combos: projection or grouping,
+// DISTINCT, ORDER BY, LIMIT.
 func (db *DB) finishSelect(s *SelectStmt, work *joinedRows, filtered [][][]Value) (*Result, error) {
 	grouped := len(s.GroupBy) > 0 || s.Having != nil || itemsHaveAggregates(s)
 	var (
@@ -386,7 +308,7 @@ func validateSelect(s *SelectStmt, env *rowEnv) error {
 		}
 	}
 	if s.Where != nil {
-		if err := validateExpr(s.Where, env, nil); err != nil {
+		if err := validateFilter(s.Where, env, "WHERE"); err != nil {
 			return err
 		}
 	}
@@ -404,6 +326,21 @@ func validateSelect(s *SelectStmt, env *rowEnv) error {
 		if err := validateExpr(key.Expr, env, aliases); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// validateFilter checks a WHERE or ON clause: every column resolves,
+// and no aggregate appears, since a filter sees one row at a time. The
+// check runs before any row flows, so an executor that evaluates the
+// clause's conjuncts in another order or over fewer rows refuses it
+// just the same.
+func validateFilter(e Expr, env *rowEnv, clause string) error {
+	if err := validateExpr(e, env, nil); err != nil {
+		return err
+	}
+	if hasAggregate(e) {
+		return fmt.Errorf("relstore: aggregate in %s clause", clause)
 	}
 	return nil
 }
@@ -448,172 +385,6 @@ func validateExpr(e Expr, env *rowEnv, extraNames map[string]bool) error {
 		return nil
 	default:
 		return nil
-	}
-}
-
-// candidateRows returns the base table rows, narrowed through a hash
-// index when the WHERE clause pins an indexed column to a literal and the
-// query has no joins (re-filtering still happens later, so this is purely
-// an accelerator).
-func (db *DB) candidateRows(t *table, s *SelectStmt) [][]Value {
-	if s.Where == nil || len(s.Joins) > 0 {
-		return t.rows
-	}
-	col, val, ok := indexableEquality(s.Where, t)
-	if !ok {
-		return t.rows
-	}
-	idx, ok := t.indexes[col]
-	if !ok {
-		if t.pkCol >= 0 && t.cols[t.pkCol].Name == col {
-			if ri, ok := t.pk[val.key()]; ok {
-				return t.rows[ri : ri+1]
-			}
-			return nil
-		}
-		return t.rows
-	}
-	positions := idx[val.key()]
-	out := make([][]Value, len(positions))
-	for i, p := range positions {
-		out[i] = t.rows[p]
-	}
-	return out
-}
-
-// indexableEquality finds a top-level `col = literal` conjunct in a WHERE
-// clause (descending through ANDs only, where narrowing stays sound).
-func indexableEquality(e Expr, t *table) (string, Value, bool) {
-	switch x := e.(type) {
-	case *BinaryExpr:
-		if x.Op == "AND" {
-			if col, v, ok := indexableEquality(x.Left, t); ok {
-				return col, v, true
-			}
-			return indexableEquality(x.Right, t)
-		}
-		if x.Op != "=" {
-			return "", Value{}, false
-		}
-		colExpr, lit := x.Left, x.Right
-		if _, isCol := colExpr.(*ColumnExpr); !isCol {
-			colExpr, lit = lit, colExpr
-		}
-		ce, okCol := colExpr.(*ColumnExpr)
-		le, okLit := lit.(*LiteralExpr)
-		if !okCol || !okLit {
-			return "", Value{}, false
-		}
-		if _, exists := t.colIdx[ce.Column]; !exists {
-			return "", Value{}, false
-		}
-		return ce.Column, le.Value, true
-	default:
-		return "", Value{}, false
-	}
-}
-
-// execJoin extends the working set with one inner join, using a hash join
-// when the ON clause is a simple equality between one existing column and
-// one column of the new table.
-func (db *DB) execJoin(work *joinedRows, join JoinClause, t *table) (*joinedRows, error) {
-	next := &joinedRows{
-		refs:    append(append([]TableRef(nil), work.refs...), join.Table),
-		schemas: append(append([][]ColumnDef(nil), work.schemas...), t.cols),
-	}
-	env := newRowEnv(next.refs, next.schemas)
-
-	leftExpr, rightExpr, hashable := equiJoinSides(join.On, work, join.Table, t)
-	if hashable {
-		// Build side: hash the new table on its join column.
-		build := make(map[string][]int, len(t.rows))
-		rightEnv := newRowEnv([]TableRef{join.Table}, [][]ColumnDef{t.cols})
-		for ri, row := range t.rows {
-			rightEnv.set(0, row)
-			v, err := eval(rightExpr, rightEnv)
-			if err != nil {
-				return nil, err
-			}
-			if v.IsNull() {
-				continue
-			}
-			build[v.key()] = append(build[v.key()], ri)
-		}
-		leftEnv := newRowEnv(work.refs, work.schemas)
-		for _, combo := range work.combos {
-			leftEnv.rows = combo
-			v, err := eval(leftExpr, leftEnv)
-			if err != nil {
-				return nil, err
-			}
-			if v.IsNull() {
-				continue
-			}
-			for _, ri := range build[v.key()] {
-				extended := append(append([][]Value(nil), combo...), t.rows[ri])
-				next.combos = append(next.combos, extended)
-			}
-		}
-		return next, nil
-	}
-
-	// General nested loop with the full ON predicate.
-	for _, combo := range work.combos {
-		for _, row := range t.rows {
-			extended := append(append([][]Value(nil), combo...), row)
-			env.rows = extended
-			v, err := eval(join.On, env)
-			if err != nil {
-				return nil, err
-			}
-			if truthy(v) {
-				next.combos = append(next.combos, extended)
-			}
-		}
-	}
-	return next, nil
-}
-
-// equiJoinSides decomposes an ON clause of the form L.col = R.col where
-// exactly one side references the table being joined in. It returns the
-// expression bound to the existing working set and the one bound to the
-// new table.
-func equiJoinSides(on Expr, work *joinedRows, newRef TableRef, t *table) (left, right Expr, ok bool) {
-	be, isBin := on.(*BinaryExpr)
-	if !isBin || be.Op != "=" {
-		return nil, nil, false
-	}
-	lc, lok := be.Left.(*ColumnExpr)
-	rc, rok := be.Right.(*ColumnExpr)
-	if !lok || !rok {
-		return nil, nil, false
-	}
-	belongsToNew := func(c *ColumnExpr) bool {
-		if c.Table != "" {
-			return c.Table == newRef.Name()
-		}
-		_, inNew := t.colIdx[c.Column]
-		if !inNew {
-			return false
-		}
-		// Unqualified: only claim it for the new table when no existing
-		// table also has the column.
-		for _, schema := range work.schemas {
-			for _, col := range schema {
-				if col.Name == c.Column {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	switch {
-	case belongsToNew(rc) && !belongsToNew(lc):
-		return lc, rc, true
-	case belongsToNew(lc) && !belongsToNew(rc):
-		return rc, lc, true
-	default:
-		return nil, nil, false
 	}
 }
 
@@ -696,9 +467,14 @@ func (db *DB) execGrouped(s *SelectStmt, work *joinedRows, combos [][][]Value) (
 	}
 
 	// A grouped query with no GROUP BY clause and no input rows still
-	// yields one row of aggregates over the empty set.
+	// yields one row of aggregates over the empty set. Its plain column
+	// references read an all-NULL row of each table.
 	if len(s.GroupBy) == 0 && len(groups) == 0 {
-		g := &group{firstEnv: newRowEnv(work.refs, work.schemas), accs: make([]*aggAccumulator, len(calls))}
+		empty := newRowEnv(work.refs, work.schemas)
+		for ti, schema := range work.schemas {
+			empty.rows[ti] = make([]Value, len(schema))
+		}
+		g := &group{firstEnv: empty, accs: make([]*aggAccumulator, len(calls))}
 		for i, c := range calls {
 			g.accs[i] = newAggAccumulator(c)
 		}
@@ -757,6 +533,9 @@ func collectCalls(s *SelectStmt) []*CallExpr {
 			walk(x.Inner)
 		case *InExpr:
 			walk(x.Target)
+			for _, item := range x.List {
+				walk(item)
+			}
 		case *LikeExpr:
 			walk(x.Target)
 		}

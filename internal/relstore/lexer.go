@@ -3,7 +3,6 @@ package relstore
 import (
 	"fmt"
 	"strings"
-	"unicode"
 )
 
 // tokenKind classifies lexer output.
@@ -20,7 +19,10 @@ const (
 )
 
 // keywords recognized by the dialect. Identifiers matching these
-// (case-insensitively) lex as tokKeyword with upper-cased text.
+// (case-insensitively) lex as tokKeyword with upper-cased text. DROP,
+// INSERT, INTO, VALUES, UPDATE, SET and DELETE stay reserved although
+// no statement runs them: a SELECT naming a column after one still
+// fails to parse, and ParseSelect recognizes the statement it refuses.
 var keywords = map[string]bool{
 	"CREATE": true, "TABLE": true, "INDEX": true, "ON": true, "DROP": true,
 	"INSERT": true, "INTO": true, "VALUES": true,
@@ -102,9 +104,9 @@ func lex(input string) ([]token, error) {
 				i++
 			}
 			toks = append(toks, token{kind: tokNumber, text: input[start:i], pos: start})
-		case isIdentStart(rune(c)):
+		case isIdentStart(c):
 			start := i
-			for i < len(input) && isIdentRune(rune(input[i])) {
+			for i < len(input) && isIdentByte(input[i]) {
 				i++
 			}
 			word := input[start:i]
@@ -159,10 +161,13 @@ func lex(input string) ([]token, error) {
 	return toks, nil
 }
 
-func isIdentStart(r rune) bool {
-	return r == '_' || unicode.IsLetter(r)
+// Identifiers are ASCII, [A-Za-z_][A-Za-z0-9_]*: case folding then
+// maps every byte to itself or its ASCII twin, so a statement's
+// normalized shape lexes to the same tokens as the statement.
+func isIdentStart(c byte) bool {
+	return c == '_' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z'
 }
 
-func isIdentRune(r rune) bool {
-	return r == '_' || unicode.IsLetter(r) || unicode.IsDigit(r)
+func isIdentByte(c byte) bool {
+	return isIdentStart(c) || '0' <= c && c <= '9'
 }

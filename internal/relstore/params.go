@@ -2,82 +2,50 @@ package relstore
 
 import "fmt"
 
-// Parameterized statements: `?` placeholders in a parsed statement bind
-// to the typed Value arguments of Query/QueryInt/Exec/ExecStmt. Binding
-// rewrites the statement copy-on-write — subtrees without placeholders
-// are shared, so a pre-parsed statement can be executed concurrently
-// with different arguments — and reuses the typed Value path of
-// InsertRow, so callers never interpolate (or escape) text into SQL.
+// Parameterized SELECTs: `?` placeholders bind to the typed Value
+// arguments of Query and Stmt.Query. Binding rewrites the statement
+// copy-on-write — subtrees without placeholders are shared, so one
+// parsed statement can execute concurrently with different arguments —
+// and callers never interpolate (or escape) text into SQL.
 
-// bindStatement returns stmt with every placeholder replaced by its
-// argument. The argument count must match the placeholder count
-// exactly; a statement without placeholders and no arguments is
-// returned unchanged.
-func bindStatement(stmt Statement, args []Value) (Statement, error) {
-	n := countStmtPlaceholders(stmt)
+// bindSelect returns s with every placeholder replaced by its argument.
+// The argument count must match the placeholder count exactly; a
+// statement without placeholders and no arguments is returned
+// unchanged.
+func bindSelect(s *SelectStmt, args []Value) (*SelectStmt, error) {
+	n := countSelectPlaceholders(s)
 	if n != len(args) {
 		return nil, fmt.Errorf("relstore: statement has %d placeholders, got %d arguments", n, len(args))
 	}
 	if n == 0 {
-		return stmt, nil
+		return s, nil
 	}
-	switch s := stmt.(type) {
-	case *SelectStmt:
-		c := *s
-		c.Items = append([]SelectItem(nil), s.Items...)
-		for i := range c.Items {
-			if !c.Items[i].Star {
-				c.Items[i].Expr = bindExpr(c.Items[i].Expr, args)
-			}
+	c := *s
+	c.Items = append([]SelectItem(nil), s.Items...)
+	for i := range c.Items {
+		if !c.Items[i].Star {
+			c.Items[i].Expr = bindExpr(c.Items[i].Expr, args)
 		}
-		c.Joins = append([]JoinClause(nil), s.Joins...)
-		for i := range c.Joins {
-			c.Joins[i].On = bindExpr(c.Joins[i].On, args)
-		}
-		if s.Where != nil {
-			c.Where = bindExpr(s.Where, args)
-		}
-		c.GroupBy = append([]Expr(nil), s.GroupBy...)
-		for i := range c.GroupBy {
-			c.GroupBy[i] = bindExpr(c.GroupBy[i], args)
-		}
-		if s.Having != nil {
-			c.Having = bindExpr(s.Having, args)
-		}
-		c.OrderBy = append([]OrderKey(nil), s.OrderBy...)
-		for i := range c.OrderBy {
-			c.OrderBy[i].Expr = bindExpr(c.OrderBy[i].Expr, args)
-		}
-		return &c, nil
-	case *InsertStmt:
-		c := *s
-		c.Rows = make([][]Expr, len(s.Rows))
-		for i, row := range s.Rows {
-			c.Rows[i] = append([]Expr(nil), row...)
-			for j := range c.Rows[i] {
-				c.Rows[i][j] = bindExpr(c.Rows[i][j], args)
-			}
-		}
-		return &c, nil
-	case *UpdateStmt:
-		c := *s
-		c.Set = append([]Assignment(nil), s.Set...)
-		for i := range c.Set {
-			c.Set[i].Expr = bindExpr(c.Set[i].Expr, args)
-		}
-		if s.Where != nil {
-			c.Where = bindExpr(s.Where, args)
-		}
-		return &c, nil
-	case *DeleteStmt:
-		c := *s
-		if s.Where != nil {
-			c.Where = bindExpr(s.Where, args)
-		}
-		return &c, nil
-	default:
-		return nil, fmt.Errorf("relstore: placeholders not supported in %T", stmt)
 	}
+	c.Joins = append([]JoinClause(nil), s.Joins...)
+	for i := range c.Joins {
+		c.Joins[i].On = bindExpr(c.Joins[i].On, args)
+	}
+	if s.Where != nil {
+		c.Where = bindExpr(s.Where, args)
+	}
+	c.GroupBy = append([]Expr(nil), s.GroupBy...)
+	for i := range c.GroupBy {
+		c.GroupBy[i] = bindExpr(c.GroupBy[i], args)
+	}
+	if s.Having != nil {
+		c.Having = bindExpr(s.Having, args)
+	}
+	c.OrderBy = append([]OrderKey(nil), s.OrderBy...)
+	for i := range c.OrderBy {
+		c.OrderBy[i].Expr = bindExpr(c.OrderBy[i].Expr, args)
+	}
+	return &c, nil
 }
 
 // bindExpr substitutes placeholders in one expression tree. Subtrees
@@ -135,40 +103,24 @@ func bindExpr(e Expr, args []Value) Expr {
 	}
 }
 
-// countStmtPlaceholders counts the placeholder nodes of a statement.
-func countStmtPlaceholders(stmt Statement) int {
+// countSelectPlaceholders counts the placeholder nodes of a SELECT.
+func countSelectPlaceholders(s *SelectStmt) int {
 	n := 0
-	switch s := stmt.(type) {
-	case *SelectStmt:
-		for _, item := range s.Items {
-			if !item.Star {
-				n += countExprPlaceholders(item.Expr)
-			}
+	for _, item := range s.Items {
+		if !item.Star {
+			n += countExprPlaceholders(item.Expr)
 		}
-		for _, j := range s.Joins {
-			n += countExprPlaceholders(j.On)
-		}
-		n += countExprPlaceholders(s.Where)
-		for _, g := range s.GroupBy {
-			n += countExprPlaceholders(g)
-		}
-		n += countExprPlaceholders(s.Having)
-		for _, o := range s.OrderBy {
-			n += countExprPlaceholders(o.Expr)
-		}
-	case *InsertStmt:
-		for _, row := range s.Rows {
-			for _, e := range row {
-				n += countExprPlaceholders(e)
-			}
-		}
-	case *UpdateStmt:
-		for _, a := range s.Set {
-			n += countExprPlaceholders(a.Expr)
-		}
-		n += countExprPlaceholders(s.Where)
-	case *DeleteStmt:
-		n += countExprPlaceholders(s.Where)
+	}
+	for _, j := range s.Joins {
+		n += countExprPlaceholders(j.On)
+	}
+	n += countExprPlaceholders(s.Where)
+	for _, g := range s.GroupBy {
+		n += countExprPlaceholders(g)
+	}
+	n += countExprPlaceholders(s.Having)
+	for _, o := range s.OrderBy {
+		n += countExprPlaceholders(o.Expr)
 	}
 	return n
 }

@@ -1,17 +1,53 @@
 package relstore
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
 )
 
-// Parse parses one SQL statement in the relstore dialect.
-func Parse(input string) (Statement, error) {
+// ErrNotSelect marks a statement ParseSelect refuses because it begins
+// with CREATE, INSERT, UPDATE, DELETE or DROP. Query, Prepare and every
+// front end that serves SQL refuse through it, so the rule lives here.
+var ErrNotSelect = errors.New("relstore: not a SELECT statement")
+
+// refusedKeywords are the leading keywords ParseSelect refuses with
+// ErrNotSelect, whatever follows them.
+var refusedKeywords = map[string]bool{
+	"CREATE": true, "INSERT": true, "UPDATE": true, "DELETE": true, "DROP": true,
+}
+
+// ParseSelect parses one SELECT statement. A statement that begins
+// with a refused keyword fails with an error wrapping ErrNotSelect,
+// even when the rest of it is malformed; any other defect is a lex or
+// parse error.
+func ParseSelect(sql string) (*SelectStmt, error) {
+	toks, err := lex(sql)
+	if err != nil {
+		return nil, err
+	}
+	if t := toks[0]; t.kind == tokKeyword && refusedKeywords[t.text] {
+		return nil, fmt.Errorf("%w: %s", ErrNotSelect, t.text)
+	}
+	stmt, err := parseTokens(toks)
+	if err != nil {
+		return nil, err
+	}
+	return stmt.(*SelectStmt), nil // CREATE, the one other form, was refused
+}
+
+// parse parses one statement of the dialect: CREATE TABLE, CREATE
+// INDEX or SELECT.
+func parse(input string) (statement, error) {
 	toks, err := lex(input)
 	if err != nil {
 		return nil, err
 	}
+	return parseTokens(toks)
+}
+
+func parseTokens(toks []token) (statement, error) {
 	p := &parser{toks: toks}
 	stmt, err := p.parseStatement()
 	if err != nil {
@@ -75,7 +111,7 @@ func (p *parser) errorf(format string, args ...any) error {
 	return fmt.Errorf("relstore: parse error at offset %d: %s", p.peek().pos, fmt.Sprintf(format, args...))
 }
 
-func (p *parser) parseStatement() (Statement, error) {
+func (p *parser) parseStatement() (statement, error) {
 	switch {
 	case p.accept(tokKeyword, "CREATE"):
 		switch {
@@ -86,29 +122,14 @@ func (p *parser) parseStatement() (Statement, error) {
 		default:
 			return nil, p.errorf("expected TABLE or INDEX after CREATE")
 		}
-	case p.accept(tokKeyword, "DROP"):
-		if _, err := p.expect(tokKeyword, "TABLE"); err != nil {
-			return nil, err
-		}
-		name, err := p.expect(tokIdent, "")
-		if err != nil {
-			return nil, err
-		}
-		return &DropTableStmt{Table: name.text}, nil
-	case p.accept(tokKeyword, "INSERT"):
-		return p.parseInsert()
 	case p.at(tokKeyword, "SELECT"):
 		return p.parseSelect()
-	case p.accept(tokKeyword, "UPDATE"):
-		return p.parseUpdate()
-	case p.accept(tokKeyword, "DELETE"):
-		return p.parseDelete()
 	default:
 		return nil, p.errorf("expected a statement, found %s", p.peek())
 	}
 }
 
-func (p *parser) parseCreateTable() (Statement, error) {
+func (p *parser) parseCreateTable() (statement, error) {
 	name, err := p.expect(tokIdent, "")
 	if err != nil {
 		return nil, err
@@ -116,7 +137,7 @@ func (p *parser) parseCreateTable() (Statement, error) {
 	if _, err := p.expect(tokSymbol, "("); err != nil {
 		return nil, err
 	}
-	stmt := &CreateTableStmt{Table: name.text}
+	stmt := &createTableStmt{Table: name.text}
 	for {
 		col, err := p.expect(tokIdent, "")
 		if err != nil {
@@ -149,7 +170,7 @@ func (p *parser) parseCreateTable() (Statement, error) {
 	return stmt, nil
 }
 
-func (p *parser) parseCreateIndex() (Statement, error) {
+func (p *parser) parseCreateIndex() (statement, error) {
 	if _, err := p.expect(tokKeyword, "ON"); err != nil {
 		return nil, err
 	}
@@ -167,70 +188,10 @@ func (p *parser) parseCreateIndex() (Statement, error) {
 	if _, err := p.expect(tokSymbol, ")"); err != nil {
 		return nil, err
 	}
-	return &CreateIndexStmt{Table: table.text, Column: col.text}, nil
+	return &createIndexStmt{Table: table.text, Column: col.text}, nil
 }
 
-func (p *parser) parseInsert() (Statement, error) {
-	if _, err := p.expect(tokKeyword, "INTO"); err != nil {
-		return nil, err
-	}
-	table, err := p.expect(tokIdent, "")
-	if err != nil {
-		return nil, err
-	}
-	stmt := &InsertStmt{Table: table.text}
-	if _, err := p.expect(tokSymbol, "("); err != nil {
-		return nil, err
-	}
-	for {
-		col, err := p.expect(tokIdent, "")
-		if err != nil {
-			return nil, err
-		}
-		stmt.Columns = append(stmt.Columns, col.text)
-		if p.accept(tokSymbol, ",") {
-			continue
-		}
-		break
-	}
-	if _, err := p.expect(tokSymbol, ")"); err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(tokKeyword, "VALUES"); err != nil {
-		return nil, err
-	}
-	for {
-		if _, err := p.expect(tokSymbol, "("); err != nil {
-			return nil, err
-		}
-		var row []Expr
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, e)
-			if p.accept(tokSymbol, ",") {
-				continue
-			}
-			break
-		}
-		if _, err := p.expect(tokSymbol, ")"); err != nil {
-			return nil, err
-		}
-		if len(row) != len(stmt.Columns) {
-			return nil, p.errorf("row has %d values for %d columns", len(row), len(stmt.Columns))
-		}
-		stmt.Rows = append(stmt.Rows, row)
-		if p.accept(tokSymbol, ",") {
-			continue
-		}
-		break
-	}
-	return stmt, nil
-}
-
-func (p *parser) parseSelect() (Statement, error) {
+func (p *parser) parseSelect() (statement, error) {
 	if _, err := p.expect(tokKeyword, "SELECT"); err != nil {
 		return nil, err
 	}
@@ -363,59 +324,6 @@ func (p *parser) parseTableRef() (TableRef, error) {
 		ref.Alias = p.next().text
 	}
 	return ref, nil
-}
-
-func (p *parser) parseUpdate() (Statement, error) {
-	table, err := p.expect(tokIdent, "")
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(tokKeyword, "SET"); err != nil {
-		return nil, err
-	}
-	stmt := &UpdateStmt{Table: table.text}
-	for {
-		col, err := p.expect(tokIdent, "")
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(tokOp, "="); err != nil {
-			return nil, err
-		}
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		stmt.Set = append(stmt.Set, Assignment{Column: col.text, Expr: e})
-		if p.accept(tokSymbol, ",") {
-			continue
-		}
-		break
-	}
-	if p.accept(tokKeyword, "WHERE") {
-		if stmt.Where, err = p.parseExpr(); err != nil {
-			return nil, err
-		}
-	}
-	return stmt, nil
-}
-
-func (p *parser) parseDelete() (Statement, error) {
-	if _, err := p.expect(tokKeyword, "FROM"); err != nil {
-		return nil, err
-	}
-	table, err := p.expect(tokIdent, "")
-	if err != nil {
-		return nil, err
-	}
-	stmt := &DeleteStmt{Table: table.text}
-	if p.accept(tokKeyword, "WHERE") {
-		var err error
-		if stmt.Where, err = p.parseExpr(); err != nil {
-			return nil, err
-		}
-	}
-	return stmt, nil
 }
 
 // Expression grammar, lowest precedence first:

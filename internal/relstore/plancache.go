@@ -25,15 +25,12 @@ type planCache struct {
 	invalidations atomic.Uint64
 }
 
-// defaultPlanCacheCapacity bounds the cache when no option overrides
-// it: generous for any realistic shape population while keeping a
-// runaway ad-hoc workload from holding every plan ever compiled.
+// defaultPlanCacheCapacity bounds the cache: generous for any realistic
+// shape population while keeping a runaway ad-hoc workload from holding
+// every plan ever compiled.
 const defaultPlanCacheCapacity = 128
 
 func newPlanCache(capacity int) *planCache {
-	if capacity <= 0 {
-		capacity = defaultPlanCacheCapacity
-	}
 	return &planCache{
 		capacity: capacity,
 		order:    list.New(),
@@ -79,17 +76,13 @@ func (pc *planCache) put(c *compiledQuery) {
 		return
 	}
 	pc.entries[c.shape] = pc.order.PushFront(c)
-	pc.evictLockedOverCapacity()
-	pc.mu.Unlock()
-}
-
-func (pc *planCache) evictLockedOverCapacity() {
-	for pc.order.Len() > pc.capacity {
+	if pc.order.Len() > pc.capacity {
 		back := pc.order.Back()
 		pc.order.Remove(back)
 		delete(pc.entries, back.Value.(*compiledQuery).shape)
 		pc.evictions.Add(1)
 	}
+	pc.mu.Unlock()
 }
 
 // flush drops every entry (DDL or epoch swap invalidation).
@@ -99,18 +92,6 @@ func (pc *planCache) flush() {
 	pc.entries = make(map[string]*list.Element)
 	pc.mu.Unlock()
 	pc.invalidations.Add(1)
-}
-
-// setCapacity rebounds the cache, evicting LRU entries beyond the new
-// capacity; n <= 0 restores the default.
-func (pc *planCache) setCapacity(n int) {
-	if n <= 0 {
-		n = defaultPlanCacheCapacity
-	}
-	pc.mu.Lock()
-	pc.capacity = n
-	pc.evictLockedOverCapacity()
-	pc.mu.Unlock()
 }
 
 // PlanCacheStats aggregates the shared plan cache counters. Hits count

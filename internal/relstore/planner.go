@@ -2,21 +2,19 @@ package relstore
 
 import (
 	"fmt"
-	"math/bits"
 	"runtime"
 	"strconv"
 	"strings"
 	"sync"
 )
 
-// The conjunctive query planner (PlanJoin, the default SELECT executor).
+// The conjunctive query planner, the one SELECT executor.
 //
-// The reference executor (exec.go) hash-joins only a bare `L.col =
-// R.col` ON clause and applies the whole WHERE after all joins, so the
-// compound shapes the vulndb workload issues — `ON a.x = b.x AND a.y <
-// b.y`, `WHERE t.col = 'lit' AND ...` over multi-join queries — fall to
-// nested loops over unfiltered tables. The planner decomposes both
-// clauses into AND conjuncts and plans around them:
+// The compound shapes the vulndb workload issues — `ON a.x = b.x AND
+// a.y < b.y`, `WHERE t.col = 'lit' AND ...` over multi-join queries —
+// would run as nested loops over unfiltered tables if ON and WHERE were
+// evaluated whole. The planner decomposes both clauses into AND
+// conjuncts and plans around them, for joins of any width:
 //
 //   - WHERE conjuncts referencing a single table push down into that
 //     table's base scan, narrowed through the primary key or a hash
@@ -30,35 +28,46 @@ import (
 //   - An unfiltered build side over a single indexed (or primary-key)
 //     column reuses the stored index instead of rehashing the table.
 //   - The probe phase shards the outer working set across the
-//     database's Workers pool (see SetParallelism); shard outputs
+//     database's worker pool (see SetParallelism); shard outputs
 //     concatenate in shard order, so results are byte-identical to the
-//     serial reference at any worker count.
+//     serial run at any worker count.
 
 // minProbeParallelItems is the working-set size below which sharding
 // the probe is not worth the goroutine fan-out.
 const minProbeParallelItems = 64
 
-// tableMask is a bitset over the positions of the FROM/JOIN table list.
-type tableMask uint64
+// tableSpan is the lowest and highest position, in the FROM/JOIN table
+// list, of the tables an expression references. The planner only asks
+// whether that set is empty, holds exactly one table, or which table
+// is highest, so two positions answer for joins of any width.
+type tableSpan struct{ lo, hi int }
 
-// exprTables returns the set of tables an expression references,
+func (s tableSpan) empty() bool { return s.hi < 0 }
+
+// only reports whether the span holds exactly table ti.
+func (s tableSpan) only(ti int) bool { return s.lo == ti && s.hi == ti }
+
+// exprTables returns the span of tables an expression references,
 // resolving unqualified names through env (which must already have
 // validated the expression, so ambiguous names cannot reach here).
-func exprTables(e Expr, env *rowEnv) tableMask {
-	var m tableMask
+func exprTables(e Expr, env *rowEnv) tableSpan {
+	span := tableSpan{lo: len(env.refs), hi: -1}
+	add := func(ti int) {
+		span.lo, span.hi = min(span.lo, ti), max(span.hi, ti)
+	}
 	var walk func(Expr)
 	walk = func(e Expr) {
 		switch x := e.(type) {
 		case *ColumnExpr:
 			if x.Table == "" {
 				if pos, ok := env.unique[x.Column]; ok {
-					m |= 1 << pos[0]
+					add(pos[0])
 				}
 				return
 			}
 			for ti, ref := range env.refs {
 				if ref.Name() == x.Table {
-					m |= 1 << ti
+					add(ti)
 					return
 				}
 			}
@@ -81,7 +90,7 @@ func exprTables(e Expr, env *rowEnv) tableMask {
 		}
 	}
 	walk(e)
-	return m
+	return span
 }
 
 // splitConjuncts flattens nested ANDs into a conjunct list.
@@ -122,9 +131,9 @@ type selectPlan struct {
 	residual []Expr
 }
 
-// planSelect validates the query and decomposes it. Validation order
-// matches the reference executor: each ON clause against its prefix of
-// tables, then the full select list and WHERE against all tables.
+// planSelect validates the query and decomposes it: each ON clause
+// against its prefix of tables, then the full select list and WHERE
+// against all tables.
 func (db *DB) planSelect(s *SelectStmt) (*selectPlan, error) {
 	p := &selectPlan{
 		refs:    make([]TableRef, 1+len(s.Joins)),
@@ -148,7 +157,7 @@ func (db *DB) planSelect(s *SelectStmt) (*selectPlan, error) {
 	prefixEnvs := make([]*rowEnv, len(s.Joins))
 	for k, join := range s.Joins {
 		env := newRowEnv(p.refs[:k+2], p.schemas[:k+2])
-		if err := validateExpr(join.On, env, nil); err != nil {
+		if err := validateFilter(join.On, env, "ON"); err != nil {
 			return nil, err
 		}
 		prefixEnvs[k] = env
@@ -164,16 +173,14 @@ func (db *DB) planSelect(s *SelectStmt) (*selectPlan, error) {
 	pushed := make([][]Expr, len(p.tables))
 	if s.Where != nil {
 		for _, c := range splitConjuncts(s.Where, nil) {
-			m := exprTables(c, fullEnv)
+			span := exprTables(c, fullEnv)
 			switch {
-			case m == 0:
+			case span.empty():
 				p.residual = append(p.residual, c)
-			case m&(m-1) == 0:
-				ti := bits.TrailingZeros64(uint64(m))
-				pushed[ti] = append(pushed[ti], c)
+			case span.lo == span.hi:
+				pushed[span.lo] = append(pushed[span.lo], c)
 			default:
-				hi := 63 - bits.LeadingZeros64(uint64(m))
-				p.joins[hi-1].residual = append(p.joins[hi-1].residual, c)
+				p.joins[span.hi-1].residual = append(p.joins[span.hi-1].residual, c)
 			}
 		}
 	}
@@ -183,14 +190,12 @@ func (db *DB) planSelect(s *SelectStmt) (*selectPlan, error) {
 	for k, join := range s.Joins {
 		jp := &p.joins[k]
 		newIdx := k + 1
-		newBit := tableMask(1) << newIdx
 		for _, c := range splitConjuncts(join.On, nil) {
-			m := exprTables(c, prefixEnvs[k])
-			if m == newBit {
+			if exprTables(c, prefixEnvs[k]).only(newIdx) {
 				jp.buildFilter = append(jp.buildFilter, c)
 				continue
 			}
-			if l, r, ok := equiConjunct(c, prefixEnvs[k], newBit); ok {
+			if l, r, ok := equiConjunct(c, prefixEnvs[k], newIdx); ok {
 				jp.leftKeys = append(jp.leftKeys, l)
 				jp.rightKeys = append(jp.rightKeys, r)
 				continue
@@ -205,36 +210,29 @@ func (db *DB) planSelect(s *SelectStmt) (*selectPlan, error) {
 }
 
 // equiConjunct recognizes `prefixExpr = newExpr` (either orientation):
-// an equality whose sides bind one to the incoming table only and one
-// to previously joined tables only.
-func equiConjunct(c Expr, env *rowEnv, newBit tableMask) (left, right Expr, ok bool) {
+// an equality whose sides bind one to the incoming table newIdx only and
+// one to previously joined tables only. env holds tables 0..newIdx, so
+// a side binds to earlier tables only when its highest table is below
+// newIdx.
+func equiConjunct(c Expr, env *rowEnv, newIdx int) (left, right Expr, ok bool) {
 	b, isBin := c.(*BinaryExpr)
 	if !isBin || b.Op != "=" {
 		return nil, nil, false
 	}
-	lm, rm := exprTables(b.Left, env), exprTables(b.Right, env)
+	ls, rs := exprTables(b.Left, env), exprTables(b.Right, env)
+	earlier := func(s tableSpan) bool { return !s.empty() && s.hi < newIdx }
 	switch {
-	case lm != 0 && lm&newBit == 0 && rm == newBit:
+	case earlier(ls) && rs.only(newIdx):
 		return b.Left, b.Right, true
-	case rm != 0 && rm&newBit == 0 && lm == newBit:
+	case earlier(rs) && ls.only(newIdx):
 		return b.Right, b.Left, true
 	default:
 		return nil, nil, false
 	}
 }
 
-// execSelectPlanned runs a SELECT through the planner, planning and
-// executing in one shot (the uncached reference path).
-func (db *DB) execSelectPlanned(s *SelectStmt) (*Result, error) {
-	plan, err := db.planSelect(s)
-	if err != nil {
-		return nil, err
-	}
-	return db.execPlanned(s, plan)
-}
-
-// execPlanned executes a SELECT against an already-compiled plan (fresh
-// from planSelect or bound from the plan cache).
+// execPlanned executes a SELECT against its compiled plan (bound from
+// the plan cache).
 func (db *DB) execPlanned(s *SelectStmt, plan *selectPlan) (*Result, error) {
 	baseRows, err := scanCandidates(plan.tables[0], plan.refs[0], plan.basePreds)
 	if err != nil {
@@ -250,7 +248,7 @@ func (db *DB) execPlanned(s *SelectStmt, plan *selectPlan) (*Result, error) {
 	}
 
 	for k := range plan.joins {
-		next, err := db.execJoinPlanned(work, plan, k)
+		next, err := db.execPlannedJoin(work, plan, k)
 		if err != nil {
 			return nil, err
 		}
@@ -437,7 +435,7 @@ func prepareBuild(t *table, ref TableRef, jp *joinPlan) (*buildSide, error) {
 }
 
 // evalJoinKey evaluates the composite join key. ok is false when any
-// component is NULL (NULL joins nothing, like the reference executor).
+// component is NULL (NULL joins nothing, as NULL = x is never true).
 // Multi-column keys length-prefix each component so values containing
 // the would-be separator cannot collide across component boundaries.
 func evalJoinKey(keys []Expr, env evalEnv) (string, bool, error) {
@@ -462,9 +460,9 @@ func evalJoinKey(keys []Expr, env evalEnv) (string, bool, error) {
 	return sb.String(), true, nil
 }
 
-// execJoinPlanned extends the working set with join k of the plan,
-// probing the build side across the Workers pool.
-func (db *DB) execJoinPlanned(work *joinedRows, plan *selectPlan, k int) (*joinedRows, error) {
+// execPlannedJoin extends the working set with join k of the plan,
+// probing the build side across the worker pool.
+func (db *DB) execPlannedJoin(work *joinedRows, plan *selectPlan, k int) (*joinedRows, error) {
 	newIdx := k + 1
 	t, ref := plan.tables[newIdx], plan.refs[newIdx]
 	jp := &plan.joins[k]

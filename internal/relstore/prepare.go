@@ -29,10 +29,8 @@ type argSlot struct {
 
 // compiledQuery is one plan-cache entry: the parsed statement and
 // compiled plan of a normalized shape. The cached trees are never
-// mutated after publication. plan is nil when the query is too wide for
-// the planner's table bitmask (execution falls back to the naive
-// executor). gen is the schema generation the plan was compiled
-// against; hits counts reuses of this entry.
+// mutated after publication. gen is the schema generation the plan was
+// compiled against; hits counts reuses of this entry.
 type compiledQuery struct {
 	shape string
 	sel   *SelectStmt
@@ -71,7 +69,7 @@ func normalizeSQL(sql string) (string, []argSlot, error) {
 			v, ok := numberValue(t.text)
 			if keep || !ok {
 				// Raw LIMIT operand, or a malformed number kept verbatim
-				// so Parse reports the same error the original would.
+				// so ParseSelect reports the same error the original would.
 				sb.WriteString(t.text)
 				continue
 			}
@@ -153,20 +151,15 @@ func (db *DB) compiled(shape string) (*compiledQuery, error) {
 	if c := db.plans.get(shape, gen); c != nil {
 		return c, nil
 	}
-	stmt, err := Parse(shape)
+	sel, err := ParseSelect(shape)
 	if err != nil {
 		return nil, err
 	}
-	sel, ok := stmt.(*SelectStmt)
-	if !ok {
-		return nil, fmt.Errorf("relstore: Query needs a SELECT, got %T", stmt)
+	plan, err := db.planSelect(sel)
+	if err != nil {
+		return nil, err
 	}
-	c := &compiledQuery{shape: shape, sel: sel, gen: gen}
-	if len(sel.Joins)+1 <= maxPlannedTables {
-		if c.plan, err = db.planSelect(sel); err != nil {
-			return nil, err
-		}
-	}
+	c := &compiledQuery{shape: shape, sel: sel, plan: plan, gen: gen}
 	db.plans.put(c)
 	return c, nil
 }
@@ -175,19 +168,15 @@ func (db *DB) compiled(shape string) (*compiledQuery, error) {
 // argument list. Both the statement and the plan bind copy-on-write, so
 // the cached trees stay shareable. Callers hold db.mu.RLock.
 func (db *DB) execCompiled(c *compiledQuery, args []Value) (*Result, error) {
-	stmt, err := bindStatement(c.sel, args)
+	sel, err := bindSelect(c.sel, args)
 	if err != nil {
 		return nil, err
-	}
-	sel := stmt.(*SelectStmt)
-	if db.Plan() == PlanNaive || c.plan == nil {
-		return db.execSelectNaive(sel)
 	}
 	return db.execPlanned(sel, bindPlanExprs(c.plan, args))
 }
 
 // bindPlanExprs substitutes placeholders throughout a plan's expression
-// slices, copy-on-write like bindStatement: untouched slices (and the
+// slices, copy-on-write like bindSelect: untouched slices (and the
 // whole plan, when there are no arguments) are shared with the cache.
 func bindPlanExprs(p *selectPlan, args []Value) *selectPlan {
 	if len(args) == 0 {
@@ -238,7 +227,8 @@ type Stmt struct {
 
 // Prepare normalizes, parses and plans a SELECT once, returning a
 // statement that executes the compilation with per-call arguments.
-// Non-SELECT statements are rejected (use Exec/ExecStmt for DML).
+// Statements that are not a SELECT fail with an error wrapping
+// ErrNotSelect.
 func (db *DB) Prepare(sql string) (*Stmt, error) {
 	shape, slots, err := normalizeSQL(sql)
 	if err != nil {

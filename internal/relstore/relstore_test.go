@@ -1,21 +1,30 @@
 package relstore
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 )
 
 // mustExec fails the test on error.
-func mustExec(t *testing.T, db *DB, sql string) int {
-	t.Helper()
-	n, err := db.Exec(sql)
-	if err != nil {
-		t.Fatalf("Exec(%q): %v", sql, err)
+func mustExec(tb testing.TB, db *DB, sql string) {
+	tb.Helper()
+	if err := db.Exec(sql); err != nil {
+		tb.Fatalf("Exec(%q): %v", sql, err)
 	}
-	return n
+}
+
+// mustInsert inserts rows through the typed batch API, failing the test
+// on error.
+func mustInsert(tb testing.TB, db *DB, table string, cols []string, rows ...[]Value) {
+	tb.Helper()
+	if err := InsertRows(db, table, cols, rows); err != nil {
+		tb.Fatalf("InsertRows(%s): %v", table, err)
+	}
 }
 
 func mustQuery(t *testing.T, db *DB, sql string) *Result {
@@ -29,24 +38,27 @@ func mustQuery(t *testing.T, db *DB, sql string) *Result {
 
 // seedDB builds the canonical fixture: a tiny os/vuln/os_vuln schema in
 // the spirit of the paper's Figure 1.
-func seedDB(t *testing.T) *DB {
-	t.Helper()
+func seedDB(tb testing.TB) *DB {
+	tb.Helper()
 	db := Open()
-	mustExec(t, db, `CREATE TABLE os (id INTEGER PRIMARY KEY, name TEXT, family TEXT)`)
-	mustExec(t, db, `CREATE TABLE vuln (id INTEGER PRIMARY KEY, cve TEXT, year INTEGER, score FLOAT, remote BOOLEAN)`)
-	mustExec(t, db, `CREATE TABLE os_vuln (os_id INTEGER, vuln_id INTEGER)`)
-	mustExec(t, db, `INSERT INTO os (id, name, family) VALUES
-		(1, 'OpenBSD', 'BSD'), (2, 'NetBSD', 'BSD'), (3, 'Debian', 'Linux'), (4, 'Windows2000', 'Windows')`)
-	mustExec(t, db, `INSERT INTO vuln (id, cve, year, score, remote) VALUES
-		(10, 'CVE-2008-4609', 2008, 7.1, TRUE),
-		(11, 'CVE-2008-1447', 2008, 5.0, TRUE),
-		(12, 'CVE-2005-0001', 2005, 2.1, FALSE),
-		(13, 'CVE-1999-0003', 1999, 10.0, TRUE)`)
-	mustExec(t, db, `INSERT INTO os_vuln (os_id, vuln_id) VALUES
-		(1, 10), (2, 10), (4, 10),
-		(1, 11), (4, 11),
-		(3, 12),
-		(1, 13)`)
+	mustExec(tb, db, `CREATE TABLE os (id INTEGER PRIMARY KEY, name TEXT, family TEXT)`)
+	mustExec(tb, db, `CREATE TABLE vuln (id INTEGER PRIMARY KEY, cve TEXT, year INTEGER, score FLOAT, remote BOOLEAN)`)
+	mustExec(tb, db, `CREATE TABLE os_vuln (os_id INTEGER, vuln_id INTEGER)`)
+	mustInsert(tb, db, "os", []string{"id", "name", "family"},
+		[]Value{Int(1), Text("OpenBSD"), Text("BSD")},
+		[]Value{Int(2), Text("NetBSD"), Text("BSD")},
+		[]Value{Int(3), Text("Debian"), Text("Linux")},
+		[]Value{Int(4), Text("Windows2000"), Text("Windows")})
+	mustInsert(tb, db, "vuln", []string{"id", "cve", "year", "score", "remote"},
+		[]Value{Int(10), Text("CVE-2008-4609"), Int(2008), Float(7.1), Bool(true)},
+		[]Value{Int(11), Text("CVE-2008-1447"), Int(2008), Float(5.0), Bool(true)},
+		[]Value{Int(12), Text("CVE-2005-0001"), Int(2005), Float(2.1), Bool(false)},
+		[]Value{Int(13), Text("CVE-1999-0003"), Int(1999), Float(10.0), Bool(true)})
+	var links [][]Value
+	for _, l := range [][2]int64{{1, 10}, {2, 10}, {4, 10}, {1, 11}, {4, 11}, {3, 12}, {1, 13}} {
+		links = append(links, []Value{Int(l[0]), Int(l[1])})
+	}
+	mustInsert(tb, db, "os_vuln", []string{"os_id", "vuln_id"}, links...)
 	return db
 }
 
@@ -222,53 +234,26 @@ func TestOrderByMultipleKeysAndDesc(t *testing.T) {
 	}
 }
 
-func TestUpdate(t *testing.T) {
-	db := seedDB(t)
-	n := mustExec(t, db, `UPDATE vuln SET score = 9.9, remote = FALSE WHERE year = 2008`)
-	if n != 2 {
-		t.Fatalf("UPDATE affected %d, want 2", n)
-	}
-	res := mustQuery(t, db, `SELECT COUNT(*) FROM vuln WHERE score = 9.9 AND remote = FALSE`)
-	if res.Rows[0][0].AsInt() != 2 {
-		t.Fatalf("post-update count = %v", res.Rows[0][0])
-	}
-}
-
-func TestDelete(t *testing.T) {
-	db := seedDB(t)
-	n := mustExec(t, db, `DELETE FROM vuln WHERE year < 2005`)
-	if n != 1 {
-		t.Fatalf("DELETE affected %d, want 1", n)
-	}
-	if cnt, _ := db.RowCount("vuln"); cnt != 3 {
-		t.Fatalf("row count after delete = %d", cnt)
-	}
-	// Index consistency after delete: indexed lookup must agree with scan.
-	mustExec(t, db, `CREATE INDEX ON vuln (year)`)
-	mustExec(t, db, `DELETE FROM vuln WHERE year = 2008`)
-	res := mustQuery(t, db, `SELECT COUNT(*) FROM vuln WHERE year = 2008`)
-	if res.Rows[0][0].AsInt() != 0 {
-		t.Fatal("index stale after delete")
-	}
-}
-
 func TestPrimaryKeyEnforced(t *testing.T) {
 	db := seedDB(t)
-	if _, err := db.Exec(`INSERT INTO os (id, name, family) VALUES (1, 'Clone', 'BSD')`); err == nil {
+	cols := []string{"id", "name", "family"}
+	if err := InsertRow(db, "os", cols, []Value{Int(1), Text("Clone"), Text("BSD")}); err == nil {
 		t.Fatal("duplicate primary key accepted")
 	}
-	if _, err := db.Exec(`INSERT INTO os (id, name, family) VALUES (NULL, 'NullKey', 'BSD')`); err == nil {
+	if err := InsertRow(db, "os", cols, []Value{Null(), Text("NullKey"), Text("BSD")}); err == nil {
 		t.Fatal("NULL primary key accepted")
 	}
 }
 
 func TestTypeChecking(t *testing.T) {
 	db := seedDB(t)
-	if _, err := db.Exec(`INSERT INTO os (id, name, family) VALUES ('x', 'Bad', 'BSD')`); err == nil {
+	if err := InsertRow(db, "os", []string{"id", "name", "family"},
+		[]Value{Text("x"), Text("Bad"), Text("BSD")}); err == nil {
 		t.Fatal("text accepted in integer column")
 	}
-	// Integer literals widen into float columns.
-	mustExec(t, db, `INSERT INTO vuln (id, cve, year, score, remote) VALUES (14, 'CVE-2010-0001', 2010, 7, TRUE)`)
+	// Integers widen into float columns.
+	mustInsert(t, db, "vuln", []string{"id", "cve", "year", "score", "remote"},
+		[]Value{Int(14), Text("CVE-2010-0001"), Int(2010), Int(7), Bool(true)})
 	res := mustQuery(t, db, `SELECT score FROM vuln WHERE id = 14`)
 	if res.Rows[0][0].Kind() != KindFloat || res.Rows[0][0].AsFloat() != 7.0 {
 		t.Fatalf("widened value = %v", res.Rows[0][0])
@@ -279,7 +264,7 @@ func TestIndexAcceleratedSelectMatchesScan(t *testing.T) {
 	db := Open()
 	mustExec(t, db, `CREATE TABLE t (k INTEGER, v TEXT)`)
 	for i := 0; i < 500; i++ {
-		mustExec(t, db, fmt.Sprintf(`INSERT INTO t (k, v) VALUES (%d, 'row%d')`, i%50, i))
+		mustInsert(t, db, "t", []string{"k", "v"}, []Value{Int(int64(i % 50)), Text(fmt.Sprintf("row%d", i))})
 	}
 	scan := mustQuery(t, db, `SELECT v FROM t WHERE k = 17 ORDER BY v`)
 	mustExec(t, db, `CREATE INDEX ON t (k)`)
@@ -375,12 +360,13 @@ func TestErrors(t *testing.T) {
 		`SELECT nosuch FROM os`,
 		`SELECT name FROM nosuch`,
 		`SELECT name FROM os WHERE`,
-		`INSERT INTO nosuch (a) VALUES (1)`,
-		`INSERT INTO os (nosuch) VALUES (1)`,
+		`INSERT INTO os (id) VALUES (5)`,
 		`CREATE TABLE os (id INTEGER)`, // duplicate table
 		`CREATE TABLE bad ()`,
-		`DELETE FROM nosuch`,
-		`UPDATE nosuch SET a = 1`,
+		`CREATE INDEX ON os (nosuch)`,
+		`DELETE FROM os`,
+		`UPDATE os SET name = 'x'`,
+		`DROP TABLE os`,
 		`SELECT COUNT(*) FROM os GROUP BY`,
 		`SELECT * FROM os ORDER`,
 		`TRUNCATE os`,
@@ -389,20 +375,43 @@ func TestErrors(t *testing.T) {
 	}
 	for _, sql := range bad {
 		if _, err := db.Query(sql); err == nil {
-			if _, err2 := db.Exec(sql); err2 == nil {
+			if err2 := db.Exec(sql); err2 == nil {
 				t.Errorf("statement %q accepted", sql)
 			}
 		}
 	}
+	if n, _ := db.RowCount("os"); n != 4 {
+		t.Errorf("os holds %d rows after the refused statements, want 4", n)
+	}
 }
 
+// TestExecRejectsSelectAndQueryRejectsDML: Exec runs DDL only, and
+// Query, Prepare and ParseSelect refuse every statement that begins with
+// CREATE, INSERT, UPDATE, DELETE or DROP through ErrNotSelect — well
+// formed or not — while any other defect stays a parse error.
 func TestExecRejectsSelectAndQueryRejectsDML(t *testing.T) {
 	db := seedDB(t)
-	if _, err := db.Exec(`SELECT * FROM os`); err == nil {
+	if err := db.Exec(`SELECT * FROM os`); err == nil {
 		t.Error("Exec accepted SELECT")
 	}
-	if _, err := db.Query(`DELETE FROM os`); err == nil {
-		t.Error("Query accepted DELETE")
+	for _, sql := range []string{
+		`DELETE FROM os`, `delete`, `INSERT garbage`, `UPDATE os SET name = 'x'`,
+		`DROP os`, `drop table os`, `CREATE TABLE bad ()`, `CREATE INDEX ON os (name)`,
+	} {
+		if _, err := db.Query(sql); !errors.Is(err, ErrNotSelect) {
+			t.Errorf("Query(%q) = %v, want ErrNotSelect", sql, err)
+		}
+		if _, err := db.Prepare(sql); !errors.Is(err, ErrNotSelect) {
+			t.Errorf("Prepare(%q) = %v, want ErrNotSelect", sql, err)
+		}
+		if _, err := ParseSelect(sql); !errors.Is(err, ErrNotSelect) {
+			t.Errorf("ParseSelect(%q) = %v, want ErrNotSelect", sql, err)
+		}
+	}
+	for _, sql := range []string{`SELEKT oops`, `TRUNCATE os`, `SELECT name FROM`, ``} {
+		if _, err := ParseSelect(sql); err == nil || errors.Is(err, ErrNotSelect) {
+			t.Errorf("ParseSelect(%q) = %v, want a parse error", sql, err)
+		}
 	}
 }
 
@@ -417,7 +426,7 @@ func TestAmbiguousColumn(t *testing.T) {
 func TestStringEscaping(t *testing.T) {
 	db := Open()
 	mustExec(t, db, `CREATE TABLE s (v TEXT)`)
-	mustExec(t, db, `INSERT INTO s (v) VALUES ('it''s a test')`)
+	mustInsert(t, db, "s", []string{"v"}, []Value{Text("it's a test")})
 	res := mustQuery(t, db, `SELECT v FROM s WHERE v = 'it''s a test'`)
 	if len(res.Rows) != 1 || res.Rows[0][0].AsText() != "it's a test" {
 		t.Fatalf("escaped string = %v", res.Rows)
@@ -441,9 +450,8 @@ func TestTablesAndRowCount(t *testing.T) {
 	if _, err := db.RowCount("nosuch"); err == nil {
 		t.Error("RowCount on missing table succeeded")
 	}
-	mustExec(t, db, `DROP TABLE os_vuln`)
-	if len(db.Tables()) != 2 {
-		t.Error("DROP TABLE did not remove table")
+	if n, err := db.RowCount("OS_VULN"); err != nil || n != 7 {
+		t.Errorf("RowCount(OS_VULN) = %d, %v, want 7", n, err)
 	}
 }
 
@@ -537,7 +545,7 @@ func TestInsertRowsBulkProperty(t *testing.T) {
 	// matches a hand computation.
 	f := func(seed uint8) bool {
 		db := Open()
-		if _, err := db.Exec(`CREATE TABLE t (k INTEGER, v INTEGER)`); err != nil {
+		if err := db.Exec(`CREATE TABLE t (k INTEGER, v INTEGER)`); err != nil {
 			return false
 		}
 		n := int(seed)%40 + 1
@@ -567,5 +575,70 @@ func TestInsertRowsBulkProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestGroupedEmptySetReadsNullRow: an aggregate query without GROUP BY
+// answers one row over zero input rows, and its plain column references
+// (in the select list, HAVING or ORDER BY) read NULL instead of
+// indexing a missing row. Both executors share the grouped tail.
+func TestGroupedEmptySetReadsNullRow(t *testing.T) {
+	db := seedDB(t)
+	for _, tt := range []struct {
+		sql  string
+		want [][]Value
+	}{
+		{`SELECT name, COUNT(*) FROM os WHERE id = 999`, [][]Value{{Null(), Int(0)}}},
+		{`SELECT COUNT(*) FROM os WHERE id = 999 ORDER BY name`, [][]Value{{Int(0)}}},
+		{`SELECT os.name, MAX(vuln.year) FROM os JOIN os_vuln ON os.id = os_vuln.os_id
+		  JOIN vuln ON os_vuln.vuln_id = vuln.id WHERE vuln.year > 3000`, [][]Value{{Null(), Null()}}},
+		{`SELECT COUNT(*) FROM os WHERE id = 999 HAVING name = 'x'`, nil},
+	} {
+		for name, query := range map[string]func(string, ...Value) (*Result, error){
+			"planner": db.Query, "oracle": db.queryNaive,
+		} {
+			res, err := query(tt.sql)
+			if err != nil {
+				t.Fatalf("%s %q: %v", name, tt.sql, err)
+			}
+			if !resultsEqual(&Result{Columns: res.Columns, Rows: tt.want}, res) {
+				t.Errorf("%s %q = %v, want %v", name, tt.sql, res.Rows, tt.want)
+			}
+		}
+	}
+}
+
+// TestIdentifiersAreASCII: identifiers are [A-Za-z_][A-Za-z0-9_]*, so
+// any other byte fails to lex, and a statement's normalized shape lexes
+// (and fails) exactly like the statement.
+func TestIdentifiersAreASCII(t *testing.T) {
+	db := seedDB(t)
+	for _, sql := range []string{
+		"SELECT \u00ea FROM os",
+		"SELECT \u00ca FROM os",
+		"SELECT \xc3\xc3 FROM os",
+		"SELECT name FROM os WHERE family = 'BSD' AND n\u00e9 = 1",
+	} {
+		if _, err := lex(sql); err == nil || !strings.Contains(err.Error(), "unexpected character") {
+			t.Errorf("lex(%q) = %v, want an unexpected-character error", sql, err)
+		}
+		if _, err := db.Query(sql); err == nil {
+			t.Errorf("Query(%q) accepted a non-ASCII identifier", sql)
+		}
+	}
+	for _, sql := range []string{
+		"SELECT name AS Name_2 FROM os WHERE family = 'caf\u00e9'",
+		"SELECT _x.name FROM os _x WHERE _x.family LIKE '\u65e5%'",
+	} {
+		shape, _, err := normalizeSQL(sql)
+		if err != nil {
+			t.Fatalf("normalizeSQL(%q): %v", sql, err)
+		}
+		if again, _, err := normalizeSQL(shape); err != nil || again != shape {
+			t.Errorf("shape %q normalizes to %q, %v", shape, again, err)
+		}
+		if _, err := db.Query(sql); err != nil {
+			t.Errorf("Query(%q): %v", sql, err)
+		}
 	}
 }

@@ -5,23 +5,21 @@
 // deployed with a custom schema to do the aggregation of vulnerabilities
 // by affected products and versions". relstore supplies that substrate
 // without any external dependency: typed tables, hash indexes, a
-// recursive-descent SQL parser, an executor with inner joins, grouping and
-// aggregates, and gob-based persistence.
+// recursive-descent SQL parser, a planner with inner joins of any
+// width, grouping and aggregates, and gob-based persistence.
 //
-// The dialect (see Parse) covers what the study needs:
+// The dialect covers what the study runs: the schema DDL through Exec,
+// and SELECTs through Query, Prepare and ParseSelect.
 //
 //	CREATE TABLE t (col TYPE [PRIMARY KEY], ...)
 //	CREATE INDEX ON t (col)
-//	INSERT INTO t (cols...) VALUES (...), (...)
 //	SELECT [DISTINCT] exprs FROM t [JOIN u ON a = b]... [WHERE expr]
-//	       [GROUP BY cols] [ORDER BY expr [DESC], ...] [LIMIT n]
-//	UPDATE t SET col = expr, ... [WHERE expr]
-//	DELETE FROM t [WHERE expr]
-//	DROP TABLE t
+//	       [GROUP BY cols] [HAVING expr] [ORDER BY expr [DESC], ...] [LIMIT n]
 //
 // with integer, float, text, boolean and timestamp columns, AND/OR/NOT,
 // comparisons, IN lists, LIKE patterns, and the COUNT/SUM/AVG/MIN/MAX
-// aggregates (including COUNT(DISTINCT x)).
+// aggregates (including COUNT(DISTINCT x)). Rows arrive through the
+// typed InsertRow and InsertRows; no statement changes or drops them.
 package relstore
 
 import (

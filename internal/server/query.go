@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -19,8 +20,9 @@ import (
 // repeated shapes — even with different literals or arguments — reuse
 // one plan, and results larger than streamAbove rows stream instead of
 // entering the response cache. Only SELECT is accepted: the corpus is
-// read-only while serving, so INSERT/UPDATE/DELETE/DDL answer 400
-// unsupported_statement before touching the engine.
+// read-only while serving, so a statement that begins with CREATE,
+// INSERT, UPDATE, DELETE or DROP answers 400 unsupported_statement
+// before touching the engine.
 //
 // At the gateway the SELECT scatters to every shard database and the
 // row sets concatenate in shard order. The shard databases are
@@ -177,9 +179,9 @@ func errNoDatabase() *Error {
 }
 
 // canonQuery decodes and vets the QueryRequest body. Anything but SELECT
-// is rejected before the singleflight: a data or schema change must
-// never reach the resident store, and the typed envelope tells the
-// client which rule it broke.
+// is rejected before the singleflight: relstore.ParseSelect refuses
+// every statement that begins with a data or schema keyword, and the
+// typed envelope tells the client which rule it broke.
 func canonQuery(c *canonReq, p *params) {
 	dec := json.NewDecoder(http.MaxBytesReader(c.w, c.r.Body, queryMaxBody))
 	dec.UseNumber()
@@ -192,15 +194,14 @@ func canonQuery(c *canonReq, p *params) {
 		c.fail(&Error{Status: http.StatusBadRequest, Code: "bad_query", Message: "missing required field sql"})
 		return
 	}
-	stmt, err := relstore.Parse(p.query.SQL)
-	if err != nil {
-		c.fail(&Error{Status: http.StatusBadRequest, Code: "bad_query", Message: err.Error()})
-		return
-	}
-	sel, ok := stmt.(*relstore.SelectStmt)
-	if !ok {
+	sel, err := relstore.ParseSelect(p.query.SQL)
+	if errors.Is(err, relstore.ErrNotSelect) {
 		c.fail(&Error{Status: http.StatusBadRequest, Code: "unsupported_statement",
 			Message: "only SELECT statements are served; data and schema changes go through import"})
+		return
+	}
+	if err != nil {
+		c.fail(&Error{Status: http.StatusBadRequest, Code: "bad_query", Message: err.Error()})
 		return
 	}
 	if c.vec != nil {

@@ -26,25 +26,22 @@ func studyMatrix(s *core.Study) []PairShared {
 
 // TestSharedMatrixMatchesStudyCalibrated: the SQL Table III matrix is
 // byte-identical to the in-memory Study's pairwise output on the
-// calibrated corpus, under both SQL executors and at workers 1 and 4.
+// calibrated corpus, at workers 1 and 4. The oracle executor's leg of
+// this identity lives in relstore's TestFigure1MatrixMatchesOracle.
 func TestSharedMatrixMatchesStudyCalibrated(t *testing.T) {
 	db, c := loadedDB(t)
 	want := studyMatrix(core.NewStudy(c.Entries))
-	for _, mode := range []relstore.PlanMode{relstore.PlanJoin, relstore.PlanNaive} {
-		db.Store().SetPlanMode(mode)
-		for _, workers := range []int{1, 4} {
-			db.SetParallelism(workers)
-			got, err := db.SharedMatrix()
-			if err != nil {
-				t.Fatalf("SharedMatrix(mode=%d, workers=%d): %v", mode, workers, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("SQL matrix diverges from Study (mode=%d, workers=%d):\nsql   %v\nstudy %v",
-					mode, workers, got, want)
-			}
+	for _, workers := range []int{1, 4} {
+		db.SetParallelism(workers)
+		got, err := db.SharedMatrix()
+		if err != nil {
+			t.Fatalf("SharedMatrix(workers=%d): %v", workers, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("SQL matrix diverges from Study (workers=%d):\nsql   %v\nstudy %v",
+				workers, got, want)
 		}
 	}
-	db.Store().SetPlanMode(relstore.PlanJoin)
 
 	// Spot-check: the grouped matrix agrees with the per-pair query.
 	for _, cell := range []int{0, 7, len(want) - 1} {

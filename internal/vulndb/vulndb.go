@@ -153,7 +153,7 @@ func CreateForRegistry(registry *osmap.Registry) (*DB, error) {
 		productID: make(map[string]int64),
 	}
 	for _, ddl := range schema {
-		if _, err := db.store.Exec(ddl); err != nil {
+		if err := db.store.Exec(ddl); err != nil {
 			return nil, fmt.Errorf("vulndb: schema: %w", err)
 		}
 	}
