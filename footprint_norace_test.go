@@ -3,8 +3,9 @@
 // The constant-footprint acceptance check of the streaming pipeline:
 // peak ingestion allocation must stay flat (within 1.5×, plus a small
 // allocator slack) while feed volume grows 4× — the property that lets
-// feeds larger than memory ingest. Race builds skip it: the detector's
-// shadow memory distorts every heap measurement.
+// feeds larger than memory ingest — and a finished feed load must keep
+// digests, not entries. Race builds skip both: the detector's shadow
+// memory distorts every heap measurement.
 
 package osdiversity
 
@@ -168,6 +169,34 @@ func TestStreamIngestConstantFootprint(t *testing.T) {
 	t.Logf("stream peak 1x=%dKB 4x=%dKB; collected 4x live=%dKB", peak1>>10, peak4>>10, live>>10)
 	if peak4 >= live {
 		t.Errorf("streaming peak (%d bytes) not below the collected 4x live heap (%d bytes)", peak4, live)
+	}
+}
+
+// TestLoadFeedsRetainsDigestsOnly bounds what a feed-built analysis
+// keeps resident: the Study's digests and release columns, not the
+// parsed entries, so the 4× analysis retains less than half of what a
+// consumer holding the collected 4× entry slice does.
+func TestLoadFeedsRetainsDigestsOnly(t *testing.T) {
+	if testing.Short() {
+		t.Skip("renders two synthetic feed corpora")
+	}
+	paths := footprintFeeds(t)[footprint4x]
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	base := ms.HeapAlloc
+	a, err := LoadFeeds(paths, WithParallelism(4))
+	if err != nil {
+		t.Fatalf("LoadFeeds: %v", err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	retained := int64(ms.HeapAlloc) - int64(base)
+	runtime.KeepAlive(a)
+	live := materializedLive(t, paths)
+	t.Logf("LoadFeeds 4x retains %dKB; collected 4x live=%dKB", retained>>10, live>>10)
+	if retained >= int64(live/2) {
+		t.Errorf("LoadFeeds retains %d bytes, not below half the collected 4x live heap (%d bytes)", retained, live)
 	}
 }
 

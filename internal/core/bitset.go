@@ -680,7 +680,7 @@ func (s *Study) releaseBits(d osmap.Distro, version string) []uint64 {
 		return bs
 	}
 	idx := s.bitIndex()
-	rc := s.relColumns()
+	rc := &s.relCols
 	bs = make([]uint64, idx.words)
 	alignedShards(s.workers(), idx.n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {

@@ -2,19 +2,23 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
 	"osdiversity/internal/corpus"
+	"osdiversity/internal/cpe"
 	"osdiversity/internal/cve"
 	"osdiversity/internal/osmap"
 )
 
 // The identity suite: the bitset engine, at worker counts 1 and 4, must
 // answer every query exactly as the serial oracle (oracle_test.go) does
-// on four corpora — the calibrated paper corpus, a seeded synthetic
-// modern-NVD corpus, a 4-distro universe narrower than the paper's, and
-// a study adopted from exported columns (the snapshot warm-start path).
+// on five corpora — the calibrated paper corpus, a seeded synthetic
+// modern-NVD corpus, a 4-distro universe narrower than the paper's, a
+// study adopted from exported columns (the snapshot warm-start path),
+// and the calibrated corpus out of year order with release-reference
+// edges planted.
 
 // identityWorkers are the worker counts every corpus is built at.
 var identityWorkers = []int{1, 4}
@@ -31,7 +35,14 @@ type identityCase struct {
 type entriesSource func(t *testing.T) ([]*cve.Entry, *osmap.Registry)
 
 // studyBuilder builds one study of a corpus at a worker count.
-type studyBuilder func(t *testing.T, workers int) *Study
+type studyBuilder func(t *testing.T, src entriesSource, workers int) *Study
+
+// identityCorpus names a corpus's source entries and how its studies
+// are built from them.
+type identityCorpus struct {
+	src   entriesSource
+	build studyBuilder
+}
 
 // onceSource memoizes a generated corpus across the suite.
 func onceSource(gen func() ([]*cve.Entry, *osmap.Registry, error)) entriesSource {
@@ -72,6 +83,47 @@ var (
 	narrowSource = onceSource(func() ([]*cve.Entry, *osmap.Registry, error) {
 		return synthetic(corpus.SyntheticConfig{Entries: 3000, Distros: 4, Seed: 7, Workers: 2})
 	})
+	// edgesSource is the calibrated corpus reversed, so input order is
+	// not year order, with two release-reference edges planted that the
+	// generated corpora lack: every fifth entry repeats its first
+	// clustered product under another update (a duplicate reference), and
+	// every seventh also names that product's distro as an
+	// application-part CPE at the distro's first recorded release.
+	edgesSource = onceSource(func() ([]*cve.Entry, *osmap.Registry, error) {
+		c, err := corpus.Generate()
+		if err != nil {
+			return nil, nil, err
+		}
+		registry := osmap.NewRegistry()
+		ents := make([]*cve.Entry, len(c.Entries))
+		for i, e := range c.Entries {
+			e = e.Clone()
+			ents[len(ents)-1-i] = e
+			k := slices.IndexFunc(e.Products, func(p cpe.Name) bool {
+				_, ok := registry.Cluster(p)
+				return ok
+			})
+			if k < 0 {
+				continue
+			}
+			first := e.Products[k]
+			if i%5 == 0 {
+				dup := first
+				dup.Update = "edge-update"
+				e.Products = append(e.Products, dup)
+			}
+			if i%7 == 0 {
+				app := first
+				app.Part = cpe.PartApplication
+				app.Version = "app-only"
+				if d, _ := registry.Cluster(first); len(registry.Releases(d)) > 0 {
+					app.Version = registry.Releases(d)[0].Version
+				}
+				e.Products = append(e.Products, app)
+			}
+		}
+		return ents, nil, nil
+	})
 )
 
 func synthetic(cfg corpus.SyntheticConfig) ([]*cve.Entry, *osmap.Registry, error) {
@@ -82,37 +134,34 @@ func synthetic(cfg corpus.SyntheticConfig) ([]*cve.Entry, *osmap.Registry, error
 	return sc.Entries, sc.Registry, nil
 }
 
-func fromEntries(src entriesSource) studyBuilder {
-	return func(t *testing.T, workers int) *Study {
-		ents, registry := src(t)
-		opts := []Option{WithParallelism(workers)}
-		if registry != nil {
-			opts = append(opts, WithRegistry(registry))
-		}
-		return NewStudy(ents, opts...)
+func fromEntries(t *testing.T, src entriesSource, workers int) *Study {
+	ents, registry := src(t)
+	opts := []Option{WithParallelism(workers)}
+	if registry != nil {
+		opts = append(opts, WithRegistry(registry))
 	}
+	return NewStudy(ents, opts...)
 }
 
 // fromColumns adopts the exported columns of a feed-built study, as a
 // snapshot warm start does.
-func fromColumns(src entriesSource) studyBuilder {
-	return func(t *testing.T, workers int) *Study {
-		t.Helper()
-		base := fromEntries(src)(t, 1)
-		s, err := FromColumns(base.ExportColumns(), WithParallelism(workers), WithRegistry(base.registry))
-		if err != nil {
-			t.Fatalf("FromColumns: %v", err)
-		}
-		return s
+func fromColumns(t *testing.T, src entriesSource, workers int) *Study {
+	t.Helper()
+	base := fromEntries(t, src, 1)
+	s, err := FromColumns(base.ExportColumns(), WithParallelism(workers), WithRegistry(base.registry))
+	if err != nil {
+		t.Fatalf("FromColumns: %v", err)
 	}
+	return s
 }
 
-func identityCorpora() map[string]studyBuilder {
-	return map[string]studyBuilder{
-		"calibrated": fromEntries(calibratedSource),
-		"synthetic":  fromEntries(syntheticSource),
-		"narrow4":    fromEntries(narrowSource),
-		"columns":    fromColumns(calibratedSource),
+func identityCorpora() map[string]identityCorpus {
+	return map[string]identityCorpus{
+		"calibrated": {calibratedSource, fromEntries},
+		"synthetic":  {syntheticSource, fromEntries},
+		"narrow4":    {narrowSource, fromEntries},
+		"columns":    {calibratedSource, fromColumns},
+		"edges":      {edgesSource, fromEntries},
 	}
 }
 
@@ -122,8 +171,9 @@ var (
 )
 
 // identityFor builds (once per corpus) the studies and the oracle's
-// answers over the first of them. Studies are shared across tests, so
-// memoized tables carry over and each is computed once per study.
+// answers over the first of them and the corpus's source entries.
+// Studies are shared across tests, so memoized tables carry over and
+// each is computed once per study.
 func identityFor(t *testing.T, name string) *identityCase {
 	t.Helper()
 	identityMu.Lock()
@@ -131,15 +181,16 @@ func identityFor(t *testing.T, name string) *identityCase {
 	if c, ok := identityCache[name]; ok {
 		return c
 	}
-	build := identityCorpora()[name]
+	corp := identityCorpora()[name]
 	c := &identityCase{}
 	for _, w := range identityWorkers {
-		c.studies = append(c.studies, build(t, w))
+		c.studies = append(c.studies, corp.build(t, corp.src, w))
 	}
 	lo, hi := c.studies[0].YearRange()
 	c.split = (lo + hi) / 2
 	c.window = SelectionWindow{FromYear: lo + 1, ToYear: c.split}
-	c.want = oracleAnswers(c.studies[0], c.split, c.window)
+	ents, _ := corp.src(t)
+	c.want = oracleAnswers(c.studies[0], entriesByID(t, ents), c.split, c.window)
 	identityCache[name] = c
 	return c
 }
@@ -253,14 +304,17 @@ func TestEngineIdentityKWiseMostSharedReleases(t *testing.T) {
 				t.Errorf("workers %d: KWiseProducts(%v) = %v, oracle %v", w, profile, got, c.want.kwiseProducts[profile])
 			}
 		}
-		most := s.MostSharedEntries(len(s.records))
+		most := s.MostSharedCounts(len(s.records))
 		if len(most) != len(c.want.mostShared) {
-			t.Fatalf("workers %d: MostSharedEntries length %d, oracle %d", w, len(most), len(c.want.mostShared))
+			t.Fatalf("workers %d: MostSharedCounts length %d, oracle %d", w, len(most), len(c.want.mostShared))
 		}
 		for i := range most {
 			if most[i].ID != c.want.mostShared[i] {
-				t.Fatalf("workers %d: MostSharedEntries[%d] = %v, oracle %v", w, i, most[i].ID, c.want.mostShared[i])
+				t.Fatalf("workers %d: MostSharedCounts[%d] = %v, oracle %v", w, i, most[i].ID, c.want.mostShared[i])
 			}
+		}
+		if !relColumnsEqual(&s.relCols, &c.want.relCols) {
+			t.Errorf("workers %d: release columns differ from the oracle's entry walk", w)
 		}
 		for p, want := range c.want.releases {
 			va, vb := firstRelease(s, p.A), firstRelease(s, p.B)

@@ -2,7 +2,9 @@ package core
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
+	"weak"
 
 	"osdiversity/internal/corpus"
 	"osdiversity/internal/cve"
@@ -31,7 +33,7 @@ func studyFingerprint(s *Study) map[string]any {
 		"shares":    shares,
 		"kwiseProd": s.KWiseProducts(FatServer),
 		"kwiseClus": s.KWiseClusters(IsolatedThinServer),
-		"describe":  s.Describe(),
+		"skipped":   s.SkippedEntries(),
 	}
 	for _, p := range Profiles() {
 		fp["pairs"+p.String()] = s.PairMatrix(p)
@@ -90,4 +92,37 @@ func TestBuilderGuards(t *testing.T) {
 	}
 	assertPanics("Add", func() { b.Add(nil...) })
 	assertPanics("Finish", func() { b.Finish() })
+}
+
+// TestStudyRetainsNoEntries asserts a Study holds digests only: every
+// entry handed to NewStudy, Builder.Add and DeltaBuilder.Add is
+// collectable while the studies built from them stay reachable.
+func TestStudyRetainsNoEntries(t *testing.T) {
+	var handed []weak.Pointer[cve.Entry]
+	track := func(entries []*cve.Entry) []*cve.Entry {
+		for _, e := range entries {
+			handed = append(handed, weak.Make(e))
+		}
+		return entries
+	}
+	studies := func() []*Study {
+		fx := makeDeltaFixture(t)
+		cold := NewStudy(track(fx.base), WithParallelism(4))
+		b := NewBuilder()
+		addInBatches(b, track(fx.merged), 64)
+		d := NewDeltaBuilder(cold)
+		applyInBatches(d, track(fx.delta), 3)
+		return []*Study{cold, b.Finish(), d.Finish()}
+	}()
+	runtime.GC()
+	live := 0
+	for _, w := range handed {
+		if w.Value() != nil {
+			live++
+		}
+	}
+	if live > 0 {
+		t.Errorf("%d of %d ingested entries still reachable from the finished studies", live, len(handed))
+	}
+	runtime.KeepAlive(studies)
 }

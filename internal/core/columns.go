@@ -20,18 +20,18 @@ import (
 
 // relColumns is the flattened per-record release-reference table the
 // Table VI queries match against: for valid record i,
-// refs[off[i]:off[i+1]] holds its distinct (distro, CPE version) pairs,
-// each packed as uint64(distro)<<32 | version-string index.
+// refs[off[i]:off[i+1]] holds its distinct (distro, CPE version) pairs
+// in CPE order (see digest), each packed as uint64(distro)<<32 |
+// version-string index.
 type relColumns struct {
 	off      []int32  // len(records)+1, monotonically non-decreasing
 	refs     []uint64 // uint64(distro)<<32 | uint64(version index)
-	versions []string // version string table, first-seen order
+	versions []string // version string table, first seen in record order
 }
 
 // affectsRelease reports whether valid record i names the
-// (distro, version) release in its CPE list — the columnar equivalent of
-// the old per-entry product walk, identical because the columns are
-// built from the same registry.Cluster matches.
+// (distro, version) release in its CPE list. The identity suite checks
+// it against a walk over the source entries (oracle_test.go).
 func (rc *relColumns) affectsRelease(i int, d osmap.Distro, version string) bool {
 	for _, ref := range rc.refs[rc.off[i]:rc.off[i+1]] {
 		if osmap.Distro(ref>>32) == d && rc.versions[uint32(ref)] == version {
@@ -39,48 +39,6 @@ func (rc *relColumns) affectsRelease(i int, d osmap.Distro, version string) bool
 		}
 	}
 	return false
-}
-
-// relColumns lazily builds (once) the release-reference columns from the
-// retained source entries. Studies adopted from snapshot columns have no
-// entries; FromColumns pre-fires the Once with the persisted columns.
-func (s *Study) relColumns() *relColumns {
-	s.relOnce.Do(func() {
-		rc := &s.relCols
-		rc.off = make([]int32, len(s.records)+1)
-		rc.versions = []string{}
-		vidx := make(map[string]uint32)
-		for i := range s.records {
-			start := len(rc.refs)
-			// Exactly the predicate the old affectsRelease walk used:
-			// every clustered product counts, whatever its CPE part.
-			for _, p := range s.records[i].entry.Products {
-				d, ok := s.registry.Cluster(p)
-				if !ok {
-					continue
-				}
-				vi, ok := vidx[p.Version]
-				if !ok {
-					vi = uint32(len(rc.versions))
-					vidx[p.Version] = vi
-					rc.versions = append(rc.versions, p.Version)
-				}
-				packed := uint64(d)<<32 | uint64(vi)
-				dup := false
-				for _, prev := range rc.refs[start:] {
-					if prev == packed {
-						dup = true
-						break
-					}
-				}
-				if !dup {
-					rc.refs = append(rc.refs, packed)
-				}
-			}
-			rc.off[i+1] = int32(len(rc.refs))
-		}
-	})
-	return &s.relCols
 }
 
 // Columns is the complete flattened state of a digested Study: every
@@ -190,12 +148,11 @@ func validityFromIdx(idx int) classify.Validity {
 }
 
 // ExportColumns flattens the Study into freshly allocated columns —
-// the save path of internal/snapshot. It forces the bitset index and the
-// release-reference columns, so the persisted form warm-starts with both
-// ready.
+// the save path of internal/snapshot. It forces the bitset index, so the
+// persisted form warm-starts with it ready.
 func (s *Study) ExportColumns() *Columns {
 	idx := s.bitIndex()
-	rc := s.relColumns()
+	rc := &s.relCols
 	n, ni := len(s.records), len(s.invalid)
 	c := &Columns{
 		NumDistros: s.nd,
@@ -356,10 +313,7 @@ func FromColumns(c *Columns, opts ...Option) (*Study, error) {
 		idx.invValidity[v] = c.InvValidityPost[v*invWords : (v+1)*invWords : (v+1)*invWords]
 	}
 	s.bitOnce.Do(func() { s.bidx = idx })
-
-	s.relOnce.Do(func() {
-		s.relCols = relColumns{off: c.RelOff, refs: c.RelRefs, versions: c.RelVersions}
-	})
+	s.relCols = relColumns{off: c.RelOff, refs: c.RelRefs, versions: c.RelVersions}
 	return s, nil
 }
 

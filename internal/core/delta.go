@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"osdiversity/internal/classify"
 	"osdiversity/internal/cve"
 	"osdiversity/internal/osmap"
@@ -22,8 +20,8 @@ import (
 // build over "the base's entry sequence with superseded identifiers
 // removed, followed by the delta entries in arrival order", at any
 // batch split and worker count. (Both paths append records in input
-// order and finish with the same stable year sort, so they land on the
-// identical record layout.)
+// order and finish through the same seal, so they land on the identical
+// record layout and release columns.)
 //
 // Memory independence: the finished Study shares no mutable or mapped
 // memory with the base. Mask arenas are copied and the release
@@ -60,7 +58,8 @@ const (
 type deltaOutcome struct {
 	id   cve.ID
 	kind int8
-	rec  record // zero for deltaSkip
+	rec  record   // zero for deltaSkip
+	refs []relRef // release references of a deltaValid record
 }
 
 // NewDeltaBuilder starts an incremental delta build over base. The new
@@ -74,48 +73,25 @@ func NewDeltaBuilder(base *Study) *DeltaBuilder {
 }
 
 // Add digests one batch of delta entries (concurrently on the worker
-// pool, like Study ingestion). The batch slice is not retained. Add
-// panics after Finish.
+// pool, like Builder.Add). Neither the batch slice nor the entries are
+// retained. Add panics after Finish.
 func (b *DeltaBuilder) Add(entries ...*cve.Entry) {
 	if b.finished {
 		panic("core: DeltaBuilder.Add after Finish")
 	}
-	s := b.s
-	type digested struct {
-		rec record
-		ok  bool
-	}
-	arena := make([]uint64, len(entries)*s.maskWords)
-	maskAt := func(i int) osmap.Mask {
-		return osmap.Mask(arena[i*s.maskWords : (i+1)*s.maskWords : (i+1)*s.maskWords])
-	}
-	out := make([]digested, len(entries))
-	if s.isParallel() && len(entries) >= minParallelItems {
-		runShards(s.workers(), len(entries), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				rec, ok := s.digest(entries[i], maskAt(i))
-				out[i] = digested{rec, ok}
-			}
-		})
-	} else {
-		for i, e := range entries {
-			rec, ok := s.digest(e, maskAt(i))
-			out[i] = digested{rec, ok}
-		}
-	}
-	for i, e := range entries {
-		o := deltaOutcome{id: e.ID}
+	for i, d := range b.s.digestBatch(entries) {
+		o := deltaOutcome{id: entries[i].ID}
 		switch {
-		case !out[i].ok:
+		case !d.ok:
 			o.kind = deltaSkip
-		case out[i].rec.validity != classify.Valid:
+		case d.rec.validity != classify.Valid:
 			o.kind = deltaInvalid
-			o.rec = out[i].rec
+			o.rec = d.rec
 		default:
 			o.kind = deltaValid
-			o.rec = out[i].rec
+			o.rec, o.refs = d.rec, d.refs
 		}
-		b.latest[e.ID] = len(b.outcomes)
+		b.latest[o.id] = len(b.outcomes)
 		b.outcomes = append(b.outcomes, o)
 	}
 }
@@ -174,7 +150,7 @@ func (b *DeltaBuilder) Finish() *Study {
 	// study must not depend on.
 	mw := s.maskWords
 	recs := make([]record, 0, len(keepRecs)+nValid)
-	relSrc := make([]int32, 0, len(keepRecs)+nValid)
+	deltaRefs := make([][]relRef, 0, nValid)
 	arena := make([]uint64, (len(keepRecs)+nValid)*mw)
 	ai := 0
 	takeMask := func(src osmap.Mask) osmap.Mask {
@@ -187,7 +163,6 @@ func (b *DeltaBuilder) Finish() *Study {
 		r := base.records[j]
 		r.mask = takeMask(r.mask)
 		recs = append(recs, r)
-		relSrc = append(relSrc, int32(j))
 	}
 	for _, o := range final {
 		if o.kind != deltaValid {
@@ -196,7 +171,7 @@ func (b *DeltaBuilder) Finish() *Study {
 		r := o.rec
 		r.mask = takeMask(r.mask)
 		recs = append(recs, r)
-		relSrc = append(relSrc, -1)
+		deltaRefs = append(deltaRefs, o.refs)
 	}
 
 	inv := make([]record, 0, len(keepInv)+nInv)
@@ -221,94 +196,34 @@ func (b *DeltaBuilder) Finish() *Study {
 		r.mask = takeInvMask(r.mask)
 		inv = append(inv, r)
 	}
-
-	// The stable year sort runs through an explicit permutation so the
-	// per-record release-reference provenance co-sorts with the records.
-	perm := make([]int, len(recs))
-	for i := range perm {
-		perm[i] = i
-	}
-	sort.SliceStable(perm, func(x, y int) bool { return recs[perm[x]].year < recs[perm[y]].year })
-	sorted := make([]record, len(recs))
-	sortedSrc := make([]int32, len(recs))
-	for k, i := range perm {
-		sorted[k] = recs[i]
-		sortedSrc[k] = relSrc[i]
-	}
-
-	s.records = sorted
 	s.invalid = inv
 	s.skipped = base.skipped + nSkip
-	b.buildRelColumns(sortedSrc)
-	return s
-}
 
-// buildRelColumns eagerly merges the release-reference columns: kept
-// base records copy their refs out of the base's columns (remapping
-// version indices into a fresh table), delta records derive theirs from
-// the retained entry exactly as the lazy relColumns build does. Eager
-// because the lazy path walks record.entry.Products — nil for base
-// records adopted from a snapshot — and because the merged table must
-// be indexed by the *new* study's sorted record order. src[i] is the
-// base record index behind sorted record i, or -1 for a delta record.
-func (b *DeltaBuilder) buildRelColumns(src []int32) {
-	s, base := b.s, b.base
-	baseRC := base.relColumns()
-	rc := relColumns{
-		off:      make([]int32, len(s.records)+1),
-		refs:     []uint64{},
-		versions: []string{},
-	}
-	vidx := make(map[string]uint32)
-	intern := func(v string) uint32 {
-		vi, ok := vidx[v]
-		if !ok {
-			vi = uint32(len(rc.versions))
-			vidx[v] = vi
-			rc.versions = append(rc.versions, v)
+	// Kept base records read their references out of the base's release
+	// columns (their versions are re-interned on the heap), delta records
+	// bring their own digests.
+	baseRC := &base.relCols
+	var buf []relRef
+	s.seal(recs, func(i int) []relRef {
+		if i >= len(keepRecs) {
+			return deltaRefs[i-len(keepRecs)]
 		}
-		return vi
-	}
-	for i := range s.records {
-		start := len(rc.refs)
-		if j := src[i]; j >= 0 {
-			// Base refs are already per-record deduped; remapping the
-			// version index is injective, so a plain copy preserves that.
-			for _, ref := range baseRC.refs[baseRC.off[j]:baseRC.off[j+1]] {
-				v := intern(baseRC.versions[uint32(ref)])
-				rc.refs = append(rc.refs, ref&^uint64(^uint32(0))|uint64(v))
-			}
-		} else {
-			for _, p := range s.records[i].entry.Products {
-				d, ok := s.registry.Cluster(p)
-				if !ok {
-					continue
-				}
-				packed := uint64(d)<<32 | uint64(intern(p.Version))
-				dup := false
-				for _, prev := range rc.refs[start:] {
-					if prev == packed {
-						dup = true
-						break
-					}
-				}
-				if !dup {
-					rc.refs = append(rc.refs, packed)
-				}
-			}
+		j := keepRecs[i]
+		buf = buf[:0]
+		for _, ref := range baseRC.refs[baseRC.off[j]:baseRC.off[j+1]] {
+			buf = append(buf, relRef{osmap.Distro(ref >> 32), baseRC.versions[uint32(ref)]})
 		}
-		rc.off[i+1] = int32(len(rc.refs))
-	}
-	s.relOnce.Do(func() { s.relCols = rc })
+		return buf
+	})
+	return s
 }
 
 // SelfCheck deep-validates the study's internal consistency by round
 // tripping it through the exported column form and the exhaustive
 // validateColumns checks the snapshot loader trusts hostile files to —
 // lengths, offsets, popcounts, posting shapes, year segmentation. As a
-// side effect it forces the bitset index and the release-reference
-// columns, so a freshly built epoch is query-warm before it is swapped
-// in.
+// side effect it forces the bitset index, so a freshly built epoch is
+// query-warm before it is swapped in.
 func (s *Study) SelfCheck() error {
 	return validateColumns(s.ExportColumns(), s)
 }

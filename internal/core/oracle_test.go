@@ -1,7 +1,9 @@
 package core
 
 import (
+	"slices"
 	"sort"
+	"testing"
 
 	"osdiversity/internal/classify"
 	"osdiversity/internal/cve"
@@ -13,7 +15,9 @@ import (
 // a second, independent way. It filters with record.matches and
 // mask.Has only and shares no code with the bitset engine in bitset.go,
 // so agreement between the two is an N-version cross-check of each
-// table.
+// table. The release questions (Table VI) go back to the source entries
+// instead: the oracle walks each valid record's CPE list, which the
+// Study does not keep, and rebuilds the release columns from it.
 
 // oracleTables is the oracle's answer to every identity-suite query over
 // one study, at one split year and one selection window.
@@ -31,6 +35,8 @@ type oracleTables struct {
 	// releases holds each probe pair's Table VI cell for the first
 	// recorded release of either member ("" when it has none).
 	releases map[osmap.Pair]int
+	// relCols are the release columns rebuilt from the source entries.
+	relCols relColumns
 }
 
 // oracleDistro is what the oracle knows about one distribution.
@@ -69,9 +75,24 @@ func firstRelease(s *Study, d osmap.Distro) string {
 	return ""
 }
 
-// oracleAnswers walks s once per question and collects the answers for
-// every probe distro and pair.
-func oracleAnswers(s *Study, split int, w SelectionWindow) *oracleTables {
+// entriesByID indexes the source entries of a study by identifier; the
+// corpora the oracle reads hold each identifier once.
+func entriesByID(t *testing.T, entries []*cve.Entry) map[cve.ID]*cve.Entry {
+	t.Helper()
+	byID := make(map[cve.ID]*cve.Entry, len(entries))
+	for _, e := range entries {
+		if _, dup := byID[e.ID]; dup {
+			t.Fatalf("source corpus repeats %v", e.ID)
+		}
+		byID[e.ID] = e
+	}
+	return byID
+}
+
+// oracleAnswers walks s once per question, and the source entries byID
+// for the release questions, and collects the answers for every probe
+// distro and pair.
+func oracleAnswers(s *Study, byID map[cve.ID]*cve.Entry, split int, w SelectionWindow) *oracleTables {
 	o := &oracleTables{
 		distros:       make(map[osmap.Distro]oracleDistro),
 		pairs:         make(map[osmap.Pair]oraclePair),
@@ -87,13 +108,14 @@ func oracleAnswers(s *Study, split int, w SelectionWindow) *oracleTables {
 	}
 	for _, p := range osmap.PairsOf(probe) {
 		o.pairs[p] = oracleForPair(s, p, split, w)
-		o.releases[p] = oracleReleaseOverlap(s, p.A, firstRelease(s, p.A), p.B, firstRelease(s, p.B))
+		o.releases[p] = oracleReleaseOverlap(s, byID, p.A, firstRelease(s, p.A), p.B, firstRelease(s, p.B))
 	}
 	for _, profile := range Profiles() {
 		o.kwiseClusters[profile] = oracleKWise(s, profile, func(r *record) int { return r.nos })
 		o.kwiseProducts[profile] = oracleKWise(s, profile, func(r *record) int { return r.products })
 	}
 	o.mostShared = oracleMostShared(s)
+	o.relCols = oracleRelColumns(s, byID)
 	return o
 }
 
@@ -270,15 +292,63 @@ func oracleMostShared(s *Study) []cve.ID {
 	return ids
 }
 
-func oracleReleaseOverlap(s *Study, da osmap.Distro, va string, db osmap.Distro, vb string) int {
-	rc := s.relColumns()
+// oracleAffects reports whether the entry names the (distro, version)
+// release: any product the registry clusters into the distro, whatever
+// its CPE part, at that version.
+func oracleAffects(s *Study, e *cve.Entry, d osmap.Distro, version string) bool {
+	for _, p := range e.Products {
+		if c, ok := s.registry.Cluster(p); ok && c == d && p.Version == version {
+			return true
+		}
+	}
+	return false
+}
+
+func oracleReleaseOverlap(s *Study, byID map[cve.ID]*cve.Entry, da osmap.Distro, va string, db osmap.Distro, vb string) int {
 	n := 0
 	for i := range s.records {
-		if s.records[i].matches(IsolatedThinServer) && rc.affectsRelease(i, da, va) && rc.affectsRelease(i, db, vb) {
+		e := byID[s.records[i].id]
+		if s.records[i].matches(IsolatedThinServer) && oracleAffects(s, e, da, va) && oracleAffects(s, e, db, vb) {
 			n++
 		}
 	}
 	return n
+}
+
+// oracleRelColumns rebuilds the release columns by walking each valid
+// record's source entry, in record order: every product the registry
+// clusters, whatever its CPE part, packed with its version's index in
+// a table interned first-seen, and each (distro, version) kept once per
+// record in CPE order.
+func oracleRelColumns(s *Study, byID map[cve.ID]*cve.Entry) relColumns {
+	rc := relColumns{off: make([]int32, len(s.records)+1)}
+	vidx := make(map[string]uint32)
+	for i := range s.records {
+		start := len(rc.refs)
+		for _, p := range byID[s.records[i].id].Products {
+			d, ok := s.registry.Cluster(p)
+			if !ok {
+				continue
+			}
+			vi, ok := vidx[p.Version]
+			if !ok {
+				vi = uint32(len(rc.versions))
+				vidx[p.Version] = vi
+				rc.versions = append(rc.versions, p.Version)
+			}
+			if packed := uint64(d)<<32 | uint64(vi); !slices.Contains(rc.refs[start:], packed) {
+				rc.refs = append(rc.refs, packed)
+			}
+		}
+		rc.off[i+1] = int32(len(rc.refs))
+	}
+	return rc
+}
+
+// relColumnsEqual compares release columns element by element (an
+// empty column equals a nil one).
+func relColumnsEqual(a, b *relColumns) bool {
+	return slices.Equal(a.off, b.off) && slices.Equal(a.refs, b.refs) && slices.Equal(a.versions, b.versions)
 }
 
 // setCost is the oracle's replica-set cost in the window: a lone member

@@ -33,7 +33,7 @@ func TestParallelIngestionIdentical(t *testing.T) {
 	}
 	for i := range serial.records {
 		a, b := &serial.records[i], &parallel.records[i]
-		if a.entry.ID != b.entry.ID || !a.mask.Equal(b.mask) || a.class != b.class ||
+		if a.id != b.id || !a.mask.Equal(b.mask) || a.class != b.class ||
 			a.remote != b.remote || a.year != b.year || a.products != b.products {
 			t.Fatalf("record %d differs: %+v vs %+v", i, a, b)
 		}

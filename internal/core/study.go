@@ -23,8 +23,6 @@
 package core
 
 import (
-	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -66,8 +64,7 @@ func Profiles() []Profile { return []Profile{FatServer, ThinServer, IsolatedThin
 
 // record is the per-entry digest the analyses run on.
 type record struct {
-	entry    *cve.Entry // source entry; nil when adopted from snapshot columns
-	id       cve.ID     // identifier, duplicated out of entry so queries never need it
+	id       cve.ID
 	mask     osmap.Mask // bit i set = affects the study's Distros()[i]
 	nos      int        // cached mask popcount (affected distro count)
 	class    classify.Class
@@ -112,19 +109,11 @@ type Study struct {
 	relMu   sync.Mutex
 	relBits map[releaseKey][]uint64
 
-	// relOnce/relCols lazily flatten each valid record's clustered
-	// (distro, CPE version) references into columnar form — the data the
-	// Table VI release matching runs on. Feed-built studies derive them
-	// from the retained entries on first use; snapshot-loaded studies
-	// adopt them directly (the source entries are not persisted).
-	relOnce sync.Once
+	// relCols holds each valid record's release references in columnar
+	// form — the data the Table VI release matching runs on. Builders
+	// fill it when they seal the record set; FromColumns adopts the
+	// persisted columns.
 	relCols relColumns
-
-	// synthOnce/synthEntries back MostSharedEntries for snapshot-loaded
-	// studies, whose records carry no source entry: minimal entries are
-	// materialized once, on demand.
-	synthOnce    sync.Once
-	synthEntries []*cve.Entry
 
 	cacheMu sync.Mutex
 	cache   map[ckey]*cacheEntry
@@ -145,20 +134,20 @@ func WithClassifier(c *classify.Classifier) Option {
 	return func(s *Study) { s.classifier = c }
 }
 
-// NewStudy ingests entries and precomputes the per-entry digests.
-// Entries that do not touch any clustered distribution are ignored (the
-// paper keeps only its 64 CPEs); entries tagged Unknown, Unspecified or
-// Disputed are kept aside and reported by ValidityTable but excluded
-// from every analysis, exactly as in §III-A.
+// NewStudy ingests entries and precomputes the per-entry digests; it is
+// a one-batch Builder, so the entries are not retained. Entries that do
+// not touch any clustered distribution are ignored (the paper keeps
+// only its 64 CPEs); entries tagged Unknown, Unspecified or Disputed are
+// kept aside and reported by ValidityTable but excluded from every
+// analysis, exactly as in §III-A.
 func NewStudy(entries []*cve.Entry, opts ...Option) *Study {
-	s := newStudyShell(opts)
-	s.ingest(entries)
-	s.finalize()
-	return s
+	b := NewBuilder(opts...)
+	b.Add(entries...)
+	return b.Finish()
 }
 
 // newStudyShell builds an empty Study with its universe frozen but no
-// entries ingested — the shared seed of NewStudy and NewBuilder.
+// entries ingested — the shared seed of every construction path.
 func newStudyShell(opts []Option) *Study {
 	s := &Study{
 		registry:   osmap.NewRegistry(),
@@ -195,87 +184,6 @@ func (s *Study) Distros() []osmap.Distro { return append([]osmap.Distro(nil), s.
 
 // Pairs returns the universe's unordered pairs in table row order.
 func (s *Study) Pairs() []osmap.Pair { return append([]osmap.Pair(nil), s.pairs...) }
-
-// ingest digests entries into records. With more than one worker the
-// digests run concurrently (the registry and classifier are read-only
-// after construction); the append pass stays in input order and the
-// year sort is stable, so the record layout is identical to the serial
-// path. Masks are carved out of one contiguous arena so the index build
-// streams cache-friendly memory.
-func (s *Study) ingest(entries []*cve.Entry) {
-	type digested struct {
-		rec record
-		ok  bool
-	}
-	arena := make([]uint64, len(entries)*s.maskWords)
-	maskAt := func(i int) osmap.Mask {
-		return osmap.Mask(arena[i*s.maskWords : (i+1)*s.maskWords : (i+1)*s.maskWords])
-	}
-	out := make([]digested, len(entries))
-	if s.isParallel() && len(entries) >= minParallelItems {
-		runShards(s.workers(), len(entries), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				rec, ok := s.digest(entries[i], maskAt(i))
-				out[i] = digested{rec, ok}
-			}
-		})
-	} else {
-		for i, e := range entries {
-			rec, ok := s.digest(e, maskAt(i))
-			out[i] = digested{rec, ok}
-		}
-	}
-	for i := range out {
-		switch {
-		case !out[i].ok:
-			s.skipped++
-		case out[i].rec.validity != classify.Valid:
-			s.invalid = append(s.invalid, out[i].rec)
-		default:
-			s.records = append(s.records, out[i].rec)
-		}
-	}
-}
-
-// finalize orders valid records by publication year so the bitset index
-// can answer period and window queries over contiguous bit ranges. The
-// sort is stable, so a Study built from any batch split of the same
-// entry sequence (see Builder) lands on the identical record layout.
-func (s *Study) finalize() {
-	sort.SliceStable(s.records, func(i, j int) bool { return s.records[i].year < s.records[j].year })
-}
-
-func (s *Study) digest(e *cve.Entry, mask osmap.Mask) (record, bool) {
-	productSet := make(map[string]bool, len(e.Products))
-	for _, p := range e.Products {
-		if !p.IsOS() {
-			continue
-		}
-		productSet[p.Vendor+"/"+p.Product] = true
-		if d, ok := s.registry.Cluster(p); ok {
-			if i, ok := s.index[d]; ok {
-				// SetGrow keeps ingestion alive even if a registry ever
-				// maps a product to a distro beyond the universe width.
-				mask = mask.SetGrow(i)
-			}
-		}
-	}
-	nos := mask.OnesCount()
-	if nos == 0 {
-		return record{}, false
-	}
-	return record{
-		entry:    e,
-		id:       e.ID,
-		mask:     mask,
-		nos:      nos,
-		class:    s.classifier.Classify(e),
-		remote:   e.Remote(),
-		year:     e.Year(),
-		validity: classify.EntryValidity(e),
-		products: len(productSet),
-	}, true
-}
 
 // matches reports whether the record survives the profile filter.
 func (r *record) matches(p Profile) bool {
@@ -490,44 +398,6 @@ func (s *Study) KWiseProducts(profile Profile) map[int]int {
 	return out
 }
 
-// MostSharedEntries returns the valid entries affecting the most OS
-// products, descending (ties by CVE ID), limited to n. The full order is
-// computed once through the engine's bucket sort (see bitset.go) and
-// memoized, so repeated calls at any n are slice lookups.
-func (s *Study) MostSharedEntries(n int) []*cve.Entry {
-	order := s.mostSharedOrder()
-	if n > len(order) {
-		n = len(order)
-	}
-	out := make([]*cve.Entry, n)
-	for i := 0; i < n; i++ {
-		out[i] = s.entryAt(order[i])
-	}
-	return out
-}
-
-// entryAt returns the valid record's source entry, or — for records
-// adopted from a snapshot, which carry none — a minimal entry holding
-// the persisted identifier. The synthetic entries are materialized once
-// for the whole study so concurrent queries share one slice.
-func (s *Study) entryAt(i int) *cve.Entry {
-	if e := s.records[i].entry; e != nil {
-		return e
-	}
-	s.synthOnce.Do(func() {
-		es := make([]*cve.Entry, len(s.records))
-		for j := range s.records {
-			if s.records[j].entry == nil {
-				es[j] = &cve.Entry{ID: s.records[j].id}
-			} else {
-				es[j] = s.records[j].entry
-			}
-		}
-		s.synthEntries = es
-	})
-	return s.synthEntries[i]
-}
-
 // FilterReduction computes §IV-E(1): the average relative reduction of
 // pairwise overlap going from one profile to another, over pairs with a
 // non-zero baseline.
@@ -541,10 +411,4 @@ func (s *Study) FilterReduction(from, to Profile) float64 {
 // memoized per-release posting bitsets (see releaseBits).
 func (s *Study) ReleaseOverlap(da osmap.Distro, va string, db osmap.Distro, vb string) int {
 	return and3Popcount(s.releaseBits(da, va), s.releaseBits(db, vb), s.bitIndex().profile[IsolatedThinServer-1])
-}
-
-// Describe summarizes the study for logs and CLIs.
-func (s *Study) Describe() string {
-	return fmt.Sprintf("study: %d valid, %d removed, %d skipped entries",
-		len(s.records), len(s.invalid), s.skipped)
 }

@@ -149,9 +149,9 @@ func TestStudyKWiseProducts(t *testing.T) {
 			t.Errorf("products >= %d: got %d, paper %d", k, kwise[k], want)
 		}
 	}
-	top := s.MostSharedEntries(3)
+	top := s.MostSharedCounts(3)
 	if len(top) != 3 {
-		t.Fatalf("MostSharedEntries returned %d", len(top))
+		t.Fatalf("MostSharedCounts returned %d", len(top))
 	}
 	if top[0].ID != cve.MustID("CVE-2008-4609") {
 		t.Errorf("most shared entry = %v, want CVE-2008-4609", top[0].ID)

@@ -279,6 +279,68 @@ func TestIndexAcceleratedSelectMatchesScan(t *testing.T) {
 	}
 }
 
+// TestIntFloatEqualityIsExact pins INTEGER-against-FLOAT equality at the
+// edge of float64's exact integers, 2^53 - 1, 2^53 and 2^53 + 1: a scan
+// and an index probe answer the same rows, an equi-join matches exactly
+// the pairs its range form matches, and Equal, Compare and the hash key
+// agree on every pair of values.
+func TestIntFloatEqualityIsExact(t *testing.T) {
+	const p53 = 1 << 53
+	db := Open()
+	mustExec(t, db, `CREATE TABLE a (k INTEGER)`)
+	mustExec(t, db, `CREATE TABLE b (f FLOAT)`)
+	for _, k := range []int64{p53 - 1, p53, p53 + 1} {
+		mustInsert(t, db, "a", []string{"k"}, []Value{Int(k)})
+	}
+	mustInsert(t, db, "b", []string{"f"}, []Value{Float(p53 - 1)}, []Value{Float(p53)})
+
+	count := func(sql string) int64 {
+		t.Helper()
+		res := mustQuery(t, db, sql)
+		naive, err := db.queryNaive(sql)
+		if err != nil || !resultsEqual(res, naive) {
+			t.Fatalf("%s: planner %v, oracle %v (%v)", sql, res.Rows, naive, err)
+		}
+		return res.Rows[0][0].AsInt()
+	}
+	// 9007199254740993.0 rounds to 2^53 as a float literal.
+	probes := []string{"9007199254740991.0", "9007199254740992.0", "9007199254740993.0"}
+	var scan []int64
+	for _, f := range probes {
+		scan = append(scan, count(`SELECT COUNT(*) FROM a WHERE k = `+f))
+	}
+	equi := count(`SELECT COUNT(*) FROM a JOIN b ON a.k = b.f`)
+	rangeJoin := count(`SELECT COUNT(*) FROM a JOIN b ON a.k >= b.f AND a.k <= b.f`)
+	mustExec(t, db, `CREATE INDEX ON a (k)`)
+	for i, f := range probes {
+		if got := count(`SELECT COUNT(*) FROM a WHERE k = ` + f); got != 1 || scan[i] != 1 {
+			t.Errorf("k = %s: scan %d rows, index %d, want 1 and 1", f, scan[i], got)
+		}
+	}
+	if indexed := count(`SELECT COUNT(*) FROM a JOIN b ON a.k = b.f`); equi != 2 || rangeJoin != 2 || indexed != 2 {
+		t.Errorf("equi-join %d, range join %d, indexed equi-join %d, want 2 each", equi, rangeJoin, indexed)
+	}
+
+	values := []Value{
+		Int(p53 - 1), Int(p53), Int(p53 + 1), Float(p53 - 1), Float(p53), Float(p53 + 2),
+		Float(0.5), Int(0), Int(1), Float(-1 << 63), Int(-1 << 63), Float(1 << 63), Int(1<<63 - 1),
+	}
+	for _, x := range values {
+		for _, y := range values {
+			eq := x.Equal(y)
+			if keyEq := x.key() == y.key(); eq != keyEq {
+				t.Errorf("%s %v = %s %v is %v, but keys equal is %v", x.Kind(), x, y.Kind(), y, eq, keyEq)
+			}
+			if cmpEq := x.Compare(y) == 0; eq != cmpEq {
+				t.Errorf("%s %v = %s %v is %v, but Compare is %d", x.Kind(), x, y.Kind(), y, eq, x.Compare(y))
+			}
+			if x.Compare(y) != -y.Compare(x) {
+				t.Errorf("Compare(%v, %v) = %d is not antisymmetric", x, y, x.Compare(y))
+			}
+		}
+	}
+}
+
 func TestPrimaryKeyLookupPath(t *testing.T) {
 	db := seedDB(t)
 	res := mustQuery(t, db, `SELECT name FROM os WHERE id = 3`)

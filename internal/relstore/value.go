@@ -23,7 +23,9 @@
 package relstore
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -172,10 +174,14 @@ func (v Value) Equal(o Value) bool {
 		return false
 	}
 	if v.numeric() && o.numeric() {
-		if v.kind == KindInt && o.kind == KindInt {
-			return v.i == o.i
+		if v.kind == KindFloat && o.kind == KindFloat {
+			return v.f == o.f
 		}
-		return v.AsFloat() == o.AsFloat()
+		// An integer equals only an integer or a whole float of the
+		// same value, exactly as key() hashes them.
+		a, okA := v.exactInt()
+		b, okB := o.exactInt()
+		return okA && okB && a == b
 	}
 	if v.kind != o.kind {
 		return false
@@ -207,15 +213,7 @@ func (v Value) Compare(o Value) int {
 		}
 	}
 	if v.numeric() && o.numeric() {
-		a, b := v.AsFloat(), o.AsFloat()
-		switch {
-		case a < b:
-			return -1
-		case a > b:
-			return 1
-		default:
-			return 0
-		}
+		return compareNumeric(v, o)
 	}
 	if v.kind != o.kind {
 		if v.kind < o.kind {
@@ -250,16 +248,16 @@ func (v Value) Compare(o Value) int {
 }
 
 // key returns a map key identifying the value for hashing (indexes,
-// GROUP BY, DISTINCT). Numeric values of equal magnitude hash equal.
+// GROUP BY, DISTINCT). Numeric values hash equal exactly when Equal
+// holds: a float that is a whole number inside the int64 range keys as
+// that integer.
 func (v Value) key() string {
 	switch v.kind {
 	case KindNull:
 		return "n"
-	case KindInt:
-		return "i" + strconv.FormatInt(v.i, 10)
-	case KindFloat:
-		if v.f == float64(int64(v.f)) {
-			return "i" + strconv.FormatInt(int64(v.f), 10)
+	case KindInt, KindFloat:
+		if n, ok := v.exactInt(); ok {
+			return "i" + strconv.FormatInt(n, 10)
 		}
 		return "f" + strconv.FormatFloat(v.f, 'g', -1, 64)
 	case KindText:
@@ -274,6 +272,64 @@ func (v Value) key() string {
 	default:
 		return "?"
 	}
+}
+
+// exactInt returns a numeric value as an int64 when it is an integer or
+// a float holding a whole number inside the int64 range [-2^63, 2^63).
+func (v Value) exactInt() (int64, bool) {
+	switch {
+	case v.kind == KindInt:
+		return v.i, true
+	case v.kind == KindFloat && v.f >= -(1<<63) && v.f < 1<<63 && v.f == math.Trunc(v.f):
+		return int64(v.f), true
+	default:
+		return 0, false
+	}
+}
+
+// compareNumeric orders two numeric values exactly. Two integers or two
+// floats compare as such (a NaN orders equal to everything, as before).
+// An integer against a float compares without rounding the integer: a
+// float that is a whole number inside the int64 range compares as that
+// integer, and any other float by magnitude — beyond the range it lies
+// past every integer, and otherwise strictly between floor(f) and
+// floor(f)+1.
+func compareNumeric(v, o Value) int {
+	switch {
+	case v.kind == KindInt && o.kind == KindInt:
+		return cmp.Compare(v.i, o.i)
+	case v.kind == KindInt:
+		return compareIntFloat(v.i, o.f)
+	case o.kind == KindInt:
+		return -compareIntFloat(o.i, v.f)
+	}
+	switch {
+	case v.f < o.f:
+		return -1
+	case v.f > o.f:
+		return 1
+	default:
+		return 0
+	}
+}
+
+func compareIntFloat(i int64, f float64) int {
+	switch {
+	case math.IsNaN(f):
+		return 0
+	case f >= 1<<63:
+		return -1
+	case f < -(1 << 63):
+		return 1
+	}
+	floor := math.Floor(f)
+	if n := int64(floor); i != n {
+		return cmp.Compare(i, n)
+	}
+	if floor == f {
+		return 0
+	}
+	return -1
 }
 
 // coerce validates (and where harmless, converts) a value for storage in

@@ -15,6 +15,7 @@ import (
 	"osdiversity"
 	"osdiversity/internal/httpapi"
 	"osdiversity/internal/server"
+	"osdiversity/internal/vulndb"
 )
 
 // newTestServer builds a server over the calibrated corpus at the given
@@ -446,8 +447,24 @@ func TestMostSharedStreamedBody(t *testing.T) {
 	}
 }
 
+// openSQLTable3 renders the SQL-path matrix over a freshly opened copy
+// of the database at dbPath.
+func openSQLTable3(t *testing.T, dbPath string, workers int) httpapi.SQLTable3 {
+	t.Helper()
+	db, err := vulndb.Open(dbPath)
+	if err != nil {
+		t.Fatalf("vulndb.Open: %v", err)
+	}
+	db.SetParallelism(workers)
+	doc, err := server.BuildSQLTable3FromDB(db)
+	if err != nil {
+		t.Fatalf("BuildSQLTable3FromDB: %v", err)
+	}
+	return doc
+}
+
 // TestSQLTable3Endpoint proves the SQL path serves through the resident
-// server and matches the facade, at workers 1 and 4.
+// server and matches a freshly opened database, at workers 1 and 4.
 func TestSQLTable3Endpoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates feeds and imports a database")
@@ -489,11 +506,7 @@ func TestSQLTable3Endpoint(t *testing.T) {
 		bodies[workers] = body
 		ts.Close()
 
-		want, err := server.BuildSQLTable3(dbPath, workers)
-		if err != nil {
-			t.Fatalf("BuildSQLTable3: %v", err)
-		}
-		wantBody, err := httpapi.Marshal(want)
+		wantBody, err := httpapi.Marshal(openSQLTable3(t, dbPath, workers))
 		if err != nil {
 			t.Fatalf("marshal: %v", err)
 		}
@@ -506,10 +519,7 @@ func TestSQLTable3Endpoint(t *testing.T) {
 	}
 
 	// The SQL matrix must agree with the Study's Table III All column.
-	sql, err := server.BuildSQLTable3(dbPath, 2)
-	if err != nil {
-		t.Fatalf("BuildSQLTable3: %v", err)
-	}
+	sql := openSQLTable3(t, dbPath, 2)
 	a, err := osdiversity.LoadDatabase(dbPath, osdiversity.WithParallelism(2))
 	if err != nil {
 		t.Fatalf("LoadDatabase: %v", err)

@@ -241,25 +241,11 @@ func BuildAttack(a *osdiversity.Analysis, name string, oses []string, f, trials 
 	}, nil
 }
 
-// BuildSQLTable3 renders the SQL-path Table III matrix over an imported
-// database.
-func BuildSQLTable3(dbPath string, workers int) (httpapi.SQLTable3, error) {
-	cells, err := osdiversity.SQLPairwiseShared(dbPath, osdiversity.WithParallelism(workers))
-	if err != nil {
-		return httpapi.SQLTable3{}, fmt.Errorf("sql table3: %w", err)
-	}
-	doc := httpapi.SQLTable3{Cells: make([]httpapi.SQLCell, 0, len(cells))}
-	for _, c := range cells {
-		doc.Cells = append(doc.Cells, httpapi.SQLCell{A: c.A, B: c.B, Shared: c.Shared})
-	}
-	return doc, nil
-}
-
-// BuildSQLTable3FromDB renders the matrix over a resident database —
-// the server path, shared by file-opened and shard-injected stores.
-// The os dimension table is seeded identically in every database, so
-// per-shard documents carry the same pairs in the same order and their
-// cells sum across shards.
+// BuildSQLTable3FromDB renders the SQL-path Table III matrix over a
+// resident database — the server path, shared by file-opened and
+// shard-injected stores. The os dimension table is seeded identically
+// in every database, so per-shard documents carry the same pairs in the
+// same order and their cells sum across shards.
 func BuildSQLTable3FromDB(db *vulndb.DB) (httpapi.SQLTable3, error) {
 	cells, err := db.SharedMatrix()
 	if err != nil {

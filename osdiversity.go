@@ -271,12 +271,14 @@ type Analysis struct {
 
 // LoadFeeds parses NVD XML feed files (plain or .gz) and builds the
 // analysis. Entries flow from the XML tokenizers through bounded
-// channels into the incremental Study builder in batches, so ingestion
-// memory stays constant however large the feed set is (only the compact
-// per-entry digests accumulate). With WithParallelism files decode
-// concurrently and digestion and queries shard across the workers; the
-// tables are byte-identical at any worker count. With WithYearShard the
-// stream is collected first, since the year split needs every entry.
+// channels into the incremental Study builder in batches, so the parsed
+// entries in memory stay bounded however large the feed set is, and none
+// outlives its batch: what stays resident is the Study's per-entry
+// digests and its release columns (see core.Builder). With
+// WithParallelism files decode concurrently and digestion and queries
+// shard across the workers; the tables are byte-identical at any worker
+// count. With WithYearShard the stream is collected first, since the
+// year split needs every entry.
 func LoadFeeds(paths []string, opts ...Option) (*Analysis, error) {
 	cfg := newConfig(opts)
 	if cfg.sharded() {
@@ -686,8 +688,8 @@ func (a *Analysis) KWiseProducts() map[int]int {
 // affecting the most OS products.
 func (a *Analysis) MostShared(n int) []string {
 	var out []string
-	for _, e := range a.study.MostSharedEntries(n) {
-		out = append(out, e.ID.String())
+	for _, c := range a.study.MostSharedCounts(n) {
+		out = append(out, c.ID.String())
 	}
 	return out
 }
