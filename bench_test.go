@@ -9,7 +9,6 @@ package osdiversity
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"testing"
 
@@ -606,7 +605,7 @@ var warmStartFix struct {
 func warmStartFixture(b *testing.B) (paths []string, snapPath string) {
 	b.Helper()
 	if warmStartFix.paths == nil && warmStartFix.err == nil {
-		dir, err := os.MkdirTemp("", "osdiv-warmstart-*")
+		dir, err := fixtureDir("osdiv-warmstart-*")
 		if err != nil {
 			warmStartFix.err = err
 		} else {

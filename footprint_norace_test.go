@@ -10,7 +10,6 @@
 package osdiversity
 
 import (
-	"os"
 	"runtime"
 	"sync"
 	"testing"
@@ -38,7 +37,7 @@ func footprintFeeds(tb testing.TB) map[int][]string {
 	footprintOnce.Do(func() {
 		footprintPaths = make(map[int][]string)
 		for _, volume := range []int{footprint1x, footprint4x} {
-			dir, err := os.MkdirTemp("", "osdiv-footprint-*")
+			dir, err := fixtureDir("osdiv-footprint-*")
 			if err != nil {
 				footprintErr = err
 				return

@@ -29,9 +29,9 @@ func InsertRow(db *DB, tableName string, columns []string, values []Value) error
 
 // InsertRows inserts many rows sharing one column layout under a single
 // lock acquisition and table lookup — the batch half of the feed
-// ingestion pipeline. Rows are inserted in slice order; on error the
-// rows before the failing one remain inserted, like repeated InsertRow
-// calls would leave them.
+// ingestion pipeline. The rows are cut from one backing array. Rows are
+// inserted in slice order; on error the rows before the failing one
+// remain inserted, like repeated InsertRow calls would leave them.
 func InsertRows(db *DB, tableName string, columns []string, rows [][]Value) error {
 	if len(rows) == 0 {
 		return nil
@@ -50,13 +50,15 @@ func InsertRows(db *DB, tableName string, columns []string, rows [][]Value) erro
 		}
 		colIdx[i] = ci
 	}
-	for _, values := range rows {
+	w := len(t.cols)
+	cells := make([]Value, len(rows)*w)
+	for i, values := range rows {
 		if len(values) != len(columns) {
 			return fmt.Errorf("relstore: InsertRows: %d columns, %d values", len(columns), len(values))
 		}
-		row := make([]Value, len(t.cols))
-		for i, ci := range colIdx {
-			row[ci] = values[i]
+		row := cells[i*w : (i+1)*w : (i+1)*w]
+		for j, ci := range colIdx {
+			row[ci] = values[j]
 		}
 		if err := t.insert(row); err != nil {
 			return err

@@ -77,15 +77,18 @@ func (db *DB) Parallelism() int {
 	return 1
 }
 
-// table is the storage for one relation.
+// table is the storage for one relation. Rows are immutable once
+// inserted, and each insert batch (InsertRows, Load) cuts its rows from
+// one backing array, which no row frees on its own. The primary key
+// and the hash indexes map a cell's mapKey to row positions.
 type table struct {
 	name    string
 	cols    []ColumnDef
 	colIdx  map[string]int
 	rows    [][]Value
 	pkCol   int // -1 when the table has no primary key
-	pk      map[string]int
-	indexes map[string]map[string][]int
+	pk      map[Value]int
+	indexes map[string]map[Value][]int
 }
 
 func newTable(name string, cols []ColumnDef) (*table, error) {
@@ -94,7 +97,7 @@ func newTable(name string, cols []ColumnDef) (*table, error) {
 		cols:    cols,
 		colIdx:  make(map[string]int, len(cols)),
 		pkCol:   -1,
-		indexes: make(map[string]map[string][]int),
+		indexes: make(map[string]map[Value][]int),
 	}
 	for i, c := range cols {
 		if _, dup := t.colIdx[c.Name]; dup {
@@ -106,7 +109,7 @@ func newTable(name string, cols []ColumnDef) (*table, error) {
 				return nil, fmt.Errorf("relstore: table %s declares two primary keys", name)
 			}
 			t.pkCol = i
-			t.pk = make(map[string]int)
+			t.pk = make(map[Value]int)
 		}
 	}
 	return t, nil
@@ -128,7 +131,7 @@ func (t *table) insert(row []Value) error {
 		if v.IsNull() {
 			return fmt.Errorf("relstore: table %s: NULL primary key", t.name)
 		}
-		k := v.key()
+		k := v.mapKey()
 		if _, dup := t.pk[k]; dup {
 			return fmt.Errorf("relstore: table %s: duplicate primary key %s", t.name, v)
 		}
@@ -136,7 +139,7 @@ func (t *table) insert(row []Value) error {
 	}
 	for col, idx := range t.indexes {
 		ci := t.colIdx[col]
-		k := row[ci].key()
+		k := row[ci].mapKey()
 		idx[k] = append(idx[k], len(t.rows))
 	}
 	t.rows = append(t.rows, row)
@@ -296,19 +299,35 @@ type gobValue struct {
 }
 
 func toGob(v Value) gobValue {
-	g := gobValue{Kind: v.kind, I: v.i, F: v.f, S: v.s, B: v.b}
-	if v.kind == KindTime {
-		g.T = v.t.UnixNano()
+	g := gobValue{Kind: v.kind, S: v.s}
+	switch v.kind {
+	case KindInt:
+		g.I = v.AsInt()
+	case KindFloat:
+		g.F = v.AsFloat()
+	case KindBool:
+		g.B = v.AsBool()
+	case KindTime:
+		g.T = int64(v.n)
 	}
 	return g
 }
 
 func fromGob(g gobValue) Value {
-	v := Value{kind: g.Kind, i: g.I, f: g.F, s: g.S, b: g.B}
-	if g.Kind == KindTime {
-		v.t = timeFromUnixNano(g.T)
+	switch g.Kind {
+	case KindInt:
+		return Int(g.I)
+	case KindFloat:
+		return Float(g.F)
+	case KindText:
+		return Text(g.S)
+	case KindBool:
+		return Bool(g.B)
+	case KindTime:
+		return Value{kind: KindTime, n: uint64(g.T)}
+	default:
+		return Value{kind: g.Kind}
 	}
-	return v
 }
 
 // Save persists the database to a gzip-compressed gob file.
@@ -388,8 +407,13 @@ func Load(path string) (*DB, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, grow := range gt.Rows {
-			row := make([]Value, len(grow))
+		w := len(t.cols)
+		cells := make([]Value, len(gt.Rows)*w)
+		for i, grow := range gt.Rows {
+			if len(grow) != w {
+				return nil, fmt.Errorf("relstore: load table %s: row width %d, want %d", gt.Name, len(grow), w)
+			}
+			row := cells[i*w : (i+1)*w : (i+1)*w]
 			for j, g := range grow {
 				row[j] = fromGob(g)
 			}
@@ -414,9 +438,9 @@ func (db *DB) createIndexLocked(t *table, col string) error {
 	if !ok {
 		return fmt.Errorf("relstore: table %s has no column %q", t.name, col)
 	}
-	idx := make(map[string][]int, len(t.rows))
+	idx := make(map[Value][]int, len(t.rows))
 	for i, row := range t.rows {
-		k := row[ci].key()
+		k := row[ci].mapKey()
 		idx[k] = append(idx[k], i)
 	}
 	t.indexes[col] = idx

@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 )
-
-func timeFromUnixNano(n int64) time.Time { return time.Unix(0, n).UTC() }
 
 // evalEnv supplies column values (and, in grouped execution, aggregate
 // results) to eval.
@@ -433,21 +430,21 @@ func (db *DB) execGrouped(s *SelectStmt, work *joinedRows, combos [][][]Value) (
 		firstEnv *rowEnv
 		accs     []*aggAccumulator
 	}
-	groups := make(map[string]*group)
-	var order []string
+	groups := make(map[Value]*group)
+	var order []*group
 
 	scratch := newRowEnv(work.refs, work.schemas)
+	keyVals := make([]Value, len(s.GroupBy))
 	for _, combo := range combos {
 		scratch.rows = combo
-		var keyParts []string
-		for _, ge := range s.GroupBy {
+		for i, ge := range s.GroupBy {
 			v, err := eval(ge, scratch)
 			if err != nil {
 				return nil, nil, err
 			}
-			keyParts = append(keyParts, v.key())
+			keyVals[i] = v
 		}
-		key := strings.Join(keyParts, "\x00")
+		key := tupleKey(keyVals)
 		g, ok := groups[key]
 		if !ok {
 			first := newRowEnv(work.refs, work.schemas)
@@ -457,7 +454,7 @@ func (db *DB) execGrouped(s *SelectStmt, work *joinedRows, combos [][][]Value) (
 				g.accs[i] = newAggAccumulator(c)
 			}
 			groups[key] = g
-			order = append(order, key)
+			order = append(order, g)
 		}
 		for i, c := range calls {
 			if err := g.accs[i].add(c, scratch); err != nil {
@@ -478,14 +475,12 @@ func (db *DB) execGrouped(s *SelectStmt, work *joinedRows, combos [][][]Value) (
 		for i, c := range calls {
 			g.accs[i] = newAggAccumulator(c)
 		}
-		groups[""] = g
-		order = append(order, "")
+		order = append(order, g)
 	}
 
 	res := &Result{Columns: cols}
 	var envs []evalEnv
-	for _, key := range order {
-		g := groups[key]
+	for _, g := range order {
 		aggs := make(map[*CallExpr]Value, len(calls))
 		for i, c := range calls {
 			aggs[c] = g.accs[i].result()
@@ -562,13 +557,13 @@ type aggAccumulator struct {
 	sumIsInt bool
 	intSum   int64
 	min, max Value
-	distinct map[string]bool
+	distinct map[Value]bool
 }
 
 func newAggAccumulator(c *CallExpr) *aggAccumulator {
 	acc := &aggAccumulator{fn: c.Func, sumIsInt: true}
 	if c.Distinct {
-		acc.distinct = make(map[string]bool)
+		acc.distinct = make(map[Value]bool)
 	}
 	return acc
 }
@@ -586,7 +581,7 @@ func (a *aggAccumulator) add(c *CallExpr, env evalEnv) error {
 		return nil // SQL aggregates skip NULLs
 	}
 	if a.distinct != nil {
-		k := v.key()
+		k := v.mapKey()
 		if a.distinct[k] {
 			return nil
 		}
@@ -694,15 +689,11 @@ func projectRow(s *SelectStmt, work *joinedRows, env *rowEnv) ([]Value, error) {
 }
 
 func dedupe(res *Result, envs []evalEnv) (*Result, []evalEnv) {
-	seen := make(map[string]bool, len(res.Rows))
+	seen := make(map[Value]bool, len(res.Rows))
 	out := res.Rows[:0]
 	var outEnvs []evalEnv
 	for i, row := range res.Rows {
-		var parts []string
-		for _, v := range row {
-			parts = append(parts, v.key())
-		}
-		k := strings.Join(parts, "\x00")
+		k := tupleKey(row)
 		if seen[k] {
 			continue
 		}

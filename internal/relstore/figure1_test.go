@@ -72,3 +72,29 @@ func TestFigure1MatrixMatchesOracle(t *testing.T) {
 		}
 	}
 }
+
+// figure1SaveSHA256 is the digest of the calibrated Figure 1 database's
+// gunzipped Save stream, recorded when each cell still laid out one
+// field per kind.
+const figure1SaveSHA256 = "e4be487d7729383a50a19b8dae5b477976325ee1d6d1c549f89889416214b8fd"
+
+// TestFigure1SaveGolden pins the file format nvdimport writes: the
+// calibrated corpus loaded through the Figure 1 schema saves the
+// recorded gob bytes. Comparing two saves of one build would pass a
+// drift that changes both alike.
+func TestFigure1SaveGolden(t *testing.T) {
+	c, err := corpus.Generate()
+	if err != nil {
+		t.Fatalf("corpus.Generate: %v", err)
+	}
+	db, err := vulndb.Create()
+	if err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	if _, _, err := db.LoadEntries(c.Entries, classify.NewClassifier()); err != nil {
+		t.Fatalf("LoadEntries: %v", err)
+	}
+	if got := relstore.SaveDigest(t, db.Store()); got != figure1SaveSHA256 {
+		t.Errorf("Save stream SHA-256 %s, want %s", got, figure1SaveSHA256)
+	}
+}

@@ -2,12 +2,17 @@ package relstore
 
 import "testing"
 
-// fuzzFixture is seedDB plus NULL join keys and an index, so the fuzzer
-// reaches index narrowing, primary-key probes and NULL handling. Every
-// table keeps at most 10 rows: the oracle joins with nested loops.
+// fuzzFixture is seedDB plus NULL join keys, an index, and two rows of
+// text that differ only in where a NUL byte splits them, so the fuzzer
+// reaches index narrowing, primary-key probes, NULL handling and
+// multi-column keys over such text. Every table keeps at most 10 rows:
+// the oracle joins with nested loops.
 func fuzzFixture(tb testing.TB) *DB {
 	tb.Helper()
 	db := seedDB(tb)
+	mustExec(tb, db, `CREATE TABLE g (a TEXT, b TEXT)`)
+	mustInsert(tb, db, "g", []string{"a", "b"},
+		[]Value{Text("x\x00tb"), Text("c")}, []Value{Text("x"), Text("b\x00tc")})
 	mustInsert(tb, db, "os_vuln", []string{"os_id", "vuln_id"},
 		[]Value{Null(), Int(11)}, []Value{Int(3), Null()})
 	mustInsert(tb, db, "vuln", []string{"id", "cve", "year", "score", "remote"},

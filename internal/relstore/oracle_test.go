@@ -93,7 +93,7 @@ func (db *DB) execJoin(work *joinedRows, join JoinClause, t *table) (*joinedRows
 	leftExpr, rightExpr, hashable := equiJoinSides(join.On, work, join.Table, t)
 	if hashable {
 		// Build side: hash the new table on its join column.
-		build := make(map[string][]int, len(t.rows))
+		build := make(map[Value][]int, len(t.rows))
 		rightEnv := newRowEnv([]TableRef{join.Table}, [][]ColumnDef{t.cols})
 		for ri, row := range t.rows {
 			rightEnv.set(0, row)
@@ -104,7 +104,7 @@ func (db *DB) execJoin(work *joinedRows, join JoinClause, t *table) (*joinedRows
 			if v.IsNull() {
 				continue
 			}
-			build[v.key()] = append(build[v.key()], ri)
+			build[v.mapKey()] = append(build[v.mapKey()], ri)
 		}
 		leftEnv := newRowEnv(work.refs, work.schemas)
 		for _, combo := range work.combos {
@@ -116,7 +116,7 @@ func (db *DB) execJoin(work *joinedRows, join JoinClause, t *table) (*joinedRows
 			if v.IsNull() {
 				continue
 			}
-			for _, ri := range build[v.key()] {
+			for _, ri := range build[v.mapKey()] {
 				extended := append(append([][]Value(nil), combo...), t.rows[ri])
 				next.combos = append(next.combos, extended)
 			}

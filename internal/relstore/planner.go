@@ -3,8 +3,6 @@ package relstore
 import (
 	"fmt"
 	"runtime"
-	"strconv"
-	"strings"
 	"sync"
 )
 
@@ -243,8 +241,11 @@ func (db *DB) execPlanned(s *SelectStmt, plan *selectPlan) (*Result, error) {
 		schemas: plan.schemas[:1],
 		combos:  make([][][]Value, len(baseRows)),
 	}
-	for i, row := range baseRows {
-		work.combos[i] = [][]Value{row}
+	// Each one-table combo is a window on baseRows (possibly the table's
+	// own row slice): capped at one, so nothing appends through it, and
+	// no executor writes a combo in place.
+	for i := range baseRows {
+		work.combos[i] = baseRows[i : i+1 : i+1]
 	}
 
 	for k := range plan.joins {
@@ -358,14 +359,14 @@ func indexedEqualityPred(preds []Expr, t *table, ref TableRef) (string, Value, b
 // reported by indexedEqualityPred.
 func (t *table) rowsByKey(col string, val Value) [][]Value {
 	if idx, ok := t.indexes[col]; ok {
-		positions := idx[val.key()]
+		positions := idx[val.mapKey()]
 		out := make([][]Value, len(positions))
 		for i, p := range positions {
 			out[i] = t.rows[p]
 		}
 		return out
 	}
-	if ri, ok := t.pk[val.key()]; ok {
+	if ri, ok := t.pk[val.mapKey()]; ok {
 		return t.rows[ri : ri+1]
 	}
 	return nil
@@ -374,10 +375,11 @@ func (t *table) rowsByKey(col string, val Value) [][]Value {
 // buildSide is the hashed right-hand side of one join.
 type buildSide struct {
 	rows [][]Value
-	// multi maps composite key -> positions in rows; nil when pk serves.
-	multi map[string][]int
+	// multi maps the join key's tupleKey to positions in rows; nil when
+	// pk serves.
+	multi map[Value][]int
 	// pk maps key -> single position (primary-key build side).
-	pk map[string]int
+	pk map[Value]int
 	// all lists every position, for the no-equi-key nested fallback.
 	all []int
 }
@@ -419,10 +421,11 @@ func prepareBuild(t *table, ref TableRef, jp *joinPlan) (*buildSide, error) {
 	}
 
 	env := newRowEnv([]TableRef{ref}, [][]ColumnDef{t.cols})
-	b.multi = make(map[string][]int, len(cand))
+	b.multi = make(map[Value][]int, len(cand))
+	vals := make([]Value, len(jp.rightKeys))
 	for ri, row := range cand {
 		env.set(0, row)
-		key, ok, err := evalJoinKey(jp.rightKeys, env)
+		key, ok, err := evalJoinKey(jp.rightKeys, env, vals)
 		if err != nil {
 			return nil, err
 		}
@@ -434,30 +437,18 @@ func prepareBuild(t *table, ref TableRef, jp *joinPlan) (*buildSide, error) {
 	return b, nil
 }
 
-// evalJoinKey evaluates the composite join key. ok is false when any
-// component is NULL (NULL joins nothing, as NULL = x is never true).
-// Multi-column keys length-prefix each component so values containing
-// the would-be separator cannot collide across component boundaries.
-func evalJoinKey(keys []Expr, env evalEnv) (string, bool, error) {
-	if len(keys) == 1 {
-		v, err := eval(keys[0], env)
-		if err != nil || v.IsNull() {
-			return "", false, err
-		}
-		return v.key(), true, nil
-	}
-	var sb strings.Builder
-	for _, e := range keys {
+// evalJoinKey evaluates the join key expressions into vals (one slot
+// per key) and returns their tupleKey. ok is false when any component
+// is NULL (NULL joins nothing, as NULL = x is never true).
+func evalJoinKey(keys []Expr, env evalEnv, vals []Value) (Value, bool, error) {
+	for i, e := range keys {
 		v, err := eval(e, env)
 		if err != nil || v.IsNull() {
-			return "", false, err
+			return Value{}, false, err
 		}
-		k := v.key()
-		sb.WriteString(strconv.Itoa(len(k)))
-		sb.WriteByte(':')
-		sb.WriteString(k)
+		vals[i] = v
 	}
-	return sb.String(), true, nil
+	return tupleKey(vals), true, nil
 }
 
 // execPlannedJoin extends the working set with join k of the plan,
@@ -479,6 +470,7 @@ func (db *DB) execPlannedJoin(work *joinedRows, plan *selectPlan, k int) (*joine
 		leftEnv := newRowEnv(work.refs, work.schemas)
 		extEnv := newRowEnv(next.refs, next.schemas)
 		scratch := make([][]Value, len(work.refs)+1)
+		vals := make([]Value, len(jp.leftKeys))
 		var one [1]int
 		var out [][][]Value
 		for _, combo := range combos {
@@ -488,7 +480,7 @@ func (db *DB) execPlannedJoin(work *joinedRows, plan *selectPlan, k int) (*joine
 				positions = build.all
 			default:
 				leftEnv.rows = combo
-				key, ok, err := evalJoinKey(jp.leftKeys, leftEnv)
+				key, ok, err := evalJoinKey(jp.leftKeys, leftEnv, vals)
 				if err != nil {
 					return nil, err
 				}

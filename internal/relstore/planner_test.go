@@ -100,7 +100,7 @@ func resultsEqual(a, b *Result) bool {
 		}
 		for j := range a.Rows[i] {
 			av, bv := a.Rows[i][j], b.Rows[i][j]
-			if av.Kind() != bv.Kind() || av.key() != bv.key() {
+			if av.Kind() != bv.Kind() || av.mapKey() != bv.mapKey() {
 				return false
 			}
 		}
@@ -193,38 +193,39 @@ func TestWideJoinAnswersBeyondPlannerWidth(t *testing.T) {
 	}
 }
 
-// TestCompositeKeyNoCrossBoundaryCollision: multi-column join keys are
-// length-prefixed, so TEXT values containing the separator byte cannot
-// smear across component boundaries and produce spurious matches.
+// TestCompositeKeyNoCrossBoundaryCollision: multi-column keys (join
+// keys, GROUP BY, DISTINCT) encode each part length-prefixed, so TEXT
+// values containing a separator byte cannot smear across component
+// boundaries: no spurious join match, and no two rows merged.
 func TestCompositeKeyNoCrossBoundaryCollision(t *testing.T) {
 	db := Open()
 	mustExec(t, db, `CREATE TABLE x (a TEXT, b TEXT)`)
 	mustExec(t, db, `CREATE TABLE y (a TEXT, b TEXT)`)
 	// ("p\x00tq", "r") vs ("p", "q\x00tr"): a naive \x00-joined key
-	// serializes both sides identically although neither column matches.
-	if err := InsertRow(db, "x", []string{"a", "b"}, []Value{Text("p\x00tq"), Text("r")}); err != nil {
-		t.Fatal(err)
-	}
-	if err := InsertRow(db, "y", []string{"a", "b"}, []Value{Text("p"), Text("q\x00tr")}); err != nil {
-		t.Fatal(err)
-	}
-	// And one genuine match, to prove the join still joins.
-	if err := InsertRow(db, "x", []string{"a", "b"}, []Value{Text("k\x001"), Text("v")}); err != nil {
-		t.Fatal(err)
-	}
-	if err := InsertRow(db, "y", []string{"a", "b"}, []Value{Text("k\x001"), Text("v")}); err != nil {
-		t.Fatal(err)
-	}
-	const q = `SELECT COUNT(*) FROM x JOIN y ON x.a = y.a AND x.b = y.b`
-	for name, query := range map[string]func(string, ...Value) (*Result, error){
-		"planner": db.Query, "oracle": db.queryNaive,
+	// serializes both identically although neither column matches. x
+	// holds both, y the second, and both hold one more genuine match.
+	mustInsert(t, db, "x", []string{"a", "b"},
+		[]Value{Text("p\x00tq"), Text("r")}, []Value{Text("p"), Text("q\x00tr")}, []Value{Text("k\x001"), Text("v")})
+	mustInsert(t, db, "y", []string{"a", "b"},
+		[]Value{Text("p"), Text("q\x00tr")}, []Value{Text("k\x001"), Text("v")})
+	for _, tc := range []struct {
+		q    string
+		rows int
+	}{
+		{`SELECT x.a FROM x JOIN y ON x.a = y.a AND x.b = y.b`, 2},
+		{`SELECT DISTINCT a, b FROM x`, 3},
+		{`SELECT a, b FROM x GROUP BY a, b HAVING COUNT(*) = 1`, 3},
 	} {
-		res, err := query(q)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if n, err := resultInt(res); err != nil || n != 1 {
-			t.Errorf("%s matched %d rows (%v), want 1", name, n, err)
+		for name, query := range map[string]func(string, ...Value) (*Result, error){
+			"planner": db.Query, "oracle": db.queryNaive,
+		} {
+			res, err := query(tc.q)
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, tc.q, err)
+			}
+			if len(res.Rows) != tc.rows {
+				t.Errorf("%s %s: %d rows %q, want %d", name, tc.q, len(res.Rows), res.Rows, tc.rows)
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package relstore
 import (
 	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -283,7 +284,9 @@ func TestIndexAcceleratedSelectMatchesScan(t *testing.T) {
 // edge of float64's exact integers, 2^53 - 1, 2^53 and 2^53 + 1: a scan
 // and an index probe answer the same rows, an equi-join matches exactly
 // the pairs its range form matches, and Equal, Compare and the hash key
-// agree on every pair of values.
+// agree on every pair of numbers. Over a wider grid (NaNs, ±0, ±Inf,
+// booleans, timestamps, text, NULL) the map key keeps its recorded
+// equivalence classes.
 func TestIntFloatEqualityIsExact(t *testing.T) {
 	const p53 = 1 << 53
 	db := Open()
@@ -321,21 +324,66 @@ func TestIntFloatEqualityIsExact(t *testing.T) {
 		t.Errorf("equi-join %d, range join %d, indexed equi-join %d, want 2 each", equi, rangeJoin, indexed)
 	}
 
-	values := []Value{
-		Int(p53 - 1), Int(p53), Int(p53 + 1), Float(p53 - 1), Float(p53), Float(p53 + 2),
-		Float(0.5), Int(0), Int(1), Float(-1 << 63), Int(-1 << 63), Float(1 << 63), Int(1<<63 - 1),
+	// Each value's class is the hash-key string the engine keyed it by
+	// before map keys became Values; two values must share a map key
+	// exactly when their classes match.
+	t0 := time.Date(2008, 1, 2, 3, 4, 5, 0, time.UTC)
+	grid := []struct {
+		v     Value
+		class string
+	}{
+		{Int(p53 - 1), "i9007199254740991"},
+		{Int(p53), "i9007199254740992"},
+		{Int(p53 + 1), "i9007199254740993"},
+		{Float(p53 - 1), "i9007199254740991"},
+		{Float(p53), "i9007199254740992"},
+		{Float(p53 + 2), "i9007199254740994"},
+		{Float(0.5), "f0.5"},
+		{Int(0), "i0"},
+		{Int(1), "i1"},
+		{Float(-1 << 63), "i-9223372036854775808"},
+		{Int(-1 << 63), "i-9223372036854775808"},
+		{Float(1 << 63), "f9.223372036854776e+18"},
+		{Int(1<<63 - 1), "i9223372036854775807"},
+		{Float(math.NaN()), "fNaN"},
+		{Float(math.Float64frombits(0x7ff8000000000001)), "fNaN"},
+		{Float(math.Float64frombits(0xfff8000000000000)), "fNaN"},
+		{Float(0), "i0"},
+		{Float(math.Copysign(0, -1)), "i0"},
+		{Float(math.Inf(1)), "f+Inf"},
+		{Float(math.Inf(-1)), "f-Inf"},
+		{Bool(true), "b1"},
+		{Bool(false), "b0"},
+		{Time(t0), "d1199243045000000000"},
+		{Time(t0.In(time.FixedZone("x", 3600))), "d1199243045000000000"},
+		{Time(t0.Add(1)), "d1199243045000000001"},
+		{Time(time.Unix(0, 0)), "d0"},
+		{Text(""), "t"},
+		{Text("1"), "t1"},
+		{Text("NaN"), "tNaN"},
+		{Null(), "n"},
 	}
-	for _, x := range values {
-		for _, y := range values {
-			eq := x.Equal(y)
-			if keyEq := x.key() == y.key(); eq != keyEq {
-				t.Errorf("%s %v = %s %v is %v, but keys equal is %v", x.Kind(), x, y.Kind(), y, eq, keyEq)
+	for _, x := range grid {
+		for _, y := range grid {
+			if same := x.v.mapKey() == y.v.mapKey(); same != (x.class == y.class) {
+				t.Errorf("%s %v and %s %v share a map key: %v, want %v",
+					x.v.Kind(), x.v, y.v.Kind(), y.v, same, x.class == y.class)
 			}
-			if cmpEq := x.Compare(y) == 0; eq != cmpEq {
-				t.Errorf("%s %v = %s %v is %v, but Compare is %d", x.Kind(), x, y.Kind(), y, eq, x.Compare(y))
+		}
+	}
+	// Among the numbers no NaN reaches, Equal, Compare and the map key
+	// agree.
+	for _, x := range grid[:13] {
+		for _, y := range grid[:13] {
+			eq := x.v.Equal(y.v)
+			if keyEq := x.v.mapKey() == y.v.mapKey(); eq != keyEq {
+				t.Errorf("%s %v = %s %v is %v, but keys equal is %v", x.v.Kind(), x.v, y.v.Kind(), y.v, eq, keyEq)
 			}
-			if x.Compare(y) != -y.Compare(x) {
-				t.Errorf("Compare(%v, %v) = %d is not antisymmetric", x, y, x.Compare(y))
+			if cmpEq := x.v.Compare(y.v) == 0; eq != cmpEq {
+				t.Errorf("%s %v = %s %v is %v, but Compare is %d", x.v.Kind(), x.v, y.v.Kind(), y.v, eq, x.v.Compare(y.v))
+			}
+			if x.v.Compare(y.v) != -y.v.Compare(x.v) {
+				t.Errorf("Compare(%v, %v) = %d is not antisymmetric", x.v, y.v, x.v.Compare(y.v))
 			}
 		}
 	}
@@ -594,7 +642,7 @@ func TestNumericCrossKindEquality(t *testing.T) {
 	if Int(7).Equal(Float(7.5)) {
 		t.Error("Int(7) == Float(7.5)")
 	}
-	if Int(7).key() != Float(7.0).key() {
+	if Int(7).mapKey() != Float(7.0).mapKey() {
 		t.Error("hash keys differ for equal numerics (breaks joins on mixed columns)")
 	}
 	if Null().Equal(Null()) {

@@ -24,6 +24,7 @@ package relstore
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"strconv"
@@ -42,6 +43,10 @@ const (
 	KindText
 	KindBool
 	KindTime
+
+	// kindTuple marks a multi-column map key built by tupleKey; no cell
+	// holds one.
+	kindTuple Kind = -1
 )
 
 // String names the kind using the dialect's canonical type spelling.
@@ -85,34 +90,59 @@ func ParseKind(s string) (Kind, error) {
 
 // Value is one cell. The zero Value is NULL.
 //
-// Values are small tagged unions passed by value everywhere; rows are
-// []Value slices.
+// A Value is 32 bytes: the kind, one 8-byte payload and a string.
+// Integers, float bits, booleans (0 or 1) and timestamps (UTC
+// nanoseconds since the Unix epoch) share the payload; only text uses
+// the string. Values are passed by value everywhere; rows are []Value
+// slices.
 type Value struct {
 	kind Kind
-	i    int64
-	f    float64
+	n    uint64
 	s    string
-	b    bool
-	t    time.Time
 }
 
 // Null returns the NULL value.
 func Null() Value { return Value{} }
 
 // Int builds an integer value.
-func Int(v int64) Value { return Value{kind: KindInt, i: v} }
+func Int(v int64) Value { return Value{kind: KindInt, n: uint64(v)} }
 
 // Float builds a float value.
-func Float(v float64) Value { return Value{kind: KindFloat, f: v} }
+func Float(v float64) Value { return Value{kind: KindFloat, n: math.Float64bits(v)} }
 
 // Text builds a text value.
 func Text(v string) Value { return Value{kind: KindText, s: v} }
 
 // Bool builds a boolean value.
-func Bool(v bool) Value { return Value{kind: KindBool, b: v} }
+func Bool(v bool) Value {
+	if v {
+		return Value{kind: KindBool, n: 1}
+	}
+	return Value{kind: KindBool}
+}
 
-// Time builds a timestamp value (stored in UTC).
-func Time(v time.Time) Value { return Value{kind: KindTime, t: v.UTC()} }
+// Time builds a timestamp value, stored as UTC nanoseconds since the
+// Unix epoch. Only the instants CheckTime accepts are stored exactly;
+// any other instant wraps to an undefined one.
+func Time(v time.Time) Value { return Value{kind: KindTime, n: uint64(v.UnixNano())} }
+
+// The storable timestamp range: whole days inside the int64 nanosecond
+// range, which runs from 1677-09-21 to 2262-04-11.
+var (
+	minTime = time.Date(1678, 1, 1, 0, 0, 0, 0, time.UTC)
+	maxTime = time.Date(2262, 4, 11, 0, 0, 0, 0, time.UTC)
+)
+
+// CheckTime reports an error unless Time stores t exactly, that is
+// unless t lies between 1678-01-01T00:00:00Z and 2262-04-11T00:00:00Z
+// inclusive.
+func CheckTime(t time.Time) error {
+	if t.Before(minTime) || t.After(maxTime) {
+		return fmt.Errorf("relstore: timestamp %s lies outside the storable range [1678-01-01, 2262-04-11]",
+			t.UTC().Format(time.RFC3339))
+	}
+	return nil
+}
 
 // Kind reports the value's kind.
 func (v Value) Kind() Kind { return v.kind }
@@ -121,24 +151,39 @@ func (v Value) Kind() Kind { return v.kind }
 func (v Value) IsNull() bool { return v.kind == KindNull }
 
 // AsInt returns the integer payload (0 when not an integer).
-func (v Value) AsInt() int64 { return v.i }
+func (v Value) AsInt() int64 {
+	if v.kind != KindInt {
+		return 0
+	}
+	return int64(v.n)
+}
 
 // AsFloat returns the numeric payload as float64, converting integers.
 func (v Value) AsFloat() float64 {
-	if v.kind == KindInt {
-		return float64(v.i)
+	switch v.kind {
+	case KindInt:
+		return float64(int64(v.n))
+	case KindFloat:
+		return math.Float64frombits(v.n)
+	default:
+		return 0
 	}
-	return v.f
 }
 
 // AsText returns the text payload ("" when not text).
 func (v Value) AsText() string { return v.s }
 
 // AsBool returns the boolean payload (false when not boolean).
-func (v Value) AsBool() bool { return v.b }
+func (v Value) AsBool() bool { return v.kind == KindBool && v.n != 0 }
 
-// AsTime returns the timestamp payload (zero when not a timestamp).
-func (v Value) AsTime() time.Time { return v.t }
+// AsTime returns the timestamp payload in UTC (zero when not a
+// timestamp).
+func (v Value) AsTime() time.Time {
+	if v.kind != KindTime {
+		return time.Time{}
+	}
+	return time.Unix(0, int64(v.n)).UTC()
+}
 
 // String renders the value for display and for ORDER BY diagnostics.
 func (v Value) String() string {
@@ -146,18 +191,18 @@ func (v Value) String() string {
 	case KindNull:
 		return "NULL"
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.AsInt(), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.AsFloat(), 'g', -1, 64)
 	case KindText:
 		return v.s
 	case KindBool:
-		if v.b {
+		if v.AsBool() {
 			return "TRUE"
 		}
 		return "FALSE"
 	case KindTime:
-		return v.t.Format(time.RFC3339)
+		return v.AsTime().Format(time.RFC3339)
 	default:
 		return "?"
 	}
@@ -175,10 +220,10 @@ func (v Value) Equal(o Value) bool {
 	}
 	if v.numeric() && o.numeric() {
 		if v.kind == KindFloat && o.kind == KindFloat {
-			return v.f == o.f
+			return v.AsFloat() == o.AsFloat()
 		}
 		// An integer equals only an integer or a whole float of the
-		// same value, exactly as key() hashes them.
+		// same value, exactly as mapKey normalizes them.
 		a, okA := v.exactInt()
 		b, okB := o.exactInt()
 		return okA && okB && a == b
@@ -189,10 +234,8 @@ func (v Value) Equal(o Value) bool {
 	switch v.kind {
 	case KindText:
 		return v.s == o.s
-	case KindBool:
-		return v.b == o.b
-	case KindTime:
-		return v.t.Equal(o.t)
+	case KindBool, KindTime:
+		return v.n == o.n
 	default:
 		return false
 	}
@@ -225,66 +268,66 @@ func (v Value) Compare(o Value) int {
 	case KindText:
 		return strings.Compare(v.s, o.s)
 	case KindBool:
-		switch {
-		case v.b == o.b:
-			return 0
-		case !v.b:
-			return -1
-		default:
-			return 1
-		}
+		return cmp.Compare(v.n, o.n)
 	case KindTime:
-		switch {
-		case v.t.Before(o.t):
-			return -1
-		case v.t.After(o.t):
-			return 1
-		default:
-			return 0
-		}
+		return cmp.Compare(int64(v.n), int64(o.n))
 	default:
 		return 0
 	}
 }
 
-// key returns a map key identifying the value for hashing (indexes,
-// GROUP BY, DISTINCT). Numeric values hash equal exactly when Equal
-// holds: a float that is a whole number inside the int64 range keys as
-// that integer.
-func (v Value) key() string {
-	switch v.kind {
-	case KindNull:
-		return "n"
-	case KindInt, KindFloat:
-		if n, ok := v.exactInt(); ok {
-			return "i" + strconv.FormatInt(n, 10)
-		}
-		return "f" + strconv.FormatFloat(v.f, 'g', -1, 64)
-	case KindText:
-		return "t" + v.s
-	case KindBool:
-		if v.b {
-			return "b1"
-		}
-		return "b0"
-	case KindTime:
-		return "d" + strconv.FormatInt(v.t.UnixNano(), 10)
-	default:
-		return "?"
+// mapKey returns the value normalized for hashing (primary keys,
+// indexes, hash joins, GROUP BY, DISTINCT, COUNT(DISTINCT)): two values
+// have equal map keys exactly when they fall in one equivalence class.
+// A float that is a whole number inside the int64 range keys as that
+// integer, so numeric keys agree with Equal and -0 keys as 0; every NaN
+// keys alike, though NaN equals nothing.
+func (v Value) mapKey() Value {
+	if v.kind != KindFloat {
+		return v
 	}
+	if n, ok := v.exactInt(); ok {
+		return Int(n)
+	}
+	if f := v.AsFloat(); f != f {
+		return Float(math.NaN())
+	}
+	return v
+}
+
+// tupleKey returns the map key of a tuple of values. One value keys as
+// its mapKey; any other width keys as one kindTuple value whose string
+// holds each part's mapKey as its kind byte, 8-byte payload, uvarint
+// string length and string bytes. The parts are self-delimiting, so two
+// tuples of one width share a key exactly when every pair of parts
+// does.
+func tupleKey(vals []Value) Value {
+	if len(vals) == 1 {
+		return vals[0].mapKey()
+	}
+	b := make([]byte, 0, 64)
+	for _, v := range vals {
+		k := v.mapKey()
+		b = append(b, byte(k.kind))
+		b = binary.LittleEndian.AppendUint64(b, k.n)
+		b = binary.AppendUvarint(b, uint64(len(k.s)))
+		b = append(b, k.s...)
+	}
+	return Value{kind: kindTuple, s: string(b)}
 }
 
 // exactInt returns a numeric value as an int64 when it is an integer or
 // a float holding a whole number inside the int64 range [-2^63, 2^63).
 func (v Value) exactInt() (int64, bool) {
-	switch {
-	case v.kind == KindInt:
-		return v.i, true
-	case v.kind == KindFloat && v.f >= -(1<<63) && v.f < 1<<63 && v.f == math.Trunc(v.f):
-		return int64(v.f), true
-	default:
-		return 0, false
+	switch v.kind {
+	case KindInt:
+		return v.AsInt(), true
+	case KindFloat:
+		if f := v.AsFloat(); f >= -(1<<63) && f < 1<<63 && f == math.Trunc(f) {
+			return int64(f), true
+		}
 	}
+	return 0, false
 }
 
 // compareNumeric orders two numeric values exactly. Two integers or two
@@ -297,16 +340,16 @@ func (v Value) exactInt() (int64, bool) {
 func compareNumeric(v, o Value) int {
 	switch {
 	case v.kind == KindInt && o.kind == KindInt:
-		return cmp.Compare(v.i, o.i)
+		return cmp.Compare(v.AsInt(), o.AsInt())
 	case v.kind == KindInt:
-		return compareIntFloat(v.i, o.f)
+		return compareIntFloat(v.AsInt(), o.AsFloat())
 	case o.kind == KindInt:
-		return -compareIntFloat(o.i, v.f)
+		return -compareIntFloat(o.AsInt(), v.AsFloat())
 	}
-	switch {
-	case v.f < o.f:
+	switch f, g := v.AsFloat(), o.AsFloat(); {
+	case f < g:
 		return -1
-	case v.f > o.f:
+	case f > g:
 		return 1
 	default:
 		return 0
@@ -340,7 +383,7 @@ func coerce(v Value, k Kind) (Value, error) {
 		return v, nil
 	}
 	if k == KindFloat && v.kind == KindInt {
-		return Float(float64(v.i)), nil
+		return Float(v.AsFloat()), nil
 	}
 	return Value{}, fmt.Errorf("relstore: cannot store %s value %q in %s column", v.kind, v, k)
 }

@@ -160,6 +160,9 @@ func (db *DB) digestAll(entries []*cve.Entry, classifier *classify.Classifier, w
 // LoadEntries inserts entries through the Figure 1 schema and reports
 // how many were stored and how many skipped: an entry without any
 // clustered OS product is dropped (the paper keeps only its 64 CPEs).
+// An entry it would store whose publication date relstore.CheckTime
+// refuses fails the load before any of its rows are staged; the entries
+// before it stay stored.
 // Entries go in batchSize at a time: the batch digests on the
 // SetParallelism worker count, then the sequential stage stages its
 // rows in entry order and inserts them in one batch per table. IDs and
@@ -177,6 +180,12 @@ func (db *DB) LoadEntries(entries []*cve.Entry, classifier *classify.Classifier)
 			if !digests[i].clustered {
 				skipped++
 				continue
+			}
+			if err := relstore.CheckTime(e.Published); err != nil {
+				if ferr := rows.flush(db); ferr != nil {
+					return stored, skipped, fmt.Errorf("vulndb: batch from %s: %w", batch[0].ID, ferr)
+				}
+				return stored, skipped, fmt.Errorf("vulndb: entry %s: published: %w", e.ID, err)
 			}
 			db.appendEntry(e, &digests[i], &rows)
 			stored++
