@@ -12,6 +12,9 @@
 // naive-over-planned speedup factor; likewise "Feed" / "Snapshot"
 // siblings (the warm-start benchmarks) record feed-over-snapshot.
 //
+// Lines that carry -benchmem's B/op and allocs/op also record them
+// (median per benchmark, like ns/op); the gates read ns/op only.
+//
 // With -compare old.json the command additionally gates on performance
 // regressions: any benchmark present in both the old summary and the
 // fresh input whose ns/op grew beyond -tolerance (relative, default
@@ -49,7 +52,10 @@ import (
 	"strings"
 )
 
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([0-9.]+) ns/op`)
+var (
+	benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([0-9.]+) ns/op`)
+	memFields = regexp.MustCompile(`\s([0-9.]+) B/op\s+([0-9.]+) allocs/op`)
+)
 
 // summary is the benchmark summary document.
 type summary struct {
@@ -58,6 +64,10 @@ type summary struct {
 	// NsPerOp maps benchmark name (CPU suffix stripped) to ns/op. When
 	// a benchmark appears several times (-count > 1), the median wins.
 	NsPerOp map[string]float64 `json:"ns_per_op"`
+	// BytesPerOp and AllocsPerOp hold -benchmem's B/op and allocs/op,
+	// median per benchmark, for the benchmarks whose lines carry them.
+	BytesPerOp  map[string]float64 `json:"bytes_per_op,omitempty"`
+	AllocsPerOp map[string]float64 `json:"allocs_per_op,omitempty"`
 	// PlanSpeedups maps "<Name>" to naive/planned ns ratios for
 	// benchmark pairs named <Name>Naive / <Name>Planned (the relstore
 	// query planner against its pre-planner baseline).
@@ -104,7 +114,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if len(samples) == 0 {
+	if len(samples.ns) == 0 {
 		log.Fatal("no benchmark lines found on stdin")
 	}
 
@@ -191,6 +201,10 @@ func main() {
 // benchmark run.
 type trendEntry struct {
 	NsPerOp map[string]float64 `json:"ns_per_op"`
+	// BytesPerOp and AllocsPerOp hold -benchmem's B/op and allocs/op,
+	// median per benchmark, for the benchmarks whose lines carry them.
+	BytesPerOp  map[string]float64 `json:"bytes_per_op,omitempty"`
+	AllocsPerOp map[string]float64 `json:"allocs_per_op,omitempty"`
 }
 
 // readTrend loads a JSONL run series. A missing file is an empty
@@ -254,11 +268,17 @@ func appendTrend(path string, nsPerOp map[string]float64) error {
 	return f.Close()
 }
 
+// samples are the per-benchmark measurements of one input, keyed by
+// benchmark name with the CPU suffix stripped.
+type samples struct {
+	ns, bytes, allocs map[string][]float64
+}
+
 // parseBench scans `go test -bench` output, echoing every line to echo
 // (the CI log keeps the raw table) and collecting ns/op samples per
-// benchmark name with the CPU suffix stripped.
-func parseBench(r io.Reader, echo io.Writer) (map[string][]float64, error) {
-	samples := make(map[string][]float64)
+// benchmark, and B/op and allocs/op samples where a line carries them.
+func parseBench(r io.Reader, echo io.Writer) (samples, error) {
+	s := samples{ns: make(map[string][]float64), bytes: make(map[string][]float64), allocs: make(map[string][]float64)}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
@@ -272,23 +292,43 @@ func parseBench(r io.Reader, echo io.Writer) (map[string][]float64, error) {
 		if err != nil {
 			continue
 		}
-		samples[m[1]] = append(samples[m[1]], ns)
+		s.ns[m[1]] = append(s.ns[m[1]], ns)
+		if mem := memFields.FindStringSubmatch(line); mem != nil {
+			b, errB := strconv.ParseFloat(mem[1], 64)
+			a, errA := strconv.ParseFloat(mem[2], 64)
+			if errB == nil && errA == nil {
+				s.bytes[m[1]] = append(s.bytes[m[1]], b)
+				s.allocs[m[1]] = append(s.allocs[m[1]], a)
+			}
+		}
 	}
-	return samples, sc.Err()
+	return s, sc.Err()
+}
+
+// medians reduces each benchmark's samples to their median; nil when
+// there are none.
+func medians(samples map[string][]float64) map[string]float64 {
+	if len(samples) == 0 {
+		return nil
+	}
+	out := make(map[string]float64, len(samples))
+	for name, xs := range samples {
+		sort.Float64s(xs)
+		out[name] = xs[len(xs)/2]
+	}
+	return out
 }
 
 // buildSummary reduces samples (median per benchmark) and derives the
 // speedup-pair ratios.
-func buildSummary(samples map[string][]float64) *summary {
+func buildSummary(s samples) *summary {
 	doc := &summary{
 		Note:         "ns/op per benchmark; regenerate with: go test -run xxx -bench . -benchtime=1x <packages> | go run ./cmd/benchjson -out <file> (see the CI workflow for each file's package list)",
-		NsPerOp:      make(map[string]float64, len(samples)),
+		NsPerOp:      medians(s.ns),
+		BytesPerOp:   medians(s.bytes),
+		AllocsPerOp:  medians(s.allocs),
 		PlanSpeedups: make(map[string]float64),
 		WarmSpeedups: make(map[string]float64),
-	}
-	for name, ns := range samples {
-		sort.Float64s(ns)
-		doc.NsPerOp[name] = ns[len(ns)/2]
 	}
 	for name, ns := range doc.NsPerOp {
 		for _, pair := range speedupPairs {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"io"
 	"os"
 	"path/filepath"
@@ -23,22 +24,61 @@ func TestParseBenchStripsCPUSuffix(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parseBench: %v", err)
 	}
-	if got := len(samples); got != 5 {
-		t.Fatalf("parsed %d benchmarks, want 5 (%v)", got, samples)
+	if got := len(samples.ns); got != 5 {
+		t.Fatalf("parsed %d benchmarks, want 5 (%v)", got, samples.ns)
 	}
-	if ns := samples["BenchmarkTotals100kBitset"]; len(ns) != 1 || ns[0] != 3000000 {
+	if ns := samples.ns["BenchmarkTotals100kBitset"]; len(ns) != 1 || ns[0] != 3000000 {
 		t.Errorf("BenchmarkTotals100kBitset samples = %v, want [3000000]", ns)
 	}
 }
 
+// TestParseBenchRecordsMemory: lines with -benchmem's fields, custom
+// metrics between ns/op and B/op included, record B/op and allocs/op
+// medians; a summary without them writes neither map.
+func TestParseBenchRecordsMemory(t *testing.T) {
+	const out = `BenchmarkQuery/shape-2   	       5	  12000 ns/op	  78.45 rows/query	  2308193 B/op	    6026 allocs/op
+BenchmarkQuery/shape-2   	       5	  11000 ns/op	  78.45 rows/query	  2308190 B/op	    6025 allocs/op
+BenchmarkQuery/shape-2   	       5	  13000 ns/op	  78.45 rows/query	  2308199 B/op	    6027 allocs/op
+BenchmarkPlain-2         	       1	 500000 ns/op
+`
+	s, err := parseBench(strings.NewReader(out), io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := buildSummary(s)
+	if got := doc.NsPerOp["BenchmarkQuery/shape"]; got != 12000 {
+		t.Errorf("ns/op median = %v, want 12000", got)
+	}
+	if got := doc.BytesPerOp["BenchmarkQuery/shape"]; got != 2308193 {
+		t.Errorf("B/op median = %v, want 2308193", got)
+	}
+	if got := doc.AllocsPerOp["BenchmarkQuery/shape"]; got != 6026 {
+		t.Errorf("allocs/op median = %v, want 6026", got)
+	}
+	if _, ok := doc.AllocsPerOp["BenchmarkPlain"]; ok {
+		t.Error("a line without -benchmem fields recorded allocs/op")
+	}
+	plain, err := parseBench(strings.NewReader(benchOutput), io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := json.Marshal(buildSummary(plain))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(enc), "bytes_per_op") || strings.Contains(string(enc), "allocs_per_op") {
+		t.Errorf("summary without -benchmem lines writes memory maps: %s", enc)
+	}
+}
+
 func TestBuildSummaryMedianAndSpeedups(t *testing.T) {
-	doc := buildSummary(map[string][]float64{
+	doc := buildSummary(samples{ns: map[string][]float64{
 		"BenchmarkTotals100kBitset":      {3000000, 1000000, 2000000},
 		"BenchmarkJoinNaive":             {80000000},
 		"BenchmarkJoinPlanned":           {2000000},
 		"BenchmarkWarmStart100kFeed":     {5000000000},
 		"BenchmarkWarmStart100kSnapshot": {10000000},
-	})
+	}})
 	if got := doc.NsPerOp["BenchmarkTotals100kBitset"]; got != 2000000 {
 		t.Errorf("median = %v, want 2000000", got)
 	}

@@ -10,28 +10,16 @@ func InsertRow(db *DB, tableName string, columns []string, values []Value) error
 	if len(columns) != len(values) {
 		return fmt.Errorf("relstore: InsertRow: %d columns, %d values", len(columns), len(values))
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	t, ok := db.tables[tableName]
-	if !ok {
-		return fmt.Errorf("relstore: no table %q", tableName)
-	}
-	row := make([]Value, len(t.cols))
-	for i, col := range columns {
-		ci, ok := t.colIdx[col]
-		if !ok {
-			return fmt.Errorf("relstore: table %s has no column %q", tableName, col)
-		}
-		row[ci] = values[i]
-	}
-	return t.insert(row)
+	return InsertRows(db, tableName, columns, [][]Value{values})
 }
 
 // InsertRows inserts many rows sharing one column layout under a single
 // lock acquisition and table lookup — the batch half of the feed
-// ingestion pipeline. The rows are cut from one backing array. Rows are
+// ingestion pipeline. Each column appends the batch to its vector and
+// each index sorts the batch into one run (see index). Rows are
 // inserted in slice order; on error the rows before the failing one
-// remain inserted, like repeated InsertRow calls would leave them.
+// remain inserted, like repeated InsertRow calls would leave them. A
+// batch that would take the table past 2^31-1 rows is refused whole.
 func InsertRows(db *DB, tableName string, columns []string, rows [][]Value) error {
 	if len(rows) == 0 {
 		return nil
@@ -50,26 +38,22 @@ func InsertRows(db *DB, tableName string, columns []string, rows [][]Value) erro
 		}
 		colIdx[i] = ci
 	}
-	w := len(t.cols)
-	cells := make([]Value, len(rows)*w)
-	for i, values := range rows {
+	return t.insert(len(rows), func(i int, row []Value) error {
+		values := rows[i]
 		if len(values) != len(columns) {
 			return fmt.Errorf("relstore: InsertRows: %d columns, %d values", len(columns), len(values))
 		}
-		row := cells[i*w : (i+1)*w : (i+1)*w]
 		for j, ci := range colIdx {
 			row[ci] = values[j]
 		}
-		if err := t.insert(row); err != nil {
-			return err
-		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // ScanTable streams every row of a table to fn in insertion order,
-// stopping early if fn returns false. The row slice is shared; fn must
-// not retain or mutate it.
+// stopping early if fn returns false. fn receives one row slice,
+// refilled for every row: it must copy any row it keeps and must not
+// write to it.
 func ScanTable(db *DB, tableName string, fn func(row []Value) bool) error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -77,7 +61,9 @@ func ScanTable(db *DB, tableName string, fn func(row []Value) bool) error {
 	if !ok {
 		return fmt.Errorf("relstore: no table %q", tableName)
 	}
-	for _, row := range t.rows {
+	row := make([]Value, len(t.cols))
+	for r := range t.n {
+		t.row(r, row)
 		if !fn(row) {
 			return nil
 		}

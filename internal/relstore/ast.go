@@ -94,6 +94,17 @@ type LiteralExpr struct {
 type ColumnExpr struct {
 	Table  string // "" when unqualified
 	Column string
+
+	// at is the column's position, recorded once when validation
+	// resolves the reference, so evaluation never looks a name up.
+	at colPos
+}
+
+// colPos is a resolved column reference: the table's position in the
+// FROM/JOIN list and the column's position in that table.
+type colPos struct {
+	table, col int32
+	ok         bool
 }
 
 // BinaryExpr applies an infix operator: comparison, AND, OR.

@@ -7,7 +7,6 @@ import (
 	"os"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -41,10 +40,6 @@ func Open() *DB {
 // PlanCacheStats reports the shared plan cache counters.
 func (db *DB) PlanCacheStats() PlanCacheStats { return db.plans.stats() }
 
-// PlanCacheEntries snapshots the cached shapes, most recently used
-// first, with each plan's reuse count.
-func (db *DB) PlanCacheEntries() []PlanCacheEntry { return db.plans.entriesSnapshot() }
-
 // invalidatePlans bumps the schema generation and flushes the plan
 // cache. DDL statements call it under db.mu.Lock, so no compilation
 // (which requires at least the read lock) can interleave.
@@ -77,73 +72,153 @@ func (db *DB) Parallelism() int {
 	return 1
 }
 
-// table is the storage for one relation. Rows are immutable once
-// inserted, and each insert batch (InsertRows, Load) cuts its rows from
-// one backing array, which no row frees on its own. The primary key
-// and the hash indexes map a cell's mapKey to row positions.
+// table is the storage for one relation: one typed vector per column
+// (see column), the primary key's sorted index and one sorted index per
+// CREATE INDEX column (see index). Rows are appended by insert batches
+// and never change.
 type table struct {
 	name    string
 	cols    []ColumnDef
 	colIdx  map[string]int
-	rows    [][]Value
-	pkCol   int // -1 when the table has no primary key
-	pk      map[Value]int
-	indexes map[string]map[Value][]int
+	n       int32 // rows
+	vecs    []column
+	pk      *index // nil when the table has no primary key
+	indexes map[string]*index
 }
+
+// maxRows bounds a table: row ids are int32s.
+const maxRows = 1<<31 - 1
 
 func newTable(name string, cols []ColumnDef) (*table, error) {
 	t := &table{
 		name:    name,
 		cols:    cols,
 		colIdx:  make(map[string]int, len(cols)),
-		pkCol:   -1,
-		indexes: make(map[string]map[Value][]int),
+		vecs:    make([]column, len(cols)),
+		indexes: make(map[string]*index),
 	}
 	for i, c := range cols {
+		switch c.Kind {
+		case KindInt, KindFloat, KindText, KindBool, KindTime:
+		default:
+			return nil, fmt.Errorf("relstore: table %s column %s has unknown kind %d", name, c.Name, int(c.Kind))
+		}
 		if _, dup := t.colIdx[c.Name]; dup {
 			return nil, fmt.Errorf("relstore: table %s declares column %s twice", name, c.Name)
 		}
 		t.colIdx[c.Name] = i
+		t.vecs[i] = newColumn(c.Kind)
 		if c.PrimaryKey {
-			if t.pkCol != -1 {
+			if t.pk != nil {
 				return nil, fmt.Errorf("relstore: table %s declares two primary keys", name)
 			}
-			t.pkCol = i
-			t.pk = make(map[Value]int)
+			t.pk = &index{col: i}
 		}
 	}
 	return t, nil
 }
 
-func (t *table) insert(row []Value) error {
-	if len(row) != len(t.cols) {
-		return fmt.Errorf("relstore: table %s: row width %d, want %d", t.name, len(row), len(t.cols))
+// indexOn returns the sorted index that serves column ci: its CREATE
+// INDEX index, else the primary key's, else nil.
+func (t *table) indexOn(ci int) *index {
+	if ix, ok := t.indexes[t.cols[ci].Name]; ok {
+		return ix
 	}
-	for i := range row {
-		v, err := coerce(row[i], t.cols[i].Kind)
-		if err != nil {
-			return fmt.Errorf("%w (column %s)", err, t.cols[i].Name)
-		}
-		row[i] = v
+	if t.pk != nil && t.pk.col == ci {
+		return t.pk
 	}
-	if t.pkCol != -1 {
-		v := row[t.pkCol]
-		if v.IsNull() {
-			return fmt.Errorf("relstore: table %s: NULL primary key", t.name)
-		}
-		k := v.mapKey()
-		if _, dup := t.pk[k]; dup {
-			return fmt.Errorf("relstore: table %s: duplicate primary key %s", t.name, v)
-		}
-		t.pk[k] = len(t.rows)
-	}
-	for col, idx := range t.indexes {
-		ci := t.colIdx[col]
-		k := row[ci].mapKey()
-		idx[k] = append(idx[k], len(t.rows))
-	}
-	t.rows = append(t.rows, row)
 	return nil
+}
+
+// insert appends rows rows, each written by fill into a scratch row of
+// the table's width, in column order. On error the rows before the
+// failing one stay inserted, and every index takes the appended rows
+// as one batch.
+func (t *table) insert(rows int, fill func(i int, row []Value) error) error {
+	if int64(t.n)+int64(rows) > maxRows {
+		return fmt.Errorf("relstore: table %s: %d more rows would pass %d", t.name, rows, maxRows)
+	}
+	first := t.n
+	defer t.settle(first)
+	row := make([]Value, len(t.cols))
+	// seen holds the batch's primary keys: the primary key's index
+	// takes the batch only once it ends.
+	var seen map[Value]struct{}
+	if t.pk != nil {
+		seen = make(map[Value]struct{}, rows)
+	}
+	for i := 0; i < rows; i++ {
+		clear(row)
+		if err := fill(i, row); err != nil {
+			return err
+		}
+		for ci := range row {
+			v, err := coerce(row[ci], t.cols[ci].Kind)
+			if err != nil {
+				return fmt.Errorf("%w (column %s)", err, t.cols[ci].Name)
+			}
+			row[ci] = v
+		}
+		if t.pk != nil {
+			v := row[t.pk.col]
+			if v.IsNull() {
+				return fmt.Errorf("relstore: table %s: NULL primary key", t.name)
+			}
+			k := v.mapKey()
+			if _, dup := seen[k]; dup || t.pkHolds(v) {
+				return fmt.Errorf("relstore: table %s: duplicate primary key %s", t.name, v)
+			}
+			seen[k] = struct{}{}
+		}
+		for ci, v := range row {
+			t.vecs[ci].push(t.n, v)
+		}
+		t.n++
+	}
+	return nil
+}
+
+// pkHolds reports whether an inserted row's primary key equals v.
+func (t *table) pkHolds(v Value) bool {
+	c := &t.vecs[t.pk.col]
+	if v.isNaN() {
+		// NaN keys stay out of the sorted runs; they are equal for
+		// uniqueness, as mapKey groups them.
+		for i := range t.pk.runs {
+			if len(t.pk.runs[i].nan) > 0 {
+				return true
+			}
+		}
+		return false
+	}
+	for i := range t.pk.runs {
+		if len(t.pk.runs[i].find(c, v)) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// settle ends an insert batch that appended rows [first, t.n): every
+// index takes them as one run, and each TEXT column settles its
+// encoding.
+func (t *table) settle(first int32) {
+	if t.pk != nil {
+		t.pk.add(&t.vecs[t.pk.col], first, t.n)
+	}
+	for _, ix := range t.indexes {
+		ix.add(&t.vecs[ix.col], first, t.n)
+	}
+	for ci := range t.vecs {
+		t.vecs[ci].settle(int(t.n))
+	}
+}
+
+// row writes row r's cells into dst, which has the table's width.
+func (t *table) row(r int32, dst []Value) {
+	for ci := range t.vecs {
+		dst[ci] = t.vecs[ci].value(r)
+	}
 }
 
 // Result is the output of a query: column headers and rows.
@@ -219,29 +294,6 @@ func resultInt(res *Result) (int64, error) {
 	default:
 		return 0, fmt.Errorf("relstore: QueryInt got %s value", v.Kind())
 	}
-}
-
-// Tables lists table names, sorted.
-func (db *DB) Tables() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := make([]string, 0, len(db.tables))
-	for name := range db.tables {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// RowCount returns the number of rows in a table.
-func (db *DB) RowCount(tableName string) (int, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	t, ok := db.tables[strings.ToLower(tableName)]
-	if !ok {
-		return 0, fmt.Errorf("relstore: no table %q", tableName)
-	}
-	return len(t.rows), nil
 }
 
 func (db *DB) createTable(s *createTableStmt) error {
@@ -361,13 +413,16 @@ func (db *DB) Save(path string) (err error) {
 	for _, name := range names {
 		t := db.tables[name]
 		gt := gobTable{Name: t.name, Cols: t.cols}
-		gt.Rows = make([][]gobValue, len(t.rows))
-		for i, row := range t.rows {
-			grow := make([]gobValue, len(row))
+		gt.Rows = make([][]gobValue, t.n)
+		cells := make([]gobValue, int(t.n)*len(t.cols))
+		row := make([]Value, len(t.cols))
+		for r := range t.n {
+			t.row(r, row)
+			grow := cells[int(r)*len(row) : int(r+1)*len(row)]
 			for j, v := range row {
 				grow[j] = toGob(v)
 			}
-			gt.Rows[i] = grow
+			gt.Rows[r] = grow
 		}
 		for col := range t.indexes {
 			gt.Indexed = append(gt.Indexed, col)
@@ -403,23 +458,25 @@ func Load(path string) (*DB, error) {
 		if err := dec.Decode(&gt); err != nil {
 			return nil, fmt.Errorf("relstore: load table %d: %w", i, err)
 		}
+		if _, dup := db.tables[gt.Name]; dup {
+			return nil, fmt.Errorf("relstore: load: table %s appears twice", gt.Name)
+		}
 		t, err := newTable(gt.Name, gt.Cols)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("relstore: load: %w", err)
 		}
-		w := len(t.cols)
-		cells := make([]Value, len(gt.Rows)*w)
-		for i, grow := range gt.Rows {
-			if len(grow) != w {
-				return nil, fmt.Errorf("relstore: load table %s: row width %d, want %d", gt.Name, len(grow), w)
+		err = t.insert(len(gt.Rows), func(i int, row []Value) error {
+			grow := gt.Rows[i]
+			if len(grow) != len(row) {
+				return fmt.Errorf("row width %d, want %d", len(grow), len(row))
 			}
-			row := cells[i*w : (i+1)*w : (i+1)*w]
 			for j, g := range grow {
 				row[j] = fromGob(g)
 			}
-			if err := t.insert(row); err != nil {
-				return nil, fmt.Errorf("relstore: load table %s: %w", gt.Name, err)
-			}
+			return nil
+		})
+		if err != nil {
+			return nil, fmt.Errorf("relstore: load table %s: %w", gt.Name, err)
 		}
 		db.tables[gt.Name] = t
 		for _, col := range gt.Indexed {
@@ -431,18 +488,16 @@ func Load(path string) (*DB, error) {
 	return db, nil
 }
 
-// createIndexLocked builds a hash index over one column; callers hold
-// db.mu.Lock or own the database exclusively.
+// createIndexLocked builds the sorted index of one column over the
+// rows already stored; callers hold db.mu.Lock or own the database
+// exclusively.
 func (db *DB) createIndexLocked(t *table, col string) error {
 	ci, ok := t.colIdx[col]
 	if !ok {
 		return fmt.Errorf("relstore: table %s has no column %q", t.name, col)
 	}
-	idx := make(map[Value][]int, len(t.rows))
-	for i, row := range t.rows {
-		k := row[ci].mapKey()
-		idx[k] = append(idx[k], i)
-	}
-	t.indexes[col] = idx
+	ix := &index{col: ci}
+	ix.add(&t.vecs[ci], 0, t.n)
+	t.indexes[col] = ix
 	return nil
 }

@@ -6,144 +6,240 @@ import (
 	"strings"
 )
 
-// evalEnv supplies column values (and, in grouped execution, aggregate
-// results) to eval.
-type evalEnv interface {
-	lookupColumn(table, col string) (Value, error)
-	aggregate(c *CallExpr) (Value, bool)
-}
-
-// rowEnv binds one row per referenced table.
-type rowEnv struct {
+// scope resolves column names against the tables of a FROM/JOIN list.
+type scope struct {
 	refs    []TableRef
 	schemas [][]ColumnDef
-	rows    [][]Value
 	// unique maps unqualified column names to (table, column) positions;
 	// names appearing in several tables are recorded in ambiguous.
 	unique    map[string][2]int
 	ambiguous map[string]bool
 }
 
-func newRowEnv(refs []TableRef, schemas [][]ColumnDef) *rowEnv {
-	env := &rowEnv{
+func newScope(refs []TableRef, schemas [][]ColumnDef) *scope {
+	sc := &scope{
 		refs:      refs,
 		schemas:   schemas,
-		rows:      make([][]Value, len(refs)),
 		unique:    make(map[string][2]int),
 		ambiguous: make(map[string]bool),
 	}
 	for ti, schema := range schemas {
 		for ci, col := range schema {
-			if env.ambiguous[col.Name] {
+			if sc.ambiguous[col.Name] {
 				continue
 			}
-			if _, dup := env.unique[col.Name]; dup {
-				delete(env.unique, col.Name)
-				env.ambiguous[col.Name] = true
+			if _, dup := sc.unique[col.Name]; dup {
+				delete(sc.unique, col.Name)
+				sc.ambiguous[col.Name] = true
 				continue
 			}
-			env.unique[col.Name] = [2]int{ti, ci}
+			sc.unique[col.Name] = [2]int{ti, ci}
 		}
 	}
-	return env
+	return sc
 }
 
-func (env *rowEnv) set(tableIdx int, row []Value) { env.rows[tableIdx] = row }
-
-func (env *rowEnv) lookupColumn(tbl, col string) (Value, error) {
+// resolve returns the position of a column reference. A qualifier
+// resolves to the first table of that name.
+func (sc *scope) resolve(tbl, col string) (colPos, error) {
 	if tbl == "" {
-		if env.ambiguous[col] {
-			return Value{}, fmt.Errorf("relstore: ambiguous column %q", col)
+		if sc.ambiguous[col] {
+			return colPos{}, fmt.Errorf("relstore: ambiguous column %q", col)
 		}
-		pos, ok := env.unique[col]
+		pos, ok := sc.unique[col]
 		if !ok {
-			return Value{}, fmt.Errorf("relstore: unknown column %q", col)
+			return colPos{}, fmt.Errorf("relstore: unknown column %q", col)
 		}
-		return env.rows[pos[0]][pos[1]], nil
+		return colPos{table: int32(pos[0]), col: int32(pos[1]), ok: true}, nil
 	}
-	for ti, ref := range env.refs {
+	for ti, ref := range sc.refs {
 		if ref.Name() != tbl {
 			continue
 		}
-		for ci, c := range env.schemas[ti] {
+		for ci, c := range sc.schemas[ti] {
 			if c.Name == col {
-				return env.rows[ti][ci], nil
+				return colPos{table: int32(ti), col: int32(ci), ok: true}, nil
 			}
 		}
-		return Value{}, fmt.Errorf("relstore: table %q has no column %q", tbl, col)
+		return colPos{}, fmt.Errorf("relstore: table %q has no column %q", tbl, col)
 	}
-	return Value{}, fmt.Errorf("relstore: unknown table %q", tbl)
+	return colPos{}, fmt.Errorf("relstore: unknown table %q", tbl)
 }
 
-func (env *rowEnv) aggregate(*CallExpr) (Value, bool) { return Value{}, false }
-
-// checkColumn validates a reference without needing row data.
-func (env *rowEnv) checkColumn(tbl, col string) error {
-	if tbl == "" {
-		if env.ambiguous[col] {
-			return fmt.Errorf("relstore: ambiguous column %q", col)
+// validateSelect resolves every column reference in the query at plan
+// time, so unknown or ambiguous names fail even when no rows flow, and
+// records each reference's position on its node. ORDER BY may
+// additionally reference output aliases.
+func validateSelect(s *SelectStmt, sc *scope) error {
+	aliases := make(map[string]bool, len(s.Items))
+	for _, item := range s.Items {
+		if item.Alias != "" {
+			aliases[item.Alias] = true
 		}
-		if _, ok := env.unique[col]; !ok {
-			return fmt.Errorf("relstore: unknown column %q", col)
+		if !item.Star {
+			if ce, ok := item.Expr.(*ColumnExpr); ok && ce.Table == "" {
+				aliases[ce.Column] = true
+			}
+		}
+	}
+	for _, item := range s.Items {
+		if item.Star {
+			continue
+		}
+		if err := validateExpr(item.Expr, sc, nil); err != nil {
+			return err
+		}
+	}
+	if s.Where != nil {
+		if err := validateFilter(s.Where, sc, "WHERE"); err != nil {
+			return err
+		}
+	}
+	for _, ge := range s.GroupBy {
+		if err := validateExpr(ge, sc, nil); err != nil {
+			return err
+		}
+	}
+	if s.Having != nil {
+		if err := validateExpr(s.Having, sc, nil); err != nil {
+			return err
+		}
+	}
+	for _, key := range s.OrderBy {
+		if err := validateExpr(key.Expr, sc, aliases); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// validateFilter checks a WHERE or ON clause: every column resolves,
+// and no aggregate appears, since a filter sees one row at a time. The
+// check runs before any row flows, so an executor that evaluates the
+// clause's conjuncts in another order or over fewer rows refuses it
+// just the same.
+func validateFilter(e Expr, sc *scope, clause string) error {
+	if err := validateExpr(e, sc, nil); err != nil {
+		return err
+	}
+	if hasAggregate(e) {
+		return fmt.Errorf("relstore: aggregate in %s clause", clause)
+	}
+	return nil
+}
+
+// validateExpr walks an expression, checking that every column reference
+// resolves uniquely and recording its position. Names in extraNames
+// (output aliases) are accepted and left unresolved: ORDER BY reads
+// them from the output row.
+func validateExpr(e Expr, sc *scope, extraNames map[string]bool) error {
+	switch x := e.(type) {
+	case *ColumnExpr:
+		if x.Table == "" && extraNames[x.Column] {
+			if at, err := sc.resolve("", x.Column); err == nil {
+				x.at = at
+			}
+			return nil
+		}
+		at, err := sc.resolve(x.Table, x.Column)
+		if err != nil {
+			return err
+		}
+		x.at = at
+		return nil
+	case *BinaryExpr:
+		if err := validateExpr(x.Left, sc, extraNames); err != nil {
+			return err
+		}
+		return validateExpr(x.Right, sc, extraNames)
+	case *NotExpr:
+		return validateExpr(x.Inner, sc, extraNames)
+	case *InExpr:
+		if err := validateExpr(x.Target, sc, extraNames); err != nil {
+			return err
+		}
+		for _, item := range x.List {
+			if err := validateExpr(item, sc, extraNames); err != nil {
+				return err
+			}
 		}
 		return nil
-	}
-	for ti, ref := range env.refs {
-		if ref.Name() != tbl {
-			continue
+	case *LikeExpr:
+		return validateExpr(x.Target, sc, extraNames)
+	case *CallExpr:
+		if x.Arg != nil {
+			return validateExpr(x.Arg, sc, extraNames)
 		}
-		for _, c := range env.schemas[ti] {
-			if c.Name == col {
-				return nil
-			}
-		}
-		return fmt.Errorf("relstore: table %q has no column %q", tbl, col)
+		return nil
+	case *PlaceholderExpr:
+		// Valid at validation time: the plan cache validates and plans
+		// the unbound shape once, and execution always binds arguments
+		// before any row flows (eval still rejects an unbound one).
+		return nil
+	default:
+		return nil
 	}
-	return fmt.Errorf("relstore: unknown table %q", tbl)
 }
 
-// groupEnv evaluates expressions over one group: plain columns resolve on
-// the group's first row; aggregate calls resolve to precomputed values.
-type groupEnv struct {
-	first *rowEnv
-	aggs  map[*CallExpr]Value
+// env is what eval reads: one row id per table of the FROM/JOIN list
+// (-1 reads every cell of that table as NULL) and, when a group is
+// evaluated, the results of the query's aggregate calls.
+type env struct {
+	tables []*table
+	ids    []int32
+	calls  []*CallExpr
+	aggs   []Value // aligned with calls; nil outside a group
 }
 
-func (g *groupEnv) lookupColumn(tbl, col string) (Value, error) {
-	return g.first.lookupColumn(tbl, col)
+func (e *env) column(x *ColumnExpr) (Value, error) {
+	if !x.at.ok {
+		return Value{}, fmt.Errorf("relstore: unresolved column %q", x.Column)
+	}
+	r := e.ids[x.at.table]
+	if r < 0 {
+		return Value{}, nil
+	}
+	return e.tables[x.at.table].vecs[x.at.col].value(r), nil
 }
 
-func (g *groupEnv) aggregate(c *CallExpr) (Value, bool) {
-	v, ok := g.aggs[c]
-	return v, ok
+func (e *env) aggregate(x *CallExpr) (Value, bool) {
+	if e.aggs == nil {
+		return Value{}, false
+	}
+	for i, c := range e.calls {
+		if c == x {
+			return e.aggs[i], true
+		}
+	}
+	return Value{}, false
 }
 
 // truthy converts a value to a WHERE-clause boolean: TRUE is true,
 // everything else (FALSE, NULL, other kinds) is false.
 func truthy(v Value) bool { return v.Kind() == KindBool && v.AsBool() }
 
-func eval(e Expr, env evalEnv) (Value, error) {
+func eval(e Expr, en *env) (Value, error) {
 	switch x := e.(type) {
 	case *LiteralExpr:
 		return x.Value, nil
 	case *ColumnExpr:
-		return env.lookupColumn(x.Table, x.Column)
+		return en.column(x)
 	case *NotExpr:
-		v, err := eval(x.Inner, env)
+		v, err := eval(x.Inner, en)
 		if err != nil {
 			return Value{}, err
 		}
 		return Bool(!truthy(v)), nil
 	case *BinaryExpr:
-		return evalBinary(x, env)
+		return evalBinary(x, en)
 	case *InExpr:
-		target, err := eval(x.Target, env)
+		target, err := eval(x.Target, en)
 		if err != nil {
 			return Value{}, err
 		}
 		found := false
 		for _, item := range x.List {
-			v, err := eval(item, env)
+			v, err := eval(item, en)
 			if err != nil {
 				return Value{}, err
 			}
@@ -154,7 +250,7 @@ func eval(e Expr, env evalEnv) (Value, error) {
 		}
 		return Bool(found != x.Negate), nil
 	case *LikeExpr:
-		target, err := eval(x.Target, env)
+		target, err := eval(x.Target, en)
 		if err != nil {
 			return Value{}, err
 		}
@@ -163,7 +259,7 @@ func eval(e Expr, env evalEnv) (Value, error) {
 		}
 		return Bool(x.program().match(target.AsText()) != x.Negate), nil
 	case *CallExpr:
-		if v, ok := env.aggregate(x); ok {
+		if v, ok := en.aggregate(x); ok {
 			return v, nil
 		}
 		return Value{}, fmt.Errorf("relstore: aggregate %s used outside grouped query", x.Func)
@@ -174,40 +270,27 @@ func eval(e Expr, env evalEnv) (Value, error) {
 	}
 }
 
-func evalBinary(x *BinaryExpr, env evalEnv) (Value, error) {
+func evalBinary(x *BinaryExpr, en *env) (Value, error) {
 	switch x.Op {
-	case "AND":
-		l, err := eval(x.Left, env)
+	case "AND", "OR":
+		l, err := eval(x.Left, en)
 		if err != nil {
 			return Value{}, err
 		}
-		if !truthy(l) {
-			return Bool(false), nil
+		if truthy(l) == (x.Op == "OR") {
+			return Bool(truthy(l)), nil
 		}
-		r, err := eval(x.Right, env)
-		if err != nil {
-			return Value{}, err
-		}
-		return Bool(truthy(r)), nil
-	case "OR":
-		l, err := eval(x.Left, env)
-		if err != nil {
-			return Value{}, err
-		}
-		if truthy(l) {
-			return Bool(true), nil
-		}
-		r, err := eval(x.Right, env)
+		r, err := eval(x.Right, en)
 		if err != nil {
 			return Value{}, err
 		}
 		return Bool(truthy(r)), nil
 	}
-	l, err := eval(x.Left, env)
+	l, err := eval(x.Left, en)
 	if err != nil {
 		return Value{}, err
 	}
-	r, err := eval(x.Right, env)
+	r, err := eval(x.Right, en)
 	if err != nil {
 		return Value{}, err
 	}
@@ -239,39 +322,39 @@ func evalBinary(x *BinaryExpr, env evalEnv) (Value, error) {
 	}
 }
 
-// joinedRows is the working set of a SELECT: one rowEnv snapshot per
-// surviving combined row. Envs are materialized as slices of per-table
-// rows to keep the hash-join implementation simple.
-type joinedRows struct {
-	refs    []TableRef
-	schemas [][]ColumnDef
-	combos  [][][]Value // combos[i][t] = row of table t in combined row i
+// holds reports whether every conjunct is true for the tuple in en.
+func holds(conjuncts []Expr, en *env) (bool, error) {
+	for _, c := range conjuncts {
+		v, err := eval(c, en)
+		if err != nil || !truthy(v) {
+			return false, err
+		}
+	}
+	return true, nil
 }
 
 // finishSelect is the tail of a SELECT once its FROM, JOIN and WHERE
-// clauses have produced the surviving combos: projection or grouping,
-// DISTINCT, ORDER BY, LIMIT.
-func (db *DB) finishSelect(s *SelectStmt, work *joinedRows, filtered [][][]Value) (*Result, error) {
-	grouped := len(s.GroupBy) > 0 || s.Having != nil || itemsHaveAggregates(s)
-	var (
-		res  *Result
-		envs []evalEnv
-		err  error
-	)
-	if grouped {
-		res, envs, err = db.execGrouped(s, work, filtered)
+// clauses have produced the surviving row-id tuples (work, one tuple of
+// len(plan.tables) ids after another): projection or grouping,
+// DISTINCT, ORDER BY, LIMIT. The result's cells are built here.
+func finishSelect(s *SelectStmt, plan *selectPlan, work []int32) (*Result, error) {
+	out := &output{plan: plan, work: work, width: len(plan.tables)}
+	out.en = env{tables: plan.tables, ids: make([]int32, out.width)}
+	res := &Result{Columns: outputColumns(s, plan.refs, plan.schemas)}
+	var err error
+	if len(s.GroupBy) > 0 || s.Having != nil || itemsHaveAggregates(s) {
+		res.Rows, err = out.grouped(s)
 	} else {
-		res, envs, err = db.execPlain(s, work, filtered)
+		res.Rows, err = out.plain(s)
 	}
 	if err != nil {
 		return nil, err
 	}
-
 	if s.Distinct {
-		res, envs = dedupe(res, envs)
+		out.dedupe(res)
 	}
 	if len(s.OrderBy) > 0 {
-		if err := orderResult(s, res, envs); err != nil {
+		if err := out.order(s, res); err != nil {
 			return nil, err
 		}
 	}
@@ -281,232 +364,165 @@ func (db *DB) finishSelect(s *SelectStmt, work *joinedRows, filtered [][][]Value
 	return res, nil
 }
 
-// validateSelect resolves every column reference in the query at plan
-// time, so unknown or ambiguous names fail even when no rows flow.
-// ORDER BY may additionally reference output aliases.
-func validateSelect(s *SelectStmt, env *rowEnv) error {
-	aliases := make(map[string]bool, len(s.Items))
-	for _, item := range s.Items {
-		if item.Alias != "" {
-			aliases[item.Alias] = true
-		}
-		if !item.Star {
-			if ce, ok := item.Expr.(*ColumnExpr); ok && ce.Table == "" {
-				aliases[ce.Column] = true
-			}
-		}
+// output builds a result's rows. origin[i] names what output row i was
+// evaluated over, so ORDER BY can evaluate its keys there again: a
+// tuple of work for a plain query, an entry of groups for a grouped
+// one.
+type output struct {
+	plan   *selectPlan
+	work   []int32
+	width  int
+	en     env
+	origin []int32
+	groups []group
+}
+
+// group is one GROUP BY group: its first tuple (-1 for the one group of
+// an aggregate query over no rows, whose plain columns read NULL) and
+// its aggregate results.
+type group struct {
+	first int32
+	aggs  []Value
+}
+
+// at points the env at origin o of output row i.
+func (out *output) at(o int32) *env {
+	en := &out.en
+	if out.groups == nil {
+		copy(en.ids, out.work[int(o)*out.width:])
+		return en
 	}
+	g := &out.groups[o]
+	if g.first < 0 {
+		for i := range en.ids {
+			en.ids[i] = -1
+		}
+	} else {
+		copy(en.ids, out.work[int(g.first)*out.width:])
+	}
+	en.aggs = g.aggs
+	return en
+}
+
+// newRows returns n rows of width w cut from one backing array.
+func newRows(n, w int) [][]Value {
+	cells := make([]Value, n*w)
+	rows := make([][]Value, n)
+	for i := range rows {
+		rows[i] = cells[i*w : (i+1)*w : (i+1)*w]
+	}
+	return rows
+}
+
+func (out *output) plain(s *SelectStmt) ([][]Value, error) {
+	n := len(out.work) / out.width
+	w := 0
 	for _, item := range s.Items {
-		if item.Star {
+		if !item.Star {
+			w++
 			continue
 		}
-		if err := validateExpr(item.Expr, env, nil); err != nil {
-			return err
+		for _, schema := range out.plan.schemas {
+			w += len(schema)
 		}
 	}
-	if s.Where != nil {
-		if err := validateFilter(s.Where, env, "WHERE"); err != nil {
-			return err
-		}
-	}
-	for _, ge := range s.GroupBy {
-		if err := validateExpr(ge, env, nil); err != nil {
-			return err
-		}
-	}
-	if s.Having != nil {
-		if err := validateExpr(s.Having, env, nil); err != nil {
-			return err
-		}
-	}
-	for _, key := range s.OrderBy {
-		if err := validateExpr(key.Expr, env, aliases); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// validateFilter checks a WHERE or ON clause: every column resolves,
-// and no aggregate appears, since a filter sees one row at a time. The
-// check runs before any row flows, so an executor that evaluates the
-// clause's conjuncts in another order or over fewer rows refuses it
-// just the same.
-func validateFilter(e Expr, env *rowEnv, clause string) error {
-	if err := validateExpr(e, env, nil); err != nil {
-		return err
-	}
-	if hasAggregate(e) {
-		return fmt.Errorf("relstore: aggregate in %s clause", clause)
-	}
-	return nil
-}
-
-// validateExpr walks an expression, checking that every column reference
-// resolves uniquely. Names in extraNames (output aliases) are accepted.
-func validateExpr(e Expr, env *rowEnv, extraNames map[string]bool) error {
-	switch x := e.(type) {
-	case *ColumnExpr:
-		if x.Table == "" && extraNames[x.Column] {
-			return nil
-		}
-		return env.checkColumn(x.Table, x.Column)
-	case *BinaryExpr:
-		if err := validateExpr(x.Left, env, extraNames); err != nil {
-			return err
-		}
-		return validateExpr(x.Right, env, extraNames)
-	case *NotExpr:
-		return validateExpr(x.Inner, env, extraNames)
-	case *InExpr:
-		if err := validateExpr(x.Target, env, extraNames); err != nil {
-			return err
-		}
-		for _, item := range x.List {
-			if err := validateExpr(item, env, extraNames); err != nil {
-				return err
+	rows := newRows(n, w)
+	out.origin = make([]int32, n)
+	for i, row := range rows {
+		out.origin[i] = int32(i)
+		en := out.at(int32(i))
+		j := 0
+		for _, item := range s.Items {
+			if item.Star {
+				for ti, t := range en.tables {
+					t.row(en.ids[ti], row[j:])
+					j += len(t.cols)
+				}
+				continue
 			}
+			v, err := eval(item.Expr, en)
+			if err != nil {
+				return nil, err
+			}
+			row[j] = v
+			j++
 		}
-		return nil
-	case *LikeExpr:
-		return validateExpr(x.Target, env, extraNames)
-	case *CallExpr:
-		if x.Arg != nil {
-			return validateExpr(x.Arg, env, extraNames)
-		}
-		return nil
-	case *PlaceholderExpr:
-		// Valid at validation time: the plan cache validates and plans
-		// the unbound shape once, and execution always binds arguments
-		// before any row flows (eval still rejects an unbound one).
-		return nil
-	default:
-		return nil
 	}
+	return rows, nil
 }
 
-func itemsHaveAggregates(s *SelectStmt) bool {
-	for _, item := range s.Items {
-		if !item.Star && hasAggregate(item.Expr) {
-			return true
-		}
-	}
-	return false
-}
-
-func (db *DB) execPlain(s *SelectStmt, work *joinedRows, combos [][][]Value) (*Result, []evalEnv, error) {
-	cols, err := outputColumns(s, work)
-	if err != nil {
-		return nil, nil, err
-	}
-	res := &Result{Columns: cols}
-	var envs []evalEnv
-	for _, combo := range combos {
-		env := newRowEnv(work.refs, work.schemas)
-		env.rows = combo
-		row, err := projectRow(s, work, env)
-		if err != nil {
-			return nil, nil, err
-		}
-		res.Rows = append(res.Rows, row)
-		envs = append(envs, env)
-	}
-	return res, envs, nil
-}
-
-func (db *DB) execGrouped(s *SelectStmt, work *joinedRows, combos [][][]Value) (*Result, []evalEnv, error) {
-	cols, err := outputColumns(s, work)
-	if err != nil {
-		return nil, nil, err
-	}
+func (out *output) grouped(s *SelectStmt) ([][]Value, error) {
 	for _, item := range s.Items {
 		if item.Star {
-			return nil, nil, fmt.Errorf("relstore: SELECT * cannot be combined with grouping")
+			return nil, fmt.Errorf("relstore: SELECT * cannot be combined with grouping")
 		}
 	}
-
 	calls := collectCalls(s)
-	type group struct {
-		firstEnv *rowEnv
-		accs     []*aggAccumulator
-	}
-	groups := make(map[Value]*group)
-	var order []*group
-
-	scratch := newRowEnv(work.refs, work.schemas)
-	keyVals := make([]Value, len(s.GroupBy))
-	for _, combo := range combos {
-		scratch.rows = combo
-		for i, ge := range s.GroupBy {
-			v, err := eval(ge, scratch)
+	out.groups = []group{}
+	var accs [][]aggAccumulator
+	byKey := make(map[string]int32)
+	en := &out.en
+	var key []byte
+	for t := 0; t*out.width < len(out.work); t++ {
+		copy(en.ids, out.work[t*out.width:])
+		key = key[:0]
+		for _, ge := range s.GroupBy {
+			v, err := eval(ge, en)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
-			keyVals[i] = v
+			key = appendKey(key, v)
 		}
-		key := tupleKey(keyVals)
-		g, ok := groups[key]
+		gi, ok := byKey[string(key)]
 		if !ok {
-			first := newRowEnv(work.refs, work.schemas)
-			first.rows = combo
-			g = &group{firstEnv: first, accs: make([]*aggAccumulator, len(calls))}
-			for i, c := range calls {
-				g.accs[i] = newAggAccumulator(c)
-			}
-			groups[key] = g
-			order = append(order, g)
+			gi = int32(len(out.groups))
+			byKey[string(key)] = gi
+			out.groups = append(out.groups, group{first: int32(t)})
+			accs = append(accs, newAccumulators(calls))
 		}
 		for i, c := range calls {
-			if err := g.accs[i].add(c, scratch); err != nil {
-				return nil, nil, err
+			if err := accs[gi][i].add(c, en); err != nil {
+				return nil, err
 			}
 		}
 	}
-
 	// A grouped query with no GROUP BY clause and no input rows still
-	// yields one row of aggregates over the empty set. Its plain column
-	// references read an all-NULL row of each table.
-	if len(s.GroupBy) == 0 && len(groups) == 0 {
-		empty := newRowEnv(work.refs, work.schemas)
-		for ti, schema := range work.schemas {
-			empty.rows[ti] = make([]Value, len(schema))
-		}
-		g := &group{firstEnv: empty, accs: make([]*aggAccumulator, len(calls))}
-		for i, c := range calls {
-			g.accs[i] = newAggAccumulator(c)
-		}
-		order = append(order, g)
+	// yields one row of aggregates over the empty set.
+	if len(s.GroupBy) == 0 && len(out.groups) == 0 {
+		out.groups = append(out.groups, group{first: -1})
+		accs = append(accs, newAccumulators(calls))
 	}
 
-	res := &Result{Columns: cols}
-	var envs []evalEnv
-	for _, g := range order {
-		aggs := make(map[*CallExpr]Value, len(calls))
-		for i, c := range calls {
-			aggs[c] = g.accs[i].result()
+	en.calls = calls
+	rows := newRows(len(out.groups), len(s.Items))
+	kept := 0
+	for gi := range out.groups {
+		g := &out.groups[gi]
+		g.aggs = make([]Value, len(calls))
+		for i := range calls {
+			g.aggs[i] = accs[gi][i].result()
 		}
-		genv := &groupEnv{first: g.firstEnv, aggs: aggs}
+		en := out.at(int32(gi))
 		if s.Having != nil {
-			v, err := eval(s.Having, genv)
+			v, err := eval(s.Having, en)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			if !truthy(v) {
 				continue
 			}
 		}
-		row := make([]Value, len(s.Items))
 		for i, item := range s.Items {
-			v, err := eval(item.Expr, genv)
+			v, err := eval(item.Expr, en)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
-			row[i] = v
+			rows[kept][i] = v
 		}
-		res.Rows = append(res.Rows, row)
-		envs = append(envs, genv)
+		kept++
+		out.origin = append(out.origin, int32(gi))
 	}
-	return res, envs, nil
+	return rows[:kept], nil
 }
 
 // collectCalls gathers every aggregate call in the query in a stable
@@ -549,6 +565,15 @@ func collectCalls(s *SelectStmt) []*CallExpr {
 	return calls
 }
 
+func itemsHaveAggregates(s *SelectStmt) bool {
+	for _, item := range s.Items {
+		if !item.Star && hasAggregate(item.Expr) {
+			return true
+		}
+	}
+	return false
+}
+
 // aggAccumulator folds rows into one aggregate value.
 type aggAccumulator struct {
 	fn       string
@@ -557,23 +582,27 @@ type aggAccumulator struct {
 	sumIsInt bool
 	intSum   int64
 	min, max Value
+	// distinct holds the mapKeys COUNT(DISTINCT) has seen.
 	distinct map[Value]bool
 }
 
-func newAggAccumulator(c *CallExpr) *aggAccumulator {
-	acc := &aggAccumulator{fn: c.Func, sumIsInt: true}
-	if c.Distinct {
-		acc.distinct = make(map[Value]bool)
+func newAccumulators(calls []*CallExpr) []aggAccumulator {
+	accs := make([]aggAccumulator, len(calls))
+	for i, c := range calls {
+		accs[i] = aggAccumulator{fn: c.Func, sumIsInt: true}
+		if c.Distinct {
+			accs[i].distinct = make(map[Value]bool)
+		}
 	}
-	return acc
+	return accs
 }
 
-func (a *aggAccumulator) add(c *CallExpr, env evalEnv) error {
+func (a *aggAccumulator) add(c *CallExpr, en *env) error {
 	if c.Star {
 		a.count++
 		return nil
 	}
-	v, err := eval(c.Arg, env)
+	v, err := eval(c.Arg, en)
 	if err != nil {
 		return err
 	}
@@ -640,15 +669,15 @@ func (a *aggAccumulator) result() Value {
 // outputColumns names the result columns: aliases win, bare column
 // references keep their names, stars expand to the joined schema, and
 // anything else is named expr1, expr2, ...
-func outputColumns(s *SelectStmt, work *joinedRows) ([]string, error) {
+func outputColumns(s *SelectStmt, refs []TableRef, schemas [][]ColumnDef) []string {
 	var out []string
 	for i, item := range s.Items {
 		switch {
 		case item.Star:
-			for ti, schema := range work.schemas {
+			for ti, schema := range schemas {
 				prefix := ""
-				if len(work.schemas) > 1 {
-					prefix = work.refs[ti].Name() + "."
+				if len(schemas) > 1 {
+					prefix = refs[ti].Name() + "."
 				}
 				for _, col := range schema {
 					out = append(out, prefix+col.Name)
@@ -667,69 +696,52 @@ func outputColumns(s *SelectStmt, work *joinedRows) ([]string, error) {
 			}
 		}
 	}
-	return out, nil
+	return out
 }
 
-func projectRow(s *SelectStmt, work *joinedRows, env *rowEnv) ([]Value, error) {
-	var row []Value
-	for _, item := range s.Items {
-		if item.Star {
-			for ti := range work.schemas {
-				row = append(row, env.rows[ti]...)
-			}
-			continue
-		}
-		v, err := eval(item.Expr, env)
-		if err != nil {
-			return nil, err
-		}
-		row = append(row, v)
-	}
-	return row, nil
-}
-
-func dedupe(res *Result, envs []evalEnv) (*Result, []evalEnv) {
-	seen := make(map[Value]bool, len(res.Rows))
-	out := res.Rows[:0]
-	var outEnvs []evalEnv
+// dedupe keeps the first of each run of equal rows, in order.
+func (out *output) dedupe(res *Result) {
+	seen := make(map[string]struct{}, len(res.Rows))
+	var key []byte
+	rows, origin := res.Rows[:0], out.origin[:0]
 	for i, row := range res.Rows {
-		k := tupleKey(row)
-		if seen[k] {
+		key = key[:0]
+		for _, v := range row {
+			key = appendKey(key, v)
+		}
+		if _, dup := seen[string(key)]; dup {
 			continue
 		}
-		seen[k] = true
-		out = append(out, row)
-		if envs != nil {
-			outEnvs = append(outEnvs, envs[i])
-		}
+		seen[string(key)] = struct{}{}
+		rows = append(rows, row)
+		origin = append(origin, out.origin[i])
 	}
-	res.Rows = out
-	return res, outEnvs
+	res.Rows, out.origin = rows, origin
 }
 
-// orderResult sorts rows by the ORDER BY keys. Keys are evaluated in each
-// row's originating environment; a key that is a bare name matching an
-// output column falls back to that column, so aliases are orderable.
-func orderResult(s *SelectStmt, res *Result, envs []evalEnv) error {
+// order sorts rows by the ORDER BY keys. Keys are evaluated where each
+// row was; a key that is a bare name matching an output column falls
+// back to that column, so aliases are orderable.
+func (out *output) order(s *SelectStmt, res *Result) error {
 	colIndex := make(map[string]int, len(res.Columns))
 	for i, c := range res.Columns {
 		colIndex[c] = i
 	}
-	keys := make([][]Value, len(res.Rows))
-	for i := range res.Rows {
-		keys[i] = make([]Value, len(s.OrderBy))
+	nk := len(s.OrderBy)
+	keys := make([]Value, len(res.Rows)*nk)
+	for i, row := range res.Rows {
 		for j, ok := range s.OrderBy {
 			if ce, isCol := ok.Expr.(*ColumnExpr); isCol && ce.Table == "" {
 				if ci, found := colIndex[ce.Column]; found {
-					keys[i][j] = res.Rows[i][ci]
+					keys[i*nk+j] = row[ci]
 					continue
 				}
 			}
-			v, err := eval(ok.Expr, envs[i])
+			v, err := eval(ok.Expr, out.at(out.origin[i]))
 			if err != nil {
 				return err
 			}
-			keys[i][j] = v
+			keys[i*nk+j] = v
 		}
 	}
 	idx := make([]int, len(res.Rows))
@@ -737,8 +749,9 @@ func orderResult(s *SelectStmt, res *Result, envs []evalEnv) error {
 		idx[i] = i
 	}
 	sort.SliceStable(idx, func(a, b int) bool {
+		ka, kb := keys[idx[a]*nk:], keys[idx[b]*nk:]
 		for j, ok := range s.OrderBy {
-			c := keys[idx[a]][j].Compare(keys[idx[b]][j])
+			c := ka[j].Compare(kb[j])
 			if c == 0 {
 				continue
 			}

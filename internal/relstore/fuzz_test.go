@@ -1,12 +1,16 @@
 package relstore
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
-// fuzzFixture is seedDB plus NULL join keys, an index, and two rows of
-// text that differ only in where a NUL byte splits them, so the fuzzer
-// reaches index narrowing, primary-key probes, NULL handling and
-// multi-column keys over such text. Every table keeps at most 10 rows:
-// the oracle joins with nested loops.
+// fuzzFixture is seedDB plus NULL join keys, a NaN score, indexes on
+// an integer, a float and a text column, and two rows of text that
+// differ only in where a NUL byte splits them, so the fuzzer reaches
+// index narrowing by equality and by range, primary-key probes, NULL
+// and NaN handling and multi-column keys over such text. Every table
+// keeps at most 10 rows: the oracle joins with nested loops.
 func fuzzFixture(tb testing.TB) *DB {
 	tb.Helper()
 	db := seedDB(tb)
@@ -16,9 +20,12 @@ func fuzzFixture(tb testing.TB) *DB {
 	mustInsert(tb, db, "os_vuln", []string{"os_id", "vuln_id"},
 		[]Value{Null(), Int(11)}, []Value{Int(3), Null()})
 	mustInsert(tb, db, "vuln", []string{"id", "cve", "year", "score", "remote"},
-		[]Value{Int(14), Text("CVE-2008-0000"), Int(2008), Null(), Null()})
+		[]Value{Int(14), Text("CVE-2008-0000"), Int(2008), Null(), Null()},
+		[]Value{Int(15), Text("CVE-2010-0002"), Int(2010), Float(math.NaN()), Bool(false)})
 	mustExec(tb, db, `CREATE INDEX ON os_vuln (vuln_id)`)
 	mustExec(tb, db, `CREATE INDEX ON os (family)`)
+	mustExec(tb, db, `CREATE INDEX ON vuln (year)`)
+	mustExec(tb, db, `CREATE INDEX ON vuln (score)`)
 	db.SetParallelism(2)
 	return db
 }
@@ -44,6 +51,14 @@ var fuzzSeeds = []string{
 	 JOIN os ob ON y.os_id = ob.id WHERE oa.id < ob.id GROUP BY oa.name, ob.name`,
 	`SELECT name, COUNT(*) FROM os WHERE id = 999`,
 	`SELECT id FROM os WHERE id = 3 AND name = 'Debian' -- comment`,
+	`SELECT id FROM vuln WHERE score <= 5.0`,
+	`SELECT id, cve FROM vuln WHERE year > 2000 AND year <= 2008`,
+	`SELECT cve FROM vuln WHERE score >= 2.1 AND score < 7.5 ORDER BY cve`,
+	`SELECT id FROM vuln WHERE 2005 < year AND score >= 0 AND id > 10`,
+	`SELECT year, COUNT(*) FROM vuln WHERE year < 'x' AND score > 1 GROUP BY year`,
+	`SELECT v.cve, o.name FROM vuln v JOIN os_vuln l ON l.vuln_id = v.id JOIN os o ON o.id = l.os_id
+	 WHERE v.score >= 5 AND o.id <= 2`,
+	`SELECT x.id, y.id FROM vuln x JOIN vuln y ON x.score = y.score AND x.id <= y.id`,
 }
 
 // FuzzSelectMatchesOracle: normalizeSQL is idempotent on every shape it

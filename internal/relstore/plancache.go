@@ -60,7 +60,6 @@ func (pc *planCache) get(shape string, gen uint64) *compiledQuery {
 		return nil
 	}
 	pc.hits.Add(1)
-	c.hits.Add(1)
 	return c
 }
 
@@ -119,21 +118,4 @@ func (pc *planCache) stats() PlanCacheStats {
 		Evictions:     pc.evictions.Load(),
 		Invalidations: pc.invalidations.Load(),
 	}
-}
-
-// PlanCacheEntry is the per-plan view of one cached shape.
-type PlanCacheEntry struct {
-	Shape string
-	Hits  uint64
-}
-
-func (pc *planCache) entriesSnapshot() []PlanCacheEntry {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	out := make([]PlanCacheEntry, 0, pc.order.Len())
-	for el := pc.order.Front(); el != nil; el = el.Next() {
-		c := el.Value.(*compiledQuery)
-		out = append(out, PlanCacheEntry{Shape: c.shape, Hits: c.hits.Load()})
-	}
-	return out
 }

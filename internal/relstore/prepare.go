@@ -30,13 +30,12 @@ type argSlot struct {
 // compiledQuery is one plan-cache entry: the parsed statement and
 // compiled plan of a normalized shape. The cached trees are never
 // mutated after publication. gen is the schema generation the plan was
-// compiled against; hits counts reuses of this entry.
+// compiled against.
 type compiledQuery struct {
 	shape string
 	sel   *SelectStmt
 	plan  *selectPlan
 	gen   uint64
-	hits  atomic.Uint64
 }
 
 // normalizeSQL lexes a statement and canonicalizes it into its shape:
@@ -265,7 +264,6 @@ func (s *Stmt) Query(args ...Value) (*Result, error) {
 		s.c.Store(c)
 	} else {
 		// Fast path: the held compilation is current; count the reuse.
-		c.hits.Add(1)
 		db.plans.hits.Add(1)
 	}
 	return db.execCompiled(c, full)

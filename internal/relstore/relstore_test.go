@@ -413,8 +413,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatalf("Load: %v", err)
 	}
 	for _, tbl := range []string{"os", "vuln", "os_vuln"} {
-		want, _ := db.RowCount(tbl)
-		got, err := back.RowCount(tbl)
+		want, _ := db.QueryInt(`SELECT COUNT(*) FROM ` + tbl)
+		got, err := back.QueryInt(`SELECT COUNT(*) FROM ` + tbl)
 		if err != nil || got != want {
 			t.Fatalf("table %s: %d rows after reload, want %d (%v)", tbl, got, want, err)
 		}
@@ -490,7 +490,7 @@ func TestErrors(t *testing.T) {
 			}
 		}
 	}
-	if n, _ := db.RowCount("os"); n != 4 {
+	if n, _ := db.QueryInt(`SELECT COUNT(*) FROM os`); n != 4 {
 		t.Errorf("os holds %d rows after the refused statements, want 4", n)
 	}
 }
@@ -548,20 +548,6 @@ func TestComments(t *testing.T) {
 	res := mustQuery(t, db, "SELECT name FROM os -- trailing comment\nWHERE family = 'BSD'")
 	if len(res.Rows) != 2 {
 		t.Fatalf("comment handling broke query: %v", res.Rows)
-	}
-}
-
-func TestTablesAndRowCount(t *testing.T) {
-	db := seedDB(t)
-	tables := db.Tables()
-	if len(tables) != 3 || tables[0] != "os" {
-		t.Fatalf("Tables() = %v", tables)
-	}
-	if _, err := db.RowCount("nosuch"); err == nil {
-		t.Error("RowCount on missing table succeeded")
-	}
-	if n, err := db.RowCount("OS_VULN"); err != nil || n != 7 {
-		t.Errorf("RowCount(OS_VULN) = %d, %v, want 7", n, err)
 	}
 }
 

@@ -3,12 +3,14 @@ package relstore
 import (
 	"compress/gzip"
 	"crypto/sha256"
+	"encoding/gob"
 	"encoding/hex"
 	"fmt"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 	"unsafe"
@@ -90,7 +92,7 @@ func TestSaveGoldenEdgeValues(t *testing.T) {
 		t.Errorf("re-saved stream SHA-256 %s, want %s", got, edgeValuesSHA256)
 	}
 	var want [][]Value
-	if err := ScanTable(db, "e", func(row []Value) bool { want = append(want, row); return true }); err != nil {
+	if err := ScanTable(db, "e", func(row []Value) bool { want = append(want, append([]Value(nil), row...)); return true }); err != nil {
 		t.Fatal(err)
 	}
 	i := 0
@@ -108,11 +110,96 @@ func TestSaveGoldenEdgeValues(t *testing.T) {
 	}
 }
 
+// writeGob writes tables as Save lays a file out: a gzip-compressed
+// gob stream of the table count, then each table.
+func writeGob(tb testing.TB, tables ...gobTable) string {
+	tb.Helper()
+	path := filepath.Join(tb.TempDir(), "db.gob.gz")
+	f, err := os.Create(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	gz := gzip.NewWriter(f)
+	enc := gob.NewEncoder(gz)
+	if err := enc.Encode(len(tables)); err != nil {
+		tb.Fatal(err)
+	}
+	for _, t := range tables {
+		if err := enc.Encode(t); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := gz.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return path
+}
+
+// TestLoadRefusesWhatSaveNeverWrites: a column of a kind no column
+// holds (NULL, an unknown kind, or the -1 that once tagged multi-column
+// map keys) and a table named twice fail to load, with an error naming
+// the table and column, instead of loading cells without payloads or
+// silently keeping the last table.
+func TestLoadRefusesWhatSaveNeverWrites(t *testing.T) {
+	for _, kind := range []Kind{KindNull, 7, -1} {
+		path := writeGob(t, gobTable{
+			Name: "vt",
+			Cols: []ColumnDef{{Name: "kc", Kind: kind}},
+			Rows: [][]gobValue{{{Kind: kind, S: "a"}}, {{Kind: kind, S: "b"}}},
+		})
+		db, err := Load(path)
+		if err == nil || !strings.Contains(err.Error(), "vt") || !strings.Contains(err.Error(), "kc") {
+			t.Errorf("column kind %d: Load = %v, %v; want an error naming table vt and column kc", int(kind), db, err)
+		}
+	}
+	texts := func(ss ...string) [][]gobValue {
+		var rows [][]gobValue
+		for _, s := range ss {
+			rows = append(rows, []gobValue{{Kind: KindText, S: s}})
+		}
+		return rows
+	}
+	cols := []ColumnDef{{Name: "kc", Kind: KindText}}
+	path := writeGob(t, gobTable{Name: "vt", Cols: cols, Rows: texts("a", "b")},
+		gobTable{Name: "vt", Cols: cols, Rows: texts("c")})
+	if db, err := Load(path); err == nil || !strings.Contains(err.Error(), "vt") {
+		t.Errorf("table named twice: Load = %v, %v; want an error naming table vt", db, err)
+	}
+}
+
+// TestInsertRowsRefusesRowsPastInt32: row ids are int32s, so a batch
+// that would take a table past 2^31-1 rows is refused whole.
+func TestInsertRowsRefusesRowsPastInt32(t *testing.T) {
+	db := Open()
+	mustExec(t, db, `CREATE TABLE t (k INTEGER)`)
+	db.tables["t"].n = maxRows - 1 // as if the table were that full
+	rows := [][]Value{{Int(1)}, {Int(2)}}
+	if err := InsertRows(db, "t", []string{"k"}, rows); err == nil {
+		t.Fatal("InsertRows took a table past 2^31-1 rows")
+	}
+	if n := db.tables["t"].n; n != maxRows-1 {
+		t.Errorf("refused batch left %d rows, want %d", n, maxRows-1)
+	}
+}
+
+// tupleKey returns the key encoding of a tuple, as join keys, GROUP BY
+// and DISTINCT build it with appendKey.
+func tupleKey(vals ...Value) string {
+	var b []byte
+	for _, v := range vals {
+		b = appendKey(b, v)
+	}
+	return string(b)
+}
+
 // TestTupleKeyIsCollisionFree: over texts built from pieces that
 // include the encoding of an empty text part, two-column tuples share a
 // key exactly when both columns do; numeric parts key by class.
 func TestTupleKeyIsCollisionFree(t *testing.T) {
-	enc := tupleKey([]Value{Text(""), Text("")}).s
+	enc := tupleKey(Text(""), Text(""))
 	pieces := []string{"a", "b", "\x00", enc[:len(enc)/2]}
 	pieces = append(pieces, "")
 	var texts []string // every concatenation of up to three pieces
@@ -123,10 +210,10 @@ func TestTupleKeyIsCollisionFree(t *testing.T) {
 			}
 		}
 	}
-	seen := make(map[Value][2]string)
+	seen := make(map[string][2]string)
 	for _, x := range texts {
 		for _, y := range texts {
-			k := tupleKey([]Value{Text(x), Text(y)})
+			k := tupleKey(Text(x), Text(y))
 			if prev, dup := seen[k]; dup && prev != [2]string{x, y} {
 				t.Fatalf("(%q, %q) and (%q, %q) share a key", prev[0], prev[1], x, y)
 			}
@@ -137,18 +224,39 @@ func TestTupleKeyIsCollisionFree(t *testing.T) {
 		{{Int(3), Float(0.5)}, {Float(3), Float(0.5)}},
 		{{Float(math.NaN()), Float(math.Copysign(0, -1))}, {Float(-math.NaN()), Int(0)}},
 	} {
-		if tupleKey(pair[0]) != tupleKey(pair[1]) {
+		if tupleKey(pair[0]...) != tupleKey(pair[1]...) {
 			t.Errorf("%v and %v key apart", pair[0], pair[1])
 		}
 	}
-	if tupleKey([]Value{Int(1), Text("")}) == tupleKey([]Value{Bool(true), Text("")}) {
+	if tupleKey(Int(1), Text("")) == tupleKey(Bool(true), Text("")) {
 		t.Error("INTEGER 1 and TRUE share a tuple key")
+	}
+}
+
+// TestIntegerJoinKeysMatchExactly: an INTEGER join key joins only the
+// rows that hold it, whether the build side is probed through its
+// primary key or hashed on its int64s: a key that falls between two
+// stored keys joins nothing, and neither does a NULL key beside a 0.
+func TestIntegerJoinKeysMatchExactly(t *testing.T) {
+	db := Open()
+	mustExec(t, db, `CREATE TABLE p (k INTEGER)`)
+	mustExec(t, db, `CREATE TABLE b (id INTEGER PRIMARY KEY, k INTEGER, tag TEXT)`)
+	mustInsert(t, db, "p", []string{"k"}, []Value{Int(0)}, []Value{Int(2)}, []Value{Null()})
+	mustInsert(t, db, "b", []string{"id", "k", "tag"},
+		[]Value{Int(1), Int(0), Text("zero")}, []Value{Int(3), Null(), Text("null")})
+	for _, tc := range []struct{ q, want string }{
+		{`SELECT p.k, b.tag FROM p JOIN b ON b.id = p.k`, "[]"},
+		{`SELECT p.k, b.tag FROM p JOIN b ON b.k = p.k`, "[[0 zero]]"},
+	} {
+		if got := fmt.Sprint(mustQuery(t, db, tc.q).Rows); got != tc.want {
+			t.Errorf("%s = %s, want %s", tc.q, got, tc.want)
+		}
 	}
 }
 
 // TestKeyedPathsDoNotAllocatePerRow: inserting a batch, probing a hash
 // join and looking a value up through an index or the primary key
-// build no key per row.
+// allocate nothing per row.
 func TestKeyedPathsDoNotAllocatePerRow(t *testing.T) {
 	const n = 10_000
 	rows := make([][]Value, n)
@@ -182,20 +290,25 @@ func TestKeyedPathsDoNotAllocatePerRow(t *testing.T) {
 		t.Errorf("probing %d rows against an empty build side allocates %.0f objects, want fewer than 1000", n, allocs)
 	}
 
+	// A lookup in a one-run index answers with a window on the run.
 	a := db.tables["a"]
 	for _, tc := range []struct {
-		col  string
-		val  Value
-		want float64 // the result slice of an index hit
+		col string
+		val Value
 	}{
-		{"tag", Text("tag3"), 1},
-		{"tag", Text("absent"), 0},
-		{"id", Int(4321), 0},
-		{"id", Float(4321), 0},
-		{"id", Int(n), 0},
+		{"tag", Text("tag3")},
+		{"tag", Text("absent")},
+		{"id", Int(4321)},
+		{"id", Float(4321)},
+		{"id", Int(n)},
 	} {
-		if allocs := testing.AllocsPerRun(100, func() { a.rowsByKey(tc.col, tc.val) }); allocs != tc.want {
-			t.Errorf("rowsByKey(%s, %v) allocates %.0f objects, want %.0f", tc.col, tc.val, allocs, tc.want)
+		ci := a.colIdx[tc.col]
+		lookup := func() []int32 {
+			r := keyRange{eq: true, lo: bound{v: tc.val, set: true}}
+			return a.indexOn(ci).rows(&a.vecs[ci], &r)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { lookup() }); allocs != 0 {
+			t.Errorf("index lookup %s = %v allocates %.0f objects, want 0", tc.col, tc.val, allocs)
 		}
 	}
 }

@@ -4,7 +4,7 @@
 // The paper's methodology (§III) revolves around "an SQL database,
 // deployed with a custom schema to do the aggregation of vulnerabilities
 // by affected products and versions". relstore supplies that substrate
-// without any external dependency: typed tables, hash indexes, a
+// without any external dependency: columnar tables, sorted indexes, a
 // recursive-descent SQL parser, a planner with inner joins of any
 // width, grouping and aggregates, and gob-based persistence.
 //
@@ -43,10 +43,6 @@ const (
 	KindText
 	KindBool
 	KindTime
-
-	// kindTuple marks a multi-column map key built by tupleKey; no cell
-	// holds one.
-	kindTuple Kind = -1
 )
 
 // String names the kind using the dialect's canonical type spelling.
@@ -93,8 +89,8 @@ func ParseKind(s string) (Kind, error) {
 // A Value is 32 bytes: the kind, one 8-byte payload and a string.
 // Integers, float bits, booleans (0 or 1) and timestamps (UTC
 // nanoseconds since the Unix epoch) share the payload; only text uses
-// the string. Values are passed by value everywhere; rows are []Value
-// slices.
+// the string. Tables keep cells in typed column vectors and build a
+// Value only to evaluate or return a cell.
 type Value struct {
 	kind Kind
 	n    uint64
@@ -208,6 +204,12 @@ func (v Value) String() string {
 	}
 }
 
+// isNaN reports whether the value is a FLOAT NaN.
+func (v Value) isNaN() bool {
+	f := v.AsFloat()
+	return v.kind == KindFloat && f != f
+}
+
 // numeric reports whether the value participates in arithmetic
 // comparisons as a number.
 func (v Value) numeric() bool { return v.kind == KindInt || v.kind == KindFloat }
@@ -276,8 +278,8 @@ func (v Value) Compare(o Value) int {
 	}
 }
 
-// mapKey returns the value normalized for hashing (primary keys,
-// indexes, hash joins, GROUP BY, DISTINCT, COUNT(DISTINCT)): two values
+// mapKey returns the value normalized for hashing (hash joins, GROUP
+// BY, DISTINCT, COUNT(DISTINCT), primary-key uniqueness): two values
 // have equal map keys exactly when they fall in one equivalence class.
 // A float that is a whole number inside the int64 range keys as that
 // integer, so numeric keys agree with Equal and -0 keys as 0; every NaN
@@ -295,25 +297,18 @@ func (v Value) mapKey() Value {
 	return v
 }
 
-// tupleKey returns the map key of a tuple of values. One value keys as
-// its mapKey; any other width keys as one kindTuple value whose string
-// holds each part's mapKey as its kind byte, 8-byte payload, uvarint
-// string length and string bytes. The parts are self-delimiting, so two
-// tuples of one width share a key exactly when every pair of parts
-// does.
-func tupleKey(vals []Value) Value {
-	if len(vals) == 1 {
-		return vals[0].mapKey()
-	}
-	b := make([]byte, 0, 64)
-	for _, v := range vals {
-		k := v.mapKey()
-		b = append(b, byte(k.kind))
-		b = binary.LittleEndian.AppendUint64(b, k.n)
-		b = binary.AppendUvarint(b, uint64(len(k.s)))
-		b = append(b, k.s...)
-	}
-	return Value{kind: kindTuple, s: string(b)}
+// appendKey appends the key encoding of v's mapKey to b: its kind
+// byte, 8-byte payload, uvarint text length and text bytes. Each part
+// is self-delimiting, so two tuples of one width encode alike exactly
+// when every pair of parts shares a mapKey. Join keys, GROUP BY and
+// DISTINCT key their maps by the string of such an encoding; a map
+// lookup through string(b) does not allocate.
+func appendKey(b []byte, v Value) []byte {
+	k := v.mapKey()
+	b = append(b, byte(k.kind))
+	b = binary.LittleEndian.AppendUint64(b, k.n)
+	b = binary.AppendUvarint(b, uint64(len(k.s)))
+	return append(b, k.s...)
 }
 
 // exactInt returns a numeric value as an int64 when it is an integer or

@@ -1,6 +1,8 @@
 package vulndb
 
 import (
+	"fmt"
+	"math/rand/v2"
 	"sync"
 	"testing"
 
@@ -112,5 +114,78 @@ func BenchmarkStudyPairMatrix100k(b *testing.B) {
 		if len(study.PairMatrix(core.FatServer)) == 0 {
 			b.Fatal("empty pair matrix")
 		}
+	}
+}
+
+// sqlShapes are e2ebench's five plain-SELECT shapes of the sql class,
+// each drawing its literals from r over the database's universe: os
+// ids 1..oses and years lo..hi.
+var sqlShapes = []struct {
+	name  string
+	query func(r *rand.Rand, oses, lo, hi int) string
+}{
+	{"year_id_range", func(r *rand.Rand, oses, lo, hi int) string {
+		id := 1 + r.IntN(100_000)
+		return fmt.Sprintf("SELECT id, name, published FROM vulnerability WHERE year = %d AND id > %d AND id < %d",
+			lo+r.IntN(hi-lo+1), id, id+2000)
+	}},
+	{"os_by_vuln", func(r *rand.Rand, oses, lo, hi int) string {
+		return fmt.Sprintf("SELECT os.name, os_vuln.version FROM os_vuln JOIN os ON os.id = os_vuln.os_id WHERE os_vuln.vuln_id = %d",
+			1+r.IntN(100_000))
+	}},
+	{"product_by_vuln", func(r *rand.Rand, oses, lo, hi int) string {
+		return fmt.Sprintf("SELECT product.vendor, product.name, vuln_product.version FROM vuln_product JOIN product ON product.id = vuln_product.product_id WHERE vuln_product.vuln_id = %d",
+			1+r.IntN(100_000))
+	}},
+	{"os_year_join", func(r *rand.Rand, oses, lo, hi int) string {
+		return fmt.Sprintf("SELECT vulnerability.name, os_vuln.version FROM os_vuln JOIN vulnerability ON vulnerability.id = os_vuln.vuln_id WHERE os_vuln.os_id = %d AND vulnerability.year = %d",
+			1+r.IntN(oses), lo+r.IntN(hi-lo+1))
+	}},
+	{"os_vuln_range", func(r *rand.Rand, oses, lo, hi int) string {
+		id := 1 + r.IntN(100_000)
+		return fmt.Sprintf("SELECT vuln_id, version FROM os_vuln WHERE os_id = %d AND vuln_id > %d AND vuln_id < %d",
+			1+r.IntN(oses), id, id+1500)
+	}},
+}
+
+// shapeQueries is how many seeded literal draws one iteration of
+// BenchmarkSQLShapes100k runs per shape, so that one iteration times
+// well over a microsecond and ns/op is the cost of that many queries.
+const shapeQueries = 100
+
+// BenchmarkSQLShapes100k runs e2ebench's SQL shapes through
+// Store().Query on the 100k database, one sub-benchmark per shape, each
+// iteration over the same shapeQueries seeded literal draws.
+func BenchmarkSQLShapes100k(b *testing.B) {
+	db, _ := benchMatrixDB(b)
+	oses, err := db.Store().QueryInt(`SELECT COUNT(*) FROM os`)
+	if err != nil {
+		b.Fatal(err)
+	}
+	years, err := db.Store().Query(`SELECT MIN(year), MAX(year) FROM vulnerability`)
+	if err != nil {
+		b.Fatal(err)
+	}
+	lo, hi := int(years.Rows[0][0].AsInt()), int(years.Rows[0][1].AsInt())
+	for i, shape := range sqlShapes {
+		r := rand.New(rand.NewPCG(1, uint64(i)))
+		queries := make([]string, shapeQueries)
+		for j := range queries {
+			queries[j] = shape.query(r, int(oses), lo, hi)
+		}
+		b.Run(shape.name, func(b *testing.B) {
+			b.ReportAllocs()
+			rows := 0
+			for i := 0; i < b.N; i++ {
+				for _, q := range queries {
+					res, err := db.Store().Query(q)
+					if err != nil {
+						b.Fatal(err)
+					}
+					rows += len(res.Rows)
+				}
+			}
+			b.ReportMetric(float64(rows)/float64(b.N*shapeQueries), "rows/query")
+		})
 	}
 }

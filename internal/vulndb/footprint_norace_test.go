@@ -1,7 +1,8 @@
 //go:build !race
 
-// The database footprint budget. Race builds skip it: the detector's
-// shadow memory distorts every heap measurement.
+// The database footprint and allocation budgets. Race builds skip
+// them: the detector's shadow memory and instrumentation distort every
+// heap measurement.
 
 package vulndb
 
@@ -14,7 +15,13 @@ import (
 )
 
 // footprintBudget bounds the live heap the 100k database keeps.
-const footprintBudget = 170 << 20
+const footprintBudget = 64 << 20
+
+// matrixAllocBudget bounds the objects one SharedMatrix query over the
+// 100k database allocates: the join working sets are row-id tuple
+// arrays, so the count follows the groups and the shard arrays, not
+// the joined rows.
+const matrixAllocBudget = 100_000
 
 // TestDatabaseFootprint100k: the database over the seeded 100k-entry,
 // 32-distro synthetic corpus retains at most footprintBudget bytes once
@@ -31,6 +38,21 @@ func TestDatabaseFootprint100k(t *testing.T) {
 	t.Logf("100k database retains %.1f MiB", float64(retained)/(1<<20))
 	if retained > footprintBudget {
 		t.Errorf("100k database retains %.1f MiB, budget %d MiB", float64(retained)/(1<<20), footprintBudget>>20)
+	}
+}
+
+// TestSharedMatrixAllocBudget100k: one Table III matrix query over the
+// 100k database allocates fewer than matrixAllocBudget objects.
+func TestSharedMatrixAllocBudget100k(t *testing.T) {
+	db := footprintDB(t)
+	allocs := testing.AllocsPerRun(1, func() {
+		if _, err := db.SharedMatrix(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("SharedMatrix allocates %.0f objects", allocs)
+	if allocs >= matrixAllocBudget {
+		t.Errorf("SharedMatrix allocates %.0f objects, budget %d", allocs, matrixAllocBudget)
 	}
 }
 
