@@ -642,6 +642,127 @@ func BenchmarkWarmStart100kFeed(b *testing.B) {
 	}
 }
 
+// applyDeltaFix is the reload fixture of BenchmarkApplyDelta100k,
+// built once per process: the 100k corpus whole and as four year
+// shards, and one delta feed in e2ebench's reload shape — the 2003
+// identifiers of the corpus, rewritten from another generator seed.
+var applyDeltaFix struct {
+	base    *Analysis
+	shards  []*Analysis
+	delta   string
+	entries int
+	err     error
+}
+
+// applyDeltaWorkers is the worker count of the reload benchmarks, the
+// parallelism e2ebench's servers run at on a 2-vCPU host.
+const applyDeltaWorkers = 2
+
+func applyDeltaFixture(b *testing.B) *Analysis {
+	b.Helper()
+	fix := &applyDeltaFix
+	if fix.base == nil && fix.err == nil {
+		fix.err = buildApplyDeltaFixture()
+	}
+	if fix.err != nil {
+		b.Fatalf("apply-delta fixture: %v", fix.err)
+	}
+	return fix.base
+}
+
+func buildApplyDeltaFixture() error {
+	fix := &applyDeltaFix
+	const year, shards = 2003, 4
+	spec := SyntheticSpec{Entries: synthBenchEntries, Distros: synthBenchDistros, Seed: synthBenchSeed}
+	ofYear := func(seed uint64) ([]*cve.Entry, error) {
+		sc, err := corpus.GenerateSynthetic(corpus.SyntheticConfig{
+			Entries: spec.Entries, Distros: spec.Distros, Seed: seed, Workers: applyDeltaWorkers,
+		})
+		if err != nil {
+			return nil, err
+		}
+		for _, g := range corpus.SplitByYear(sc.Entries) {
+			if g.Year == year {
+				return g.Entries, nil
+			}
+		}
+		return nil, fmt.Errorf("no %d entries in seed %d", year, seed)
+	}
+	base, err := ofYear(spec.Seed)
+	if err != nil {
+		return err
+	}
+	rewrite, err := ofYear(spec.Seed + 1)
+	if err != nil {
+		return err
+	}
+	// A year's synthetic identifiers run contiguously from one fixed
+	// sequence number, so the shorter year bounds the shared ones.
+	n := min(len(base), len(rewrite))
+	dir, err := fixtureDir("osdiv-applydelta-*")
+	if err != nil {
+		return err
+	}
+	fix.delta = filepath.Join(dir, fmt.Sprintf("delta-%d.xml.gz", year))
+	if err := nvdfeed.WriteFile(fix.delta, fmt.Sprintf("CVE-%d", year), rewrite[:n]); err != nil {
+		return err
+	}
+	fix.entries = n
+	whole, err := LoadSynthetic(spec, WithParallelism(applyDeltaWorkers))
+	if err != nil {
+		return err
+	}
+	for i := 1; i <= shards; i++ {
+		a, err := LoadSynthetic(spec, WithParallelism(applyDeltaWorkers), WithYearShard(i, shards))
+		if err != nil {
+			return err
+		}
+		fix.shards = append(fix.shards, a)
+	}
+	fix.base = whole
+	return nil
+}
+
+// BenchmarkApplyDelta100k times a hot reload of one delta feed into the
+// 100k corpus: decode alone (StreamFiles at two workers), the unsharded
+// ApplyDelta plus the SelfCheck the epoch manager runs before a swap,
+// and a gateway round of the same over the four year shards in turn.
+func BenchmarkApplyDelta100k(b *testing.B) {
+	base := applyDeltaFixture(b)
+	fix := &applyDeltaFix
+	apply := func(b *testing.B, a *Analysis) {
+		next, err := a.ApplyDelta([]string{fix.delta})
+		if err == nil {
+			err = next.SelfCheck()
+		}
+		if err != nil {
+			b.Fatalf("reload: %v", err)
+		}
+	}
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if n, err := drainFeedFiles([]string{fix.delta}, applyDeltaWorkers); err != nil || n != fix.entries {
+				b.Fatalf("decode: %v, %d entries", err, n)
+			}
+		}
+	})
+	b.Run("apply", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			apply(b, base)
+		}
+	})
+	b.Run("shard-round", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, a := range fix.shards {
+				apply(b, a)
+			}
+		}
+	})
+}
+
 // BenchmarkWarmStart100kSnapshot boots the same corpus from its
 // snapshot file: checksum, validate, adopt the columns zero-copy.
 func BenchmarkWarmStart100kSnapshot(b *testing.B) {

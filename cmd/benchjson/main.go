@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	go test -run xxx -bench . -benchtime=1x . | benchjson -out BENCH_core.json
+//	go test -run xxx -bench . -benchtime=200ms -count=3 -benchmem . | benchjson -out BENCH_core.json
 //
 // For every benchmark name ending in "Naive" with a "Planned" sibling
 // (the relstore query-planner benchmarks) the summary records the
@@ -323,7 +323,7 @@ func medians(samples map[string][]float64) map[string]float64 {
 // speedup-pair ratios.
 func buildSummary(s samples) *summary {
 	doc := &summary{
-		Note:         "ns/op per benchmark; regenerate with: go test -run xxx -bench . -benchtime=1x <packages> | go run ./cmd/benchjson -out <file> (see the CI workflow for each file's package list)",
+		Note:         "medians per benchmark; regenerate with the CI workflow's step for the file: go test -run xxx -bench . -benchtime=<its benchtime> -count=3 <its packages> | benchjson -out <file>",
 		NsPerOp:      medians(s.ns),
 		BytesPerOp:   medians(s.bytes),
 		AllocsPerOp:  medians(s.allocs),

@@ -17,6 +17,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"unicode"
+	"unicode/utf8"
 
 	"osdiversity/internal/cve"
 )
@@ -85,24 +86,79 @@ func (v Validity) String() string {
 // EntryValidity inspects an entry's summary for the NVD editorial tags
 // the paper filtered on. Disputed dominates (vendors contest existence),
 // then Unknown, then Unspecified, mirroring the paper's manual pass.
+//
+// Tags match case-insensitively, in one pass over the summary that
+// checks a tag only where one can start. An ASCII summary is matched in
+// place; any other is lowercased first, since Unicode folding can spell
+// a tag with non-ASCII letters (the Kelvin sign lowercases to "k", "İ"
+// to "i").
 func EntryValidity(e *cve.Entry) Validity {
-	s := strings.ToLower(e.Summary)
+	s := e.Summary
+	if !isASCII(s) {
+		s = strings.ToLower(s)
+	}
+	unknown, unspecified := false, false
+	for i := 0; i < len(s); i++ {
+		if !tagStart[s[i]] {
+			continue
+		}
+		t := s[i:]
+		switch s[i] | 0x20 {
+		case '*':
+			if hasPrefixFold(t, "** disputed **") {
+				return Disputed
+			}
+		case 'u':
+			unknown = unknown || hasPrefixFold(t, "unknown impact") || hasPrefixFold(t, "unknown attack vectors")
+			unspecified = unspecified || hasPrefixFold(t, "unspecified other impact")
+		case 'v':
+			unspecified = unspecified || hasPrefixFold(t, "via unspecified vectors")
+		}
+	}
 	switch {
-	case strings.Contains(s, "** disputed **"):
-		return Disputed
 	// The leading editorial tag decides before the weaker in-text hints:
 	// "Unspecified vulnerability ... has unknown impact" is Unspecified.
-	case strings.HasPrefix(s, "unknown vulnerability"):
+	case hasPrefixFold(s, "unknown vulnerability"):
 		return Unknown
-	case strings.HasPrefix(s, "unspecified vulnerability"):
+	case hasPrefixFold(s, "unspecified vulnerability"):
 		return Unspecified
-	case strings.Contains(s, "unknown impact"), strings.Contains(s, "unknown attack vectors"):
+	case unknown:
 		return Unknown
-	case strings.Contains(s, "unspecified other impact"), strings.Contains(s, "via unspecified vectors"):
+	case unspecified:
 		return Unspecified
 	default:
 		return Valid
 	}
+}
+
+// tagStart marks the first bytes of the editorial tags, in either case.
+var tagStart = [256]bool{'*': true, 'u': true, 'U': true, 'v': true, 'V': true}
+
+func isASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return false
+		}
+	}
+	return true
+}
+
+// hasPrefixFold reports whether s starts with the lowercase ASCII
+// prefix, ignoring ASCII case.
+func hasPrefixFold(s, prefix string) bool {
+	if len(s) < len(prefix) {
+		return false
+	}
+	for i := 0; i < len(prefix); i++ {
+		c := s[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		if c != prefix[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // Rule is one classification rule: if any keyword occurs in the

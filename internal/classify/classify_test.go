@@ -1,6 +1,7 @@
 package classify
 
 import (
+	"math/rand/v2"
 	"strings"
 	"testing"
 	"time"
@@ -33,6 +34,13 @@ func TestEntryValidity(t *testing.T) {
 		{"unspecified vectors", "Cross-site scripting via unspecified vectors in the web server.", Unspecified},
 		{"unknown attack vectors", "Flaw with unknown attack vectors in the scheduler.", Unknown},
 		{"word unknown elsewhere ok", "The kernel mishandles packets from unknown hosts.", Valid},
+		{"mixed case in place", "Flaw in the scheduler has UnKnown Impact.", Unknown},
+		{"tag past the end", "Flaw with unknown", Valid},
+		// Non-ASCII summaries fold through strings.ToLower: the Kelvin
+		// sign (U+212A) lowercases to "k" and "İ" (U+0130) to "i".
+		{"kelvin sign folds to k", "Flaw in the scheduler has un\u212Anown impact.", Unknown},
+		{"dotted capital I folds to i", "Unspec\u0130fied vulnerability in the kernel.", Unspecified},
+		{"non-ASCII without a tag", "Flaw in the caf\u00e9 daemon.", Valid},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -40,6 +48,51 @@ func TestEntryValidity(t *testing.T) {
 				t.Fatalf("EntryValidity(%q) = %v, want %v", tt.summary, got, tt.want)
 			}
 		})
+	}
+}
+
+// TestEntryValidityMatchesLoweredRule holds the one-pass matcher to the
+// rule it replaced: lowercase the whole summary, then test each tag as
+// a prefix or substring. Summaries are random runs of tag fragments with
+// random ASCII case.
+func TestEntryValidityMatchesLoweredRule(t *testing.T) {
+	lowered := func(summary string) Validity {
+		s := strings.ToLower(summary)
+		switch {
+		case strings.Contains(s, "** disputed **"):
+			return Disputed
+		case strings.HasPrefix(s, "unknown vulnerability"):
+			return Unknown
+		case strings.HasPrefix(s, "unspecified vulnerability"):
+			return Unspecified
+		case strings.Contains(s, "unknown impact"), strings.Contains(s, "unknown attack vectors"):
+			return Unknown
+		case strings.Contains(s, "unspecified other impact"), strings.Contains(s, "via unspecified vectors"):
+			return Unspecified
+		}
+		return Valid
+	}
+	frags := []string{
+		"** disputed **", "** disputed *", "unknown vulnerability", "unknown impact",
+		"unknown attack vectors", "unspecified vulnerability", "unspecified other impact",
+		"via unspecified vectors", "unknown ", "unspecified ", "via ", "*", "u", "v", " ",
+		"x", "\n", "unKnown", "İ", "é",
+	}
+	rng := rand.New(rand.NewPCG(1, 2))
+	for i := 0; i < 20000; i++ {
+		var b []byte
+		for n := rng.IntN(5); n >= 0; n-- {
+			for _, c := range []byte(frags[rng.IntN(len(frags))]) {
+				if 'a' <= c && c <= 'z' && rng.IntN(3) == 0 {
+					c -= 'a' - 'A'
+				}
+				b = append(b, c)
+			}
+		}
+		s := string(b)
+		if got, want := EntryValidity(entryWithSummary(s)), lowered(s); got != want {
+			t.Fatalf("EntryValidity(%q) = %v, the lowered rule gives %v", s, got, want)
+		}
 	}
 }
 

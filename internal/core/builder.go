@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"osdiversity/internal/classify"
+	"osdiversity/internal/cpe"
 	"osdiversity/internal/cve"
 	"osdiversity/internal/osmap"
 )
@@ -110,9 +111,9 @@ func (s *Study) digestBatch(entries []*cve.Entry) []digested {
 // release references are every product registry.Cluster resolves,
 // whatever its CPE part, deduplicated in CPE order.
 func (s *Study) digest(e *cve.Entry, mask osmap.Mask) digested {
-	productSet := make(map[string]bool, len(e.Products))
 	var refs []relRef
-	for _, p := range e.Products {
+	products := 0
+	for j, p := range e.Products {
 		d, clustered := s.registry.Cluster(p)
 		if clustered {
 			if r := (relRef{d, p.Version}); !slices.Contains(refs, r) {
@@ -122,7 +123,12 @@ func (s *Study) digest(e *cve.Entry, mask osmap.Mask) digested {
 		if !p.IsOS() {
 			continue
 		}
-		productSet[p.Vendor+"/"+p.Product] = true
+		// Count each OS vendor/product pair at its first occurrence.
+		if !slices.ContainsFunc(e.Products[:j], func(q cpe.Name) bool {
+			return q.IsOS() && q.Vendor == p.Vendor && q.Product == p.Product
+		}) {
+			products++
+		}
 		if clustered {
 			if i, ok := s.index[d]; ok {
 				// SetGrow keeps ingestion alive even if a registry ever
@@ -144,7 +150,7 @@ func (s *Study) digest(e *cve.Entry, mask osmap.Mask) digested {
 			remote:   e.Remote(),
 			year:     e.Year(),
 			validity: classify.EntryValidity(e),
-			products: len(productSet),
+			products: products,
 		},
 		refs: refs,
 		ok:   true,

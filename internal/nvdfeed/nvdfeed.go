@@ -2,14 +2,17 @@
 // 2.0 XML schema — the format the paper's collection program parsed and
 // inserted into its SQL database.
 //
-// The reader is streaming: it decodes one <entry> element at a time with
-// xml.Decoder, so feeds far larger than memory can be ingested. The writer
-// produces feeds the reader round-trips exactly, which is how the
-// calibrated synthetic corpus reaches the rest of the pipeline through the
-// same code path real NVD data would take.
+// The reader is streaming: a byte-level scanner (scan.go) decodes one
+// <entry> element at a time out of a fixed input window, so feeds far
+// larger than memory can be ingested. The writer produces feeds the
+// reader round-trips exactly, which is how the calibrated synthetic
+// corpus reaches the rest of the pipeline through the same code path
+// real NVD data would take.
 package nvdfeed
 
 import (
+	"bytes"
+	"cmp"
 	"compress/gzip"
 	"encoding/xml"
 	"errors"
@@ -17,8 +20,8 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"osdiversity/internal/cpe"
@@ -45,48 +48,14 @@ var fallbackLayouts = []string{
 	"2006-01-02",
 }
 
-// xmlEntry mirrors one <entry> element. Decoding matches on local names,
-// so any prefix bound to the right namespace is accepted.
-type xmlEntry struct {
-	ID         string       `xml:"id,attr"`
-	CVEID      string       `xml:"cve-id"`
-	Published  string       `xml:"published-datetime"`
-	Summary    string       `xml:"summary"`
-	Products   []string     `xml:"vulnerable-software-list>product"`
-	CVSS       *xmlCVSS     `xml:"cvss"`
-	ConfigTest []xmlLogTest `xml:"vulnerable-configuration>logical-test"`
-}
-
-type xmlLogTest struct {
-	Operator string       `xml:"operator,attr"`
-	Negate   string       `xml:"negate,attr"`
-	FactRefs []xmlFactRef `xml:"fact-ref"`
-	Nested   []xmlLogTest `xml:"logical-test"`
-}
-
-type xmlFactRef struct {
-	Name string `xml:"name,attr"`
-}
-
-type xmlCVSS struct {
-	Base xmlBaseMetrics `xml:"base_metrics"`
-}
-
-type xmlBaseMetrics struct {
-	Score            string `xml:"score"`
-	AccessVector     string `xml:"access-vector"`
-	AccessComplexity string `xml:"access-complexity"`
-	Authentication   string `xml:"authentication"`
-	ConfImpact       string `xml:"confidentiality-impact"`
-	IntegImpact      string `xml:"integrity-impact"`
-	AvailImpact      string `xml:"availability-impact"`
-}
-
 // Reader streams entries out of one XML feed.
 type Reader struct {
-	dec     *xml.Decoder
+	s       scanner
+	f       fields
+	cpes    cpeMemo
+	picked  []cpe.Name
 	lenient bool
-	skipped atomic.Int64
+	skipped int
 	stats   *SkipStats
 	workers int
 	closers []io.Closer
@@ -95,18 +64,17 @@ type Reader struct {
 // ReaderOption configures a Reader.
 type ReaderOption func(*Reader)
 
-// Lenient makes the reader skip entries that fail to decode or convert,
-// counting them instead of failing the stream. The default is strict.
+// Lenient makes the reader skip entries that fail to convert (an
+// unparseable identifier, datetime, CPE name or CVSS metric), counting
+// them instead of failing the stream. A feed that is not well-formed XML
+// fails in either mode. The default is strict.
 func Lenient() ReaderOption {
 	return func(r *Reader) { r.lenient = true }
 }
 
-// Workers sets the parallelism of StreamFiles. The XML tokenizer stays
-// sequential per file, but entry conversion (CPE parsing, datetime
-// parsing, CVSS mapping) fans out to the worker pool, or whole files
-// decode concurrently when there are several. Entry order is preserved
-// exactly. n <= 0 selects GOMAXPROCS; the default is 1. Reader.Next
-// ignores it.
+// Workers sets the parallelism of StreamFiles: up to n files decode
+// concurrently, each serially, and entry order is preserved exactly.
+// n <= 0 selects GOMAXPROCS; the default is 1. Reader.Next ignores it.
 func Workers(n int) ReaderOption {
 	return func(r *Reader) {
 		if n <= 0 {
@@ -118,7 +86,7 @@ func Workers(n int) ReaderOption {
 
 // NewReader wraps an XML stream.
 func NewReader(src io.Reader, opts ...ReaderOption) *Reader {
-	r := &Reader{dec: xml.NewDecoder(src)}
+	r := &Reader{s: scanner{src: src}}
 	for _, opt := range opts {
 		opt(r)
 	}
@@ -162,30 +130,43 @@ func (r *Reader) Close() error {
 }
 
 // Skipped reports how many entries a lenient reader has dropped so far.
-func (r *Reader) Skipped() int { return int(r.skipped.Load()) }
+func (r *Reader) Skipped() int { return r.skipped }
 
 // noteSkip counts one dropped entry, both on the reader and on any
-// attached SkipStats aggregate. The pipelined paths skip from more than
-// one goroutine, hence the atomics.
+// attached SkipStats aggregate.
 func (r *Reader) noteSkip() {
-	r.skipped.Add(1)
+	r.skipped++
 	if r.stats != nil {
 		r.stats.n.Add(1)
 	}
 }
 
 // Next returns the next entry in the feed, or io.EOF when the feed is
-// exhausted.
+// exhausted. An <entry> element matches under any prefix and at any
+// depth outside another entry.
 func (r *Reader) Next() (*cve.Entry, error) {
 	for {
-		raw, err := r.nextRaw()
+		tok, err := r.s.next(false)
 		if err != nil {
 			return nil, err
 		}
-		if raw == nil {
-			continue // lenient decode skip
+		if tok == tokEOF {
+			return nil, io.EOF
 		}
-		entry, err := raw.toEntry()
+		if tok != tokStart || string(r.s.local) != "entry" {
+			continue
+		}
+		if err := r.s.entry(&r.f); err != nil {
+			if err != errNesting {
+				return nil, err
+			}
+			if !r.lenient {
+				return nil, fmt.Errorf("nvdfeed: decode entry: %w", err)
+			}
+			r.noteSkip()
+			continue
+		}
+		entry, err := r.toEntry()
 		if err != nil {
 			if r.lenient {
 				r.noteSkip()
@@ -197,137 +178,159 @@ func (r *Reader) Next() (*cve.Entry, error) {
 	}
 }
 
-func (raw *xmlEntry) toEntry() (*cve.Entry, error) {
-	idText := raw.CVEID
-	if idText == "" {
-		idText = raw.ID
+// toEntry converts the scanned fields. The identifier is the cve-id
+// element's text, or the id attribute's when that is empty.
+func (r *Reader) toEntry() (*cve.Entry, error) {
+	f, s := &r.f, &r.s
+	idText := s.bytesOf(f.cveID)
+	if len(idText) == 0 {
+		idText = s.bytesOf(f.id)
 	}
-	id, err := cve.ParseID(idText)
+	id, err := cve.ParseID(string(idText))
 	if err != nil {
-		return nil, fmt.Errorf("nvdfeed: entry %q: %w", raw.ID, err)
+		return nil, fmt.Errorf("nvdfeed: entry %q: %w", s.bytesOf(f.id), err)
 	}
-	published, err := parseTime(raw.Published)
+	published, err := parseTime(string(s.bytesOf(f.published)))
 	if err != nil {
 		return nil, fmt.Errorf("nvdfeed: entry %s: %w", id, err)
 	}
-	products, err := raw.products()
+	products, err := r.products()
 	if err != nil {
 		return nil, fmt.Errorf("nvdfeed: entry %s: %w", id, err)
 	}
 	entry := &cve.Entry{
 		ID:        id,
 		Published: published,
-		Summary:   strings.TrimSpace(raw.Summary),
+		Summary:   string(bytes.TrimSpace(s.bytesOf(f.summary))),
 		Products:  products,
 	}
-	if raw.CVSS != nil {
-		vec, err := raw.CVSS.Base.vector()
-		if err != nil {
+	if f.cvss {
+		if entry.CVSS, err = r.vector(); err != nil {
 			return nil, fmt.Errorf("nvdfeed: entry %s: %w", id, err)
 		}
-		entry.CVSS = vec
 	}
 	return entry, nil
 }
 
-// products merges the vulnerable-software-list with any fact-refs of the
-// vulnerable-configuration tests, de-duplicated, preserving first-seen
-// order (list first, as NVD tools conventionally do).
-func (raw *xmlEntry) products() ([]cpe.Name, error) {
-	seen := make(map[string]bool, len(raw.Products))
-	var out []cpe.Name
-	add := func(uri string) error {
-		uri = strings.TrimSpace(uri)
-		if uri == "" || seen[uri] {
+// products merges the vulnerable-software-list with the fact-refs of
+// the vulnerable-configuration tests — each test's own before its
+// nested tests' — trimmed and de-duplicated in first-seen order (list
+// first, as NVD tools conventionally do).
+func (r *Reader) products() ([]cpe.Name, error) {
+	f, s := &r.f, &r.s
+	byTest := func(a, b factRef) int { return cmp.Compare(a.test, b.test) }
+	if !slices.IsSortedFunc(f.refs, byTest) {
+		slices.SortStableFunc(f.refs, byTest)
+	}
+	r.cpes.startEntry()
+	r.picked = r.picked[:0]
+	add := func(sp span) error {
+		uri := bytes.TrimSpace(s.bytesOf(sp))
+		if len(uri) == 0 {
 			return nil
 		}
-		n, err := cpe.Parse(uri)
-		if err != nil {
-			return err
+		n, dup, err := r.cpes.pick(uri)
+		if err == nil && !dup {
+			r.picked = append(r.picked, n)
 		}
-		seen[uri] = true
-		out = append(out, n)
-		return nil
+		return err
 	}
-	for _, uri := range raw.Products {
-		if err := add(uri); err != nil {
+	for _, sp := range f.products {
+		if err := add(sp); err != nil {
 			return nil, err
 		}
 	}
-	var walk func(tests []xmlLogTest) error
-	walk = func(tests []xmlLogTest) error {
-		for _, t := range tests {
-			for _, fr := range t.FactRefs {
-				if err := add(fr.Name); err != nil {
-					return err
-				}
-			}
-			if err := walk(t.Nested); err != nil {
-				return err
-			}
+	for _, ref := range f.refs {
+		if err := add(ref.name); err != nil {
+			return nil, err
 		}
-		return nil
 	}
-	if err := walk(raw.ConfigTest); err != nil {
-		return nil, err
+	if len(r.picked) == 0 {
+		return nil, nil
 	}
-	return out, nil
+	return slices.Clone(r.picked), nil
 }
 
-func (m *xmlBaseMetrics) vector() (cvss.Vector, error) {
-	var v cvss.Vector
-	switch m.AccessVector {
-	case "NETWORK":
-		v.AV = cvss.AccessNetwork
-	case "ADJACENT_NETWORK":
-		v.AV = cvss.AccessAdjacentNetwork
-	case "LOCAL":
-		v.AV = cvss.AccessLocal
-	default:
-		return cvss.Vector{}, fmt.Errorf("bad access-vector %q", m.AccessVector)
+// cpeMemoCap bounds the distinct CPE URIs a reader remembers.
+const cpeMemoCap = 1 << 14
+
+// cpeMemo parses each distinct CPE URI once per reader, so every entry
+// naming a URI shares its vendor, product and version strings. Past
+// cpeMemoCap URIs it starts over at the next entry, which keeps a
+// reader's memory flat on feeds whose distinct CPEs grow with volume.
+type cpeMemo struct {
+	index map[string]int32
+	names []cpe.Name
+	// picked[i] is the entry generation that last picked names[i], which
+	// de-duplicates an entry's products without a per-entry set.
+	picked []uint64
+	gen    uint64
+}
+
+// startEntry opens a new entry generation.
+func (m *cpeMemo) startEntry() {
+	if len(m.names) >= cpeMemoCap {
+		clear(m.index)
+		m.names, m.picked = m.names[:0], m.picked[:0]
 	}
-	switch m.AccessComplexity {
-	case "HIGH":
-		v.AC = cvss.ComplexityHigh
-	case "MEDIUM":
-		v.AC = cvss.ComplexityMedium
-	case "LOW":
-		v.AC = cvss.ComplexityLow
-	default:
-		return cvss.Vector{}, fmt.Errorf("bad access-complexity %q", m.AccessComplexity)
-	}
-	switch m.Authentication {
-	case "MULTIPLE_INSTANCES":
-		v.Au = cvss.AuthMultiple
-	case "SINGLE_INSTANCE":
-		v.Au = cvss.AuthSingle
-	case "NONE":
-		v.Au = cvss.AuthNone
-	default:
-		return cvss.Vector{}, fmt.Errorf("bad authentication %q", m.Authentication)
-	}
-	impact := func(s string) (cvss.Impact, error) {
-		switch s {
-		case "NONE":
-			return cvss.ImpactNone, nil
-		case "PARTIAL":
-			return cvss.ImpactPartial, nil
-		case "COMPLETE":
-			return cvss.ImpactComplete, nil
+	m.gen++
+}
+
+// pick returns uri's parsed name and whether the current entry already
+// picked it.
+func (m *cpeMemo) pick(uri []byte) (cpe.Name, bool, error) {
+	i, ok := m.index[string(uri)]
+	if !ok {
+		key := string(uri)
+		n, err := cpe.Parse(key)
+		if err != nil {
+			return cpe.Name{}, false, err
 		}
-		return 0, fmt.Errorf("bad impact %q", s)
+		if m.index == nil {
+			m.index = make(map[string]int32)
+		}
+		i = int32(len(m.names))
+		m.index[key] = i
+		m.names = append(m.names, n)
+		m.picked = append(m.picked, 0)
 	}
+	dup := m.picked[i] == m.gen
+	m.picked[i] = m.gen
+	return m.names[i], dup, nil
+}
+
+// vector maps the CVSS base metrics onto a vector. The metric texts
+// must be the feed's spellings exactly.
+func (r *Reader) vector() (cvss.Vector, error) {
+	text := func(i int) []byte { return r.s.bytesOf(r.f.metrics[i]) }
+	var v cvss.Vector
 	var err error
-	if v.C, err = impact(m.ConfImpact); err != nil {
+	if v.AV, err = metric(text(0), "access-vector", cvss.AccessNetwork, cvss.AccessAdjacentNetwork, cvss.AccessLocal); err != nil {
 		return cvss.Vector{}, err
 	}
-	if v.I, err = impact(m.IntegImpact); err != nil {
+	if v.AC, err = metric(text(1), "access-complexity", cvss.ComplexityHigh, cvss.ComplexityMedium, cvss.ComplexityLow); err != nil {
 		return cvss.Vector{}, err
 	}
-	if v.A, err = impact(m.AvailImpact); err != nil {
+	if v.Au, err = metric(text(2), "authentication", cvss.AuthMultiple, cvss.AuthSingle, cvss.AuthNone); err != nil {
 		return cvss.Vector{}, err
+	}
+	for i, dst := range []*cvss.Impact{&v.C, &v.I, &v.A} {
+		if *dst, err = metric(text(3+i), "impact", cvss.ImpactNone, cvss.ImpactPartial, cvss.ImpactComplete); err != nil {
+			return cvss.Vector{}, err
+		}
 	}
 	return v, nil
+}
+
+// metric returns the value whose feed spelling (String) is text.
+func metric[T fmt.Stringer](text []byte, name string, values ...T) (T, error) {
+	for _, v := range values {
+		if v.String() == string(text) {
+			return v, nil
+		}
+	}
+	var zero T
+	return zero, fmt.Errorf("bad %s %q", name, text)
 }
 
 func parseTime(s string) (time.Time, error) {

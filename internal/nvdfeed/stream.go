@@ -2,28 +2,24 @@ package nvdfeed
 
 // This file is the bounded-channel streaming pipeline behind
 // StreamFiles, the one way feed files are decoded: entries flow from
-// the XML tokenizer to the consumer through fixed-capacity channels, so
-// feed sets far larger than memory ingest with a constant footprint.
-// The pipeline has two shapes, both emitting entries in exact feed
-// order (path order, in-file order) — the order a serial Reader.Next
-// walk of the files yields:
+// the scanner to the consumer through fixed-capacity channels, so feed
+// sets far larger than memory ingest with a constant footprint. Each
+// file decodes serially, and the pipeline has two shapes, both emitting
+// entries in exact feed order (path order, in-file order) — the order a
+// serial Reader.Next walk of the files yields:
 //
 //   - workers <= 1, or one file: one goroutine walks the files in
-//     order and sends entries through the output window. With
-//     workers > 1 the file's entries convert on the pool (see
-//     Reader.emitAll).
+//     order and sends entries through the output window.
 //   - many files, workers > 1: up to `workers` files decode
 //     concurrently, each into its own bounded channel; the collector
 //     drains the per-file channels in path order.
 //
 // At most (workers + 1) × streamWindow entries are in flight at any
-// moment (the per-file/stage windows plus the output window) — a
-// constant, independent of feed volume.
+// moment (the per-file windows plus the output window) — a constant,
+// independent of feed volume.
 
 import (
-	"encoding/xml"
 	"errors"
-	"fmt"
 	"io"
 	"sync"
 	"sync/atomic"
@@ -84,8 +80,7 @@ func (st *Stream) Close() {
 
 // StreamFiles streams several feed files' entries in path order through
 // a bounded pipeline. With Workers(n > 1) up to n files decode
-// concurrently (or, for a single file, per-entry conversion fans out to
-// the pool); memory in flight stays bounded by the channel windows
+// concurrently; memory in flight stays bounded by the channel windows
 // regardless of the feed volume. Lenient skips count into any
 // WithSkipStats aggregate.
 func StreamFiles(paths []string, opts ...ReaderOption) *Stream {
@@ -131,10 +126,6 @@ type fileStream struct {
 // full windows then wait on the collector, which waits on the head
 // file: deadlock.
 func (st *Stream) runMultiFile(paths []string, opts []ReaderOption, workers int) {
-	// Cross-file fan-out already saturates the pool; forcing each file
-	// to the sequential decoder avoids stacking the within-file pipeline
-	// on top of it.
-	perFileOpts := append(append([]ReaderOption(nil), opts...), Workers(1))
 	files := make(chan *fileStream, workers-1)
 
 	go func() {
@@ -148,7 +139,7 @@ func (st *Stream) runMultiFile(paths []string, opts []ReaderOption, workers int)
 			}
 			go func(path string, fs *fileStream) {
 				defer close(fs.out)
-				fs.err = decodeInto(path, perFileOpts, fs.out, st.quit)
+				fs.err = decodeInto(path, opts, fs.out, st.quit)
 			}(path, fs)
 		}
 	}()
@@ -182,142 +173,18 @@ func decodeInto(path string, opts []ReaderOption, out chan<- *cve.Entry, quit <-
 		return err
 	}
 	defer r.Close()
-	return r.emitAll(func(e *cve.Entry) bool {
-		select {
-		case out <- e:
-			return true
-		case <-quit:
-			return false
-		}
-	})
-}
-
-// convResult is one converted entry of the within-file pipeline.
-type convResult struct {
-	entry *cve.Entry
-	err   error
-}
-
-// emitAll decodes the rest of the token stream, handing each entry to
-// emit in feed order; emit returns false to stop early. The returned
-// error is nil on a clean EOF or early stop. With one worker it walks
-// Next. Otherwise it is a bounded two-stage decode: the tokenizer
-// goroutine fills a window of raw <entry> elements, the worker pool
-// converts them concurrently, and a collector emits the results in
-// order. emitAll does not return until the tokenizer goroutine has
-// exited, so the caller may close the underlying reader immediately
-// afterwards. Nothing buffers the whole feed: at most streamWindow raw
-// elements and their conversions are in flight.
-func (r *Reader) emitAll(emit func(*cve.Entry) bool) error {
-	if r.workers <= 1 {
-		for {
-			e, err := r.Next()
-			if err != nil {
-				if errors.Is(err, io.EOF) {
-					return nil
-				}
-				return err
-			}
-			if !emit(e) {
-				return nil
-			}
-		}
-	}
-	type job struct {
-		raw xmlEntry
-		fut chan convResult
-	}
-	tasks := make(chan job, streamWindow)
-	futs := make(chan chan convResult, streamWindow)
-	quit := make(chan struct{})
-	decDone := make(chan struct{})
-	defer func() {
-		// Unwind the tokenizer on early exit, and never return while it
-		// may still be reading r's underlying stream (the caller closes
-		// the file next).
-		close(quit)
-		<-decDone
-	}()
-
-	// decodeErr is written by the tokenizer goroutine before it closes
-	// futs, so the collector reads it safely after the range ends.
-	var decodeErr error
-	go func() {
-		defer close(decDone)
-		defer close(tasks)
-		defer close(futs)
-		for {
-			raw, err := r.nextRaw()
-			if err != nil {
-				if !errors.Is(err, io.EOF) {
-					decodeErr = err
-				}
-				return
-			}
-			if raw == nil {
-				continue // lenient decode skip
-			}
-			fut := make(chan convResult, 1)
-			select {
-			case tasks <- job{raw: *raw, fut: fut}:
-			case <-quit:
-				return
-			}
-			select {
-			case futs <- fut:
-			case <-quit:
-				return
-			}
-		}
-	}()
-	for i := 0; i < r.workers; i++ {
-		go func() {
-			for j := range tasks {
-				e, err := j.raw.toEntry()
-				j.fut <- convResult{entry: e, err: err}
-			}
-		}()
-	}
-
-	for fut := range futs {
-		res := <-fut
-		if res.err != nil {
-			if r.lenient {
-				r.noteSkip()
-				continue
-			}
-			return res.err
-		}
-		if !emit(res.entry) {
+	for {
+		e, err := r.Next()
+		if errors.Is(err, io.EOF) {
 			return nil
 		}
-	}
-	return decodeErr
-}
-
-// nextRaw returns the next raw <entry> element, (nil, nil) for a
-// leniently skipped undecodable element, or io.EOF at end of stream.
-func (r *Reader) nextRaw() (*xmlEntry, error) {
-	for {
-		tok, err := r.dec.Token()
 		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return nil, io.EOF
-			}
-			return nil, fmt.Errorf("nvdfeed: token: %w", err)
+			return err
 		}
-		start, ok := tok.(xml.StartElement)
-		if !ok || start.Name.Local != "entry" {
-			continue
+		select {
+		case out <- e:
+		case <-quit:
+			return nil
 		}
-		var raw xmlEntry
-		if err := r.dec.DecodeElement(&raw, &start); err != nil {
-			if r.lenient {
-				r.noteSkip()
-				return nil, nil
-			}
-			return nil, fmt.Errorf("nvdfeed: decode entry: %w", err)
-		}
-		return &raw, nil
 	}
 }

@@ -13,8 +13,8 @@ import (
 	"osdiversity/internal/cve"
 )
 
-// readAll drains r with the sequential Reader.Next — the reference
-// decode every StreamFiles pipeline shape is compared against.
+// readAll drains r with Reader.Next: the entries up to the first
+// failure, and that failure.
 func readAll(r *Reader) ([]*cve.Entry, error) {
 	var out []*cve.Entry
 	for {
@@ -29,19 +29,16 @@ func readAll(r *Reader) ([]*cve.Entry, error) {
 	}
 }
 
-// readFiles is readAll over each file in path order: the entries up to
-// the first failure, the lenient skip total, and that failure.
+// readFiles decodes each file in path order with the reference
+// decoder (oracle_test.go), honouring a Lenient option: the entries up
+// to the first failure, the lenient skip total, and that failure.
 func readFiles(paths []string, opts ...ReaderOption) ([]*cve.Entry, int, error) {
+	lenient := NewReader(nil, opts...).lenient
 	var out []*cve.Entry
 	skipped := 0
 	for _, path := range paths {
-		r, err := OpenFile(path, opts...)
-		if err != nil {
-			return out, skipped, err
-		}
-		entries, err := readAll(r)
-		skipped += r.Skipped()
-		r.Close()
+		entries, n, err := oracleReadFile(path, lenient)
+		skipped += n
 		out = append(out, entries...)
 		if err != nil {
 			return out, skipped, err
@@ -84,9 +81,9 @@ func writeCorpusFeeds(t testing.TB) ([]string, []*cve.Entry) {
 }
 
 // TestStreamFilesMatchesReadFiles asserts every pipeline shape (serial,
-// single-file pool, multi-file fan-out) emits exactly the entries of
-// readFiles' serial walk, in order, with the same lenient skip count,
-// over clean and malformed feeds.
+// one file at several workers, multi-file fan-out) emits exactly the
+// entries of the reference decoder's serial walk, in order, with the
+// same lenient skip count, over clean and malformed feeds.
 func TestStreamFilesMatchesReadFiles(t *testing.T) {
 	paths, want := writeCorpusFeeds(t)
 	malformed, _, _ := writeMalformedFeeds(t)
