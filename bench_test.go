@@ -650,6 +650,7 @@ var applyDeltaFix struct {
 	base    *Analysis
 	shards  []*Analysis
 	delta   string
+	decoded []*cve.Entry // the delta feed, decoded once
 	entries int
 	err     error
 }
@@ -708,6 +709,14 @@ func buildApplyDeltaFixture() error {
 		return err
 	}
 	fix.entries = n
+	st := nvdfeed.StreamFiles([]string{fix.delta}, nvdfeed.Workers(applyDeltaWorkers))
+	for e := range st.Entries() {
+		fix.decoded = append(fix.decoded, e)
+	}
+	st.Close()
+	if err := st.Err(); err != nil {
+		return err
+	}
 	whole, err := LoadSynthetic(spec, WithParallelism(applyDeltaWorkers))
 	if err != nil {
 		return err
@@ -724,9 +733,11 @@ func buildApplyDeltaFixture() error {
 }
 
 // BenchmarkApplyDelta100k times a hot reload of one delta feed into the
-// 100k corpus: decode alone (StreamFiles at two workers), the unsharded
-// ApplyDelta plus the SelfCheck the epoch manager runs before a swap,
-// and a gateway round of the same over the four year shards in turn.
+// 100k corpus: decode alone (StreamFiles at two workers), the build and
+// check alone (DeltaBuilder Add and Finish plus SelfCheck over the
+// pre-decoded entries), the unsharded ApplyDelta plus the SelfCheck the
+// epoch manager runs before a swap, and a gateway round of the same over
+// the four year shards in turn.
 func BenchmarkApplyDelta100k(b *testing.B) {
 	base := applyDeltaFixture(b)
 	fix := &applyDeltaFix
@@ -744,6 +755,16 @@ func BenchmarkApplyDelta100k(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if n, err := drainFeedFiles([]string{fix.delta}, applyDeltaWorkers); err != nil || n != fix.entries {
 				b.Fatalf("decode: %v, %d entries", err, n)
+			}
+		}
+	})
+	b.Run("finish", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			d := core.NewDeltaBuilder(base.study)
+			d.Add(fix.decoded...)
+			if err := d.Finish().SelfCheck(); err != nil {
+				b.Fatalf("SelfCheck: %v", err)
 			}
 		}
 	})

@@ -12,9 +12,13 @@ import (
 // identifiers the base already holds replace the old records
 // (last-writer-wins, whatever the entry's new validity outcome),
 // unknown identifiers append. The base is never mutated and keeps
-// answering queries throughout; the returned Analysis shares no mutable
-// or mapped memory with it, so a snapshot-booted base can be dropped
-// (and its mapping closed) once traffic has drained to the new epoch.
+// answering queries throughout. The returned Analysis shares with it
+// only immutable heap segments: the publication years the delta does
+// not touch, their memoized counts included, so a reload rebuilds and
+// checks only the years its feeds change. A snapshot-booted base's
+// mapped segments are never shared: the first delta rebuilds every one
+// of them on the heap, so the base can be dropped (and its mapping
+// closed) once traffic has drained to the new epoch.
 //
 // The result is identical — every table, selection and attack answer —
 // to a cold build over the merged entry set. Worker count is inherited
@@ -46,8 +50,11 @@ func (a *Analysis) ApplyDelta(paths []string, opts ...Option) (*Analysis, error)
 	return cfg.finishAnalysis(merged, a.source, a.malformedSkipped+malformed)
 }
 
-// SelfCheck deep-validates the analysis's internal consistency — the
-// same exhaustive column checks hostile snapshot files are subjected
-// to — and warms the query indexes as a side effect. The epoch manager
-// runs it on every candidate epoch before swapping it live.
+// SelfCheck deep-validates what the analysis built — each year segment
+// it did not share with a base, and its invalid-record list, go through
+// the same exhaustive column checks hostile snapshot files are
+// subjected to, and its years must ascend without repeats — and warms
+// the query indexes as a side effect. Segments shared with a base were
+// checked when that base built them. The epoch manager runs it on every
+// candidate epoch before swapping it live.
 func (a *Analysis) SelfCheck() error { return a.study.SelfCheck() }

@@ -2,217 +2,52 @@ package core
 
 import (
 	"math/bits"
-	"sort"
+	"sync"
 
 	"osdiversity/internal/classify"
 	"osdiversity/internal/osmap"
 )
 
 // This file is the columnar bitset engine, the Study's only query
-// path. At first use it transposes the row-oriented record slice into
-// posting bitsets: for every distribution, component class, profile and
-// validity state, one packed []uint64 with bit i representing the i-th
-// record. Records are sorted by publication year at ingestion, so the
-// per-year segment offsets make every period/window query a popcount
-// over a contiguous bit range. Each table then reduces to word-wise
-// AND + popcount loops, sharded across distros/pairs on the worker pool
-// of parallel.go; at 100k+ entries the engine streams a few hundred
-// kilobytes of postings per table instead of megabytes of records.
+// path. Each year segment (segment.go) holds posting bitsets over its
+// own records: for every distribution, component class and profile,
+// one packed []uint64 with bit i standing for the segment's i-th
+// record. A segment answers raw counts with word-wise AND + popcount
+// loops and pair-posting sweeps, memoized per segment; each table adds
+// the raws of the segments it covers and finalizes the sum. A period or
+// window covers whole years, so it adds the raws of the years inside it
+// instead of sweeping a bit range. The segments' raws compute across
+// the WithParallelism worker pool, one segment per task; at 100k+
+// entries each table streams a few hundred kilobytes of postings the
+// first time and re-adds two dozen memoized rows afterwards.
 
-// bitIndex is the columnar index over the (immutable) record set.
-type bitIndex struct {
-	n     int // valid records
-	words int
-
-	distro   [][]uint64 // nd posting bitsets over valid records
-	class    [4][]uint64
-	remote   []uint64
-	profile  [3][]uint64 // indexed Profile-1
-	popcnt   []uint16    // per-record affected-distro count
-	products []uint16    // per-record affected-product count
-
-	// Year segmentation: records are sorted by year, so yearStart[k] is
-	// the first record index with year >= minYear+k and
-	// yearStart[span+1] == n.
-	minYear, maxYear int
-	yearStart        []int
-
-	// Compact multi-record pair postings: only records affecting >= 2
-	// distros can contribute to any pair, so the all-pairs queries
-	// stream these packed columns (a few hundred KB at 100k entries)
-	// instead of AND-ing every pair's full postings. multi holds the
-	// record indices ascending (hence year-sorted); multiFlags packs
-	// classIdx+1 (bits 0-2; 0 = unclassified) and the remote flag
-	// (bit 3), which together decide every profile membership; each
-	// record's C(k,2) pair indices are materialized once into the
-	// multiPairs arena, delimited by multiPairOff.
-	multi        []int32
-	multiFlags   []uint8
-	multiPairOff []int32
-	multiPairs   []int32
-
-	// Postings over the invalid records (Table I's removed columns).
-	invWords    int
-	invDistro   [][]uint64
-	invValidity [3][]uint64 // unknown, unspecified, disputed
+// invIndex holds the posting bitsets over a Study's invalid records
+// (Table I's removed columns).
+type invIndex struct {
+	distro   [][]uint64
+	validity [3][]uint64 // unknown, unspecified, disputed
 }
 
-// bitIndex lazily builds (once) and returns the columnar index.
-func (s *Study) bitIndex() *bitIndex {
-	s.bitOnce.Do(func() { s.bidx = s.buildBitIndex() })
-	return s.bidx
-}
-
-// alignedShards is runShards with shard boundaries aligned to 64-record
-// multiples, so concurrent builders never touch the same bitset word.
-func alignedShards(workers, n int, body func(lo, hi int)) {
-	workers = capWorkers(workers)
-	if workers <= 1 || n < minParallelItems {
-		body(0, n)
-		return
-	}
-	chunk := (n + workers - 1) / workers
-	chunk = (chunk + 63) &^ 63
-	done := make(chan struct{})
-	shards := 0
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
+// invIndex builds (once) and returns the invalid-record postings.
+func (s *Study) invIndex() *invIndex {
+	s.invOnce.Do(func() {
+		words := (len(s.invalid) + 63) / 64
+		idx := &invIndex{distro: make([][]uint64, s.nd)}
+		for d := range idx.distro {
+			idx.distro[d] = make([]uint64, words)
 		}
-		shards++
-		go func(lo, hi int) {
-			body(lo, hi)
-			done <- struct{}{}
-		}(lo, hi)
-	}
-	for i := 0; i < shards; i++ {
-		<-done
-	}
-}
-
-func (s *Study) buildBitIndex() *bitIndex {
-	n := len(s.records)
-	idx := &bitIndex{
-		n:        n,
-		words:    (n + 63) / 64,
-		popcnt:   make([]uint16, n),
-		products: make([]uint16, n),
-	}
-	idx.distro = make([][]uint64, s.nd)
-	for d := range idx.distro {
-		idx.distro[d] = make([]uint64, idx.words)
-	}
-	for c := range idx.class {
-		idx.class[c] = make([]uint64, idx.words)
-	}
-	idx.remote = make([]uint64, idx.words)
-
-	alignedShards(s.workers(), n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			r := &s.records[i]
-			w, b := i>>6, uint64(1)<<uint(i&63)
-			r.mask.ForEachBit(func(bi int) { idx.distro[bi][w] |= b })
-			if ci := classIdx(r.class); ci >= 0 {
-				idx.class[ci][w] |= b
-			}
-			if r.remote {
-				idx.remote[w] |= b
-			}
-			idx.popcnt[i] = clampU16(r.nos)
-			idx.products[i] = clampU16(r.products)
+		for v := range idx.validity {
+			idx.validity[v] = make([]uint64, words)
 		}
-	})
-
-	// Profile postings: Fat = everything, Thin = not Application,
-	// IsolatedThin = Thin ∧ remote. The tail bits beyond n stay zero.
-	fat := make([]uint64, idx.words)
-	thin := make([]uint64, idx.words)
-	its := make([]uint64, idx.words)
-	for i := range fat {
-		fat[i] = ^uint64(0)
-	}
-	if idx.words > 0 && n&63 != 0 {
-		fat[idx.words-1] = (uint64(1) << uint(n&63)) - 1
-	}
-	app := idx.class[classIdx(classify.ClassApplication)]
-	for i := range thin {
-		thin[i] = fat[i] &^ app[i]
-		its[i] = thin[i] & idx.remote[i]
-	}
-	idx.profile[FatServer-1] = fat
-	idx.profile[ThinServer-1] = thin
-	idx.profile[IsolatedThinServer-1] = its
-
-	// Year segment offsets over the year-sorted records.
-	if n > 0 {
-		idx.minYear = s.records[0].year
-		idx.maxYear = s.records[n-1].year
-		span := idx.maxYear - idx.minYear
-		idx.yearStart = make([]int, span+2)
-		pos := 0
-		for k := 0; k <= span; k++ {
-			for pos < n && s.records[pos].year < idx.minYear+k {
-				pos++
-			}
-			idx.yearStart[k] = pos
-		}
-		idx.yearStart[span+1] = n
-	}
-
-	// Compact multi-record pair postings for the pair-family queries.
-	nMulti, nPairRefs := 0, 0
-	for i := range s.records {
-		if k := s.records[i].nos; k >= 2 {
-			nMulti++
-			nPairRefs += k * (k - 1) / 2
-		}
-	}
-	idx.multi = make([]int32, 0, nMulti)
-	idx.multiFlags = make([]uint8, 0, nMulti)
-	idx.multiPairOff = make([]int32, 1, nMulti+1)
-	idx.multiPairs = make([]int32, 0, nPairRefs)
-	bs := make([]int, s.nd)
-	for i := range s.records {
-		r := &s.records[i]
-		if r.nos < 2 {
-			continue
-		}
-		idx.multi = append(idx.multi, int32(i))
-		flags := uint8(classIdx(r.class) + 1)
-		if r.remote {
-			flags |= multiRemoteFlag
-		}
-		idx.multiFlags = append(idx.multiFlags, flags)
-		nb := r.mask.Bits(bs)
-		for x := 0; x < nb; x++ {
-			row := bs[x] * s.nd
-			for y := x + 1; y < nb; y++ {
-				idx.multiPairs = append(idx.multiPairs, int32(s.pairAt[row+bs[y]]))
-			}
-		}
-		idx.multiPairOff = append(idx.multiPairOff, int32(len(idx.multiPairs)))
-	}
-
-	// Invalid-record postings for Table I.
-	ni := len(s.invalid)
-	idx.invWords = (ni + 63) / 64
-	idx.invDistro = make([][]uint64, s.nd)
-	for d := range idx.invDistro {
-		idx.invDistro[d] = make([]uint64, idx.invWords)
-	}
-	for v := range idx.invValidity {
-		idx.invValidity[v] = make([]uint64, idx.invWords)
-	}
-	alignedShards(s.workers(), ni, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
+		for i := range s.invalid {
 			r := &s.invalid[i]
 			w, b := i>>6, uint64(1)<<uint(i&63)
-			r.mask.ForEachBit(func(bi int) { idx.invDistro[bi][w] |= b })
-			idx.invValidity[validityIdx(r.validity)][w] |= b
+			r.mask.ForEachBit(func(bi int) { idx.distro[bi][w] |= b })
+			idx.validity[validityIdx(r.validity)][w] |= b
 		}
+		s.inv = idx
 	})
-	return idx
+	return s.inv
 }
 
 func clampU16(v int) uint16 {
@@ -251,138 +86,49 @@ func and3Popcount(a, b, c []uint64) int {
 	return n
 }
 
-// popcountRange counts set bits of a within bit positions [lo, hi).
-func popcountRange(a []uint64, lo, hi int) int {
-	if lo >= hi {
-		return 0
-	}
-	loW, hiW := lo>>6, (hi-1)>>6
-	head := ^uint64(0) << uint(lo&63)
-	tail := ^uint64(0) >> uint(63-((hi-1)&63))
-	if loW == hiW {
-		return bits.OnesCount64(a[loW] & head & tail)
-	}
-	n := bits.OnesCount64(a[loW] & head)
-	for i := loW + 1; i < hiW; i++ {
-		n += bits.OnesCount64(a[i])
-	}
-	n += bits.OnesCount64(a[hiW] & tail)
-	return n
-}
+// --- bit-range kernels ---------------------------------------------------
 
-// andPopcountRange counts bits of a∧b within bit positions [lo, hi).
-func andPopcountRange(a, b []uint64, lo, hi int) int {
-	if lo >= hi {
-		return 0
+// extractBits copies bit positions [lo, hi) of a into out, which holds
+// (hi-lo+63)/64 words, so that out's bit 0 is a's bit lo: the adoption
+// of a year's postings out of a snapshot's whole-corpus bitsets.
+func extractBits(out, a []uint64, lo, hi int) {
+	sh := uint(lo & 63)
+	for i := range out {
+		w := lo>>6 + i
+		v := a[w] >> sh
+		if sh != 0 && w+1 < len(a) {
+			v |= a[w+1] << (64 - sh)
+		}
+		out[i] = v
 	}
-	loW, hiW := lo>>6, (hi-1)>>6
-	head := ^uint64(0) << uint(lo&63)
-	tail := ^uint64(0) >> uint(63-((hi-1)&63))
-	if loW == hiW {
-		return bits.OnesCount64(a[loW] & b[loW] & head & tail)
-	}
-	n := bits.OnesCount64(a[loW] & b[loW] & head)
-	for i := loW + 1; i < hiW; i++ {
-		n += bits.OnesCount64(a[i] & b[i])
-	}
-	n += bits.OnesCount64(a[hiW] & b[hiW] & tail)
-	return n
-}
-
-// --- range helpers -------------------------------------------------------
-
-// cutIndex returns the first record index with year > y (records are
-// year-sorted), i.e. the exclusive end of the history side of a split.
-func (idx *bitIndex) cutIndex(y int) int {
-	switch {
-	case idx.n == 0 || y < idx.minYear:
-		return 0
-	case y >= idx.maxYear:
-		return idx.n
-	default:
-		return idx.yearStart[y-idx.minYear+1]
+	if n := hi - lo; n&63 != 0 {
+		out[len(out)-1] &= uint64(1)<<uint(n&63) - 1
 	}
 }
 
-// recRange maps a selection window onto the [lo, hi) record range.
-func (idx *bitIndex) recRange(w SelectionWindow) (lo, hi int) {
-	if idx.n == 0 {
-		return 0, 0
-	}
-	lo = 0
-	if w.FromYear != 0 {
-		switch {
-		case w.FromYear > idx.maxYear:
-			return 0, 0
-		case w.FromYear > idx.minYear:
-			lo = idx.yearStart[w.FromYear-idx.minYear]
+// appendBits appends the first n bits of src to the bitset dst, which
+// holds nbits bits so far (its tail bits past nbits zero), and returns
+// the extended bitset: the export's concatenation of year postings.
+func appendBits(dst []uint64, nbits int, src []uint64, n int) []uint64 {
+	sh := uint(nbits & 63)
+	for i := 0; i < (n+63)/64; i++ {
+		v := src[i]
+		if rem := n - i*64; rem < 64 {
+			v &= uint64(1)<<uint(rem) - 1
+		}
+		if sh == 0 {
+			dst = append(dst, v)
+			continue
+		}
+		dst[len(dst)-1] |= v << sh
+		if i*64+int(64-sh) < n {
+			dst = append(dst, v>>(64-sh))
 		}
 	}
-	hi = idx.n
-	if w.ToYear != 0 {
-		hi = idx.cutIndex(w.ToYear)
-	}
-	return lo, hi
+	return dst
 }
 
-// --- table queries -------------------------------------------------------
-
-func (s *Study) validityBitset() *validityResult {
-	idx := s.bitIndex()
-	res := &validityResult{rows: make([]ValidityRow, s.nd)}
-	runShards(s.workers(), s.nd, func(lo, hi int) {
-		for d := lo; d < hi; d++ {
-			res.rows[d] = ValidityRow{
-				Distro:      s.distros[d],
-				Valid:       popcountWords(idx.distro[d]),
-				Unknown:     andPopcount(idx.invDistro[d], idx.invValidity[0]),
-				Unspecified: andPopcount(idx.invDistro[d], idx.invValidity[1]),
-				Disputed:    andPopcount(idx.invDistro[d], idx.invValidity[2]),
-			}
-		}
-	})
-	res.distinct = ValidityRow{
-		Valid:       idx.n,
-		Unknown:     popcountWords(idx.invValidity[0]),
-		Unspecified: popcountWords(idx.invValidity[1]),
-		Disputed:    popcountWords(idx.invValidity[2]),
-	}
-	return res
-}
-
-func (s *Study) classBitset() *classResult {
-	idx := s.bitIndex()
-	res := &classResult{rows: make([]ClassRow, s.nd)}
-	runShards(s.workers(), s.nd, func(lo, hi int) {
-		for d := lo; d < hi; d++ {
-			res.rows[d] = ClassRow{
-				Distro:  s.distros[d],
-				Driver:  andPopcount(idx.distro[d], idx.class[0]),
-				Kernel:  andPopcount(idx.distro[d], idx.class[1]),
-				SysSoft: andPopcount(idx.distro[d], idx.class[2]),
-				App:     andPopcount(idx.distro[d], idx.class[3]),
-			}
-		}
-	})
-	var counts [4]int
-	for c := range idx.class {
-		counts[c] = popcountWords(idx.class[c])
-	}
-	res.shares = ClassShares(counts, idx.n)
-	return res
-}
-
-func (s *Study) totalsBitset(profile Profile) []int {
-	idx := s.bitIndex()
-	prof := idx.profile[profile-1]
-	out := make([]int, s.nd)
-	runShards(s.workers(), s.nd, func(lo, hi int) {
-		for d := lo; d < hi; d++ {
-			out[d] = andPopcount(idx.distro[d], prof)
-		}
-	})
-	return out
-}
+// --- per-segment raw counts ----------------------------------------------
 
 // multiRemoteFlag marks remotely exploitable records in multiFlags.
 const multiRemoteFlag = 1 << 3
@@ -396,61 +142,225 @@ func multiMatchesITS(f uint8) bool {
 	return multiClassOf(f) != uint8(classIdx(classify.ClassApplication)+1) && f&multiRemoteFlag != 0
 }
 
-// multiPos returns the position of the first multi-record whose record
-// index is >= recIdx (the multi column is ascending).
-func (idx *bitIndex) multiPos(recIdx int) int {
-	return sort.Search(len(idx.multi), func(i int) bool { return int(idx.multi[i]) >= recIdx })
+// allTotals returns the segment's per-distro counts under each
+// profile, concatenated in Profile order (nd each).
+func (g *segment) allTotals() []int32 {
+	return g.memo.get(ckey{q: qTotals}, func() any {
+		nd := len(g.distro)
+		out := make([]int32, 3*nd)
+		for p, prof := range g.profile {
+			for d, post := range g.distro {
+				out[p*nd+d] = int32(andPopcount(post, prof))
+			}
+		}
+		return out
+	}).([]int32)
 }
 
-// pairsAllResult memoizes the three profiles' pair matrices, produced by
-// a single pass over the multi columns.
+// totals returns the segment's per-distro counts under a profile.
+func (g *segment) totals(profile Profile) []int32 {
+	nd := len(g.distro)
+	return g.allTotals()[int(profile-1)*nd : int(profile)*nd]
+}
+
+// classCounts returns the segment's Table II raws: each distro's four
+// class counts (row d at [4d, 4d+4)), then the distinct count of each
+// class.
+func (g *segment) classCounts() []int32 {
+	return g.memo.get(ckey{q: qClass}, func() any {
+		nd := len(g.distro)
+		out := make([]int32, 4*(nd+1))
+		for d, post := range g.distro {
+			for c := range g.class {
+				out[4*d+c] = int32(andPopcount(post, g.class[c]))
+			}
+		}
+		for c := range g.class {
+			out[4*nd+c] = int32(popcountWords(g.class[c]))
+		}
+		return out
+	}).([]int32)
+}
+
+// pairCounts returns the segment's pair overlaps of the three profiles,
+// concatenated in Profile order (np each), from one sweep of the pair
+// postings: each record's pair indices count in the Fat row always, the
+// Thin row when it is not Application-class, and the IsolatedThin row
+// when it is also remote.
+func (g *segment) pairCounts(np int) []int32 {
+	return g.memo.get(ckey{q: qPairsAll}, func() any {
+		out := make([]int32, 3*np)
+		fat, thin, its := out[:np], out[np:2*np], out[2*np:]
+		appFlag := uint8(classIdx(classify.ClassApplication) + 1)
+		for pos, f := range g.multiFlags {
+			isThin := multiClassOf(f) != appFlag
+			isITS := isThin && f&multiRemoteFlag != 0
+			for _, pi := range g.multiPairs[g.multiPairOff[pos]:g.multiPairOff[pos+1]] {
+				fat[pi]++
+				if isThin {
+					thin[pi]++
+				}
+				if isITS {
+					its[pi]++
+				}
+			}
+		}
+		return out
+	}).([]int32)
+}
+
+// itsPairs is the Isolated-Thin-Server row of pairCounts.
+func (g *segment) itsPairs(np int) []int32 { return g.pairCounts(np)[2*np:] }
+
+// partCounts returns the segment's Table IV raws: the Isolated Thin
+// Server pair overlaps of the driver, kernel and system-software
+// classes, concatenated in that order (np each).
+func (g *segment) partCounts(np int) []int32 {
+	return g.memo.get(ckey{q: qParts}, func() any {
+		out := make([]int32, 3*np)
+		for pos, f := range g.multiFlags {
+			cls := int(multiClassOf(f))
+			if !multiMatchesITS(f) || cls == 0 {
+				continue
+			}
+			row := out[(cls-1)*np : cls*np]
+			for _, pi := range g.multiPairs[g.multiPairOff[pos]:g.multiPairOff[pos+1]] {
+				row[pi]++
+			}
+		}
+		return out
+	}).([]int32)
+}
+
+// kwiseHistogram tallies how many of the segment's records surviving
+// the profile carry each value of a per-record count column (distro
+// count, or product count when products is set), by walking the set
+// bits of the profile posting.
+func (g *segment) kwiseHistogram(profile Profile, products bool) []int32 {
+	q := uint8(qKWiseClusters)
+	column := g.popcnt
+	if products {
+		q, column = qKWiseProducts, g.products
+	}
+	return g.memo.get(ckey{q: q, profile: profile}, func() any {
+		var hist []int32
+		for wi, w := range g.profile[profile-1] {
+			base := wi << 6
+			for ; w != 0; w &= w - 1 {
+				v := int(column[base+bits.TrailingZeros64(w)])
+				for len(hist) <= v {
+					hist = append(hist, 0)
+				}
+				hist[v]++
+			}
+		}
+		return hist
+	}).([]int32)
+}
+
+// releaseBits returns the posting bitset of the segment's records whose
+// CPE list names the (distro, version) release, built once per release;
+// nil when no record of the segment names the version. The memo is
+// keyed by the version's position in the segment's version table, so
+// it holds at most one bitset per distro and version the table has.
+func (g *segment) releaseBits(d osmap.Distro, version string) []uint64 {
+	vi, ok := g.vidx[version]
+	if !ok {
+		return nil
+	}
+	return g.memo.get(ckey{q: qRelease, a: int(d), b: int(vi)}, func() any {
+		bs := make([]uint64, g.words())
+		for i := range g.recs {
+			if g.rel.affectsRelease(i, d, version) {
+				bs[i>>6] |= 1 << uint(i&63)
+			}
+		}
+		return bs
+	}).([]uint64)
+}
+
+// --- summing segments ----------------------------------------------------
+
+// sumSegments adds the raw rows (width values each) of the segments
+// keep accepts, or of every segment when keep is nil. The rows compute
+// (or come from the segments' memos) across the worker pool first, one
+// segment per task; integer sums make the total identical at any worker
+// count.
+func (s *Study) sumSegments(width int, keep func(g *segment) bool, raw func(g *segment) []int32) []int {
+	rows := make([][]int32, len(s.segs))
+	eachSegment(s.workers(), len(s.segs), func(i int) {
+		if keep == nil || keep(s.segs[i]) {
+			rows[i] = raw(s.segs[i])
+		}
+	})
+	out := make([]int, width)
+	for _, row := range rows {
+		for j, v := range row {
+			out[j] += int(v)
+		}
+	}
+	return out
+}
+
+// --- table queries -------------------------------------------------------
+
+func (s *Study) validityBitset() *validityResult {
+	valid := s.totals(FatServer)
+	inv := s.invIndex()
+	res := &validityResult{rows: make([]ValidityRow, s.nd)}
+	for d := range res.rows {
+		res.rows[d] = ValidityRow{
+			Distro:      s.distros[d],
+			Valid:       valid[d],
+			Unknown:     andPopcount(inv.distro[d], inv.validity[0]),
+			Unspecified: andPopcount(inv.distro[d], inv.validity[1]),
+			Disputed:    andPopcount(inv.distro[d], inv.validity[2]),
+		}
+	}
+	res.distinct = ValidityRow{
+		Valid:       s.nValid,
+		Unknown:     popcountWords(inv.validity[0]),
+		Unspecified: popcountWords(inv.validity[1]),
+		Disputed:    popcountWords(inv.validity[2]),
+	}
+	return res
+}
+
+// classSums returns the summed classCounts raws of every segment.
+func (s *Study) classSums() []int {
+	return s.cached(ckey{q: qClassSums}, func() any {
+		return s.sumSegments(4*(s.nd+1), nil, (*segment).classCounts)
+	}).([]int)
+}
+
+func (s *Study) classBitset() *classResult {
+	sums := s.classSums()
+	res := &classResult{rows: make([]ClassRow, s.nd)}
+	for d := range res.rows {
+		c := sums[4*d : 4*d+4]
+		res.rows[d] = ClassRow{Distro: s.distros[d], Driver: c[0], Kernel: c[1], SysSoft: c[2], App: c[3]}
+	}
+	res.shares = ClassShares([4]int(sums[4*s.nd:]), s.nValid)
+	return res
+}
+
+// totalsBitset sums the segments' per-distro totals of all three
+// profiles at once (nd each, Profile order).
+func (s *Study) totalsBitset() []int {
+	return s.sumSegments(3*s.nd, nil, (*segment).allTotals)
+}
+
+// pairsAllResult memoizes the three profiles' pair matrices.
 type pairsAllResult struct {
 	counts [3][]int // indexed Profile-1
 }
 
-// pairsAllBitset computes all three profile pair matrices in one sweep
-// of the pair-posting columns: each record's materialized pair indices
-// are bumped into the Fat row always, the Thin row when the record is
-// not Application-class, and the IsolatedThin row when it is
-// additionally remote. This streams O(multi × C(k,2)) sequential work —
-// the engine's answer to the all-pairs tables, exploiting that most
-// records touch few distros.
+// pairsAllBitset sums the segments' pair overlaps of all three profiles.
 func (s *Study) pairsAllBitset() *pairsAllResult {
 	return s.cached(ckey{q: qPairsAll}, func() any {
-		idx := s.bitIndex()
-		appFlag := uint8(classIdx(classify.ClassApplication) + 1)
-		return reduceRangeShards(s.workers(), len(idx.multi),
-			func() *pairsAllResult {
-				r := &pairsAllResult{}
-				for i := range r.counts {
-					r.counts[i] = make([]int, len(s.pairs))
-				}
-				return r
-			},
-			func(a *pairsAllResult, lo, hi int) {
-				fat := a.counts[FatServer-1]
-				thin := a.counts[ThinServer-1]
-				its := a.counts[IsolatedThinServer-1]
-				for pos := lo; pos < hi; pos++ {
-					f := idx.multiFlags[pos]
-					isThin := multiClassOf(f) != appFlag
-					isITS := isThin && f&multiRemoteFlag != 0
-					for _, pi := range idx.multiPairs[idx.multiPairOff[pos]:idx.multiPairOff[pos+1]] {
-						fat[pi]++
-						if isThin {
-							thin[pi]++
-						}
-						if isITS {
-							its[pi]++
-						}
-					}
-				}
-			},
-			func(dst, src *pairsAllResult) {
-				for i := range dst.counts {
-					mergeIntSlice(dst.counts[i], src.counts[i])
-				}
-			})
+		np := len(s.pairs)
+		sums := s.sumSegments(3*np, nil, func(g *segment) []int32 { return g.pairCounts(np) })
+		return &pairsAllResult{counts: [3][]int{sums[:np:np], sums[np : 2*np : 2*np], sums[2*np:]}}
 	}).(*pairsAllResult)
 }
 
@@ -459,150 +369,57 @@ func (s *Study) pairCountsBitset(profile Profile) []int {
 }
 
 func (s *Study) partsBitset() []PartCounts {
-	idx := s.bitIndex()
-	return reduceRangeShards(s.workers(), len(idx.multi),
-		func() []PartCounts { return make([]PartCounts, len(s.pairs)) },
-		func(a []PartCounts, lo, hi int) {
-			for pos := lo; pos < hi; pos++ {
-				f := idx.multiFlags[pos]
-				if !multiMatchesITS(f) {
-					continue
-				}
-				cls := multiClassOf(f)
-				for _, pi := range idx.multiPairs[idx.multiPairOff[pos]:idx.multiPairOff[pos+1]] {
-					switch cls {
-					case 1:
-						a[pi].Driver++
-					case 2:
-						a[pi].Kernel++
-					case 3:
-						a[pi].SysSoft++
-					}
-				}
-			}
-		},
-		func(dst, src []PartCounts) {
-			for i := range dst {
-				dst[i].Driver += src[i].Driver
-				dst[i].Kernel += src[i].Kernel
-				dst[i].SysSoft += src[i].SysSoft
-			}
-		})
-}
-
-func (s *Study) periodsBitset(splitYear int) []PeriodCounts {
-	idx := s.bitIndex()
-	cutPos := idx.multiPos(idx.cutIndex(splitYear))
-	return reduceRangeShards(s.workers(), len(idx.multi),
-		func() []PeriodCounts { return make([]PeriodCounts, len(s.pairs)) },
-		func(a []PeriodCounts, lo, hi int) {
-			for pos := lo; pos < hi; pos++ {
-				if !multiMatchesITS(idx.multiFlags[pos]) {
-					continue
-				}
-				history := pos < cutPos
-				for _, pi := range idx.multiPairs[idx.multiPairOff[pos]:idx.multiPairOff[pos+1]] {
-					if history {
-						a[pi].History++
-					} else {
-						a[pi].Observed++
-					}
-				}
-			}
-		},
-		func(dst, src []PeriodCounts) {
-			for i := range dst {
-				dst[i].History += src[i].History
-				dst[i].Observed += src[i].Observed
-			}
-		})
-}
-
-func (s *Study) temporalBitset(distroIdx int) map[int]int {
-	idx := s.bitIndex()
-	out := make(map[int]int)
-	if idx.n == 0 {
-		return out
+	np := len(s.pairs)
+	sums := s.sumSegments(3*np, nil, func(g *segment) []int32 { return g.partCounts(np) })
+	out := make([]PartCounts, np)
+	for i := range out {
+		out[i] = PartCounts{Driver: sums[i], Kernel: sums[np+i], SysSoft: sums[2*np+i]}
 	}
-	postings := idx.distro[distroIdx]
-	span := idx.maxYear - idx.minYear
-	for k := 0; k <= span; k++ {
-		if c := popcountRange(postings, idx.yearStart[k], idx.yearStart[k+1]); c > 0 {
-			out[idx.minYear+k] = c
+	return out
+}
+
+// periodsBitset splits the Isolated Thin Server pair overlaps at the end
+// of splitYear: the years up to it are the history, the rest observed.
+func (s *Study) periodsBitset(splitYear int) []PeriodCounts {
+	np := len(s.pairs)
+	raw := func(g *segment) []int32 { return g.itsPairs(np) }
+	history := s.sumSegments(np, func(g *segment) bool { return g.year <= splitYear }, raw)
+	observed := s.sumSegments(np, func(g *segment) bool { return g.year > splitYear }, raw)
+	out := make([]PeriodCounts, np)
+	for i := range out {
+		out[i] = PeriodCounts{History: history[i], Observed: observed[i]}
+	}
+	return out
+}
+
+// temporalBitset reads one distro's per-year counts off the segments'
+// Fat Server totals.
+func (s *Study) temporalBitset(distroIdx int) map[int]int {
+	out := make(map[int]int)
+	eachSegment(s.workers(), len(s.segs), func(i int) { s.segs[i].totals(FatServer) })
+	for _, g := range s.segs {
+		if c := g.totals(FatServer)[distroIdx]; c > 0 {
+			out[g.year] = int(c)
 		}
 	}
 	return out
 }
 
-// kwiseHistogram tallies, per profile, how many records carry each value
-// of the per-record byte column (distro count or product count), by
-// walking the set bits of the profile bitset — the column and the
-// postings together are a few hundred KB at 100k entries, so this runs
-// at memory speed.
-func (s *Study) kwiseHistogram(profile Profile, column []uint16) []int {
-	idx := s.bitIndex()
-	prof := idx.profile[profile-1]
-	type hist struct{ counts []int }
-	merged := reduceRangeShards(s.workers(), idx.words, func() *hist { return &hist{} },
-		func(h *hist, loW, hiW int) {
-			for wi := loW; wi < hiW; wi++ {
-				w := prof[wi]
-				base := wi << 6
-				for ; w != 0; w &= w - 1 {
-					v := int(column[base+bits.TrailingZeros64(w)])
-					for len(h.counts) <= v {
-						h.counts = append(h.counts, 0)
-					}
-					h.counts[v]++
-				}
-			}
-		},
-		func(dst, src *hist) {
-			for len(dst.counts) < len(src.counts) {
-				dst.counts = append(dst.counts, 0)
-			}
-			for i, c := range src.counts {
-				dst.counts[i] += c
-			}
-		})
-	return merged.counts
-}
-
-// reduceRangeShards is reduceShards over index ranges instead of record slices.
-func reduceRangeShards[A any](workers, n int, newAgg func() A, body func(agg A, lo, hi int), merge func(dst, src A)) A {
-	workers = capWorkers(workers)
-	dst := newAgg()
-	if workers <= 1 || n < minParallelItems {
-		body(dst, 0, n)
-		return dst
+// kwiseHistogram sums the segments' histograms of a count column under
+// a profile.
+func (s *Study) kwiseHistogram(profile Profile, products bool) []int {
+	hists := make([][]int32, len(s.segs))
+	eachSegment(s.workers(), len(s.segs), func(i int) { hists[i] = s.segs[i].kwiseHistogram(profile, products) })
+	var out []int
+	for _, h := range hists {
+		for len(out) < len(h) {
+			out = append(out, 0)
+		}
+		for v, c := range h {
+			out[v] += int(c)
+		}
 	}
-	if workers > n {
-		workers = n
-	}
-	chunk := (n + workers - 1) / workers
-	nShards := (n + chunk - 1) / chunk
-	parts := make([]A, nShards)
-	done := make(chan int, nShards)
-	for i := 0; i < nShards; i++ {
-		go func(i int) {
-			lo := i * chunk
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			a := newAgg()
-			body(a, lo, hi)
-			parts[i] = a
-			done <- i
-		}(i)
-	}
-	for i := 0; i < nShards; i++ {
-		<-done
-	}
-	for i := 0; i < nShards; i++ {
-		merge(dst, parts[i])
-	}
-	return dst
+	return out
 }
 
 // atLeastMap converts an exact-value histogram into the "affects at
@@ -620,126 +437,201 @@ func atLeastMap(hist []int) map[int]int {
 }
 
 func (s *Study) kwiseClustersBitset(profile Profile) map[int]int {
-	return atLeastMap(s.kwiseHistogram(profile, s.bitIndex().popcnt))
+	return atLeastMap(s.kwiseHistogram(profile, false))
 }
 
 func (s *Study) kwiseProductsBitset(profile Profile) map[int]int {
-	return atLeastMap(s.kwiseHistogram(profile, s.bitIndex().products))
+	return atLeastMap(s.kwiseHistogram(profile, true))
 }
 
-func (s *Study) windowPairsBitset(win SelectionWindow) []int {
-	idx := s.bitIndex()
-	lo, hi := idx.recRange(win)
-	loPos, hiPos := idx.multiPos(lo), idx.multiPos(hi)
-	return reduceRangeShards(s.workers(), hiPos-loPos,
-		func() []int { return make([]int, len(s.pairs)) },
-		func(a []int, shLo, shHi int) {
-			for pos := loPos + shLo; pos < loPos+shHi; pos++ {
-				if !multiMatchesITS(idx.multiFlags[pos]) {
-					continue
-				}
-				for _, pi := range idx.multiPairs[idx.multiPairOff[pos]:idx.multiPairOff[pos+1]] {
-					a[pi]++
-				}
-			}
-		},
-		mergeIntSlice)
+func (s *Study) windowPairsBitset(w SelectionWindow) []int {
+	np := len(s.pairs)
+	return s.sumSegments(np, func(g *segment) bool { return w.Contains(g.year) },
+		func(g *segment) []int32 { return g.itsPairs(np) })
 }
 
 func (s *Study) windowTotalsBitset(w SelectionWindow) []int {
-	idx := s.bitIndex()
-	prof := idx.profile[IsolatedThinServer-1]
-	lo, hi := idx.recRange(w)
-	out := make([]int, s.nd)
-	runShards(s.workers(), s.nd, func(dlo, dhi int) {
-		for d := dlo; d < dhi; d++ {
-			out[d] = andPopcountRange(idx.distro[d], prof, lo, hi)
-		}
-	})
-	return out
+	return s.sumSegments(s.nd, func(g *segment) bool { return w.Contains(g.year) },
+		func(g *segment) []int32 { return g.totals(IsolatedThinServer) })
 }
 
-// --- release postings (Table VI) -----------------------------------------
-
+// releaseKey names a Table VI release.
 type releaseKey struct {
 	d       osmap.Distro
 	version string
 }
 
-// releaseBits builds (once) the posting bitset of valid records whose
-// CPE list names the (distro, version) release.
-func (s *Study) releaseBits(d osmap.Distro, version string) []uint64 {
-	key := releaseKey{d, version}
-	s.relMu.Lock()
-	if s.relBits == nil {
-		s.relBits = make(map[releaseKey][]uint64)
+// releasePostings returns the segments' releaseBits of the (distro,
+// version) release, indexed like segs (nil for a year that does not
+// name it); nil when no year does. The epoch memoizes the list of each
+// release its records name, so a repeated Table VI cell costs two
+// lookups and one popcount per year, and a release no record names
+// leaves no memo entry.
+func (s *Study) releasePostings(d osmap.Distro, version string) [][]uint64 {
+	k := releaseKey{d, version}
+	if v, ok := s.relPostings.Load(k); ok {
+		return v.([][]uint64)
 	}
-	bs, ok := s.relBits[key]
-	s.relMu.Unlock()
-	if ok {
-		return bs
-	}
-	idx := s.bitIndex()
-	rc := &s.relCols
-	bs = make([]uint64, idx.words)
-	alignedShards(s.workers(), idx.n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if rc.affectsRelease(i, d, version) {
-				bs[i>>6] |= 1 << uint(i&63)
+	var out [][]uint64
+	for i, g := range s.segs {
+		if bs := g.releaseBits(d, version); bs != nil {
+			if out == nil {
+				out = make([][]uint64, len(s.segs))
 			}
+			out[i] = bs
 		}
-	})
-	s.relMu.Lock()
-	if prev, ok := s.relBits[key]; ok {
-		bs = prev // lost a benign race; keep the first build
-	} else {
-		s.relBits[key] = bs
 	}
-	s.relMu.Unlock()
-	return bs
+	if out != nil {
+		s.relPostings.Store(k, out)
+	}
+	return out
 }
 
-// --- most-shared order ---------------------------------------------------
+// --- most-shared order and ID-order merges -------------------------------
 
-// mostSharedOrder computes (once) the record indices sorted by product
-// count descending, ties by CVE ID ascending, via a bucket sort: the
-// histogram pass shards across the worker pool and only the per-bucket
-// ID sorts pay O(log) costs, so the order materializes in near-linear
-// time even at 100k entries.
-func (s *Study) mostSharedOrder() []int {
-	return s.cached(ckey{q: qMostShared}, func() any {
-		n := len(s.records)
-		maxP := reduceShards(s.workers(), s.records,
-			func() *int { return new(int) },
-			func(a *int, shard []record) {
-				for i := range shard {
-					if shard[i].products > *a {
-						*a = shard[i].products
-					}
-				}
-			},
-			func(dst, src *int) {
-				if *src > *dst {
-					*dst = *src
-				}
-			})
-		buckets := make([][]int, *maxP+1)
-		for i := 0; i < n; i++ {
-			p := s.records[i].products
-			buckets[p] = append(buckets[p], i)
-		}
-		runShards(s.workers(), len(buckets), func(lo, hi int) {
-			for b := lo; b < hi; b++ {
-				ids := buckets[b]
-				sort.Slice(ids, func(x, y int) bool {
-					return s.records[ids[x]].id.Less(s.records[ids[y]].id)
-				})
-			}
+// sharedPrefix is an epoch's merged most-shared order, grown on demand.
+type sharedPrefix struct {
+	mu    sync.Mutex
+	order []uint64 // packed (segment, record) positions
+}
+
+// mostSharedPrefix returns the first n (at most) valid records, as
+// packed (segment, record) positions, in the most-shared order: product
+// count descending, ties by CVE ID ascending. Each segment memoizes its
+// own order; the epoch merges them only as far as requests read,
+// doubling the merged prefix when a request reads past it, so it merges
+// a few times per epoch at most, not once per request. The returned
+// slice is read-only.
+func (s *Study) mostSharedPrefix(n int) []uint64 {
+	p := s.cached(ckey{q: qMostShared}, func() any { return &sharedPrefix{} }).(*sharedPrefix)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if n > len(p.order) && len(p.order) < s.nValid {
+		m := min(s.nValid, max(n, 2*len(p.order), 64))
+		orders := make([][]int32, len(s.segs))
+		eachSegment(s.workers(), len(s.segs), func(i int) { orders[i] = s.segs[i].mostShared() })
+		order := make([]uint64, 0, m)
+		s.mergeSegments(orders, true, func(gi int, i int32) bool {
+			order = append(order, packPos(gi, i))
+			return len(order) < m
 		})
-		out := make([]int, 0, n)
-		for p := *maxP; p >= 0; p-- {
-			out = append(out, buckets[p]...)
+		p.order = order
+	}
+	return p.order[:min(n, len(p.order))]
+}
+
+// mostShared returns the segment's record positions in the most-shared
+// order: a stable counting sort of its ID order by product count,
+// descending.
+func (g *segment) mostShared() []int32 {
+	return g.memo.get(ckey{q: qMostShared}, func() any {
+		perm := g.byID()
+		maxP := 0
+		for i := range g.recs {
+			maxP = max(maxP, g.recs[i].products)
+		}
+		// start[k] is where the records with maxP-k products begin.
+		start := make([]int, maxP+2)
+		for i := range g.recs {
+			start[maxP-g.recs[i].products+1]++
+		}
+		for k := 1; k < len(start); k++ {
+			start[k] += start[k-1]
+		}
+		out := make([]int32, len(g.recs))
+		for k := range g.recs {
+			i := idAt(perm, k)
+			p := maxP - g.recs[i].products
+			out[start[p]] = i
+			start[p]++
 		}
 		return out
-	}).([]int)
+	}).([]int32)
+}
+
+// packPos packs a record's segment index and position in the segment.
+func packPos(gi int, i int32) uint64 { return uint64(gi)<<32 | uint64(uint32(i)) }
+
+// recAt resolves a packed position.
+func (s *Study) recAt(pos uint64) *record { return &s.segs[pos>>32].recs[uint32(pos)] }
+
+// mergeByID visits every valid record in CVE-ID order, equal
+// identifiers in year then record order, as its segment index and
+// position in the segment.
+func (s *Study) mergeByID(visit func(gi int, i int32)) {
+	perms := make([][]int32, len(s.segs))
+	eachSegment(s.workers(), len(s.segs), func(i int) { perms[i] = s.segs[i].byID() })
+	s.mergeSegments(perms, false, func(gi int, i int32) bool {
+		visit(gi, i)
+		return true
+	})
+}
+
+// precedes reports whether record a of segment ga comes before record b
+// of segment gb: product count descending first when byProducts is set,
+// then CVE ID, then segment, so a merge is the stable sort of the
+// records in year order.
+func precedes(a *record, ga int, b *record, gb int, byProducts bool) bool {
+	if byProducts && a.products != b.products {
+		return a.products > b.products
+	}
+	if x := a.id.Compare(b.id); x != 0 {
+		return x < 0
+	}
+	return ga < gb
+}
+
+// mergeCursor walks one segment's order during mergeSegments.
+type mergeCursor struct {
+	gi   int
+	recs []record
+	perm []int32 // the segment's order; nil is record order
+	pos  int
+}
+
+func (c *mergeCursor) before(o *mergeCursor, byProducts bool) bool {
+	return precedes(&c.recs[idAt(c.perm, c.pos)], c.gi, &o.recs[idAt(o.perm, o.pos)], o.gi, byProducts)
+}
+
+// mergeSegments merges the segments' orders (perms[gi] orders segment
+// gi, nil meaning record order; each sorted by the same key) into one
+// through a heap of one cursor per segment, handing visit each record's
+// segment index and position until it returns false.
+func (s *Study) mergeSegments(perms [][]int32, byProducts bool, visit func(gi int, i int32) bool) {
+	h := make([]*mergeCursor, 0, len(s.segs))
+	for gi, g := range s.segs {
+		h = append(h, &mergeCursor{gi: gi, recs: g.recs, perm: perms[gi]})
+	}
+	// least returns the least of h[i] and its children, i when none is.
+	least := func(i int) int {
+		m := i
+		if c := 2*i + 1; c < len(h) && h[c].before(h[m], byProducts) {
+			m = c
+		}
+		if c := 2*i + 2; c < len(h) && h[c].before(h[m], byProducts) {
+			m = c
+		}
+		return m
+	}
+	down := func(i int) {
+		for m := least(i); m != i; m = least(i) {
+			h[i], h[m] = h[m], h[i]
+			i = m
+		}
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	for len(h) > 0 {
+		c := h[0]
+		if !visit(c.gi, idAt(c.perm, c.pos)) {
+			return
+		}
+		c.pos++
+		if c.pos == len(c.recs) {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		down(0)
+	}
 }

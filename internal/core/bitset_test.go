@@ -32,7 +32,7 @@ type identityCase struct {
 	want    *oracleTables
 }
 
-type entriesSource func(t *testing.T) ([]*cve.Entry, *osmap.Registry)
+type entriesSource func(tb testing.TB) ([]*cve.Entry, *osmap.Registry)
 
 // studyBuilder builds one study of a corpus at a worker count.
 type studyBuilder func(t *testing.T, src entriesSource, workers int) *Study
@@ -52,11 +52,11 @@ func onceSource(gen func() ([]*cve.Entry, *osmap.Registry, error)) entriesSource
 		reg  *osmap.Registry
 		err  error
 	)
-	return func(t *testing.T) ([]*cve.Entry, *osmap.Registry) {
-		t.Helper()
+	return func(tb testing.TB) ([]*cve.Entry, *osmap.Registry) {
+		tb.Helper()
 		once.Do(func() { ents, reg, err = gen() })
 		if err != nil {
-			t.Fatalf("generating corpus: %v", err)
+			tb.Fatalf("generating corpus: %v", err)
 		}
 		return ents, reg
 	}
@@ -304,7 +304,7 @@ func TestEngineIdentityKWiseMostSharedReleases(t *testing.T) {
 				t.Errorf("workers %d: KWiseProducts(%v) = %v, oracle %v", w, profile, got, c.want.kwiseProducts[profile])
 			}
 		}
-		most := s.MostSharedCounts(len(s.records))
+		most := s.MostSharedCounts(s.ValidEntries())
 		if len(most) != len(c.want.mostShared) {
 			t.Fatalf("workers %d: MostSharedCounts length %d, oracle %d", w, len(most), len(c.want.mostShared))
 		}
@@ -313,7 +313,8 @@ func TestEngineIdentityKWiseMostSharedReleases(t *testing.T) {
 				t.Fatalf("workers %d: MostSharedCounts[%d] = %v, oracle %v", w, i, most[i].ID, c.want.mostShared[i])
 			}
 		}
-		if !relColumnsEqual(&s.relCols, &c.want.relCols) {
+		cols := s.ExportColumns()
+		if rc := (relColumns{off: cols.RelOff, refs: cols.RelRefs, versions: cols.RelVersions}); !relColumnsEqual(&rc, &c.want.relCols) {
 			t.Errorf("workers %d: release columns differ from the oracle's entry walk", w)
 		}
 		for p, want := range c.want.releases {
@@ -379,34 +380,43 @@ func TestNarrowUniverseZeroFallbacks(t *testing.T) {
 	}
 }
 
+// TestBitsetRangeKernels checks the two bit-range kernels that move
+// postings between whole-corpus columns and year segments: extractBits
+// cuts [lo, hi) out of a bitset, and appendBits concatenates bitsets at
+// any bit offset, across word boundaries.
 func TestBitsetRangeKernels(t *testing.T) {
-	// 200-bit patterns across word boundaries.
+	// A 200-bit pattern across word boundaries.
 	a := make([]uint64, 4)
-	b := make([]uint64, 4)
-	set := func(bs []uint64, i int) { bs[i>>6] |= 1 << uint(i&63) }
 	idxs := []int{0, 1, 63, 64, 65, 127, 128, 190, 199}
 	for _, i := range idxs {
-		set(a, i)
-		if i%2 == 0 {
-			set(b, i)
-		}
+		a[i>>6] |= 1 << uint(i&63)
 	}
+	has := func(bs []uint64, i int) bool { return bs[i>>6]&(1<<uint(i&63)) != 0 }
 	for lo := 0; lo <= 200; lo += 7 {
 		for hi := lo; hi <= 200; hi += 13 {
-			wantA, wantAB := 0, 0
-			for _, i := range idxs {
-				if i >= lo && i < hi {
-					wantA++
-					if i%2 == 0 {
-						wantAB++
-					}
+			got := make([]uint64, (hi-lo+63)/64)
+			extractBits(got, a, lo, hi)
+			if len(got) != (hi-lo+63)/64 {
+				t.Fatalf("extractBits(%d,%d) has %d words", lo, hi, len(got))
+			}
+			for i := 0; i < len(got)*64; i++ {
+				want := i < hi-lo && slices.Contains(idxs, lo+i)
+				if has(got, i) != want {
+					t.Fatalf("extractBits(%d,%d) bit %d = %v, want %v", lo, hi, i, !want, want)
 				}
 			}
-			if got := popcountRange(a, lo, hi); got != wantA {
-				t.Fatalf("popcountRange(%d,%d) = %d, want %d", lo, hi, got, wantA)
+			// Cutting at lo and hi and appending the three pieces back
+			// together restores the pattern.
+			var joined []uint64
+			nbits := 0
+			for _, cut := range [][2]int{{0, lo}, {lo, hi}, {hi, 200}} {
+				piece := make([]uint64, (cut[1]-cut[0]+63)/64)
+				extractBits(piece, a, cut[0], cut[1])
+				joined = appendBits(joined, nbits, piece, cut[1]-cut[0])
+				nbits += cut[1] - cut[0]
 			}
-			if got := andPopcountRange(a, b, lo, hi); got != wantAB {
-				t.Fatalf("andPopcountRange(%d,%d) = %d, want %d", lo, hi, got, wantAB)
+			if !slices.Equal(joined, a) {
+				t.Fatalf("appendBits of the cuts at %d, %d = %x, want %x", lo, hi, joined, a)
 			}
 		}
 	}

@@ -21,8 +21,8 @@ import (
 //
 // Identity guarantee: for the same entry sequence, any batch split
 // produces the identical Study — batches append records in input order
-// and Finish seals them with one stable year sort, so every table is
-// byte-identical to an all-at-once build.
+// and Finish seals them into year segments with one stable year sort,
+// so every table is byte-identical to an all-at-once build.
 type Builder struct {
 	s        *Study
 	recs     []record   // valid records, in input order
@@ -44,7 +44,16 @@ func (b *Builder) Add(entries ...*cve.Entry) {
 	if b.finished {
 		panic("core: Builder.Add after Finish")
 	}
-	for _, d := range b.s.digestBatch(entries) {
+	batch := b.s.digestBatch(entries)
+	valid := 0
+	for i := range batch {
+		if batch[i].ok && batch[i].rec.validity == classify.Valid {
+			valid++
+		}
+	}
+	b.recs = slices.Grow(b.recs, valid)
+	b.refs = slices.Grow(b.refs, valid)
+	for _, d := range batch {
 		switch {
 		case !d.ok:
 			b.s.skipped++
@@ -157,36 +166,51 @@ func (s *Study) digest(e *cve.Entry, mask osmap.Mask) digested {
 	}
 }
 
-// seal installs the valid records ordered by publication year, so the
-// bitset index can answer period and window queries over contiguous bit
-// ranges, and flattens their release references into the release
-// columns — the one finishing step of Builder and DeltaBuilder.
-// refsOf(i) returns recs[i]'s references. The sort is stable and runs
-// through a permutation the references follow, and versions are
-// interned in sorted-record order, so a Study built from any batch
-// split of the same entry sequence, or by a delta over a base, lands on
-// the identical record layout and release columns.
+// seal installs the valid records as year segments, years ascending and
+// input order kept within each year, and copies the invalid records'
+// masks into one arena the Study owns — the finishing step of Builder.
+// refsOf(i) returns recs[i]'s release references. The year grouping is
+// a stable sort, so a Study built from any batch split of the same entry
+// sequence lands on identical segments.
 func (s *Study) seal(recs []record, refsOf func(i int) []relRef) {
 	perm := make([]int, len(recs))
 	for i := range perm {
 		perm[i] = i
 	}
 	slices.SortStableFunc(perm, func(x, y int) int { return cmp.Compare(recs[x].year, recs[y].year) })
-	s.records = make([]record, len(recs))
-	rc := relColumns{off: make([]int32, len(recs)+1)}
-	vidx := make(map[string]uint32)
-	for k, i := range perm {
-		s.records[k] = recs[i]
-		for _, r := range refsOf(i) {
-			vi, ok := vidx[r.version]
-			if !ok {
-				vi = uint32(len(rc.versions))
-				vidx[r.version] = vi
-				rc.versions = append(rc.versions, r.version)
-			}
-			rc.refs = append(rc.refs, uint64(r.d)<<32|uint64(vi))
+	var runs [][]int // perm split into one run per year
+	for lo := 0; lo < len(perm); {
+		hi := lo + 1
+		for hi < len(perm) && recs[perm[hi]].year == recs[perm[lo]].year {
+			hi++
 		}
-		rc.off[k+1] = int32(len(rc.refs))
+		runs = append(runs, perm[lo:hi])
+		lo = hi
 	}
-	s.relCols = rc
+	s.segs = make([]*segment, len(runs))
+	s.fresh = make([]bool, len(runs))
+	eachSegment(s.workers(), len(runs), func(k int) {
+		run := runs[k]
+		yrecs := make([]record, len(run))
+		for i, j := range run {
+			yrecs[i] = recs[j]
+		}
+		s.segs[k] = s.newSegment(yrecs[0].year, yrecs, func(i int) []relRef { return refsOf(run[i]) })
+		s.fresh[k] = true
+	})
+	s.nValid = len(recs)
+	s.invalid = append(make([]record, 0, len(s.invalid)), s.invalid...) // drop the append slack
+	ownMasks(s.invalid, s.maskWords)
+}
+
+// ownMasks copies the records' masks into one fresh arena, so the
+// records hold no digest batch's (or base's, or mapped file's) arena
+// alive.
+func ownMasks(recs []record, mw int) {
+	arena := make([]uint64, len(recs)*mw)
+	for i := range recs {
+		m := osmap.Mask(arena[i*mw : (i+1)*mw : (i+1)*mw])
+		copy(m, recs[i].mask)
+		recs[i].mask = m
+	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"osdiversity/internal/corpus"
 	"osdiversity/internal/cve"
+	"osdiversity/internal/osmap"
 )
 
 // addInBatches feeds entries to the builder in fixed-size batches.
@@ -41,10 +42,22 @@ func studyFingerprint(s *Study) map[string]any {
 	for _, d := range s.Distros() {
 		fp["temporal"+d.String()] = s.TemporalSeries(d)
 	}
+	lo, hi := s.YearRange()
+	window := SelectionWindow{FromYear: lo + 1, ToYear: (lo + hi) / 2}
 	for _, p := range s.Pairs() {
 		fp["period"+p.A.String()+p.B.String()] = s.PeriodSplit(p, 2005)
 		fp["parts"+p.A.String()+p.B.String()] = s.PartBreakdown(p)
+		fp["window"+p.A.String()+p.B.String()] = s.PairSharedInWindow(p, window)
+		va, vb := firstRelease(s, p.A), firstRelease(s, p.B)
+		fp["release"+p.A.String()+p.B.String()] = s.ReleaseOverlap(p.A, va, p.B, vb)
 	}
+	for _, d := range s.Distros() {
+		fp["windowTotal"+d.String()] = s.SetCost([]osmap.Distro{d}, window)
+	}
+	fp["mostShared"] = s.MostSharedCounts(s.ValidEntries())
+	pop := s.Population(IsolatedThinServer)
+	fp["population"] = [2]any{pop.masks, pop.years}
+	fp["populationWindow"] = pop.Window(window)
 	return fp
 }
 

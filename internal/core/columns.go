@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"osdiversity/internal/classify"
 	"osdiversity/internal/cve"
@@ -10,12 +11,14 @@ import (
 )
 
 // This file splits column construction from Study wiring: ExportColumns
-// flattens a digested Study into plain columnar slices, and FromColumns
-// materializes a Study by adopting such columns — the warm-start path of
-// internal/snapshot. Adopted columns are owned by the caller (typically
-// an mmap'd read-only file region) and are never written by the Study;
-// everything the engine would otherwise mutate in place (profile
-// postings, release posting bitsets, memo caches) is derived into fresh
+// flattens a digested Study's year segments into plain whole-corpus
+// columnar slices, and FromColumns materializes a Study by adopting such
+// columns as one segment per year — the warm-start path of
+// internal/snapshot. Adopted per-record columns are owned by the caller
+// (typically an mmap'd read-only file region) and are never written by
+// the Study; what a segment needs re-based to its own records (posting
+// bitsets, offsets) and everything the engine derives (profile
+// postings, release posting bitsets, memo caches) is built into fresh
 // heap allocations instead.
 
 // relColumns is the flattened per-record release-reference table the
@@ -41,6 +44,15 @@ func (rc *relColumns) affectsRelease(i int, d osmap.Distro, version string) bool
 	return false
 }
 
+// relRefs decodes record i's release references.
+func (rc *relColumns) relRefs(i int) []relRef {
+	out := make([]relRef, 0, rc.off[i+1]-rc.off[i])
+	for _, ref := range rc.refs[rc.off[i]:rc.off[i+1]] {
+		out = append(out, relRef{osmap.Distro(ref >> 32), rc.versions[uint32(ref)]})
+	}
+	return out
+}
+
 // Columns is the complete flattened state of a digested Study: every
 // per-record column and every precomputed bitset-engine column, in
 // fixed-width little-endian-friendly slices. A Study round-trips through
@@ -59,7 +71,8 @@ type Columns struct {
 	// Ingestion counters that are not derivable from the columns.
 	Skipped int
 
-	// Valid-record columns, in the finalized (year-sorted) order.
+	// Valid-record columns, in the finalized order: years ascending,
+	// input order within a year.
 	// IDs packs cve.ID as Year<<32 | Seq; Flags packs the class index +1
 	// in bits 0-2 (0 = unclassified) and the remote flag in bit 3;
 	// Masks is one contiguous arena of len(IDs)*MaskWords words.
@@ -70,7 +83,8 @@ type Columns struct {
 	Popcnt   []uint16
 	Masks    []uint64
 
-	// Release references (Table VI), see relColumns.
+	// Release references (Table VI), see relColumns; versions are
+	// interned first-seen in record order.
 	RelOff      []int32
 	RelRefs     []uint64
 	RelVersions []string
@@ -89,7 +103,9 @@ type Columns struct {
 	ClassPost  []uint64
 	RemotePost []uint64
 
-	// Year segmentation (empty when there are no valid records).
+	// Year segmentation (empty when there are no valid records):
+	// YearStart[k] is the first record published in MinYear+k or later,
+	// and YearStart[MaxYear-MinYear+1] the record count.
 	MinYear, MaxYear int
 	YearStart        []int64
 
@@ -147,99 +163,171 @@ func validityFromIdx(idx int) classify.Validity {
 	}
 }
 
-// ExportColumns flattens the Study into freshly allocated columns —
-// the save path of internal/snapshot. It forces the bitset index, so the
-// persisted form warm-starts with it ready.
-func (s *Study) ExportColumns() *Columns {
-	idx := s.bitIndex()
-	rc := &s.relCols
-	n, ni := len(s.records), len(s.invalid)
+// ExportColumns flattens the Study into freshly allocated whole-corpus
+// columns — the save path of internal/snapshot. The segments
+// concatenate in year order, their postings shifted onto one bit range
+// and their release versions re-interned first-seen across the corpus,
+// so the columns are those of one year-sorted record set.
+func (s *Study) ExportColumns() *Columns { return s.exportColumns(s.segs, true) }
+
+// exportColumns flattens the given segments, and the invalid records
+// and skip count when withInvalid is set, into columns.
+func (s *Study) exportColumns(segs []*segment, withInvalid bool) *Columns {
+	mw := s.maskWords
+	n, nMulti, nPairRefs, nRefs := 0, 0, 0, 0
+	for _, g := range segs {
+		n += len(g.recs)
+		nMulti += len(g.multiFlags)
+		nPairRefs += len(g.multiPairs)
+		nRefs += len(g.rel.refs)
+	}
 	c := &Columns{
 		NumDistros: s.nd,
-		MaskWords:  s.maskWords,
-		Skipped:    s.skipped,
+		MaskWords:  mw,
 
-		IDs:      make([]uint64, n),
-		Years:    make([]int32, n),
-		Flags:    make([]uint8, n),
-		Products: append([]uint16(nil), idx.products...),
-		Popcnt:   append([]uint16(nil), idx.popcnt...),
-		Masks:    make([]uint64, n*s.maskWords),
+		IDs:      make([]uint64, 0, n),
+		Years:    make([]int32, 0, n),
+		Flags:    make([]uint8, 0, n),
+		Products: make([]uint16, 0, n),
+		Popcnt:   make([]uint16, 0, n),
+		Masks:    make([]uint64, 0, n*mw),
 
-		RelOff:      append([]int32(nil), rc.off...),
-		RelRefs:     append([]uint64(nil), rc.refs...),
-		RelVersions: append([]string(nil), rc.versions...),
+		RelOff:  make([]int32, 1, n+1),
+		RelRefs: make([]uint64, 0, nRefs),
 
-		InvFlags: make([]uint8, ni),
-		InvMasks: make([]uint64, ni*s.maskWords),
+		Multi:        make([]int32, 0, nMulti),
+		MultiFlags:   make([]uint8, 0, nMulti),
+		MultiPairOff: make([]int32, 1, nMulti+1),
+		MultiPairs:   make([]int32, 0, nPairRefs),
 
-		RemotePost: append([]uint64(nil), idx.remote...),
-
-		MinYear: idx.minYear,
-		MaxYear: idx.maxYear,
-
-		Multi:        append([]int32(nil), idx.multi...),
-		MultiFlags:   append([]uint8(nil), idx.multiFlags...),
-		MultiPairOff: append([]int32(nil), idx.multiPairOff...),
-		MultiPairs:   append([]int32(nil), idx.multiPairs...),
+		InvFlags: []uint8{},
+		InvMasks: []uint64{},
 	}
-	if c.RelRefs == nil {
-		c.RelRefs = []uint64{}
+	vidx := make(map[string]uint32)
+	for _, g := range segs {
+		// remap[v] is the corpus-wide index of the segment's version v,
+		// -1 until a reference names it.
+		remap := make([]int64, len(g.rel.versions))
+		for i := range remap {
+			remap[i] = -1
+		}
+		for i := range g.recs {
+			r := &g.recs[i]
+			c.IDs = append(c.IDs, uint64(uint32(r.id.Year))<<32|uint64(uint32(r.id.Seq)))
+			c.Years = append(c.Years, int32(r.year))
+			c.Flags = append(c.Flags, recFlags(r))
+			c.Masks = append(c.Masks, r.mask[:mw]...)
+			if g.popcnt[i] >= 2 {
+				c.Multi = append(c.Multi, int32(len(c.IDs)-1))
+			}
+			for _, ref := range g.rel.refs[g.rel.off[i]:g.rel.off[i+1]] {
+				vi := uint32(ref)
+				if remap[vi] < 0 {
+					v := g.rel.versions[vi]
+					gv, ok := vidx[v]
+					if !ok {
+						gv = uint32(len(c.RelVersions))
+						vidx[v] = gv
+						c.RelVersions = append(c.RelVersions, v)
+					}
+					remap[vi] = int64(gv)
+				}
+				c.RelRefs = append(c.RelRefs, ref>>32<<32|uint64(remap[vi]))
+			}
+			c.RelOff = append(c.RelOff, int32(len(c.RelRefs)))
+		}
+		c.Products = append(c.Products, g.products...)
+		c.Popcnt = append(c.Popcnt, g.popcnt...)
+		c.MultiFlags = append(c.MultiFlags, g.multiFlags...)
+		base := c.MultiPairOff[len(c.MultiPairOff)-1]
+		for _, off := range g.multiPairOff[1:] {
+			c.MultiPairOff = append(c.MultiPairOff, base+off)
+		}
+		c.MultiPairs = append(c.MultiPairs, g.multiPairs...)
 	}
-	for i := range s.records {
-		r := &s.records[i]
-		c.IDs[i] = uint64(uint32(r.id.Year))<<32 | uint64(uint32(r.id.Seq))
-		c.Years[i] = int32(r.year)
-		c.Flags[i] = recFlags(r)
-		copy(c.Masks[i*s.maskWords:(i+1)*s.maskWords], r.mask)
+	// run appends one whole-corpus posting, the segments' postings
+	// concatenated, to dst (which ends on a word boundary).
+	run := func(dst []uint64, post func(g *segment) []uint64) []uint64 {
+		nbits := len(dst) * 64
+		for _, g := range segs {
+			dst = appendBits(dst, nbits, post(g), len(g.recs))
+			nbits += len(g.recs)
+		}
+		return dst
 	}
-	for i := range s.invalid {
-		r := &s.invalid[i]
-		c.InvFlags[i] = uint8(validityIdx(r.validity))
-		copy(c.InvMasks[i*s.maskWords:(i+1)*s.maskWords], r.mask)
+	words := (n + 63) / 64
+	c.DistroPost = make([]uint64, 0, s.nd*words)
+	for d := 0; d < s.nd; d++ {
+		c.DistroPost = run(c.DistroPost, func(g *segment) []uint64 { return g.distro[d] })
 	}
-	c.DistroPost = make([]uint64, 0, s.nd*idx.words)
-	for _, post := range idx.distro {
-		c.DistroPost = append(c.DistroPost, post...)
+	c.ClassPost = make([]uint64, 0, 4*words)
+	for ci := range 4 {
+		c.ClassPost = run(c.ClassPost, func(g *segment) []uint64 { return g.class[ci] })
 	}
-	c.ClassPost = make([]uint64, 0, 4*idx.words)
-	for _, post := range idx.class {
-		c.ClassPost = append(c.ClassPost, post...)
+	c.RemotePost = run(make([]uint64, 0, words), func(g *segment) []uint64 { return g.remote })
+	if n > 0 {
+		c.MinYear, c.MaxYear = segs[0].year, segs[len(segs)-1].year
+		c.YearStart = make([]int64, c.MaxYear-c.MinYear+2)
+		pos, k := 0, 0
+		for y := c.MinYear; y <= c.MaxYear; y++ {
+			for segs[k].year < y {
+				pos += len(segs[k].recs)
+				k++
+			}
+			c.YearStart[y-c.MinYear] = int64(pos)
+		}
+		c.YearStart[len(c.YearStart)-1] = int64(n)
 	}
-	c.YearStart = make([]int64, len(idx.yearStart))
-	for i, v := range idx.yearStart {
-		c.YearStart[i] = int64(v)
-	}
-	c.InvDistroPost = make([]uint64, 0, s.nd*idx.invWords)
-	for _, post := range idx.invDistro {
-		c.InvDistroPost = append(c.InvDistroPost, post...)
-	}
-	c.InvValidityPost = make([]uint64, 0, 3*idx.invWords)
-	for _, post := range idx.invValidity {
-		c.InvValidityPost = append(c.InvValidityPost, post...)
+	c.InvDistroPost, c.InvValidityPost = []uint64{}, []uint64{}
+	if withInvalid {
+		c.Skipped = s.skipped
+		c.InvFlags = make([]uint8, len(s.invalid))
+		c.InvMasks = make([]uint64, 0, len(s.invalid)*mw)
+		for i := range s.invalid {
+			r := &s.invalid[i]
+			c.InvFlags[i] = uint8(validityIdx(r.validity))
+			c.InvMasks = append(c.InvMasks, r.mask[:mw]...)
+		}
+		inv := s.invIndex()
+		for _, post := range inv.distro {
+			c.InvDistroPost = append(c.InvDistroPost, post...)
+		}
+		for _, post := range inv.validity {
+			c.InvValidityPost = append(c.InvValidityPost, post...)
+		}
 	}
 	return c
 }
 
 // FromColumns materializes a Study by adopting previously exported
-// columns — the second construction path next to digestion. The options
-// must reproduce the universe the columns were exported under (the same
-// WithRegistry); the column shape is validated against it and every
-// offset/index column is bounds-checked, so a Study built from
-// checksummed but hostile input fails here instead of panicking inside a
-// query. The adopted slices are never written; see Columns.
+// columns, one segment per year — the second construction path next to
+// digestion. The options must reproduce the universe the columns were
+// exported under (the same WithRegistry); the column shape is validated
+// against it and every offset/index column is bounds-checked, so a Study
+// built from checksummed but hostile input fails here instead of
+// panicking inside a query. The adopted slices are never written; see
+// Columns.
 func FromColumns(c *Columns, opts ...Option) (*Study, error) {
 	s := newStudyShell(opts)
 	if err := validateColumns(c, s); err != nil {
 		return nil, err
 	}
-	n, ni, mw := len(c.IDs), len(c.InvFlags), s.maskWords
-
+	mw, words := s.maskWords, c.words()
 	s.skipped = c.Skipped
-	s.records = make([]record, n)
-	for i := range s.records {
+	s.nValid = len(c.IDs)
+	// The adopted segments share the corpus's version table, and its
+	// lookup map.
+	vidx := make(map[string]uint32, len(c.RelVersions))
+	for i, v := range c.RelVersions {
+		if _, ok := vidx[v]; !ok {
+			vidx[v] = uint32(i)
+		}
+	}
+	// One record arena; each year adopts its range of it.
+	recs := make([]record, len(c.IDs))
+	for i := range recs {
 		f := c.Flags[i]
-		s.records[i] = record{
+		recs[i] = record{
 			id:       cve.ID{Year: int(c.IDs[i] >> 32), Seq: int(uint32(c.IDs[i]))},
 			mask:     osmap.Mask(c.Masks[i*mw : (i+1)*mw : (i+1)*mw]),
 			nos:      int(c.Popcnt[i]),
@@ -250,71 +338,72 @@ func FromColumns(c *Columns, opts ...Option) (*Study, error) {
 			products: int(c.Products[i]),
 		}
 	}
-	s.invalid = make([]record, ni)
+	for k := 0; k+1 < len(c.YearStart); k++ {
+		lo, hi := int(c.YearStart[k]), int(c.YearStart[k+1])
+		if lo == hi {
+			continue
+		}
+		g := &segment{year: c.MinYear + k, adopt: true, recs: recs[lo:hi:hi]}
+		g.popcnt, g.products = c.Popcnt[lo:hi:hi], c.Products[lo:hi:hi]
+		// The year's distro, class and remote postings, re-based to its
+		// first record, share one arena.
+		gw := g.words()
+		arena := make([]uint64, (s.nd+5)*gw)
+		extract := func(a []uint64) []uint64 {
+			out := arena[:gw:gw]
+			arena = arena[gw:]
+			extractBits(out, a, lo, hi)
+			return out
+		}
+		g.distro = make([][]uint64, s.nd)
+		for d := range g.distro {
+			g.distro[d] = extract(c.DistroPost[d*words : (d+1)*words])
+		}
+		for ci := range g.class {
+			g.class[ci] = extract(c.ClassPost[ci*words : (ci+1)*words])
+		}
+		g.remote = extract(c.RemotePost)
+		g.deriveProfiles()
+		pLo, _ := slices.BinarySearch(c.Multi, int32(lo))
+		pHi, _ := slices.BinarySearch(c.Multi, int32(hi))
+		g.multiFlags = c.MultiFlags[pLo:pHi:pHi]
+		g.multiPairOff = rebase(c.MultiPairOff[pLo : pHi+1])
+		g.multiPairs = c.MultiPairs[c.MultiPairOff[pLo]:c.MultiPairOff[pHi]:c.MultiPairOff[pHi]]
+		g.rel = relColumns{
+			off:      rebase(c.RelOff[lo : hi+1]),
+			refs:     c.RelRefs[c.RelOff[lo]:c.RelOff[hi]:c.RelOff[hi]],
+			versions: c.RelVersions,
+		}
+		g.vidx = vidx
+		s.segs = append(s.segs, g)
+	}
+	s.fresh = make([]bool, len(s.segs))
+	s.invalid = make([]record, len(c.InvFlags))
 	for i := range s.invalid {
 		s.invalid[i] = record{
 			mask:     osmap.Mask(c.InvMasks[i*mw : (i+1)*mw : (i+1)*mw]),
 			validity: validityFromIdx(int(c.InvFlags[i])),
 		}
 	}
-
-	words, invWords := c.words(), c.invWords()
-	idx := &bitIndex{
-		n:            n,
-		words:        words,
-		remote:       c.RemotePost,
-		popcnt:       c.Popcnt,
-		products:     c.Products,
-		minYear:      c.MinYear,
-		maxYear:      c.MaxYear,
-		multi:        c.Multi,
-		multiFlags:   c.MultiFlags,
-		multiPairOff: c.MultiPairOff,
-		multiPairs:   c.MultiPairs,
-		invWords:     invWords,
+	invWords := c.invWords()
+	inv := &invIndex{distro: make([][]uint64, s.nd)}
+	for d := range inv.distro {
+		inv.distro[d] = c.InvDistroPost[d*invWords : (d+1)*invWords : (d+1)*invWords]
 	}
-	idx.distro = make([][]uint64, s.nd)
-	for d := range idx.distro {
-		idx.distro[d] = c.DistroPost[d*words : (d+1)*words : (d+1)*words]
+	for v := range inv.validity {
+		inv.validity[v] = c.InvValidityPost[v*invWords : (v+1)*invWords : (v+1)*invWords]
 	}
-	for ci := range idx.class {
-		idx.class[ci] = c.ClassPost[ci*words : (ci+1)*words : (ci+1)*words]
-	}
-	if n > 0 {
-		idx.yearStart = make([]int, len(c.YearStart))
-		for i, v := range c.YearStart {
-			idx.yearStart[i] = int(v)
-		}
-	}
-	// Profile postings derive from the class and remote columns into
-	// fresh allocations (the adopted region stays read-only).
-	fat := make([]uint64, words)
-	thin := make([]uint64, words)
-	its := make([]uint64, words)
-	for i := range fat {
-		fat[i] = ^uint64(0)
-	}
-	if words > 0 && n&63 != 0 {
-		fat[words-1] = (uint64(1) << uint(n&63)) - 1
-	}
-	app := idx.class[classIdx(classify.ClassApplication)]
-	for i := range thin {
-		thin[i] = fat[i] &^ app[i]
-		its[i] = thin[i] & idx.remote[i]
-	}
-	idx.profile[FatServer-1] = fat
-	idx.profile[ThinServer-1] = thin
-	idx.profile[IsolatedThinServer-1] = its
-	idx.invDistro = make([][]uint64, s.nd)
-	for d := range idx.invDistro {
-		idx.invDistro[d] = c.InvDistroPost[d*invWords : (d+1)*invWords : (d+1)*invWords]
-	}
-	for v := range idx.invValidity {
-		idx.invValidity[v] = c.InvValidityPost[v*invWords : (v+1)*invWords : (v+1)*invWords]
-	}
-	s.bitOnce.Do(func() { s.bidx = idx })
-	s.relCols = relColumns{off: c.RelOff, refs: c.RelRefs, versions: c.RelVersions}
+	s.invOnce.Do(func() { s.inv = inv })
 	return s, nil
+}
+
+// rebase returns a copy of an offset column shifted to start at zero.
+func rebase(off []int32) []int32 {
+	out := make([]int32, len(off))
+	for i, v := range off {
+		out[i] = v - off[0]
+	}
+	return out
 }
 
 // validateColumns checks every length, offset and index the adopted
@@ -362,6 +451,9 @@ func validateColumns(c *Columns, s *Study) error {
 		if len(c.YearStart) != span+2 {
 			return fail("yearstart column has %d elements, want %d", len(c.YearStart), span+2)
 		}
+		if c.YearStart[0] != 0 {
+			return fail("yearstart[0] = %d, want 0", c.YearStart[0])
+		}
 		prev := int64(0)
 		for i, v := range c.YearStart {
 			if v < prev || v > int64(n) {
@@ -372,15 +464,24 @@ func validateColumns(c *Columns, s *Study) error {
 		if c.YearStart[span+1] != int64(n) {
 			return fail("yearstart terminator %d != record count %d", c.YearStart[span+1], n)
 		}
+		// Each year's records are the ones its segment adopts.
+		for k := 0; k <= span; k++ {
+			for i := c.YearStart[k]; i < c.YearStart[k+1]; i++ {
+				if y := int(c.Years[i]); y != c.MinYear+k {
+					return fail("record %d year %d inside the %d segment", i, y, c.MinYear+k)
+				}
+			}
+		}
 	} else if len(c.YearStart) != 0 {
 		return fail("yearstart column present for an empty record set")
 	}
+	nMulti := 0 // records affecting two or more distros
 	for i := range c.IDs {
-		if y := int(c.Years[i]); n > 0 && (y < c.MinYear || y > c.MaxYear) {
-			return fail("record %d year %d outside [%d, %d]", i, y, c.MinYear, c.MaxYear)
-		}
 		if got := maskOnes(c.Masks[i*c.MaskWords : (i+1)*c.MaskWords]); got != int(c.Popcnt[i]) {
 			return fail("record %d popcount %d disagrees with its mask (%d bits)", i, c.Popcnt[i], got)
+		}
+		if c.Popcnt[i] >= 2 {
+			nMulti++
 		}
 	}
 	if c.RelOff[0] != 0 {
@@ -423,6 +524,24 @@ func validateColumns(c *Columns, s *Study) error {
 			return fail("multi[%d] = %d not ascending within [0, %d)", i, rec, n)
 		}
 		prevRec = rec
+	}
+	// The pair postings hold exactly the records affecting two or more
+	// distros (multi is ascending, so as many distinct ones as there
+	// are), each with its own flags and C(k,2) pair indices.
+	if len(c.Multi) != nMulti {
+		return fail("multi holds %d records, %d affect two or more distros", len(c.Multi), nMulti)
+	}
+	for j, i := range c.Multi {
+		k := int(c.Popcnt[i])
+		if k < 2 {
+			return fail("multi[%d] = %d names a record affecting %d distros", j, i, k)
+		}
+		if c.MultiFlags[j] != c.Flags[i] {
+			return fail("multiflags[%d] = %d disagrees with record %d's flags %d", j, c.MultiFlags[j], i, c.Flags[i])
+		}
+		if got := int(c.MultiPairOff[j+1] - c.MultiPairOff[j]); got != k*(k-1)/2 {
+			return fail("record %d has %d pair postings, want %d", i, got, k*(k-1)/2)
+		}
 	}
 	nPairs := len(s.pairs)
 	for i, p := range c.MultiPairs {

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"fmt"
+	"slices"
+	"sort"
+
 	"osdiversity/internal/classify"
 	"osdiversity/internal/cve"
-	"osdiversity/internal/osmap"
 )
 
 // DeltaBuilder derives a new Study from an existing one plus a batch of
@@ -16,18 +19,27 @@ import (
 // base has never seen simply append.
 //
 // Identity guarantee: the finished Study is identical — every table,
-// selection, release overlap and attack result — to a cold NewStudy
-// build over "the base's entry sequence with superseded identifiers
-// removed, followed by the delta entries in arrival order", at any
-// batch split and worker count. (Both paths append records in input
-// order and finish through the same seal, so they land on the identical
-// record layout and release columns.)
+// selection, release overlap and attack result, and its exported
+// columns — to a cold NewStudy build over "the base's entry sequence
+// with superseded identifiers removed, followed by the delta entries in
+// arrival order", at any batch split and worker count. (A year's
+// segment holds its records in input order either way, and the invalid
+// list keeps the base's survivors in base order before the delta's.)
 //
-// Memory independence: the finished Study shares no mutable or mapped
-// memory with the base. Mask arenas are copied and the release
-// reference columns are rebuilt on the heap, so a base study backed by
-// an mmap'd snapshot can be closed (or swapped out and dropped) without
-// invalidating any derived epoch.
+// Cost: Finish rebuilds only the year segments that lose a superseded
+// record or gain a delta record, and shares every other segment of the
+// base by pointer, memoized raw counts included, so a reload costs what
+// its delta's years cost (the first delta over a snapshot-booted base
+// rebuilds every year once; see Memory). Supersession searches each
+// base segment's memoized ID order once per delta identifier; it never
+// walks the records of a year the delta does not touch.
+//
+// Memory: the finished Study shares with its base only immutable heap
+// segments. Rebuilt segments and the invalid list copy every mask into
+// fresh arenas, and a base segment adopted from columns (an mmap'd
+// snapshot) is never shared: the first delta rebuilds it like a touched
+// year, so a snapshot-booted base can be closed (or swapped out and
+// dropped) without invalidating any derived epoch.
 //
 // Known accounting edges, both inherent to what the base retains:
 // snapshot-adopted invalid records carry no identifier (the zero ID)
@@ -113,117 +125,181 @@ func (b *DeltaBuilder) Finish() *Study {
 			final = append(final, o)
 		}
 	}
-	superseded := make(map[cve.ID]bool, len(final))
-	for _, o := range final {
-		superseded[o.id] = true
-	}
-
-	var zeroID cve.ID
-	keepRecs := make([]int, 0, len(base.records))
-	for j := range base.records {
-		if !superseded[base.records[j].id] {
-			keepRecs = append(keepRecs, j)
-		}
-	}
-	keepInv := make([]int, 0, len(base.invalid))
-	for j := range base.invalid {
-		// Snapshot-adopted invalid records carry the zero ID; only
-		// identified records can be superseded.
-		if base.invalid[j].id == zeroID || !superseded[base.invalid[j].id] {
-			keepInv = append(keepInv, j)
-		}
-	}
-	nValid, nInv, nSkip := 0, 0, 0
-	for _, o := range final {
+	ids := make([]cve.ID, len(final))
+	deltaYears := make(map[int][]*deltaOutcome)
+	nInv, nSkip := 0, 0
+	for i := range final {
+		o := &final[i]
+		ids[i] = o.id
 		switch o.kind {
 		case deltaValid:
-			nValid++
+			deltaYears[o.rec.year] = append(deltaYears[o.rec.year], o)
 		case deltaInvalid:
 			nInv++
 		default:
 			nSkip++
 		}
 	}
+	slices.SortFunc(ids, cve.ID.Compare)
 
-	// Copy every retained mask into fresh contiguous arenas: the base's
-	// arenas may alias an mmap'd snapshot whose lifetime the derived
-	// study must not depend on.
-	mw := s.maskWords
-	recs := make([]record, 0, len(keepRecs)+nValid)
-	deltaRefs := make([][]relRef, 0, nValid)
-	arena := make([]uint64, (len(keepRecs)+nValid)*mw)
-	ai := 0
-	takeMask := func(src osmap.Mask) osmap.Mask {
-		m := osmap.Mask(arena[ai*mw : (ai+1)*mw : (ai+1)*mw])
-		copy(m, src)
-		ai++
-		return m
-	}
-	for _, j := range keepRecs {
-		r := base.records[j]
-		r.mask = takeMask(r.mask)
-		recs = append(recs, r)
-	}
-	for _, o := range final {
-		if o.kind != deltaValid {
-			continue
-		}
-		r := o.rec
-		r.mask = takeMask(r.mask)
-		recs = append(recs, r)
-		deltaRefs = append(deltaRefs, o.refs)
-	}
-
-	inv := make([]record, 0, len(keepInv)+nInv)
-	invArena := make([]uint64, (len(keepInv)+nInv)*mw)
-	ii := 0
-	takeInvMask := func(src osmap.Mask) osmap.Mask {
-		m := osmap.Mask(invArena[ii*mw : (ii+1)*mw : (ii+1)*mw])
-		copy(m, src)
-		ii++
-		return m
-	}
-	for _, j := range keepInv {
-		r := base.invalid[j]
-		r.mask = takeInvMask(r.mask)
-		inv = append(inv, r)
-	}
-	for _, o := range final {
-		if o.kind != deltaInvalid {
-			continue
-		}
-		r := o.rec
-		r.mask = takeInvMask(r.mask)
-		inv = append(inv, r)
-	}
-	s.invalid = inv
-	s.skipped = base.skipped + nSkip
-
-	// Kept base records read their references out of the base's release
-	// columns (their versions are re-interned on the heap), delta records
-	// bring their own digests.
-	baseRC := &base.relCols
-	var buf []relRef
-	s.seal(recs, func(i int) []relRef {
-		if i >= len(keepRecs) {
-			return deltaRefs[i-len(keepRecs)]
-		}
-		j := keepRecs[i]
-		buf = buf[:0]
-		for _, ref := range baseRC.refs[baseRC.off[j]:baseRC.off[j+1]] {
-			buf = append(buf, relRef{osmap.Distro(ref >> 32), baseRC.versions[uint32(ref)]})
-		}
-		return buf
+	// dropped[gi] marks the base records of segment gi whose identifier
+	// the delta republishes — every one of them, since a cold build can
+	// hold an identifier more than once.
+	dropped := make([][]bool, len(base.segs))
+	eachSegment(s.workers(), len(base.segs), func(gi int) {
+		dropped[gi] = base.segs[gi].superseded(ids)
 	})
+
+	// One slot per year the base or the delta has, years ascending: an
+	// untouched heap segment of the base is shared, a touched or new
+	// year rebuilt, and so is an adopted one, which takes it off the
+	// caller's columns and has SelfCheck check it.
+	years := make([]int, 0, len(base.segs)+len(deltaYears))
+	baseAt := make(map[int]int, len(base.segs))
+	for gi, g := range base.segs {
+		years = append(years, g.year)
+		baseAt[g.year] = gi
+	}
+	for y := range deltaYears {
+		if _, ok := baseAt[y]; !ok {
+			years = append(years, y)
+		}
+	}
+	slices.Sort(years)
+	segs := make([]*segment, len(years))
+	fresh := make([]bool, len(years))
+	eachSegment(s.workers(), len(years), func(k int) {
+		y := years[k]
+		var g *segment
+		var gone []bool
+		if gi, ok := baseAt[y]; ok {
+			g, gone = base.segs[gi], dropped[gi]
+			if gone == nil && deltaYears[y] == nil && !g.adopt {
+				segs[k] = g
+				return
+			}
+		}
+		segs[k] = s.rebuildYear(y, g, gone, deltaYears[y])
+		fresh[k] = true
+	})
+	for k, g := range segs {
+		if g != nil { // a year the delta empties has no segment
+			s.segs = append(s.segs, g)
+			s.fresh = append(s.fresh, fresh[k])
+			s.nValid += len(g.recs)
+		}
+	}
+
+	// The invalid list is one flat list, rebuilt per epoch: the base's
+	// survivors in base order, then the delta's invalid records.
+	// Snapshot-adopted invalid records carry the zero ID; only identified
+	// records can be superseded.
+	var zeroID cve.ID
+	kept := func(r *record) bool {
+		_, gone := slices.BinarySearchFunc(ids, r.id, cve.ID.Compare)
+		return r.id == zeroID || !gone
+	}
+	n := nInv
+	for i := range base.invalid {
+		if kept(&base.invalid[i]) {
+			n++
+		}
+	}
+	s.invalid = make([]record, 0, n)
+	for i := range base.invalid {
+		if kept(&base.invalid[i]) {
+			s.invalid = append(s.invalid, base.invalid[i])
+		}
+	}
+	for _, o := range final {
+		if o.kind == deltaInvalid {
+			s.invalid = append(s.invalid, o.rec)
+		}
+	}
+	ownMasks(s.invalid, s.maskWords)
+	s.skipped = base.skipped + nSkip
 	return s
 }
 
-// SelfCheck deep-validates the study's internal consistency by round
-// tripping it through the exported column form and the exhaustive
-// validateColumns checks the snapshot loader trusts hostile files to —
-// lengths, offsets, popcounts, posting shapes, year segmentation. As a
-// side effect it forces the bitset index, so a freshly built epoch is
-// query-warm before it is swapped in.
+// superseded marks the segment's records whose identifier is among the
+// sorted ids, searching the segment's ID order once per identifier
+// inside its ID range; nil when none is.
+func (g *segment) superseded(ids []cve.ID) []bool {
+	perm, n := g.byID(), len(g.recs)
+	idOf := func(k int) cve.ID { return g.recs[idAt(perm, k)].id }
+	first, _ := slices.BinarySearchFunc(ids, idOf(0), cve.ID.Compare)
+	end, found := slices.BinarySearchFunc(ids, idOf(n-1), cve.ID.Compare)
+	if found {
+		end++
+	}
+	var out []bool
+	for _, id := range ids[first:end] {
+		k := sort.Search(n, func(k int) bool { return idOf(k).Compare(id) >= 0 })
+		for ; k < n && idOf(k) == id; k++ {
+			if out == nil {
+				out = make([]bool, n)
+			}
+			out[idAt(perm, k)] = true
+		}
+	}
+	return out
+}
+
+// rebuildYear seals a touched year: the base segment's records the
+// delta does not supersede (base may be nil), then the delta's valid
+// records of the year in arrival order. It returns nil for a year left
+// with no records.
+func (s *Study) rebuildYear(year int, base *segment, gone []bool, delta []*deltaOutcome) *segment {
+	n := len(delta)
+	if base != nil {
+		n += len(base.recs)
+		for _, g := range gone {
+			if g {
+				n--
+			}
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	recs := make([]record, 0, n)
+	refs := make([][]relRef, 0, n)
+	if base != nil {
+		for i := range base.recs {
+			if gone == nil || !gone[i] {
+				recs = append(recs, base.recs[i])
+				refs = append(refs, base.rel.relRefs(i))
+			}
+		}
+	}
+	for _, o := range delta {
+		recs = append(recs, o.rec)
+		refs = append(refs, o.refs)
+	}
+	return s.newSegment(year, recs, func(i int) []relRef { return refs[i] })
+}
+
+// SelfCheck deep-validates what this epoch built. Each fresh segment,
+// and the invalid-record list, round-trips through the exported column
+// form into the exhaustive validateColumns checks the snapshot loader
+// trusts hostile files to — lengths, offsets, popcounts, posting shapes,
+// pair postings, year segmentation — and the segments' years must
+// ascend without repeats. A segment shared with a base was checked when
+// the base built it, and an adopted one when FromColumns validated its
+// columns. As a side effect it builds the invalid-record postings, so a
+// freshly built epoch is query-warm before it is swapped in.
 func (s *Study) SelfCheck() error {
-	return validateColumns(s.ExportColumns(), s)
+	for i := 1; i < len(s.segs); i++ {
+		if s.segs[i].year <= s.segs[i-1].year {
+			return fmt.Errorf("core: segments: year %d follows year %d", s.segs[i].year, s.segs[i-1].year)
+		}
+	}
+	for i, fresh := range s.fresh {
+		if fresh {
+			if err := validateColumns(s.exportColumns(s.segs[i:i+1], false), s); err != nil {
+				return err
+			}
+		}
+	}
+	return validateColumns(s.exportColumns(nil, true), s)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"osdiversity/internal/classify"
@@ -186,7 +187,7 @@ func TestDeltaOnAdoptedBase(t *testing.T) {
 	// superseded; restrict the delta to valid-record and fresh IDs so
 	// both bases resolve it identically.
 	validIDs := make(map[cve.ID]bool)
-	for _, r := range entryBase.records {
+	for _, r := range flatRecords(entryBase) {
 		validIDs[r.id] = true
 	}
 	baseIDs := make(map[cve.ID]bool)
@@ -214,6 +215,13 @@ func TestDeltaOnAdoptedBase(t *testing.T) {
 	if err := fromAdopted.SelfCheck(); err != nil {
 		t.Fatalf("SelfCheck: %v", err)
 	}
+	// No adopted segment is shared: each is rebuilt on the heap, so
+	// SelfCheck checks it and the epoch outlives the base's columns.
+	for i, g := range fromAdopted.segs {
+		if g.adopt || !fromAdopted.fresh[i] {
+			t.Fatalf("year %d of a delta over an adopted base was shared, not rebuilt", g.year)
+		}
+	}
 	// The Table VI path must not touch the (absent) source entries.
 	ds := fromAdopted.Distros()
 	if n := fromAdopted.ReleaseOverlap(ds[0], "1.0", ds[1], "1.0"); n < 0 {
@@ -235,4 +243,75 @@ func TestDeltaBuilderGuards(t *testing.T) {
 	}
 	assertPanics("Add", func() { b.Add(nil...) })
 	assertPanics("Finish", func() { b.Finish() })
+}
+
+// TestConcurrentEpochsShareSegments queries epochs N and N+1 from
+// several goroutines each while N+2 builds over N+1. The three share
+// every year the deltas leave alone, so N and N+1 compute the same
+// segment memos at once; run with -race this checks that the shared
+// memos are single-flight and that no epoch writes into a segment
+// another one reads.
+func TestConcurrentEpochsShareSegments(t *testing.T) {
+	fx := makeDeltaFixture(t)
+	opts := []Option{WithParallelism(4)}
+	wantN := studyFingerprint(NewStudy(fx.base, opts...))
+	wantN1 := studyFingerprint(NewStudy(fx.merged, opts...))
+
+	epochN := NewStudy(fx.base, opts...)
+	b := NewDeltaBuilder(epochN)
+	b.Add(fx.delta...)
+	epochN1 := b.Finish()
+	// N+2 republishes the first two delta entries unchanged.
+	redelta := fx.delta[:2]
+	again := make(map[cve.ID]bool)
+	for _, e := range redelta {
+		again[e.ID] = true
+	}
+	var merged2 []*cve.Entry
+	for _, e := range fx.merged {
+		if !again[e.ID] {
+			merged2 = append(merged2, e)
+		}
+	}
+	wantN2 := NewStudy(append(merged2, redelta...), opts...)
+
+	var wg sync.WaitGroup
+	got := make([]map[string]any, 6)
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if g%2 == 0 {
+				got[g] = studyFingerprint(epochN)
+			} else {
+				got[g] = studyFingerprint(epochN1)
+			}
+		}()
+	}
+	var epochN2 *Study
+	var checkErr error
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		b := NewDeltaBuilder(epochN1)
+		b.Add(redelta...)
+		epochN2 = b.Finish()
+		checkErr = epochN2.SelfCheck()
+	}()
+	wg.Wait()
+	for g, fp := range got {
+		want := wantN
+		if g%2 == 1 {
+			want = wantN1
+		}
+		if !reflect.DeepEqual(fp, want) {
+			t.Errorf("goroutine %d: epoch N+%d answered differently from its cold build", g, g%2)
+		}
+	}
+	if checkErr != nil {
+		t.Fatalf("SelfCheck(N+2): %v", checkErr)
+	}
+	if !reflect.DeepEqual(epochN2.ExportColumns(), wantN2.ExportColumns()) || !reflect.DeepEqual(studyFingerprint(epochN2), studyFingerprint(wantN2)) {
+		t.Fatal("epoch N+2 differs from its cold build")
+	}
 }

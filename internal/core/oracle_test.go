@@ -11,11 +11,12 @@ import (
 )
 
 // The reference oracle of the identity tests: a serial walk over the
-// digested records (s.records, s.invalid) that answers every Study query
-// a second, independent way. It filters with record.matches and
-// mask.Has only and shares no code with the bitset engine in bitset.go,
-// so agreement between the two is an N-version cross-check of each
-// table. The release questions (Table VI) go back to the source entries
+// digested records — the valid ones assembled into one flat list by
+// flatRecords, and s.invalid — that answers every Study query a second,
+// independent way. It filters with record.matches and mask.Has only and
+// shares no code with the bitset engine in bitset.go or the year
+// segments it runs on, so agreement between the two is an N-version
+// cross-check of each table. The release questions (Table VI) go back to the source entries
 // instead: the oracle walks each valid record's CPE list, which the
 // Study does not keep, and rebuilds the release columns from it.
 
@@ -93,6 +94,7 @@ func entriesByID(t *testing.T, entries []*cve.Entry) map[cve.ID]*cve.Entry {
 // for the release questions, and collects the answers for every probe
 // distro and pair.
 func oracleAnswers(s *Study, byID map[cve.ID]*cve.Entry, split int, w SelectionWindow) *oracleTables {
+	recs := flatRecords(s)
 	o := &oracleTables{
 		distros:       make(map[osmap.Distro]oracleDistro),
 		pairs:         make(map[osmap.Pair]oraclePair),
@@ -100,34 +102,45 @@ func oracleAnswers(s *Study, byID map[cve.ID]*cve.Entry, split int, w SelectionW
 		kwiseProducts: make(map[Profile]map[int]int),
 		releases:      make(map[osmap.Pair]int),
 	}
-	o.validityRows, o.validityDistinct = oracleValidity(s)
-	o.classRows, o.classShares = oracleClass(s)
+	o.validityRows, o.validityDistinct = oracleValidity(s, recs)
+	o.classRows, o.classShares = oracleClass(s, recs)
 	probe := probeDistros(s)
 	for _, d := range probe {
-		o.distros[d] = oracleForDistro(s, d, w)
+		o.distros[d] = oracleForDistro(s, recs, d, w)
 	}
 	for _, p := range osmap.PairsOf(probe) {
-		o.pairs[p] = oracleForPair(s, p, split, w)
-		o.releases[p] = oracleReleaseOverlap(s, byID, p.A, firstRelease(s, p.A), p.B, firstRelease(s, p.B))
+		o.pairs[p] = oracleForPair(s, recs, p, split, w)
+		o.releases[p] = oracleReleaseOverlap(s, recs, byID, p.A, firstRelease(s, p.A), p.B, firstRelease(s, p.B))
 	}
 	for _, profile := range Profiles() {
-		o.kwiseClusters[profile] = oracleKWise(s, profile, func(r *record) int { return r.nos })
-		o.kwiseProducts[profile] = oracleKWise(s, profile, func(r *record) int { return r.products })
+		o.kwiseClusters[profile] = oracleKWise(s, recs, profile, func(r *record) int { return r.nos })
+		o.kwiseProducts[profile] = oracleKWise(s, recs, profile, func(r *record) int { return r.products })
 	}
-	o.mostShared = oracleMostShared(s)
-	o.relCols = oracleRelColumns(s, byID)
+	o.mostShared = oracleMostShared(s, recs)
+	o.relCols = oracleRelColumns(s, recs, byID)
 	return o
 }
 
-func oracleValidity(s *Study) ([]ValidityRow, ValidityRow) {
+// flatRecords assembles a study's valid records into one list, years
+// ascending and input order within a year: the record order of the
+// exported columns, and the list the oracle walks.
+func flatRecords(s *Study) []record {
+	var out []record
+	for _, g := range s.segs {
+		out = append(out, g.recs...)
+	}
+	return out
+}
+
+func oracleValidity(s *Study, recs []record) ([]ValidityRow, ValidityRow) {
 	rows := make([]ValidityRow, len(s.distros))
-	distinct := ValidityRow{Valid: len(s.records)}
+	distinct := ValidityRow{Valid: len(recs)}
 	for bit, d := range s.distros {
 		rows[bit].Distro = d
 	}
-	for i := range s.records {
+	for i := range recs {
 		for bit := range s.distros {
-			if s.records[i].mask.Has(bit) {
+			if recs[i].mask.Has(bit) {
 				rows[bit].Valid++
 			}
 		}
@@ -154,7 +167,7 @@ func oracleValidity(s *Study) ([]ValidityRow, ValidityRow) {
 	return rows, distinct
 }
 
-func oracleClass(s *Study) ([]ClassRow, [4]float64) {
+func oracleClass(s *Study, recs []record) ([]ClassRow, [4]float64) {
 	rows := make([]ClassRow, len(s.distros))
 	var distinct ClassRow
 	for bit, d := range s.distros {
@@ -172,8 +185,8 @@ func oracleClass(s *Study) ([]ClassRow, [4]float64) {
 			row.App++
 		}
 	}
-	for i := range s.records {
-		r := &s.records[i]
+	for i := range recs {
+		r := &recs[i]
 		bump(&distinct, r.class)
 		for bit := range s.distros {
 			if r.mask.Has(bit) {
@@ -182,20 +195,20 @@ func oracleClass(s *Study) ([]ClassRow, [4]float64) {
 		}
 	}
 	counts := [4]int{distinct.Driver, distinct.Kernel, distinct.SysSoft, distinct.App}
-	return rows, ClassShares(counts, len(s.records))
+	return rows, ClassShares(counts, len(recs))
 }
 
 // oracleForDistro answers the per-distro queries; a distro outside the
 // universe matches no record.
-func oracleForDistro(s *Study, d osmap.Distro, w SelectionWindow) oracleDistro {
+func oracleForDistro(s *Study, recs []record, d osmap.Distro, w SelectionWindow) oracleDistro {
 	out := oracleDistro{temporal: map[int]int{}}
 	bit, ok := s.index[d]
 	if !ok {
 		return out
 	}
 	profiles := Profiles()
-	for i := range s.records {
-		r := &s.records[i]
+	for i := range recs {
+		r := &recs[i]
 		if !r.mask.Has(bit) {
 			continue
 		}
@@ -214,7 +227,7 @@ func oracleForDistro(s *Study, d osmap.Distro, w SelectionWindow) oracleDistro {
 
 // oracleForPair answers the per-pair queries; a pair with a member
 // outside the universe matches no record.
-func oracleForPair(s *Study, p osmap.Pair, split int, w SelectionWindow) oraclePair {
+func oracleForPair(s *Study, recs []record, p osmap.Pair, split int, w SelectionWindow) oraclePair {
 	var out oraclePair
 	a, okA := s.index[p.A]
 	b, okB := s.index[p.B]
@@ -222,8 +235,8 @@ func oracleForPair(s *Study, p osmap.Pair, split int, w SelectionWindow) oracleP
 		return out
 	}
 	profiles := Profiles()
-	for i := range s.records {
-		r := &s.records[i]
+	for i := range recs {
+		r := &recs[i]
 		if !r.mask.Has(a) || !r.mask.Has(b) {
 			continue
 		}
@@ -257,10 +270,10 @@ func oracleForPair(s *Study, p osmap.Pair, split int, w SelectionWindow) oracleP
 
 // oracleKWise counts, for each k >= 2, the records of the profile whose
 // width (distro or product count) is at least k.
-func oracleKWise(s *Study, profile Profile, width func(*record) int) map[int]int {
+func oracleKWise(s *Study, recs []record, profile Profile, width func(*record) int) map[int]int {
 	out := map[int]int{}
-	for i := range s.records {
-		r := &s.records[i]
+	for i := range recs {
+		r := &recs[i]
 		if !r.matches(profile) {
 			continue
 		}
@@ -273,13 +286,13 @@ func oracleKWise(s *Study, profile Profile, width func(*record) int) map[int]int
 
 // oracleMostShared orders every valid record by product count
 // descending, ties by CVE ID ascending.
-func oracleMostShared(s *Study) []cve.ID {
-	order := make([]int, len(s.records))
+func oracleMostShared(s *Study, recs []record) []cve.ID {
+	order := make([]int, len(recs))
 	for i := range order {
 		order[i] = i
 	}
 	sort.Slice(order, func(x, y int) bool {
-		a, b := &s.records[order[x]], &s.records[order[y]]
+		a, b := &recs[order[x]], &recs[order[y]]
 		if a.products != b.products {
 			return a.products > b.products
 		}
@@ -287,7 +300,7 @@ func oracleMostShared(s *Study) []cve.ID {
 	})
 	ids := make([]cve.ID, len(order))
 	for i, ri := range order {
-		ids[i] = s.records[ri].id
+		ids[i] = recs[ri].id
 	}
 	return ids
 }
@@ -304,11 +317,11 @@ func oracleAffects(s *Study, e *cve.Entry, d osmap.Distro, version string) bool 
 	return false
 }
 
-func oracleReleaseOverlap(s *Study, byID map[cve.ID]*cve.Entry, da osmap.Distro, va string, db osmap.Distro, vb string) int {
+func oracleReleaseOverlap(s *Study, recs []record, byID map[cve.ID]*cve.Entry, da osmap.Distro, va string, db osmap.Distro, vb string) int {
 	n := 0
-	for i := range s.records {
-		e := byID[s.records[i].id]
-		if s.records[i].matches(IsolatedThinServer) && oracleAffects(s, e, da, va) && oracleAffects(s, e, db, vb) {
+	for i := range recs {
+		e := byID[recs[i].id]
+		if recs[i].matches(IsolatedThinServer) && oracleAffects(s, e, da, va) && oracleAffects(s, e, db, vb) {
 			n++
 		}
 	}
@@ -320,12 +333,12 @@ func oracleReleaseOverlap(s *Study, byID map[cve.ID]*cve.Entry, da osmap.Distro,
 // clusters, whatever its CPE part, packed with its version's index in
 // a table interned first-seen, and each (distro, version) kept once per
 // record in CPE order.
-func oracleRelColumns(s *Study, byID map[cve.ID]*cve.Entry) relColumns {
-	rc := relColumns{off: make([]int32, len(s.records)+1)}
+func oracleRelColumns(s *Study, recs []record, byID map[cve.ID]*cve.Entry) relColumns {
+	rc := relColumns{off: make([]int32, len(recs)+1)}
 	vidx := make(map[string]uint32)
-	for i := range s.records {
+	for i := range recs {
 		start := len(rc.refs)
-		for _, p := range byID[s.records[i].id].Products {
+		for _, p := range byID[recs[i].id].Products {
 			d, ok := s.registry.Cluster(p)
 			if !ok {
 				continue
@@ -367,16 +380,16 @@ func (o *oracleTables) setCost(members []osmap.Distro) int {
 // oraclePopulation is the serial walk behind Study.Population: the
 // records surviving the profile sorted by CVE ID, and for each distro
 // bit the positions of the ones inside the window that affect it.
-func oraclePopulation(s *Study, profile Profile, w SelectionWindow) (masks []osmap.Mask, years []int, byDistro [][]int32) {
-	var recs []*record
-	for i := range s.records {
-		if s.records[i].matches(profile) {
-			recs = append(recs, &s.records[i])
+func oraclePopulation(s *Study, recs []record, profile Profile, w SelectionWindow) (masks []osmap.Mask, years []int, byDistro [][]int32) {
+	var kept []*record
+	for i := range recs {
+		if recs[i].matches(profile) {
+			kept = append(kept, &recs[i])
 		}
 	}
-	sort.SliceStable(recs, func(i, j int) bool { return recs[i].id.Less(recs[j].id) })
+	sort.SliceStable(kept, func(i, j int) bool { return kept[i].id.Less(kept[j].id) })
 	byDistro = make([][]int32, s.nd)
-	for i, r := range recs {
+	for i, r := range kept {
 		masks = append(masks, r.mask)
 		years = append(years, r.year)
 		if !w.Contains(r.year) {

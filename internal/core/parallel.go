@@ -3,16 +3,18 @@ package core
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"osdiversity/internal/classify"
 )
 
-// This file holds the Study's worker pool and result cache. The bitset
-// engine (bitset.go) and ingestion fan work out through
-// runShards/reduceShards, which split a range across a bounded worker
-// pool and merge per-shard partials in shard order so the result is
-// deterministic at any worker count. Completed tables are
-// memoized behind a sync.Once-style cache keyed by (query, profile,
+// This file holds the Study's worker pool and result caches. Ingestion
+// fans digestion out through runShards, which splits a range across a
+// bounded worker pool; the bitset engine (bitset.go) and sealing fan
+// out one year segment per task through eachSegment. Every result is an
+// integer sum or a per-segment value, so it is identical at any worker
+// count. Completed tables are memoized per Study, and raw counts per
+// segment, behind sync.Once-style caches keyed by (query, profile,
 // args), so repeated benchmark/CLI invocations are near-free.
 
 // minParallelItems is the slice length below which sharding is not
@@ -49,10 +51,14 @@ func (s *Study) workers() int {
 
 func (s *Study) isParallel() bool { return s.workers() > 1 }
 
-// query identifiers for the result cache.
+// query identifiers for the result caches. A Study memoizes finished
+// tables under them; a segment memoizes its raw counts under the ones
+// its rows use (totals, classes, pairs, parts, k-wise histograms), and
+// its release postings, ID order and most-shared order.
 const (
 	qValidity = iota
 	qClass
+	qClassSums
 	qTotals
 	qPairs
 	qParts
@@ -66,10 +72,13 @@ const (
 	qMostShared
 	qPopulation
 	qPopulationWindow
+	qRelease
+	qByID
 )
 
-// ckey identifies one memoized table: the query, the profile filter and
-// up to two integer arguments (split year, window bounds, distro index).
+// ckey identifies one memoized result: the query, the profile filter and
+// up to two integer arguments (split year, window bounds, distro index,
+// release).
 type ckey struct {
 	q       uint8
 	profile Profile
@@ -81,32 +90,51 @@ type cacheEntry struct {
 	val  any
 }
 
-// cached returns the memoized result for k, computing it at most once
-// per cache generation. Concurrent callers of the same key block on a
-// single computation (single-flight).
-func (s *Study) cached(k ckey, compute func() any) any {
-	s.cacheMu.Lock()
-	if s.cache == nil {
-		s.cache = make(map[ckey]*cacheEntry)
+// memo is a result cache: each key is computed at most once per cache
+// generation, and concurrent callers of one key block on that single
+// computation (single-flight), so two epochs sharing a segment that ask
+// for the same raw at once get one computation and one value.
+type memo struct {
+	mu sync.Mutex
+	m  map[ckey]*cacheEntry
+}
+
+func (m *memo) get(k ckey, compute func() any) any {
+	m.mu.Lock()
+	if m.m == nil {
+		m.m = make(map[ckey]*cacheEntry)
 	}
-	e, ok := s.cache[k]
+	e, ok := m.m[k]
 	if !ok {
 		e = &cacheEntry{}
-		s.cache[k] = e
+		m.m[k] = e
 	}
-	s.cacheMu.Unlock()
+	m.mu.Unlock()
 	e.once.Do(func() { e.val = compute() })
 	return e.val
 }
 
-// ClearCache drops every memoized table and attack population (the
-// columnar bitset index and release postings are structural, not
-// results, and are kept). The record set is immutable, so this is only
-// needed to benchmark the raw compute paths.
+func (m *memo) clear() {
+	m.mu.Lock()
+	clear(m.m)
+	m.mu.Unlock()
+}
+
+// cached returns the Study's memoized result for k.
+func (s *Study) cached(k ckey, compute func() any) any { return s.memo.get(k, compute) }
+
+// ClearCache drops every memoized table and attack population, and the
+// raw counts, release postings and ID orders memoized on the Study's
+// segments (the posting bitsets are structural, not results, and are
+// kept). The record set is immutable, so this is only needed to
+// benchmark the raw compute paths. A segment shared with another epoch
+// loses its memos there too; they recompute on the next query.
 func (s *Study) ClearCache() {
-	s.cacheMu.Lock()
-	s.cache = nil
-	s.cacheMu.Unlock()
+	s.memo.clear()
+	s.relPostings.Clear()
+	for _, g := range s.segs {
+		g.memo.clear()
+	}
 }
 
 // capWorkers bounds a CPU-bound fan-out at the machine's parallelism:
@@ -146,43 +174,34 @@ func runShards(workers, n int, body func(lo, hi int)) {
 	wg.Wait()
 }
 
-// reduceShards partitions recs across the worker pool, runs body over
-// each shard into a fresh aggregate, and merges the partials in shard
-// order. With one worker (or a short slice) it degenerates to a single
-// pass with no goroutines.
-func reduceShards[A any](workers int, recs []record, newAgg func() A, body func(agg A, shard []record), merge func(dst, src A)) A {
-	workers = capWorkers(workers)
-	dst := newAgg()
-	if workers <= 1 || len(recs) < minParallelItems {
-		body(dst, recs)
-		return dst
-	}
-	if workers > len(recs) {
-		workers = len(recs)
-	}
-	chunk := (len(recs) + workers - 1) / workers
-	nShards := (len(recs) + chunk - 1) / chunk
-	parts := make([]A, nShards)
-	var wg sync.WaitGroup
-	for i := 0; i < nShards; i++ {
-		lo := i * chunk
-		hi := lo + chunk
-		if hi > len(recs) {
-			hi = len(recs)
+// eachSegment runs fn once for each of n segments across the worker
+// pool, the caller being one of the workers: every worker claims the
+// next unclaimed segment, so years of uneven size balance. With one
+// worker (or one segment) it runs them in order with no goroutines.
+func eachSegment(workers, n int, fn func(i int)) {
+	workers = min(capWorkers(workers), n)
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
 		}
+		return
+	}
+	var next atomic.Int32
+	claim := func() {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			fn(i)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
-		go func(i, lo, hi int) {
+		go func() {
 			defer wg.Done()
-			a := newAgg()
-			body(a, recs[lo:hi])
-			parts[i] = a
-		}(i, lo, hi)
+			claim()
+		}()
 	}
+	claim()
 	wg.Wait()
-	for i := 0; i < nShards; i++ {
-		merge(dst, parts[i])
-	}
-	return dst
 }
 
 // validityIdx maps an invalid record's validity state to its Table I
@@ -212,11 +231,5 @@ func classIdx(c classify.Class) int {
 		return 3
 	default:
 		return -1
-	}
-}
-
-func mergeIntSlice(dst, src []int) {
-	for i := range dst {
-		dst[i] += src[i]
 	}
 }

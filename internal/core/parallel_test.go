@@ -31,8 +31,9 @@ func TestParallelIngestionIdentical(t *testing.T) {
 	if len(serial.invalid) != len(parallel.invalid) {
 		t.Fatalf("invalid: serial %d, parallel %d", len(serial.invalid), len(parallel.invalid))
 	}
-	for i := range serial.records {
-		a, b := &serial.records[i], &parallel.records[i]
+	srecs, precs := flatRecords(serial), flatRecords(parallel)
+	for i := range srecs {
+		a, b := &srecs[i], &precs[i]
 		if a.id != b.id || !a.mask.Equal(b.mask) || a.class != b.class ||
 			a.remote != b.remote || a.year != b.year || a.products != b.products {
 			t.Fatalf("record %d differs: %+v vs %+v", i, a, b)

@@ -11,7 +11,7 @@ import (
 // the corpus (corpus.ShardByYear) answers every paper table for its
 // slice; because each vulnerability belongs to exactly one publication
 // year, the slices partition the record set and raw counts add across
-// shards. The helpers here are the other half of that contract: they
+// shards, as they add across the Study's own year segments. The helpers here are the other half of that contract: they
 // finalize merged raw counts into the derived figures (percentage
 // shares, filter reduction, most-shared ordering, replica-set ranking)
 // with exactly the arithmetic the single-process Study uses, so a
@@ -37,12 +37,7 @@ func ClassShares(counts [4]int, n int) [4]float64 {
 // Table II. Summing both across shards and applying ClassShares yields
 // the full-corpus shares.
 func (s *Study) ClassDistinct() (counts [4]int, n int) {
-	for i := range s.records {
-		if ci := classIdx(s.records[i].class); ci >= 0 {
-			counts[ci]++
-		}
-	}
-	return counts, len(s.records)
+	return [4]int(s.classSums()[4*s.nd:]), s.nValid
 }
 
 // FilterReductionFrom computes §IV-E(1)'s average relative overlap
@@ -80,13 +75,10 @@ type SharedIDCount struct {
 // shard's top n, so merging per-shard prefixes with MergeMostShared
 // reproduces the full-corpus listing.
 func (s *Study) MostSharedCounts(n int) []SharedIDCount {
-	order := s.mostSharedOrder()
-	if n > len(order) {
-		n = len(order)
-	}
-	out := make([]SharedIDCount, n)
-	for i := 0; i < n; i++ {
-		r := &s.records[order[i]]
+	order := s.mostSharedPrefix(n)
+	out := make([]SharedIDCount, len(order))
+	for i, pos := range order {
+		r := s.recAt(pos)
 		out[i] = SharedIDCount{ID: r.id, Products: r.products}
 	}
 	return out

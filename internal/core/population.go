@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sort"
-
-	"osdiversity/internal/osmap"
-)
+import "osdiversity/internal/osmap"
 
 // Population is the attack model's view of one profile's valid
 // vulnerabilities: each surviving record's affected-distro mask and
@@ -31,29 +27,28 @@ func (s *Study) Population(profile Profile) *Population {
 	return s.cached(ckey{q: qPopulation, profile: profile}, func() any { return s.buildPopulation(profile) }).(*Population)
 }
 
-// buildPopulation walks the records surviving the profile into ID
-// order. Records are stored in publication-year order, so the walk
-// sorts once per Study.
+// buildPopulation merges the segments' ID orders, keeping the records
+// that survive the profile, so the population comes out in CVE-ID order
+// without a sort over the whole corpus.
 func (s *Study) buildPopulation(profile Profile) *Population {
-	var order []int
-	for i := range s.records {
-		if s.records[i].matches(profile) {
-			order = append(order, i)
-		}
+	n := 0
+	for _, g := range s.segs {
+		n += popcountWords(g.profile[profile-1])
 	}
-	sort.Slice(order, func(a, b int) bool { return s.records[order[a]].id.Less(s.records[order[b]].id) })
 	p := &Population{
 		study:   s,
 		profile: profile,
 		words:   s.maskWords,
-		masks:   make([]uint64, len(order)*s.maskWords),
-		years:   make([]int32, len(order)),
+		masks:   make([]uint64, 0, n*s.maskWords),
+		years:   make([]int32, 0, n),
 	}
-	for i, ri := range order {
-		r := &s.records[ri]
-		copy(p.masks[i*p.words:(i+1)*p.words], r.mask)
-		p.years[i] = int32(r.year)
-	}
+	s.mergeByID(func(gi int, i int32) {
+		g := s.segs[gi]
+		if g.profile[profile-1][i>>6]&(1<<uint(i&63)) != 0 {
+			p.masks = append(p.masks, g.recs[i].mask...)
+			p.years = append(p.years, int32(g.recs[i].year))
+		}
+	})
 	p.all = p.lists(func(int) bool { return true })
 	return p
 }

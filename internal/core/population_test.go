@@ -10,12 +10,13 @@ import (
 // lists in a few windows, against the ID-sorted serial walk.
 func checkPopulation(t *testing.T, s *Study, windows []SelectionWindow) {
 	t.Helper()
+	recs := flatRecords(s)
 	for _, profile := range Profiles() {
 		p := s.Population(profile)
 		if s.Population(profile) != p {
 			t.Fatalf("%v: population rebuilt on the second call", profile)
 		}
-		masks, years, _ := oraclePopulation(s, profile, SelectionWindow{})
+		masks, years, _ := oraclePopulation(s, recs, profile, SelectionWindow{})
 		if p.Len() != len(masks) {
 			t.Fatalf("%v: population has %d vulnerabilities, walk has %d", profile, p.Len(), len(masks))
 		}
@@ -25,7 +26,7 @@ func checkPopulation(t *testing.T, s *Study, windows []SelectionWindow) {
 			}
 		}
 		for _, w := range windows {
-			_, _, want := oraclePopulation(s, profile, w)
+			_, _, want := oraclePopulation(s, recs, profile, w)
 			got := p.Window(w)
 			if len(got) != len(want) {
 				t.Fatalf("%v %+v: %d distro lists, want %d", profile, w, len(got), len(want))

@@ -12,11 +12,15 @@
 // distributions by default, arbitrarily many with a synthetic registry —
 // and per-entry affected-OS sets are variable-width osmap.Mask bitmasks.
 //
-// Every question is answered by one engine (bitset.go): a columnar
-// index — per-distro, per-profile and per-class posting bitsets packed
-// as []uint64 with per-year segment offsets — that turns each table into
-// word-wise AND + popcount loops, sharded across WithParallelism(n)
-// workers. Completed tables are memoized per Study, and so is the attack
+// Every question is answered by one engine (bitset.go) over the
+// Study's year segments (segment.go): each publication year's valid
+// records, with per-distro, per-profile and per-class posting bitsets
+// packed as []uint64 and memoized raw counts, sealed once and never
+// written again. Each table sums the raws of the segments it covers and
+// finalizes the sum, spread across WithParallelism(n) workers one
+// segment per task. A delta epoch (delta.go) rebuilds only the years
+// its entries touch and shares the others, memos included, with its
+// base. Finished tables are memoized per Study, and so is the attack
 // model's vulnerability population (population.go). The identity tests
 // check every answer against a serial record walk kept in
 // oracle_test.go.
@@ -78,9 +82,16 @@ type record struct {
 type Study struct {
 	registry   *osmap.Registry
 	classifier *classify.Classifier
-	records    []record // valid entries only, sorted by publication year
-	invalid    []record // entries removed by the validity filter
-	skipped    int      // entries with no clustered OS product
+
+	// segs holds the valid records, one segment per publication year
+	// that has any, years ascending; fresh[i] reports that segs[i] was
+	// built for this Study rather than shared with a base or adopted
+	// from columns (SelfCheck checks the fresh ones).
+	segs    []*segment
+	fresh   []bool
+	nValid  int      // valid records over every segment
+	invalid []record // entries removed by the validity filter, in ingestion order
+	skipped int      // entries with no clustered OS product
 
 	// distros/index freeze the registry's universe: distros in
 	// presentation order, index mapping each to its mask bit.
@@ -100,23 +111,15 @@ type Study struct {
 	// atomic so SetParallelism can race with in-flight queries safely.
 	workerCount atomic.Int32
 
-	// bitOnce/bidx lazily build the columnar bitset index.
-	bitOnce sync.Once
-	bidx    *bitIndex
+	// invOnce/inv lazily build the invalid-record postings.
+	invOnce sync.Once
+	inv     *invIndex
 
-	// relMu/relBits memoize per-(distro, version) release posting
-	// bitsets for the Table VI queries.
-	relMu   sync.Mutex
-	relBits map[releaseKey][]uint64
-
-	// relCols holds each valid record's release references in columnar
-	// form — the data the Table VI release matching runs on. Builders
-	// fill it when they seal the record set; FromColumns adopts the
-	// persisted columns.
-	relCols relColumns
-
-	cacheMu sync.Mutex
-	cache   map[ckey]*cacheEntry
+	// memo holds the finished tables of this epoch, and relPostings the
+	// per-year postings of each release its records name
+	// (releaseKey → [][]uint64, see releasePostings).
+	memo        memo
+	relPostings sync.Map
 }
 
 // Option configures a Study.
@@ -200,7 +203,7 @@ func (r *record) matches(p Profile) bool {
 }
 
 // ValidEntries returns the number of valid entries under analysis.
-func (s *Study) ValidEntries() int { return len(s.records) }
+func (s *Study) ValidEntries() int { return s.nValid }
 
 // SkippedEntries returns the number of ingested entries that touched no
 // clustered OS product.
@@ -256,7 +259,8 @@ func (s *Study) ClassTable() (rows []ClassRow, shares [4]float64) {
 // totals returns the per-distro valid counts under a profile, indexed
 // by position in the study's Distros().
 func (s *Study) totals(profile Profile) []int {
-	return s.cached(ckey{q: qTotals, profile: profile}, func() any { return s.totalsBitset(profile) }).([]int)
+	all := s.cached(ckey{q: qTotals}, func() any { return s.totalsBitset() }).([]int)
+	return all[int(profile-1)*s.nd : int(profile)*s.nd]
 }
 
 // Total counts the valid vulnerabilities of one distribution under a
@@ -367,11 +371,10 @@ func (s *Study) TemporalSeries(d osmap.Distro) map[int]int {
 // YearRange returns the [min, max] publication years across the valid
 // data set.
 func (s *Study) YearRange() (lo, hi int) {
-	if len(s.records) == 0 {
+	if len(s.segs) == 0 {
 		return 0, 0
 	}
-	// Records are sorted by year at ingestion.
-	return s.records[0].year, s.records[len(s.records)-1].year
+	return s.segs[0].year, s.segs[len(s.segs)-1].year
 }
 
 // KWiseClusters counts, for each set size k, the number of distinct
@@ -407,8 +410,19 @@ func (s *Study) FilterReduction(from, to Profile) float64 {
 
 // ReleaseOverlap counts valid Isolated-Thin-Server vulnerabilities that
 // affect both named (distribution, version) releases, deriving release
-// membership from the CPE version fields (Table VI). It answers from
-// memoized per-release posting bitsets (see releaseBits).
+// membership from the CPE version fields (Table VI). It sums, over the
+// years naming both releases, the records in both per-release posting
+// bitsets memoized on each year segment (see releasePostings).
 func (s *Study) ReleaseOverlap(da osmap.Distro, va string, db osmap.Distro, vb string) int {
-	return and3Popcount(s.releaseBits(da, va), s.releaseBits(db, vb), s.bitIndex().profile[IsolatedThinServer-1])
+	a, b := s.releasePostings(da, va), s.releasePostings(db, vb)
+	if a == nil || b == nil {
+		return 0
+	}
+	n := 0
+	for i, g := range s.segs {
+		if a[i] != nil && b[i] != nil {
+			n += and3Popcount(a[i], b[i], g.profile[IsolatedThinServer-1])
+		}
+	}
+	return n
 }

@@ -15,8 +15,9 @@ import (
 // snapshot to disk with WithSnapshot, an existing Analysis can be
 // persisted with SaveSnapshot, and LoadSnapshot warm-starts an Analysis
 // from the file without touching a feed. The loaded study adopts the
-// file's columns zero-copy (mmap where available), so a 100k-entry boot
-// is dominated by one checksum pass instead of XML decode + digestion.
+// file's per-record columns zero-copy (mmap where available), one year
+// segment per publication year, so a 100k-entry boot is dominated by one
+// checksum pass instead of XML decode + digestion.
 
 // WithSnapshot makes the analysis loaders (LoadFeeds, LoadCalibrated,
 // LoadSynthetic, LoadDatabase), ImportFeeds and ApplyDelta also persist
@@ -68,7 +69,8 @@ func (a *Analysis) SaveSnapshot(path string) error {
 // WithParallelism applies as with any loader, and the resulting tables
 // are byte-identical to the feed-built originals. The
 // file region may stay mapped for the life of the Analysis; Close
-// releases it.
+// releases it. An Analysis derived by ApplyDelta rebuilds the segments
+// it keeps on the heap, so it outlives Close.
 func LoadSnapshot(path string, opts ...Option) (*Analysis, error) {
 	cfg := newConfig(opts)
 	if cfg.sharded() {
