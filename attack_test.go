@@ -18,7 +18,7 @@ var set1Names = []string{"Windows2003", "Solaris", "Debian", "OpenBSD"}
 var attackQueries = map[string]func(a *Analysis) (any, error){
 	"set1": func(a *Analysis) (any, error) { return a.SimulateAttack("set1", set1Names, 1, 100) },
 	"wide": func(a *Analysis) (any, error) {
-		oses := append(append(OSNames(), "SynOS003"), OSNames()[:4]...)
+		oses := append(append(a.OSNames(), "SynOS003"), a.OSNames()[:4]...)
 		return a.SimulateAttack("wide", oses, 5, 60)
 	},
 	"recommend": func(a *Analysis) (any, error) { return a.Recommend(RecommendSpec{Trials: 20}) },

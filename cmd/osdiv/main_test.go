@@ -562,12 +562,22 @@ func TestServeReloadSmoke(t *testing.T) {
 		[]byte("not gzip at all"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	resp, err = http.Post(base+"/admin/reload", "application/json", nil)
-	if err != nil {
-		t.Fatalf("POST /admin/reload (corrupt): %v", err)
+	// The SIGHUP reload publishes epoch 2 before it releases the reload
+	// lock, so a POST landing in between answers 409 reload_in_progress:
+	// retry until the lock is free.
+	for {
+		resp, err = http.Post(base+"/admin/reload", "application/json", nil)
+		if err != nil {
+			t.Fatalf("POST /admin/reload (corrupt): %v", err)
+		}
+		body, _ = io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusConflict || !strings.Contains(string(body), `"reload_in_progress"`) ||
+			time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(50 * time.Millisecond)
 	}
-	body, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
 	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), `"reload_failed"`) {
 		t.Fatalf("corrupt reload = %d %q, want 500 reload_failed", resp.StatusCode, body)
 	}

@@ -84,7 +84,7 @@ func (m *Model) runTrials(trials int, body func(t int)) {
 	wg.Wait()
 }
 
-// VulnCount returns the population size.
+// VulnCount returns the population size. Only attack's tests call it.
 func (m *Model) VulnCount() int { return m.pop.Len() }
 
 // Scenario is one replica configuration under attack.
@@ -146,7 +146,9 @@ func (r *rng) expDraw(mean float64) float64 {
 // a campaign against it, exploits one of its vulnerabilities (chosen
 // uniformly), and thereby also compromises every OS sharing that
 // vulnerability. This is SimulateRotation's campaign loop over one step
-// that never rotates.
+// that never rotates. Only tests call it (TestSimulateMatchesOracle and
+// attack's other tests); the server and CLI batch trials through
+// MonteCarlo.
 func (m *Model) Simulate(sc Scenario, seed uint64) (Result, error) {
 	c, err := m.oneStep(sc)
 	if err != nil {

@@ -69,7 +69,9 @@ type RotationResult struct {
 // — schedules that avoid OS reuse are exactly the ones that benefit.
 // Within a step the campaign loop is Simulate's, drawing targets from
 // the step's window-scoped population; a campaign still running at the
-// boundary is abandoned with the outgoing image.
+// boundary is abandoned with the outgoing image. Only attack's rotation
+// tests call it; the server and CLI batch trials through
+// RotationSurvival.
 func (m *Model) SimulateRotation(f int, steps []RotationStep, interval float64, seed uint64) (RotationResult, error) {
 	c, err := m.campaign(f, steps, interval)
 	if err != nil {

@@ -136,7 +136,7 @@ type Config struct {
 	// F is the fault threshold; the cluster has 3F+1 replicas.
 	F int
 	// OSes assigns an operating system to each replica; its length must
-	// be 3F+1 (use Homogeneous to repeat one).
+	// be 3F+1.
 	OSes []osmap.Distro
 	// BaseLatency is the one-way message latency (simulated time units).
 	// Zero means 1.0.
@@ -145,15 +145,6 @@ type Config struct {
 	Timeout float64
 	// Seed jitters per-link latency deterministically.
 	Seed uint64
-}
-
-// Homogeneous builds an OS list with one distribution on every replica.
-func Homogeneous(d osmap.Distro, f int) []osmap.Distro {
-	oses := make([]osmap.Distro, 3*f+1)
-	for i := range oses {
-		oses[i] = d
-	}
-	return oses
 }
 
 // Cluster is a simulated replicated service.
@@ -201,15 +192,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// Compromise switches a replica to an adversary behavior.
-func (c *Cluster) Compromise(id NodeID, b Behavior) error {
-	if int(id) < 0 || int(id) >= c.n {
-		return fmt.Errorf("bft: no replica %d", id)
-	}
-	c.replicas[id].behavior = b
-	return nil
-}
-
 // CompromiseByOS compromises every replica running a distribution,
 // modeling a shared-vulnerability exploit. It returns how many replicas
 // were affected.
@@ -218,34 +200,6 @@ func (c *Cluster) CompromiseByOS(d osmap.Distro, b Behavior) int {
 	for _, r := range c.replicas {
 		if r.os == d && r.behavior == Honest {
 			r.behavior = b
-			n++
-		}
-	}
-	return n
-}
-
-// Recover restores a replica to honest behavior, modeling the proactive
-// recovery of Castro & Liskov's PBFT-PR (the paper's reference [3]): the
-// replica is rejuvenated from a clean image and rejoins the protocol.
-// Its protocol state for in-flight requests is reset.
-func (c *Cluster) Recover(id NodeID) error {
-	if int(id) < 0 || int(id) >= c.n {
-		return fmt.Errorf("bft: no replica %d", id)
-	}
-	old := c.replicas[id]
-	fresh := newReplica(id, old.os)
-	fresh.view = old.view
-	c.replicas[id] = fresh
-	return nil
-}
-
-// RecoverByOS rejuvenates every replica running a distribution,
-// returning how many were restored.
-func (c *Cluster) RecoverByOS(d osmap.Distro) int {
-	n := 0
-	for _, r := range c.replicas {
-		if r.os == d && r.behavior != Honest {
-			c.Recover(r.id)
 			n++
 		}
 	}
@@ -267,17 +221,6 @@ func (c *Cluster) Rotate(oses []osmap.Distro) error {
 		c.replicas[i] = fresh
 	}
 	return nil
-}
-
-// CompromisedCount returns the number of non-honest replicas.
-func (c *Cluster) CompromisedCount() int {
-	n := 0
-	for _, r := range c.replicas {
-		if r.behavior != Honest {
-			n++
-		}
-	}
-	return n
 }
 
 // jitter returns a small deterministic latency perturbation in [0, 0.5).
@@ -572,13 +515,6 @@ func (c *Cluster) clientDeliver(m *message) {
 	}
 }
 
-// Accepted returns the client-visible result of a request ("" when the
-// request never completed).
-func (c *Cluster) Accepted(seq int) string { return c.accepted[seq] }
-
-// Delivered returns how many requests completed at the client.
-func (c *Cluster) Delivered() int { return c.delivered }
-
 // SafetyReport checks the two intrusion-tolerance properties and lists
 // any violations:
 //
@@ -631,13 +567,4 @@ func (c *Cluster) SafetyReport() []string {
 		}
 	}
 	return violations
-}
-
-// OSes returns the per-replica OS assignment.
-func (c *Cluster) OSes() []osmap.Distro {
-	out := make([]osmap.Distro, c.n)
-	for i, r := range c.replicas {
-		out[i] = r.os
-	}
-	return out
 }

@@ -1,6 +1,7 @@
 package bft
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -27,7 +28,7 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := NewCluster(Config{F: 1, OSes: []osmap.Distro{osmap.Debian}}); err == nil {
 		t.Error("wrong OS count accepted")
 	}
-	if _, err := NewCluster(Config{F: 2, OSes: Homogeneous(osmap.Debian, 2)}); err != nil {
+	if _, err := NewCluster(Config{F: 2, OSes: slices.Repeat([]osmap.Distro{osmap.Debian}, 7)}); err != nil {
 		t.Errorf("valid config rejected: %v", err)
 	}
 }
@@ -36,14 +37,14 @@ func TestHappyPathCommits(t *testing.T) {
 	c := newTestCluster(t, set1OSes())
 	seq := c.Submit("write x=1")
 	c.Run(1000)
-	if got := c.Accepted(seq); got != "ok:d(write x=1)" {
+	if got := c.accepted[seq]; got != "ok:d(write x=1)" {
 		t.Fatalf("accepted = %q", got)
 	}
 	if v := c.SafetyReport(); len(v) != 0 {
 		t.Fatalf("safety violations on happy path: %v", v)
 	}
-	if c.Delivered() != 1 {
-		t.Fatalf("delivered = %d", c.Delivered())
+	if c.delivered != 1 {
+		t.Fatalf("delivered = %d", c.delivered)
 	}
 }
 
@@ -54,8 +55,8 @@ func TestManyRequests(t *testing.T) {
 		c.Submit("op" + string(rune('a'+i)))
 	}
 	c.Run(10000)
-	if c.Delivered() != n {
-		t.Fatalf("delivered %d of %d", c.Delivered(), n)
+	if c.delivered != n {
+		t.Fatalf("delivered %d of %d", c.delivered, n)
 	}
 	if v := c.SafetyReport(); len(v) != 0 {
 		t.Fatalf("violations: %v", v)
@@ -64,12 +65,10 @@ func TestManyRequests(t *testing.T) {
 
 func TestToleratesSilentBackup(t *testing.T) {
 	c := newTestCluster(t, set1OSes())
-	if err := c.Compromise(2, Silent); err != nil {
-		t.Fatal(err)
-	}
+	c.replicas[2].behavior = Silent
 	seq := c.Submit("op")
 	c.Run(1000)
-	if c.Accepted(seq) == "" {
+	if c.accepted[seq] == "" {
 		t.Fatal("request did not complete with one silent backup")
 	}
 	if v := c.SafetyReport(); len(v) != 0 {
@@ -79,10 +78,10 @@ func TestToleratesSilentBackup(t *testing.T) {
 
 func TestSilentPrimaryTriggersViewChange(t *testing.T) {
 	c := newTestCluster(t, set1OSes())
-	c.Compromise(0, Silent) // view-0 primary
+	c.replicas[0].behavior = Silent // view-0 primary
 	seq := c.Submit("op")
 	c.Run(10000)
-	if got := c.Accepted(seq); got != "ok:d(op)" {
+	if got := c.accepted[seq]; got != "ok:d(op)" {
 		t.Fatalf("request lost after primary failure: %q", got)
 	}
 	if v := c.SafetyReport(); len(v) != 0 {
@@ -92,11 +91,11 @@ func TestSilentPrimaryTriggersViewChange(t *testing.T) {
 
 func TestEquivocatingPrimaryCannotSplit(t *testing.T) {
 	c := newTestCluster(t, set1OSes())
-	c.Compromise(0, Equivocate)
+	c.replicas[0].behavior = Equivocate
 	seq := c.Submit("op")
 	c.Run(10000)
 	// The view change must recover the request with an honest primary.
-	if got := c.Accepted(seq); got != "ok:d(op)" {
+	if got := c.accepted[seq]; got != "ok:d(op)" {
 		t.Fatalf("accepted = %q", got)
 	}
 	if v := c.SafetyReport(); len(v) != 0 {
@@ -106,10 +105,10 @@ func TestEquivocatingPrimaryCannotSplit(t *testing.T) {
 
 func TestForgingMinorityDetected(t *testing.T) {
 	c := newTestCluster(t, set1OSes())
-	c.Compromise(3, ForgeReplies)
+	c.replicas[3].behavior = ForgeReplies
 	seq := c.Submit("op")
 	c.Run(1000)
-	if got := c.Accepted(seq); got != "ok:d(op)" {
+	if got := c.accepted[seq]; got != "ok:d(op)" {
 		t.Fatalf("client accepted %q with one forger", got)
 	}
 	if v := c.SafetyReport(); len(v) != 0 {
@@ -121,8 +120,8 @@ func TestForgingMajorityBreaksValidity(t *testing.T) {
 	// f+1 = 2 forging replicas can hand the client a forged result:
 	// exactly the failure mode shared vulnerabilities enable.
 	c := newTestCluster(t, set1OSes())
-	c.Compromise(1, ForgeReplies)
-	c.Compromise(2, ForgeReplies)
+	c.replicas[1].behavior = ForgeReplies
+	c.replicas[2].behavior = ForgeReplies
 	c.Submit("op")
 	c.Run(10000)
 	violations := c.SafetyReport()
@@ -139,15 +138,15 @@ func TestForgingMajorityBreaksValidity(t *testing.T) {
 
 func TestCompromiseByOS(t *testing.T) {
 	// Homogeneous cluster: one OS exploit takes every replica at once.
-	c := newTestCluster(t, Homogeneous(osmap.Debian, 1))
+	c := newTestCluster(t, slices.Repeat([]osmap.Distro{osmap.Debian}, 4))
 	n := c.CompromiseByOS(osmap.Debian, ForgeReplies)
-	if n != 4 || c.CompromisedCount() != 4 {
+	if n != 4 || compromised(c) != 4 {
 		t.Fatalf("CompromiseByOS hit %d replicas, want 4", n)
 	}
 	// Diverse cluster: the same exploit touches only the Debian replica.
 	d := newTestCluster(t, set1OSes())
 	n = d.CompromiseByOS(osmap.Debian, ForgeReplies)
-	if n != 1 || d.CompromisedCount() != 1 {
+	if n != 1 || compromised(d) != 1 {
 		t.Fatalf("diverse CompromiseByOS hit %d replicas, want 1", n)
 	}
 	// Re-compromising is idempotent.
@@ -159,10 +158,10 @@ func TestCompromiseByOS(t *testing.T) {
 func TestDeterministicRuns(t *testing.T) {
 	run := func() (string, int) {
 		c := newTestCluster(t, set1OSes())
-		c.Compromise(0, Silent)
+		c.replicas[0].behavior = Silent
 		seq := c.Submit("op")
 		c.Run(10000)
-		return c.Accepted(seq), c.Delivered()
+		return c.accepted[seq], c.delivered
 	}
 	a1, d1 := run()
 	a2, d2 := run()
@@ -180,11 +179,11 @@ func TestF2Cluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Compromise(1, Silent)
-	c.Compromise(4, ForgeReplies)
+	c.replicas[1].behavior = Silent
+	c.replicas[4].behavior = ForgeReplies
 	seq := c.Submit("op")
 	c.Run(10000)
-	if got := c.Accepted(seq); got != "ok:d(op)" {
+	if got := c.accepted[seq]; got != "ok:d(op)" {
 		t.Fatalf("f=2 cluster with 2 compromised failed: %q", got)
 	}
 	if v := c.SafetyReport(); len(v) != 0 {
@@ -202,49 +201,22 @@ func TestBehaviorStrings(t *testing.T) {
 	}
 }
 
-func TestOSesAccessor(t *testing.T) {
-	c := newTestCluster(t, set1OSes())
-	oses := c.OSes()
-	if len(oses) != 4 || oses[0] != osmap.Windows2003 {
-		t.Fatalf("OSes() = %v", oses)
-	}
-}
-
 func TestProactiveRecovery(t *testing.T) {
 	// A compromised replica rejuvenates and rejoins the protocol: after
 	// recovery the cluster commits with full safety again.
 	c := newTestCluster(t, set1OSes())
-	c.Compromise(1, ForgeReplies)
-	c.Compromise(2, ForgeReplies)
-	if err := c.Recover(1); err != nil {
-		t.Fatal(err)
-	}
-	if c.CompromisedCount() != 1 {
-		t.Fatalf("compromised after recovery = %d, want 1", c.CompromisedCount())
+	c.replicas[1].behavior = ForgeReplies
+	c.replicas[2].behavior = ForgeReplies
+	rejuvenate(c, 1)
+	if compromised(c) != 1 {
+		t.Fatalf("compromised after recovery = %d, want 1", compromised(c))
 	}
 	seq := c.Submit("op")
 	c.Run(10000)
-	if got := c.Accepted(seq); got != "ok:d(op)" {
+	if got := c.accepted[seq]; got != "ok:d(op)" {
 		t.Fatalf("post-recovery request = %q", got)
 	}
 	if v := c.SafetyReport(); len(v) != 0 {
 		t.Fatalf("violations after recovery: %v", v)
-	}
-	if err := c.Recover(99); err == nil {
-		t.Error("Recover accepted bad id")
-	}
-}
-
-func TestRecoverByOS(t *testing.T) {
-	c := newTestCluster(t, Homogeneous(osmap.Debian, 1))
-	c.CompromiseByOS(osmap.Debian, Silent)
-	if n := c.RecoverByOS(osmap.Debian); n != 4 {
-		t.Fatalf("RecoverByOS restored %d, want 4", n)
-	}
-	if c.CompromisedCount() != 0 {
-		t.Fatal("replicas still compromised after RecoverByOS")
-	}
-	if c.RecoverByOS(osmap.Debian) != 0 {
-		t.Error("RecoverByOS on honest replicas did work")
 	}
 }

@@ -1,9 +1,9 @@
 package bft
 
-// Recovery-path coverage: RecoverByOS mid-run and view changes under a
-// Silent primary, pinning that the quorum re-forms deterministically
-// after rejuvenation (Config.Seed fixes every latency draw, so these
-// runs replay identically).
+// Recovery-path coverage: one replica rejuvenated mid-run and view
+// changes under a Silent primary, pinning that the quorum re-forms
+// deterministically after rejuvenation (Config.Seed fixes every latency
+// draw, so these runs replay identically).
 
 import (
 	"testing"
@@ -11,11 +11,31 @@ import (
 	"osdiversity/internal/osmap"
 )
 
-// TestRecoverByOSMidRun stalls a cluster with two Silent backups (only
-// 2f honest replicas — no prepare quorum), rejuvenates one OS midway
+// rejuvenate restores one replica from a clean image of its OS, keeping
+// its view, as Rotate does for every replica at a rotation boundary (the
+// proactive recovery of Castro & Liskov's PBFT-PR, the paper's [3]).
+func rejuvenate(c *Cluster, id NodeID) {
+	fresh := newReplica(id, c.replicas[id].os)
+	fresh.view = c.replicas[id].view
+	c.replicas[id] = fresh
+}
+
+// compromised counts the non-honest replicas.
+func compromised(c *Cluster) int {
+	n := 0
+	for _, r := range c.replicas {
+		if r.behavior != Honest {
+			n++
+		}
+	}
+	return n
+}
+
+// TestRejuvenationMidRun stalls a cluster with two Silent backups (only
+// 2f honest replicas — no prepare quorum), rejuvenates one midway
 // through the run, and pins that the pending request then commits via
 // a view change onto the recovered replica.
-func TestRecoverByOSMidRun(t *testing.T) {
+func TestRejuvenationMidRun(t *testing.T) {
 	c := newTestCluster(t, set1OSes())
 	c.CompromiseByOS(osmap.Solaris, Silent) // replica 1
 	c.CompromiseByOS(osmap.Debian, Silent)  // replica 2
@@ -25,7 +45,7 @@ func TestRecoverByOSMidRun(t *testing.T) {
 	// honest, the view-change vote count stays below 2f+1 and nothing
 	// commits.
 	c.Run(30)
-	if got := c.Accepted(seq); got != "" {
+	if got := c.accepted[seq]; got != "" {
 		t.Fatalf("request committed without a quorum: %q", got)
 	}
 
@@ -33,18 +53,16 @@ func TestRecoverByOSMidRun(t *testing.T) {
 	// again. The next timeout round gathers 2f+1 view-change votes,
 	// the recovered replica is the new primary, and the request
 	// commits.
-	if n := c.RecoverByOS(osmap.Solaris); n != 1 {
-		t.Fatalf("RecoverByOS restored %d, want 1", n)
-	}
-	if c.CompromisedCount() != 1 {
-		t.Fatalf("compromised after recovery = %d, want 1", c.CompromisedCount())
+	rejuvenate(c, 1)
+	if compromised(c) != 1 {
+		t.Fatalf("compromised after recovery = %d, want 1", compromised(c))
 	}
 	c.Run(10000)
-	if got := c.Accepted(seq); got != "ok:d(op)" {
+	if got := c.accepted[seq]; got != "ok:d(op)" {
 		t.Fatalf("post-recovery request = %q, want ok:d(op)", got)
 	}
-	if c.Delivered() != 1 {
-		t.Fatalf("delivered = %d, want 1", c.Delivered())
+	if c.delivered != 1 {
+		t.Fatalf("delivered = %d, want 1", c.delivered)
 	}
 	if v := c.SafetyReport(); len(v) != 0 {
 		t.Fatalf("violations after quorum re-formation: %v", v)
@@ -63,7 +81,7 @@ func TestViewChangeUnderSilentPrimary(t *testing.T) {
 	// Two honest replicas can never gather 2f+1 view-change votes: the
 	// first timeout round passes without progress.
 	c.Run(30)
-	if got := c.Accepted(seq); got != "" {
+	if got := c.accepted[seq]; got != "" {
 		t.Fatalf("request committed under a silent primary pair: %q", got)
 	}
 
@@ -71,18 +89,16 @@ func TestViewChangeUnderSilentPrimary(t *testing.T) {
 	// timeout rounds are still pending; the next round's view change
 	// installs an honest primary and the pending request is re-proposed
 	// and committed — with the original primary still Silent.
-	if n := c.RecoverByOS(osmap.Solaris); n != 1 {
-		t.Fatalf("RecoverByOS restored %d, want 1", n)
-	}
+	rejuvenate(c, 1)
 	c.Run(10000)
-	if got := c.Accepted(seq); got != "ok:d(op)" {
+	if got := c.accepted[seq]; got != "ok:d(op)" {
 		t.Fatalf("post-view-change request = %q, want ok:d(op)", got)
 	}
 	if v := c.SafetyReport(); len(v) != 0 {
 		t.Fatalf("violations after view change onto recovered primary: %v", v)
 	}
-	if c.CompromisedCount() != 1 {
-		t.Fatalf("compromised = %d, want 1 (the old primary stays Silent)", c.CompromisedCount())
+	if compromised(c) != 1 {
+		t.Fatalf("compromised = %d, want 1 (the old primary stays Silent)", compromised(c))
 	}
 }
 
@@ -91,20 +107,22 @@ func TestViewChangeUnderSilentPrimary(t *testing.T) {
 // cluster commits on the new assignment.
 func TestRotate(t *testing.T) {
 	c := newTestCluster(t, set1OSes())
-	c.Compromise(2, ForgeReplies)
+	c.replicas[2].behavior = ForgeReplies
 	next := []osmap.Distro{osmap.NetBSD, osmap.FreeBSD, osmap.RedHat, osmap.Windows2000}
 	if err := c.Rotate(next); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.OSes(); len(got) != 4 || got[0] != osmap.NetBSD || got[3] != osmap.Windows2000 {
-		t.Fatalf("OSes after rotate = %v", got)
+	for i, r := range c.replicas {
+		if r.os != next[i] {
+			t.Fatalf("replica %d runs %v after rotate, want %v", i, r.os, next[i])
+		}
 	}
-	if c.CompromisedCount() != 0 {
+	if compromised(c) != 0 {
 		t.Fatal("compromise survived the rotation boundary")
 	}
 	seq := c.Submit("op")
 	c.Run(10000)
-	if got := c.Accepted(seq); got != "ok:d(op)" {
+	if got := c.accepted[seq]; got != "ok:d(op)" {
 		t.Fatalf("post-rotation request = %q", got)
 	}
 	if v := c.SafetyReport(); len(v) != 0 {

@@ -6,8 +6,7 @@
 // The paper performed this classification by hand over 1887 descriptions.
 // The hand judgements themselves were never published, so this package
 // encodes the *criteria* the paper states in §III-B as an ordered,
-// transparent rule table over description text, plus an override list that
-// plays the role of the manual corrections. The synthetic corpus writes
+// transparent rule table over description text. The synthetic corpus writes
 // descriptions from the same vocabulary, so the full pipeline — text in,
 // class out — is exercised end to end.
 package classify
@@ -33,12 +32,6 @@ const (
 	ClassSysSoft
 	ClassApplication
 )
-
-// Classes lists the four real classes in the paper's column order
-// (Driver, Kernel, System Software, Application).
-func Classes() []Class {
-	return []Class{ClassDriver, ClassKernel, ClassSysSoft, ClassApplication}
-}
 
 // String returns the display name used in the paper's tables.
 func (c Class) String() string {
@@ -173,23 +166,21 @@ type Rule struct {
 	Keywords []string
 }
 
-// Classifier applies an ordered rule table with per-CVE overrides.
-// Construct with NewClassifier; the zero value classifies nothing.
+// Classifier applies an ordered rule table. Construct with
+// NewClassifier; the zero value classifies nothing.
 //
 // Rule-table results are memoized per summary text: corpus descriptions
 // draw on a small template vocabulary, so at 100k-entry scale the same
 // summary recurs thousands of times and the keyword scan dominated
 // ingestion. The memo is concurrency-safe (digestion shards entries
-// across worker pools) and caches only the deterministic rule-table
-// outcome — per-CVE overrides are consulted first and never cached.
+// across worker pools) and caches the deterministic rule-table outcome.
 // Insertion stops at memoMaxEntries so a corpus of mostly-unique
 // summaries (a real NVD feed) bounds the map instead of mirroring the
 // whole feed; lookups keep working either way.
 type Classifier struct {
-	rules     []Rule
-	overrides map[cve.ID]Class
-	memo      sync.Map // summary string -> ruleHit
-	memoSize  atomic.Int64
+	rules    []Rule
+	memo     sync.Map // summary string -> ruleHit
+	memoSize atomic.Int64
 }
 
 // memoMaxEntries caps the per-summary memo. The synthetic template
@@ -206,37 +197,21 @@ type ruleHit struct {
 // NewClassifier returns a classifier loaded with the default rule table
 // derived from the paper's §III-B criteria.
 func NewClassifier() *Classifier {
-	return &Classifier{
-		rules:     defaultRules,
-		overrides: make(map[cve.ID]Class),
-	}
+	return &Classifier{rules: defaultRules}
 }
 
-// Override records a manual classification for one CVE, taking precedence
-// over the rule table. This models the hand-made pass of the paper.
-func (c *Classifier) Override(id cve.ID, class Class) {
-	if c.overrides == nil {
-		c.overrides = make(map[cve.ID]Class)
-	}
-	c.overrides[id] = class
-}
-
-// Classify assigns an entry to a component class. Overrides win; then the
-// first rule (in table order) with a keyword hit; ClassUnclassified if
-// nothing matches.
+// Classify assigns an entry to a component class: the first rule (in
+// table order) with a keyword hit, ClassUnclassified if nothing matches.
 func (c *Classifier) Classify(e *cve.Entry) Class {
 	class, _ := c.ClassifyExplained(e)
 	return class
 }
 
-// ClassifyExplained is Classify but also reports which rule fired
-// ("override" for manual classifications, "" when unclassified).
+// ClassifyExplained is Classify but also reports which rule fired (""
+// when unclassified).
 func (c *Classifier) ClassifyExplained(e *cve.Entry) (Class, string) {
 	if c == nil {
 		return ClassUnclassified, ""
-	}
-	if class, ok := c.overrides[e.ID]; ok {
-		return class, "override"
 	}
 	if hit, ok := c.memo.Load(e.Summary); ok {
 		h := hit.(ruleHit)
@@ -263,9 +238,6 @@ func (c *Classifier) applyRules(summary string) ruleHit {
 	}
 	return ruleHit{class: ClassUnclassified}
 }
-
-// Rules exposes the rule table (shared slice; callers must not mutate).
-func (c *Classifier) Rules() []Rule { return c.rules }
 
 // foldText lowercases and maps punctuation to spaces so word-boundary
 // matching is cheap.

@@ -34,7 +34,7 @@ func studyFingerprint(s *Study) map[string]any {
 		"shares":    shares,
 		"kwiseProd": s.KWiseProducts(FatServer),
 		"kwiseClus": s.KWiseClusters(IsolatedThinServer),
-		"skipped":   s.SkippedEntries(),
+		"skipped":   s.skipped,
 	}
 	for _, p := range Profiles() {
 		fp["pairs"+p.String()] = s.PairMatrix(p)

@@ -20,6 +20,21 @@ import (
 // instead: the oracle walks each valid record's CPE list, which the
 // Study does not keep, and rebuilds the release columns from it.
 
+// matches reports whether the record survives the profile filter. The
+// engine filters by posting bitsets instead and has no per-record check.
+func (r *record) matches(p Profile) bool {
+	switch p {
+	case FatServer:
+		return true
+	case ThinServer:
+		return r.class != classify.ClassApplication
+	case IsolatedThinServer:
+		return r.class != classify.ClassApplication && r.remote
+	default:
+		return false
+	}
+}
+
 // oracleTables is the oracle's answer to every identity-suite query over
 // one study, at one split year and one selection window.
 type oracleTables struct {

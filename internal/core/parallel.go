@@ -126,9 +126,11 @@ func (s *Study) cached(k ckey, compute func() any) any { return s.memo.get(k, co
 // ClearCache drops every memoized table and attack population, and the
 // raw counts, release postings and ID orders memoized on the Study's
 // segments (the posting bitsets are structural, not results, and are
-// kept). The record set is immutable, so this is only needed to
-// benchmark the raw compute paths. A segment shared with another epoch
-// loses its memos there too; they recompute on the next query.
+// kept). The record set is immutable, so only tests call it: the
+// uncached benchmarks (core, vulndb, the root package) time the raw
+// compute paths with it, and the delta tests make an epoch answer from
+// its own memory. A segment shared with another epoch loses its memos
+// there too; they recompute on the next query.
 func (s *Study) ClearCache() {
 	s.memo.clear()
 	s.relPostings.Clear()

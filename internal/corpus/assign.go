@@ -525,24 +525,3 @@ func (c *Corpus) addExtras(idx, n int) bool {
 	}
 	return added == n
 }
-
-// EntryByID finds a generated entry.
-func (c *Corpus) EntryByID(id cve.ID) *cve.Entry {
-	for _, e := range c.Entries {
-		if e.ID == id {
-			return e
-		}
-	}
-	return nil
-}
-
-// ValidEntries returns only the entries the study keeps.
-func (c *Corpus) ValidEntries() []*cve.Entry {
-	var out []*cve.Entry
-	for i, s := range c.Specs {
-		if s.Validity == classify.Valid {
-			out = append(out, c.Entries[i])
-		}
-	}
-	return out
-}

@@ -1,6 +1,7 @@
 package corpus
 
 import (
+	"slices"
 	"testing"
 
 	"osdiversity/internal/classify"
@@ -263,10 +264,11 @@ func TestTableV(t *testing.T) {
 func TestSpecialCVEsPresent(t *testing.T) {
 	c := corpusForTest(t)
 	for _, s := range paperdata.SpecialCVEs {
-		e := c.EntryByID(cve.MustID(s.ID))
-		if e == nil {
+		i := slices.IndexFunc(c.Entries, func(e *cve.Entry) bool { return e.ID == cve.MustID(s.ID) })
+		if i < 0 {
 			t.Fatalf("special CVE %s missing", s.ID)
 		}
+		e := c.Entries[i]
 		wantProducts := len(s.Clusters) + len(s.ExtraProducts)
 		if len(e.Products) != wantProducts {
 			t.Errorf("%s: %d products, want %d", s.ID, len(e.Products), wantProducts)

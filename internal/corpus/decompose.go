@@ -75,18 +75,6 @@ func (m pairMatrix) clone() pairMatrix {
 	return out
 }
 
-// participation sums, for each OS, the number of set instances that
-// include it.
-func participation(sets []groupedSet) map[osmap.Distro]int {
-	out := make(map[osmap.Distro]int)
-	for _, g := range sets {
-		for _, d := range g.set {
-			out[d] += g.count
-		}
-	}
-	return out
-}
-
 // pairsOnly converts a matrix to the trivial pairs-only decomposition.
 func pairsOnly(m pairMatrix) []groupedSet {
 	keys := make([]osmap.Pair, 0, len(m))

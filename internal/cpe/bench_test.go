@@ -17,14 +17,3 @@ func BenchmarkParse23(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkMatch(b *testing.B) {
-	concrete := MustParse("cpe:/o:canonical:ubuntu_linux:9.04")
-	pattern := MustParse("cpe:/o:canonical:ubuntu_linux:9")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !concrete.Match(pattern) {
-			b.Fatal("match failed")
-		}
-	}
-}

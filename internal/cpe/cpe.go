@@ -9,9 +9,9 @@
 //   - the CPE 2.3 formatted-string binding,
 //     e.g. "cpe:2.3:o:openbsd:openbsd:4.2:*:*:*:*:*:*:*"
 //
-// Names parse into a normalized Name value; Match implements the
-// prefix-style matching relation of the CPE 2.2 specification, which is the
-// relation NVD uses when it lists "vulnerable configurations".
+// Both parse into one normalized Name value, which renders back in the
+// 2.2 binding. The study clusters names by (vendor, product) and reads
+// the part to tell operating systems from applications.
 package cpe
 
 import (
@@ -23,8 +23,8 @@ import (
 // system or application.
 type Part byte
 
-// The three CPE parts. PartAny matches any part and appears only in match
-// expressions, never in concrete names.
+// The three CPE parts. PartAny is the empty or "*" part, which stands for
+// any part.
 const (
 	PartHardware    Part = 'h'
 	PartOS          Part = 'o'
@@ -194,54 +194,8 @@ func (n Name) URI() string {
 // String implements fmt.Stringer using the 2.2 URI binding.
 func (n Name) String() string { return n.URI() }
 
-// Formatted renders the name in the 2.3 formatted-string binding. Empty
-// components render as "*" (ANY).
-func (n Name) Formatted() string {
-	star := func(s string) string {
-		if s == "" {
-			return "*"
-		}
-		return encode23(s)
-	}
-	return strings.Join([]string{
-		"cpe:2.3", n.Part.String(), star(n.Vendor), star(n.Product), star(n.Version),
-		star(n.Update), star(n.Edition), star(n.Language), "*", "*", "*", "*",
-	}, ":")
-}
-
-// Key returns the (vendor, product) pair, which is the granularity at
-// which the paper clusters platforms into OS distributions.
-func (n Name) Key() (vendor, product string) { return n.Vendor, n.Product }
-
 // IsOS reports whether the name describes an operating-system platform.
 func (n Name) IsOS() bool { return n.Part == PartOS }
-
-// Match reports whether the concrete name n is matched by the (possibly
-// partial) pattern. A pattern component that is empty matches anything;
-// otherwise components must be equal, except Version, where the CPE 2.2
-// relation also accepts prefix matches on dotted version strings (so a
-// pattern version "4" matches concrete "4.2" but not "40").
-func (n Name) Match(pattern Name) bool {
-	if pattern.Part != PartAny && pattern.Part != n.Part {
-		return false
-	}
-	eq := func(pat, got string) bool { return pat == "" || pat == got }
-	if !eq(pattern.Vendor, n.Vendor) || !eq(pattern.Product, n.Product) {
-		return false
-	}
-	if !versionMatch(pattern.Version, n.Version) {
-		return false
-	}
-	return eq(pattern.Update, n.Update) && eq(pattern.Edition, n.Edition) && eq(pattern.Language, n.Language)
-}
-
-func versionMatch(pat, got string) bool {
-	if pat == "" || pat == got {
-		return true
-	}
-	// Dotted prefix: "5" matches "5.4" and "5.4.1", not "54".
-	return strings.HasPrefix(got, pat) && len(got) > len(pat) && got[len(pat)] == '.'
-}
 
 // splitUnescaped splits s on sep, honoring backslash escapes.
 func splitUnescaped(s string, sep byte) []string {
@@ -350,19 +304,4 @@ func decode23(s string) string {
 		b.WriteByte(s[i])
 	}
 	return strings.ToLower(b.String())
-}
-
-func encode23(s string) string {
-	var b strings.Builder
-	b.Grow(len(s))
-	for i := 0; i < len(s); i++ {
-		switch c := s[i]; c {
-		case ':', '*', '?', '\\':
-			b.WriteByte('\\')
-			b.WriteByte(c)
-		default:
-			b.WriteByte(c)
-		}
-	}
-	return b.String()
 }

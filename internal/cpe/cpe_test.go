@@ -203,79 +203,40 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestMatch(t *testing.T) {
-	concrete := MustParse("cpe:/o:canonical:ubuntu_linux:9.04")
-	tests := []struct {
-		name    string
-		pattern string
-		want    bool
-	}{
-		{"exact", "cpe:/o:canonical:ubuntu_linux:9.04", true},
-		{"product only", "cpe:/o:canonical:ubuntu_linux", true},
-		{"vendor only", "cpe:/o:canonical", true},
-		{"version prefix", "cpe:/o:canonical:ubuntu_linux:9", true},
-		{"wrong version", "cpe:/o:canonical:ubuntu_linux:8.10", false},
-		{"version prefix non-boundary", "cpe:/o:canonical:ubuntu_linux:9.0", false},
-		{"wrong vendor", "cpe:/o:debian:ubuntu_linux", false},
-		{"wrong part", "cpe:/a:canonical:ubuntu_linux", false},
+// Formatted renders the name in the 2.3 formatted-string binding,
+// Parse23's inverse in TestRoundTripProperty (the study only reads
+// names). Empty components render as "*" (ANY).
+func (n Name) Formatted() string {
+	star := func(s string) string {
+		if s == "" {
+			return "*"
+		}
+		return encode23(s)
 	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			pat := MustParse(tt.pattern)
-			if got := concrete.Match(pat); got != tt.want {
-				t.Fatalf("Match(%q) = %v, want %v", tt.pattern, got, tt.want)
-			}
-		})
-	}
+	return strings.Join([]string{
+		"cpe:2.3", n.Part.String(), star(n.Vendor), star(n.Product), star(n.Version),
+		star(n.Update), star(n.Edition), star(n.Language), "*", "*", "*", "*",
+	}, ":")
 }
 
-func TestVersionMatchBoundary(t *testing.T) {
-	// "5" must match "5.4" but never "54"; exact equality always matches.
-	tests := []struct {
-		pat, got string
-		want     bool
-	}{
-		{"5", "5.4", true},
-		{"5", "54", false},
-		{"5", "5", true},
-		{"", "anything", true},
-		{"5.4", "5.4.1", true},
-		{"5.4", "5.40", false},
-	}
-	for _, tt := range tests {
-		if got := versionMatch(tt.pat, tt.got); got != tt.want {
-			t.Errorf("versionMatch(%q, %q) = %v, want %v", tt.pat, tt.got, got, tt.want)
+// encode23 escapes the characters the 2.3 binding quotes.
+func encode23(s string) string {
+	var b strings.Builder
+	b.Grow(len(s))
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; c {
+		case ':', '*', '?', '\\':
+			b.WriteByte('\\')
+			b.WriteByte(c)
+		default:
+			b.WriteByte(c)
 		}
 	}
+	return b.String()
 }
 
-func TestMatchReflexiveProperty(t *testing.T) {
-	f := func(v, p uint32) bool {
-		n := Name{Part: PartOS, Vendor: "v" + string(rune('a'+v%26)), Product: "p" + string(rune('a'+p%26))}
-		return n.Match(n) // every concrete name matches itself
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPartAnyMatchesAllParts(t *testing.T) {
-	pattern := Name{Part: PartAny, Vendor: "acme"}
-	for _, part := range []Part{PartHardware, PartOS, PartApplication} {
-		n := Name{Part: part, Vendor: "acme", Product: "x"}
-		if !n.Match(pattern) {
-			t.Errorf("PartAny pattern failed to match part %v", part)
-		}
-	}
-}
-
-func TestKeyAndIsOS(t *testing.T) {
-	n := MustParse("cpe:/o:sun:solaris:10")
-	vendor, product := n.Key()
-	if vendor != "sun" || product != "solaris" {
-		t.Errorf("Key() = (%q, %q), want (sun, solaris)", vendor, product)
-	}
-	if !n.IsOS() {
+func TestIsOS(t *testing.T) {
+	if !MustParse("cpe:/o:sun:solaris:10").IsOS() {
 		t.Error("IsOS() = false for /o name")
 	}
 	if MustParse("cpe:/a:isc:bind").IsOS() {

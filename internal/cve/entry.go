@@ -3,7 +3,6 @@ package cve
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"time"
 
 	"osdiversity/internal/cpe"
@@ -41,7 +40,8 @@ func (e *Entry) Remote() bool {
 
 // HasOSProduct reports whether any affected product is an operating
 // system platform ("/o" part), which is the paper's selection criterion
-// for OS-level vulnerabilities.
+// for OS-level vulnerabilities. Only tests call it (core's delta
+// fixture picks its entries with it).
 func (e *Entry) HasOSProduct() bool {
 	for _, p := range e.Products {
 		if p.IsOS() {
@@ -51,20 +51,9 @@ func (e *Entry) HasOSProduct() bool {
 	return false
 }
 
-// OSProducts returns the affected products restricted to the OS part.
-// The returned slice is freshly allocated.
-func (e *Entry) OSProducts() []cpe.Name {
-	var out []cpe.Name
-	for _, p := range e.Products {
-		if p.IsOS() {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // AffectsProduct reports whether the entry lists a product matching the
-// given (vendor, product) pair, irrespective of version.
+// given (vendor, product) pair, irrespective of version. Only tests call
+// it (corpus's TestWindows2000PreRelease).
 func (e *Entry) AffectsProduct(vendor, product string) bool {
 	for _, p := range e.Products {
 		if p.Vendor == vendor && p.Product == product {
@@ -100,8 +89,8 @@ func (e *Entry) Validate() error {
 	return nil
 }
 
-// Clone returns a deep copy of the entry. Analysis code holds entries in
-// shared sets; mutation always goes through a clone.
+// Clone returns a deep copy of the entry. Only tests call it: core's
+// delta tests and fuzzer edit clones of a base corpus's entries.
 func (e *Entry) Clone() *Entry {
 	dup := *e
 	dup.Products = append([]cpe.Name(nil), e.Products...)
@@ -112,85 +101,4 @@ func (e *Entry) Clone() *Entry {
 // a deterministic iteration order.
 func SortEntries(entries []*Entry) {
 	sort.Slice(entries, func(i, j int) bool { return entries[i].ID.Less(entries[j].ID) })
-}
-
-// Set is a collection of entries keyed by CVE ID. The zero value is empty
-// and ready to use via Add.
-type Set struct {
-	byID map[ID]*Entry
-}
-
-// NewSet builds a Set from the given entries. Duplicate IDs are rejected.
-func NewSet(entries ...*Entry) (*Set, error) {
-	s := &Set{byID: make(map[ID]*Entry, len(entries))}
-	for _, e := range entries {
-		if err := s.Add(e); err != nil {
-			return nil, err
-		}
-	}
-	return s, nil
-}
-
-// Add inserts an entry, rejecting duplicates by ID.
-func (s *Set) Add(e *Entry) error {
-	if s.byID == nil {
-		s.byID = make(map[ID]*Entry)
-	}
-	if _, dup := s.byID[e.ID]; dup {
-		return fmt.Errorf("cve: duplicate entry %s", e.ID)
-	}
-	s.byID[e.ID] = e
-	return nil
-}
-
-// Get returns the entry with the given ID, or nil.
-func (s *Set) Get(id ID) *Entry {
-	if s == nil || s.byID == nil {
-		return nil
-	}
-	return s.byID[id]
-}
-
-// Len returns the number of entries.
-func (s *Set) Len() int {
-	if s == nil {
-		return 0
-	}
-	return len(s.byID)
-}
-
-// All returns the entries sorted by ID.
-func (s *Set) All() []*Entry {
-	if s == nil {
-		return nil
-	}
-	out := make([]*Entry, 0, len(s.byID))
-	for _, e := range s.byID {
-		out = append(out, e)
-	}
-	SortEntries(out)
-	return out
-}
-
-// Filter returns the sorted entries satisfying keep.
-func (s *Set) Filter(keep func(*Entry) bool) []*Entry {
-	if s == nil {
-		return nil
-	}
-	var out []*Entry
-	for _, e := range s.byID {
-		if keep(e) {
-			out = append(out, e)
-		}
-	}
-	SortEntries(out)
-	return out
-}
-
-// SummaryHasTag reports whether the entry summary carries the given NVD
-// editorial tag (for example "Unspecified" or "** DISPUTED **"), matched
-// case-insensitively on word prefixes the way the paper's manual pass
-// identified them.
-func SummaryHasTag(summary, tag string) bool {
-	return strings.Contains(strings.ToLower(summary), strings.ToLower(tag))
 }

@@ -48,15 +48,6 @@ func TestEntryOSProducts(t *testing.T) {
 	if !e.HasOSProduct() {
 		t.Fatal("entry with /o products reports HasOSProduct = false")
 	}
-	os := e.OSProducts()
-	if len(os) != 2 {
-		t.Fatalf("OSProducts returned %d products, want 2", len(os))
-	}
-	for _, p := range os {
-		if !p.IsOS() {
-			t.Errorf("OSProducts returned non-OS product %s", p)
-		}
-	}
 	appOnly := &Entry{
 		ID:        MustID("CVE-2009-0001"),
 		Published: date(2009),
@@ -113,66 +104,5 @@ func TestEntryClone(t *testing.T) {
 	}
 	if e.Summary == dup.Summary {
 		t.Error("mutating clone summary affected original")
-	}
-}
-
-func TestSet(t *testing.T) {
-	a := sampleEntry()
-	b := &Entry{ID: MustID("CVE-2007-5365"), Published: date(2007),
-		Products: []cpe.Name{cpe.MustParse("cpe:/o:openbsd:openbsd")}}
-	s, err := NewSet(a, b)
-	if err != nil {
-		t.Fatalf("NewSet: %v", err)
-	}
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", s.Len())
-	}
-	if got := s.Get(a.ID); got != a {
-		t.Error("Get returned wrong entry")
-	}
-	if got := s.Get(MustID("CVE-1999-0001")); got != nil {
-		t.Errorf("Get(absent) = %v, want nil", got)
-	}
-	if err := s.Add(a); err == nil {
-		t.Error("Add(duplicate) did not fail")
-	}
-	all := s.All()
-	if len(all) != 2 || !all[0].ID.Less(all[1].ID) {
-		t.Errorf("All() not sorted: %v, %v", all[0].ID, all[1].ID)
-	}
-	remote := s.Filter((*Entry).Remote)
-	if len(remote) != 1 || remote[0].ID != a.ID {
-		t.Errorf("Filter(Remote) = %d entries, want just %v", len(remote), a.ID)
-	}
-}
-
-func TestZeroSet(t *testing.T) {
-	var s Set
-	if s.Len() != 0 || s.Get(MustID("CVE-1999-0001")) != nil {
-		t.Error("zero Set not empty")
-	}
-	if err := s.Add(sampleEntry()); err != nil {
-		t.Fatalf("Add on zero Set: %v", err)
-	}
-	if s.Len() != 1 {
-		t.Error("Add on zero Set did not insert")
-	}
-}
-
-func TestSummaryHasTag(t *testing.T) {
-	tests := []struct {
-		summary, tag string
-		want         bool
-	}{
-		{"Unspecified vulnerability in the kernel", "Unspecified", true},
-		{"unspecified vulnerability", "Unspecified", true},
-		{"** DISPUTED ** buffer overflow in ...", "** DISPUTED **", true},
-		{"Unknown vulnerability in login", "Unknown", true},
-		{"Buffer overflow in sshd", "Unspecified", false},
-	}
-	for _, tt := range tests {
-		if got := SummaryHasTag(tt.summary, tt.tag); got != tt.want {
-			t.Errorf("SummaryHasTag(%q, %q) = %v, want %v", tt.summary, tt.tag, got, tt.want)
-		}
 	}
 }

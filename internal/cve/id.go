@@ -52,8 +52,9 @@ func ParseID(s string) (ID, error) {
 	return ID{Year: year, Seq: seq}, nil
 }
 
-// MustID is like ParseID but panics on malformed input. It is intended for
-// package-level tables of well-known identifiers.
+// MustID is like ParseID but panics on malformed input. Only tests call
+// it, to write identifiers literally (core, corpus, classify, vulndb,
+// attack and nvdfeed tests).
 func MustID(s string) ID {
 	id, err := ParseID(s)
 	if err != nil {

@@ -251,16 +251,6 @@ func (v Vector) String() string {
 		byte(v.AV), byte(v.AC), byte(v.Au), byte(v.C), byte(v.I), byte(v.A))
 }
 
-// Impact returns the impact sub-score in [0, 10.0].
-func (v Vector) Impact() float64 {
-	return round1(10.41 * (1 - (1-v.C.score())*(1-v.I.score())*(1-v.A.score())))
-}
-
-// Exploitability returns the exploitability sub-score in [0, 10.0].
-func (v Vector) Exploitability() float64 {
-	return round1(20 * v.AV.score() * v.AC.score() * v.Au.score())
-}
-
 // BaseScore computes the CVSS v2 base score in [0, 10.0] using the
 // official equation, including the f(impact) adjustment term.
 func (v Vector) BaseScore() float64 {
@@ -271,19 +261,6 @@ func (v Vector) BaseScore() float64 {
 		fImpact = 0
 	}
 	return round1((0.6*impact + 0.4*exploitability - 1.5) * fImpact)
-}
-
-// Severity classifies the base score into NVD's qualitative bands:
-// LOW [0.0,3.9], MEDIUM [4.0,6.9], HIGH [7.0,10.0].
-func (v Vector) Severity() string {
-	switch s := v.BaseScore(); {
-	case s >= 7.0:
-		return "HIGH"
-	case s >= 4.0:
-		return "MEDIUM"
-	default:
-		return "LOW"
-	}
 }
 
 // round1 rounds to one decimal place, as the CVSS v2 specification

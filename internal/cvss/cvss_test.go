@@ -118,12 +118,6 @@ func TestScoreBounds(t *testing.T) {
 		if s < 0 || s > 10 {
 			t.Fatalf("BaseScore(%s) = %v out of [0,10]", v, s)
 		}
-		if imp := v.Impact(); imp < 0 || imp > 10 {
-			t.Fatalf("Impact(%s) = %v out of [0,10]", v, imp)
-		}
-		if exp := v.Exploitability(); exp < 0 || exp > 10 {
-			t.Fatalf("Exploitability(%s) = %v out of [0,10]", v, exp)
-		}
 		// One decimal place by construction.
 		if math.Abs(s*10-math.Round(s*10)) > 1e-9 {
 			t.Fatalf("BaseScore(%s) = %v not rounded to one decimal", v, s)
@@ -169,23 +163,6 @@ func TestRemote(t *testing.T) {
 	}
 	if AccessLocal.Remote() {
 		t.Error("local vector must not be remote")
-	}
-}
-
-func TestSeverity(t *testing.T) {
-	tests := []struct {
-		vector string
-		want   string
-	}{
-		{"AV:N/AC:L/Au:N/C:C/I:C/A:C", "HIGH"},
-		{"AV:N/AC:L/Au:N/C:N/I:P/A:N", "MEDIUM"},
-		{"AV:L/AC:L/Au:N/C:N/I:N/A:P", "LOW"},
-		{"AV:N/AC:L/Au:N/C:N/I:N/A:N", "LOW"},
-	}
-	for _, tt := range tests {
-		if got := MustParse(tt.vector).Severity(); got != tt.want {
-			t.Errorf("Severity(%s) = %q, want %q", tt.vector, got, tt.want)
-		}
 	}
 }
 

@@ -177,9 +177,6 @@ func (m *Manager) Current() (*Epoch, bool) {
 	return e, e != nil
 }
 
-// Ready reports whether an epoch is resident.
-func (m *Manager) Ready() bool { return m.cur.Load() != nil }
-
 // Status snapshots the reload counters.
 func (m *Manager) Status() Status {
 	st := Status{
@@ -194,17 +191,9 @@ func (m *Manager) Status() Status {
 	return st
 }
 
-// Reload builds, validates and swaps in a new epoch, blocking until any
-// running reload finishes first. Returns the published epoch on
-// success.
-func (m *Manager) Reload(source string, build BuildFunc) (*Epoch, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.reloadLocked(source, build)
-}
-
-// TryReload is Reload, except it fails fast with ErrReloadInProgress
-// when another reload holds the lock (the admin-endpoint path).
+// TryReload builds, validates and swaps in a new epoch, returning the
+// published epoch on success. It fails fast with ErrReloadInProgress
+// when another reload is running.
 func (m *Manager) TryReload(source string, build BuildFunc) (*Epoch, error) {
 	if !m.mu.TryLock() {
 		return nil, ErrReloadInProgress

@@ -60,10 +60,10 @@ func TestBootAndReloadSwap(t *testing.T) {
 	fx := makeFixture(t)
 	m := NewManager(Config{})
 
-	if m.Ready() {
+	if _, ok := m.Current(); ok {
 		t.Fatal("manager ready before Install")
 	}
-	if _, err := m.Reload("delta", fx.applyDelta); !errors.Is(err, ErrNotReady) {
+	if _, err := m.TryReload("delta", fx.applyDelta); !errors.Is(err, ErrNotReady) {
 		t.Fatalf("Reload before boot: err = %v, want ErrNotReady", err)
 	}
 	if got := m.Status().Failures; got != 1 {
@@ -71,12 +71,12 @@ func TestBootAndReloadSwap(t *testing.T) {
 	}
 
 	boot := m.Install(fx.base, "feeds")
-	if boot.Seq != 1 || !m.Ready() {
-		t.Fatalf("boot epoch seq = %d, ready = %v", boot.Seq, m.Ready())
+	if _, ok := m.Current(); boot.Seq != 1 || !ok {
+		t.Fatalf("boot epoch seq = %d, ready = %v", boot.Seq, ok)
 	}
 	before := tables(t, fx.base)
 
-	e, err := m.Reload("delta", fx.applyDelta)
+	e, err := m.TryReload("delta", fx.applyDelta)
 	if err != nil {
 		t.Fatalf("Reload: %v", err)
 	}
@@ -181,7 +181,7 @@ func TestReloadFaultInjection(t *testing.T) {
 			if build == nil {
 				build = fx.applyDelta
 			}
-			if _, err := m.Reload("delta", build); err == nil {
+			if _, err := m.TryReload("delta", build); err == nil {
 				t.Fatal("Reload succeeded, want failure")
 			} else if !strings.Contains(err.Error(), tc.errPart) {
 				t.Fatalf("error %q does not mention %q", err, tc.errPart)
@@ -207,12 +207,12 @@ func TestReloadFaultInjection(t *testing.T) {
 
 			// The manager must keep working: the same failed build again,
 			// then a clean reload.
-			if _, err := m.Reload("delta", build); err == nil {
+			if _, err := m.TryReload("delta", build); err == nil {
 				t.Fatal("second failed reload succeeded")
 			}
 			m2 := NewManager(Config{})
 			m2.Install(fx.base, "feeds")
-			if _, err := m2.Reload("delta", fx.applyDelta); err != nil {
+			if _, err := m2.TryReload("delta", fx.applyDelta); err != nil {
 				t.Fatalf("clean reload after failures: %v", err)
 			}
 		})
@@ -234,7 +234,7 @@ func TestTransientErrorsRetryWithBackoff(t *testing.T) {
 		}},
 	})
 	m.Install(fx.base, "feeds")
-	e, err := m.Reload("delta", fx.applyDelta)
+	e, err := m.TryReload("delta", fx.applyDelta)
 	if err != nil {
 		t.Fatalf("Reload: %v", err)
 	}
@@ -271,7 +271,7 @@ func TestTransientRetriesAreBounded(t *testing.T) {
 		}},
 	})
 	m.Install(fx.base, "feeds")
-	if _, err := m.Reload("delta", fx.applyDelta); err == nil {
+	if _, err := m.TryReload("delta", fx.applyDelta); err == nil {
 		t.Fatal("Reload succeeded, want bounded failure")
 	}
 	if attempts != 3 {
@@ -287,7 +287,7 @@ func TestPanicsAreNeverRetried(t *testing.T) {
 	attempts := 0
 	m := NewManager(Config{Sleep: func(time.Duration) {}})
 	m.Install(fx.base, "feeds")
-	_, err := m.Reload("delta", func(*osdiversity.Analysis) (*osdiversity.Analysis, error) {
+	_, err := m.TryReload("delta", func(*osdiversity.Analysis) (*osdiversity.Analysis, error) {
 		attempts++
 		panic(syscall.EAGAIN) // transient-looking, but panics never retry
 	})
@@ -305,7 +305,7 @@ func TestTryReloadWhileReloadInFlight(t *testing.T) {
 	release := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
-		_, err := m.Reload("slow", func(base *osdiversity.Analysis) (*osdiversity.Analysis, error) {
+		_, err := m.TryReload("slow", func(base *osdiversity.Analysis) (*osdiversity.Analysis, error) {
 			close(entered)
 			<-release
 			return fx.applyDelta(base)
@@ -336,7 +336,7 @@ func TestSeqIsMonotonic(t *testing.T) {
 	m.Install(fx.base, "feeds")
 	var last uint64 = 1
 	for i := 0; i < 3; i++ {
-		e, err := m.Reload("delta", fx.applyDelta)
+		e, err := m.TryReload("delta", fx.applyDelta)
 		if err != nil {
 			t.Fatalf("Reload %d: %v", i, err)
 		}

@@ -72,7 +72,8 @@ type Client struct {
 	sleep func(time.Duration)
 }
 
-// NewClient returns a client for the server at base.
+// NewClient returns a client for the server at base. Only tests call it
+// (server's and httpapi's); the gateway fills a Client literal.
 func NewClient(base string) *Client { return &Client{Base: base} }
 
 func (c *Client) httpClient() *http.Client {
@@ -175,21 +176,17 @@ func (c *Client) attempt(ctx context.Context, method, u string) ([]byte, string,
 
 // GetRaw fetches a path (with optional query) and returns the raw body
 // bytes of a 200 response, retrying transient failures per the client's
-// policy. Non-200 responses decode into *Error.
+// policy. Non-200 responses decode into *Error. Only server's tests call
+// it.
 func (c *Client) GetRaw(path string, query url.Values) ([]byte, error) {
-	return c.GetRawContext(context.Background(), path, query)
-}
-
-// GetRawContext is GetRaw under a caller context; the context spans the
-// whole retry loop, the per-attempt Timeout each attempt.
-func (c *Client) GetRawContext(ctx context.Context, path string, query url.Values) ([]byte, error) {
-	body, _, err := c.GetRawEpochContext(ctx, path, query)
+	body, _, err := c.GetRawEpochContext(context.Background(), path, query)
 	return body, err
 }
 
-// GetRawEpochContext is GetRawContext returning the X-Osdiv-Epoch
-// header alongside the body — the gateway verifies every scattered
-// leg's epoch against the resolved shard vector.
+// GetRawEpochContext is GetRaw under a caller context, returning the
+// X-Osdiv-Epoch header alongside the body — the gateway verifies every
+// scattered leg's epoch against the resolved shard vector. The context
+// spans the whole retry loop, the per-attempt Timeout each attempt.
 func (c *Client) GetRawEpochContext(ctx context.Context, path string, query url.Values) ([]byte, string, error) {
 	u := c.url(path, query)
 	retry := c.Retry.withDefaults()
@@ -214,33 +211,16 @@ func (c *Client) GetRawEpochContext(ctx context.Context, path string, query url.
 	}
 }
 
-// PostRaw sends a bodyless POST and returns the raw 200 body. POSTs are
-// never retried, whatever the client's policy: the admin calls they
-// carry are not idempotent.
-func (c *Client) PostRaw(path string, query url.Values) ([]byte, error) {
-	return c.PostRawContext(context.Background(), path, query)
-}
-
-// PostRawContext is PostRaw under a caller context.
-func (c *Client) PostRawContext(ctx context.Context, path string, query url.Values) ([]byte, error) {
-	body, _, err := c.attempt(ctx, http.MethodPost, c.url(path, query))
-	return body, err
-}
-
 // PostJSON POSTs a JSON-encoded body and returns the raw 200 body.
-// Like the other POSTs it is never retried.
+// POSTs are never retried, whatever the client's policy: the admin calls
+// they carry are not idempotent. Only server's tests call it.
 func (c *Client) PostJSON(path string, body any) ([]byte, error) {
-	return c.PostJSONContext(context.Background(), path, body)
-}
-
-// PostJSONContext is PostJSON under a caller context.
-func (c *Client) PostJSONContext(ctx context.Context, path string, body any) ([]byte, error) {
-	raw, _, err := c.PostJSONEpochContext(ctx, path, body)
+	raw, _, err := c.PostJSONEpochContext(context.Background(), path, body)
 	return raw, err
 }
 
-// PostJSONEpochContext is PostJSONContext returning the X-Osdiv-Epoch
-// header alongside the body.
+// PostJSONEpochContext is PostJSON under a caller context, returning the
+// X-Osdiv-Epoch header alongside the body.
 func (c *Client) PostJSONEpochContext(ctx context.Context, path string, body any) ([]byte, string, error) {
 	payload, err := json.Marshal(body)
 	if err != nil {
@@ -265,6 +245,7 @@ func (c *Client) PostJSONEpochContext(ctx context.Context, path string, body any
 
 // Query POSTs one SELECT to /api/query and decodes the result document
 // (available when the server was started over an imported database).
+// Only server's tests call it.
 func (c *Client) Query(sql string, args ...any) (QueryResult, error) {
 	var out QueryResult
 	body, err := c.PostJSON("/api/query", QueryRequest{SQL: sql, Args: args})
@@ -278,7 +259,8 @@ func (c *Client) Query(sql string, args ...any) (QueryResult, error) {
 }
 
 // Recommend POSTs a dynamic-diversity search spec to /api/recommend
-// and decodes the ranked-schedule document.
+// and decodes the ranked-schedule document. Only server's tests call
+// it.
 func (c *Client) Recommend(req RecommendRequest) (Recommend, error) {
 	var out Recommend
 	body, err := c.PostJSON("/api/recommend", req)
@@ -304,17 +286,18 @@ func get[T any](c *Client, path string, query url.Values) (T, error) {
 	return out, nil
 }
 
-// Health fetches /healthz.
+// Health fetches /healthz. Only tests call it (server's and httpapi's).
 func (c *Client) Health() (Health, error) { return get[Health](c, "/healthz", nil) }
 
-// Corpus fetches /corpus.
+// Corpus fetches /corpus. Only server's tests call it.
 func (c *Client) Corpus() (CorpusInfo, error) { return get[CorpusInfo](c, "/corpus", nil) }
 
 // Reload POSTs /admin/reload and decodes the swap result. Never
-// retried; a timed-out reload may still complete server-side.
+// retried; a timed-out reload may still complete server-side. Only
+// tests call it (server's and httpapi's).
 func (c *Client) Reload() (ReloadResult, error) {
 	var out ReloadResult
-	body, err := c.PostRaw("/admin/reload", nil)
+	body, _, err := c.attempt(context.Background(), http.MethodPost, c.url("/admin/reload", nil))
 	if err != nil {
 		return out, err
 	}

@@ -141,7 +141,7 @@ func TestContextCancelStopsRetryLoop(t *testing.T) {
 	c.Retry = RetryPolicy{Attempts: 100, BaseDelay: time.Millisecond}
 	c.sleep = func(time.Duration) { cancel() }
 
-	if _, err := c.GetRawContext(ctx, "/healthz", nil); err == nil {
+	if _, _, err := c.GetRawEpochContext(ctx, "/healthz", nil); err == nil {
 		t.Fatal("canceled retry loop succeeded")
 	}
 	if got := hits.Load(); got > 2 {

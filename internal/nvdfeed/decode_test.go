@@ -268,7 +268,7 @@ func scanDoc(in []byte, lenient bool) ([]*cve.Entry, int, error) {
 	}
 	r := NewReader(bytes.NewReader(in), opts...)
 	entries, err := readAll(r)
-	return entries, r.Skipped(), err
+	return entries, r.skipped, err
 }
 
 func oracleDoc(in []byte, lenient bool) ([]*cve.Entry, int, error) {

@@ -129,9 +129,6 @@ func (r *Reader) Close() error {
 	return firstErr
 }
 
-// Skipped reports how many entries a lenient reader has dropped so far.
-func (r *Reader) Skipped() int { return r.skipped }
-
 // noteSkip counts one dropped entry, both on the reader and on any
 // attached SkipStats aggregate.
 func (r *Reader) noteSkip() {
@@ -461,8 +458,9 @@ func WriteFile(path, feedName string, entries []*cve.Entry) (err error) {
 // WriteFileWithMalformed writes a feed file containing the entries in
 // order plus `malformed` syntactically well-formed but unconvertible
 // <entry> elements (bad CVE identifiers) interleaved at evenly spaced
-// positions. It renders the fixtures the lenient-ingestion tests and
-// smoke flows feed the pipeline: a strict reader fails on such a file,
+// positions. Only tests call it: it renders the fixtures the
+// lenient-ingestion tests (nvdfeed's and the root package's) feed the
+// pipeline. A strict reader fails on such a file,
 // a lenient one must skip exactly `malformed` entries and report the
 // count instead of silently dropping it.
 func WriteFileWithMalformed(path, feedName string, entries []*cve.Entry, malformed int) error {

@@ -200,8 +200,8 @@ func TestReaderLenientSkipsBadEntry(t *testing.T) {
 	if err != nil {
 		t.Fatalf("lenient readAll: %v", err)
 	}
-	if len(entries) != 1 || r.Skipped() != 1 {
-		t.Fatalf("lenient reader: %d entries, %d skipped; want 1 and 1", len(entries), r.Skipped())
+	if len(entries) != 1 || r.skipped != 1 {
+		t.Fatalf("lenient reader: %d entries, %d skipped; want 1 and 1", len(entries), r.skipped)
 	}
 }
 

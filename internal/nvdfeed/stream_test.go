@@ -182,8 +182,8 @@ func TestStreamLenientSkipStats(t *testing.T) {
 	if _, err := readAll(r); err != nil {
 		t.Fatalf("readAll: %v", err)
 	}
-	if one.Skipped() != 2 || r.Skipped() != 2 {
-		t.Errorf("reader skipped %d (aggregate %d), want 2", r.Skipped(), one.Skipped())
+	if one.Skipped() != 2 || r.skipped != 2 {
+		t.Errorf("reader skipped %d (aggregate %d), want 2", r.skipped, one.Skipped())
 	}
 }
 

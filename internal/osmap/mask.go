@@ -9,18 +9,8 @@ import (
 // affects the i-th distribution of the owning registry's universe (see
 // Registry.Distros). It replaces the fixed uint16 record mask so the
 // engine supports arbitrarily many distributions. The zero value is an
-// empty mask of width 0; NewMask sizes one for a universe.
+// empty mask of width 0; SetGrow widens it.
 type Mask []uint64
-
-// maskWords returns the number of 64-bit words covering nBits.
-func maskWords(nBits int) int { return (nBits + 63) / 64 }
-
-// NewMask returns an empty mask wide enough for nBits bit positions.
-func NewMask(nBits int) Mask { return make(Mask, maskWords(nBits)) }
-
-// Set sets bit i. The mask must already be wide enough; use SetGrow or
-// SetChecked when the index may exceed the mask's width.
-func (m Mask) Set(i int) { m[i>>6] |= 1 << uint(i&63) }
 
 // SetGrow sets bit i, widening the mask as needed, and returns the
 // (possibly reallocated) mask. This is the digestion-boundary form: a
@@ -32,16 +22,6 @@ func (m Mask) SetGrow(i int) Mask {
 	}
 	m[i>>6] |= 1 << uint(i&63)
 	return m
-}
-
-// SetChecked sets bit i, returning an error instead of panicking when
-// the index falls outside the mask's width.
-func (m Mask) SetChecked(i int) error {
-	if i < 0 || i>>6 >= len(m) {
-		return fmt.Errorf("osmap: bit index %d out of range for %d-word mask", i, len(m))
-	}
-	m[i>>6] |= 1 << uint(i&63)
-	return nil
 }
 
 // Has reports whether bit i is set. Out-of-range bits read as unset.
@@ -60,7 +40,8 @@ func (m Mask) OnesCount() int {
 }
 
 // Equal reports whether the two masks have the same set bits, ignoring
-// trailing zero words.
+// trailing zero words. Only tests call it (core's population and
+// parallel-build tests).
 func (m Mask) Equal(o Mask) bool {
 	long, short := m, o
 	if len(short) > len(long) {

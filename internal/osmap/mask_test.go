@@ -6,16 +6,16 @@ import (
 )
 
 func TestMaskBasicOps(t *testing.T) {
-	m := NewMask(200)
-	if len(m) != 4 {
-		t.Fatalf("NewMask(200) has %d words, want 4", len(m))
-	}
+	var m Mask
 	if m.OnesCount() != 0 {
-		t.Fatal("fresh mask not empty")
+		t.Fatal("zero mask not empty")
 	}
 	idxs := []int{0, 63, 64, 127, 128, 199}
 	for _, i := range idxs {
-		m.Set(i)
+		m = m.SetGrow(i)
+	}
+	if len(m) != 4 {
+		t.Fatalf("mask holding bit 199 has %d words, want 4", len(m))
 	}
 	for _, i := range idxs {
 		if !m.Has(i) {
@@ -43,23 +43,13 @@ func TestMaskBasicOps(t *testing.T) {
 	}
 }
 
-func TestMaskSetGrowAndChecked(t *testing.T) {
-	// Set on an out-of-range bit panics; the digestion boundary uses
-	// SetGrow (widening) or SetChecked (erroring) instead.
-	m := NewMask(64)
-	if err := m.SetChecked(63); err != nil {
-		t.Fatalf("SetChecked(63): %v", err)
+func TestMaskSetGrow(t *testing.T) {
+	// Indexing past the mask's width panics; the digestion boundary
+	// uses SetGrow, which widens the mask instead.
+	m := make(Mask, 1).SetGrow(63)
+	if len(m) != 1 || !m.Has(63) {
+		t.Fatalf("SetGrow(63) on a 1-word mask = %v", m)
 	}
-	if !m.Has(63) {
-		t.Fatal("SetChecked did not set the bit")
-	}
-	if err := m.SetChecked(64); err == nil {
-		t.Fatal("SetChecked(64) on a 1-word mask must error")
-	}
-	if err := m.SetChecked(-1); err == nil {
-		t.Fatal("SetChecked(-1) must error")
-	}
-
 	grown := m.SetGrow(130)
 	if len(grown) != 3 {
 		t.Fatalf("SetGrow(130) width = %d words, want 3", len(grown))
@@ -81,24 +71,23 @@ func TestMaskSetGrowAndChecked(t *testing.T) {
 }
 
 func TestMaskEqual(t *testing.T) {
-	a := NewMask(128)
+	a := make(Mask, 2)
 	for _, i := range []int{3, 70, 100} {
-		a.Set(i)
+		a = a.SetGrow(i)
 	}
 	// Width-mismatched comparisons: trailing zero words are ignored.
-	wide := NewMask(256)
-	wide.Set(3)
-	wide.Set(70)
-	wide.Set(100)
+	wide := make(Mask, 4)
+	for _, i := range []int{3, 70, 100} {
+		wide = wide.SetGrow(i)
+	}
 	if !a.Equal(wide) || !wide.Equal(a) {
 		t.Fatal("Equal should ignore trailing zero words")
 	}
-	wide.Set(200)
+	wide = wide.SetGrow(200)
 	if a.Equal(wide) || wide.Equal(a) {
 		t.Fatal("bit 200 must break equality")
 	}
-	b := NewMask(128)
-	b.Set(3)
+	b := make(Mask, 2).SetGrow(3)
 	if a.Equal(b) {
 		t.Fatal("different masks compare equal")
 	}
@@ -130,7 +119,7 @@ func TestSyntheticDistros(t *testing.T) {
 func TestSyntheticRegistry(t *testing.T) {
 	r := NewSyntheticRegistry(32)
 	ds := r.Distros()
-	if len(ds) != 32 || r.UniverseSize() != 32 {
+	if len(ds) != 32 {
 		t.Fatalf("universe size %d, want 32", len(ds))
 	}
 	// The first 11 are the paper's distros, in presentation order.
@@ -151,8 +140,8 @@ func TestSyntheticRegistry(t *testing.T) {
 		}
 	}
 	// Default registry still reports the paper's universe.
-	if def := NewRegistry(); def.UniverseSize() != NumDistros {
-		t.Fatalf("default universe size %d", def.UniverseSize())
+	if def := NewRegistry(); len(def.Distros()) != NumDistros {
+		t.Fatalf("default universe size %d", len(def.Distros()))
 	}
 	// Narrow universes truncate the paper's list.
 	if narrow := NewSyntheticRegistry(5); len(narrow.Distros()) != 5 {

@@ -177,18 +177,6 @@ func (d Distro) Family() Family {
 	}
 }
 
-// Members returns the distributions belonging to the family, in
-// presentation order.
-func (f Family) Members() []Distro {
-	var out []Distro
-	for _, d := range Distros() {
-		if d.Family() == f {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
 // FirstReleaseYear returns the year the distribution first shipped, per
 // the major-release annotations on the paper's Figure 2.
 func (d Distro) FirstReleaseYear() int {
@@ -254,15 +242,10 @@ func MakePair(a, b Distro) Pair {
 // "OpenBSD-NetBSD".
 func (p Pair) String() string { return p.A.String() + "-" + p.B.String() }
 
-// Contains reports whether d is one of the pair's members.
-func (p Pair) Contains(d Distro) bool { return p.A == d || p.B == d }
-
-// SameFamily reports whether both members belong to one family.
-func (p Pair) SameFamily() bool { return p.A.Family() == p.B.Family() }
-
 // AllPairs returns the 55 unordered pairs over the 11 distributions, in
 // the paper's Table III row order (outer loop in presentation order,
-// inner loop over later distributions).
+// inner loop over later distributions). Only tests call it, to walk
+// Table III (core, corpus, paperdata, vulndb and the root benchmarks).
 func AllPairs() []Pair {
 	ds := Distros()
 	out := make([]Pair, 0, len(ds)*(len(ds)-1)/2)
@@ -312,7 +295,6 @@ type aliasKey struct {
 // zero value has no aliases and resolves nothing.
 type Registry struct {
 	aliases   map[aliasKey]Distro
-	known     map[aliasKey]bool // products we recognise but do not cluster
 	releases  map[Distro][]Release
 	canonical map[Distro]cpe.Name
 	distros   []Distro // the universe, in presentation order
@@ -324,7 +306,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	r := &Registry{
 		aliases:   make(map[aliasKey]Distro, 64),
-		known:     make(map[aliasKey]bool, 16),
 		releases:  make(map[Distro][]Release, NumDistros),
 		canonical: make(map[Distro]cpe.Name, NumDistros),
 		distros:   Distros(),
@@ -334,9 +315,6 @@ func NewRegistry() *Registry {
 		if a.canonical {
 			r.canonical[a.distro] = cpe.Name{Part: cpe.PartOS, Vendor: a.vendor, Product: a.product}
 		}
-	}
-	for _, k := range unclusteredProducts {
-		r.known[aliasKey{k.vendor, k.product}] = true
 	}
 	for _, rel := range defaultReleases {
 		r.releases[rel.Distro] = append(r.releases[rel.Distro], rel)
@@ -397,58 +375,14 @@ func (r *Registry) Distros() []Distro {
 	return append([]Distro(nil), r.distros...)
 }
 
-// UniverseSize returns the number of distributions in the universe.
-func (r *Registry) UniverseSize() int {
-	if r == nil || len(r.distros) == 0 {
-		return NumDistros
-	}
-	return len(r.distros)
-}
-
 // Cluster maps a CPE name to its distribution. The second result is false
-// when the product is not one of the 64 clustered CPEs (it may still be a
-// known OS product; see Known).
+// when the product is not one of the 64 clustered CPEs.
 func (r *Registry) Cluster(n cpe.Name) (Distro, bool) {
 	if r == nil || r.aliases == nil {
 		return DistroUnknown, false
 	}
 	d, ok := r.aliases[aliasKey{n.Vendor, n.Product}]
 	return d, ok
-}
-
-// Known reports whether the product appears anywhere in the registry,
-// clustered or not. Unknown products in a feed are ignored by the study
-// (the paper keeps only its 64 CPEs).
-func (r *Registry) Known(n cpe.Name) bool {
-	if r == nil {
-		return false
-	}
-	k := aliasKey{n.Vendor, n.Product}
-	if _, ok := r.aliases[k]; ok {
-		return true
-	}
-	return r.known[k]
-}
-
-// AliasCount returns the number of clustered (vendor, product) pairs.
-func (r *Registry) AliasCount() int { return len(r.aliases) }
-
-// Aliases returns the clustered (vendor, product) pairs for a
-// distribution, sorted for determinism.
-func (r *Registry) Aliases(d Distro) []cpe.Name {
-	var out []cpe.Name
-	for k, v := range r.aliases {
-		if v == d {
-			out = append(out, cpe.Name{Part: cpe.PartOS, Vendor: k.vendor, Product: k.product})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Vendor != out[j].Vendor {
-			return out[i].Vendor < out[j].Vendor
-		}
-		return out[i].Product < out[j].Product
-	})
-	return out
 }
 
 // CanonicalName returns the canonical CPE name used when generating feed
@@ -465,16 +399,6 @@ func (r *Registry) CanonicalName(d Distro) cpe.Name {
 // mutate it.
 func (r *Registry) Releases(d Distro) []Release {
 	return r.releases[d]
-}
-
-// FindRelease looks up a release by distribution and version string.
-func (r *Registry) FindRelease(d Distro, version string) (Release, bool) {
-	for _, rel := range r.releases[d] {
-		if rel.Version == version {
-			return rel, true
-		}
-	}
-	return Release{}, false
 }
 
 type alias struct {
@@ -563,31 +487,6 @@ var defaultAliases = []alias{
 	{"oracle", "opensolaris", OpenSolaris, false},
 	{"freebsd_project", "freebsd", FreeBSD, false},
 	{"the_netbsd_foundation", "netbsd", NetBSD, false},
-}
-
-type product struct {
-	vendor  string
-	product string
-}
-
-// unclusteredProducts are OS products that appear in NVD configurations
-// alongside the 11 clusters (for example on the nine-OS CVE-2008-4609) but
-// do not belong to any of the paper's clusters.
-var unclusteredProducts = []product{
-	{"microsoft", "windows_xp"},
-	{"microsoft", "windows_vista"},
-	{"microsoft", "windows_nt"},
-	{"apple", "mac_os_x"},
-	{"ibm", "aix"},
-	{"hp", "hp-ux"},
-	{"sgi", "irix"},
-	{"suse", "suse_linux"},
-	{"gentoo", "linux"},
-	{"slackware", "slackware_linux"},
-	{"mandrakesoft", "mandrake_linux"},
-	{"sco", "openserver"},
-	{"novell", "netware"},
-	{"cisco", "ios"},
 }
 
 // defaultReleases transcribes the major-release annotations of the

@@ -1,6 +1,8 @@
 package osmap
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -31,24 +33,12 @@ func TestFamilies(t *testing.T) {
 		FamilyLinux:   {Debian, Ubuntu, RedHat},
 		FamilyWindows: {Windows2000, Windows2003, Windows2008},
 	}
-	total := 0
-	for f, want := range wantMembers {
-		got := f.Members()
-		if len(got) != len(want) {
-			t.Fatalf("%v.Members() = %v, want %v", f, got, want)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%v.Members() = %v, want %v", f, got, want)
-			}
-			if want[i].Family() != f {
-				t.Errorf("%v.Family() = %v, want %v", want[i], want[i].Family(), f)
-			}
-		}
-		total += len(got)
+	got := make(map[Family][]Distro)
+	for _, d := range Distros() {
+		got[d.Family()] = append(got[d.Family()], d)
 	}
-	if total != NumDistros {
-		t.Errorf("family members total %d, want %d", total, NumDistros)
+	if !reflect.DeepEqual(got, wantMembers) {
+		t.Fatalf("families by Distro.Family = %v, want %v", got, wantMembers)
 	}
 }
 
@@ -87,15 +77,6 @@ func TestMakePair(t *testing.T) {
 	}
 	if p.String() != "OpenBSD-Windows2003" {
 		t.Errorf("Pair.String() = %q", p.String())
-	}
-	if !p.Contains(OpenBSD) || !p.Contains(Windows2003) || p.Contains(Debian) {
-		t.Error("Pair.Contains wrong")
-	}
-	if p.SameFamily() {
-		t.Error("OpenBSD-Windows2003 reported same family")
-	}
-	if !MakePair(Debian, RedHat).SameFamily() {
-		t.Error("Debian-RedHat not reported same family")
 	}
 }
 
@@ -193,27 +174,23 @@ func TestRegistryUnclustered(t *testing.T) {
 	if _, ok := r.Cluster(xp); ok {
 		t.Error("windows_xp clustered; must stay outside the 11 distributions")
 	}
-	if !r.Known(xp) {
-		t.Error("windows_xp not Known; the nine-OS CVE needs it")
-	}
-	mystery := cpe.MustParse("cpe:/o:acme:rtos")
-	if r.Known(mystery) {
-		t.Error("unknown vendor reported Known")
-	}
 }
 
 func TestRegistryAliasCountMatchesPaper(t *testing.T) {
 	r := NewRegistry()
-	if got := r.AliasCount(); got != 64 {
+	if got := len(r.aliases); got != 64 {
 		t.Fatalf("registry clusters %d CPEs, want the paper's 64", got)
 	}
 }
 
 func TestEveryDistroHasAliasesAndCanonical(t *testing.T) {
 	r := NewRegistry()
+	aliases := make(map[Distro]int)
+	for _, d := range r.aliases {
+		aliases[d]++
+	}
 	for _, d := range Distros() {
-		aliases := r.Aliases(d)
-		if len(aliases) == 0 {
+		if aliases[d] == 0 {
 			t.Errorf("%v has no aliases", d)
 		}
 		canon := r.CanonicalName(d)
@@ -223,20 +200,6 @@ func TestEveryDistroHasAliasesAndCanonical(t *testing.T) {
 		}
 		if got, ok := r.Cluster(canon); !ok || got != d {
 			t.Errorf("canonical name %s of %v does not cluster back", canon, d)
-		}
-	}
-}
-
-func TestAliasesDeterministic(t *testing.T) {
-	r := NewRegistry()
-	a := r.Aliases(RedHat)
-	b := r.Aliases(RedHat)
-	if len(a) != len(b) {
-		t.Fatal("alias count unstable")
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("alias order unstable at %d: %v vs %v", i, a[i], b[i])
 		}
 	}
 }
@@ -278,12 +241,12 @@ func TestTableVIReleasesPresent(t *testing.T) {
 		{RedHat, "4.0", 2005},
 		{RedHat, "5.0", 2007},
 	} {
-		rel, ok := r.FindRelease(want.d, want.version)
-		if !ok {
+		i := slices.IndexFunc(r.Releases(want.d), func(rel Release) bool { return rel.Version == want.version })
+		if i < 0 {
 			t.Errorf("release %v%s missing (needed by Table VI)", want.d, want.version)
 			continue
 		}
-		if rel.Year != want.year {
+		if rel := r.Releases(want.d)[i]; rel.Year != want.year {
 			t.Errorf("release %v year = %d, want %d", rel, rel.Year, want.year)
 		}
 	}
@@ -300,8 +263,5 @@ func TestZeroRegistry(t *testing.T) {
 	var r *Registry
 	if _, ok := r.Cluster(cpe.MustParse("cpe:/o:openbsd:openbsd")); ok {
 		t.Error("nil registry clustered a name")
-	}
-	if r.Known(cpe.MustParse("cpe:/o:openbsd:openbsd")) {
-		t.Error("nil registry knows a name")
 	}
 }

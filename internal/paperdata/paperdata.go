@@ -89,9 +89,6 @@ type ClassCounts struct {
 	App     int
 }
 
-// Total returns the row sum, which must equal ValidCounts.
-func (c ClassCounts) Total() int { return c.Driver + c.Kernel + c.SysSoft + c.App }
-
 // NonApp returns the Thin Server count (everything but applications).
 func (c ClassCounts) NonApp() int { return c.Driver + c.Kernel + c.SysSoft }
 
@@ -202,9 +199,6 @@ type PartCounts struct {
 	SysSoft int
 }
 
-// Total returns the row sum, which must equal PairTable[p].Remote.
-func (p PartCounts) Total() int { return p.Driver + p.Kernel + p.SysSoft }
-
 // PartTable is Table IV. Pairs absent from the map shared nothing under
 // the Isolated Thin Server profile.
 var PartTable = map[osmap.Pair]PartCounts{
@@ -251,9 +245,6 @@ type PeriodCounts struct {
 	History  int
 	Observed int
 }
-
-// Total returns History+Observed, which must equal PairTable[p].Remote.
-func (p PeriodCounts) Total() int { return p.History + p.Observed }
 
 // PeriodTable is Table V, covering the 8 history-eligible distributions
 // (Ubuntu, OpenSolaris and Windows 2008 are excluded for lack of history

@@ -16,8 +16,8 @@ func TestClassRowsSumToValidCounts(t *testing.T) {
 		if !ok {
 			t.Fatalf("ClassTable missing %v", d)
 		}
-		if row.Total() != ValidCounts[d] {
-			t.Errorf("%v: Table II row sums to %d, Table I says %d", d, row.Total(), ValidCounts[d])
+		if sum := row.Driver + row.Kernel + row.SysSoft + row.App; sum != ValidCounts[d] {
+			t.Errorf("%v: Table II row sums to %d, Table I says %d", d, sum, ValidCounts[d])
 		}
 	}
 }
@@ -103,8 +103,8 @@ func TestPartTableSumsToRemote(t *testing.T) {
 	// Every Table IV row total equals the pair's Remote count, and every
 	// pair with a non-zero Remote count appears in Table IV.
 	for p, parts := range PartTable {
-		if parts.Total() != PairTable[p].Remote {
-			t.Errorf("%v: Table IV sums to %d, Table III remote is %d", p, parts.Total(), PairTable[p].Remote)
+		if sum := parts.Driver + parts.Kernel + parts.SysSoft; sum != PairTable[p].Remote {
+			t.Errorf("%v: Table IV sums to %d, Table III remote is %d", p, sum, PairTable[p].Remote)
 		}
 	}
 	for p, c := range PairTable {
@@ -133,7 +133,7 @@ func TestPeriodTableSumsToRemote(t *testing.T) {
 			t.Errorf("PeriodTable missing %v", p)
 			continue
 		}
-		if pc.Total() != PairTable[p].Remote {
+		if pc.History+pc.Observed != PairTable[p].Remote {
 			t.Errorf("%v: history %d + observed %d != remote %d", p, pc.History, pc.Observed, PairTable[p].Remote)
 		}
 	}
@@ -228,8 +228,8 @@ func TestFigure3ExpectedDerivesFromPeriodTable(t *testing.T) {
 			// is shared by all of them. Sum Table V... not applicable;
 			// the bar is Debian's remote total split by period. The
 			// split (16/9) is a paper-text figure; just check the total.
-			if want.Total() != RemoteTotals[osmap.Debian] {
-				t.Errorf("Debian bar total %d != remote total %d", want.Total(), RemoteTotals[osmap.Debian])
+			if sum := want.History + want.Observed; sum != RemoteTotals[osmap.Debian] {
+				t.Errorf("Debian bar total %d != remote total %d", sum, RemoteTotals[osmap.Debian])
 			}
 			continue
 		}

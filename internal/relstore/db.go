@@ -271,7 +271,7 @@ func (db *DB) Query(sql string, args ...Value) (*Result, error) {
 }
 
 // QueryInt runs a single-value SELECT (for example a COUNT) and returns
-// the cell as an int64.
+// the cell as an int64. Only tests call it (relstore's and vulndb's).
 func (db *DB) QueryInt(sql string, args ...Value) (int64, error) {
 	res, err := db.Query(sql, args...)
 	if err != nil {

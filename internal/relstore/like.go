@@ -97,7 +97,3 @@ func (p *likeProg) match(s string) bool {
 	}
 	return pi == len(p.ops)
 }
-
-// likeMatch is the one-shot form used by tests and ad-hoc callers;
-// query execution goes through the program cached on the LikeExpr.
-func likeMatch(s, pattern string) bool { return compileLike(pattern).match(s) }

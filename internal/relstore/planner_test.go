@@ -366,8 +366,8 @@ func TestLikeRuneAware(t *testing.T) {
 		{"x", "_", true},
 	}
 	for _, tt := range tests {
-		if got := likeMatch(tt.s, tt.pat); got != tt.want {
-			t.Errorf("likeMatch(%q, %q) = %v, want %v", tt.s, tt.pat, got, tt.want)
+		if got := compileLike(tt.pat).match(tt.s); got != tt.want {
+			t.Errorf("%q LIKE %q = %v, want %v", tt.s, tt.pat, got, tt.want)
 		}
 	}
 }

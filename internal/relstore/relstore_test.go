@@ -570,7 +570,7 @@ func TestLikeMatchProperty(t *testing.T) {
 	// a '%'-only pattern matches everything.
 	f := func(raw uint32) bool {
 		s := fmt.Sprintf("v%d", raw%10000)
-		return likeMatch(s, s) && likeMatch(s, "%") && likeMatch(s, "v%") && !likeMatch(s, "x%")
+		return compileLike(s).match(s) && compileLike("%").match(s) && compileLike("v%").match(s) && !compileLike("x%").match(s)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -594,8 +594,8 @@ func TestLikeMatchTable(t *testing.T) {
 		{"%literal", "%literal", true},
 	}
 	for _, tt := range tests {
-		if got := likeMatch(tt.s, tt.pat); got != tt.want {
-			t.Errorf("likeMatch(%q, %q) = %v, want %v", tt.s, tt.pat, got, tt.want)
+		if got := compileLike(tt.pat).match(tt.s); got != tt.want {
+			t.Errorf("%q LIKE %q = %v, want %v", tt.s, tt.pat, got, tt.want)
 		}
 	}
 }

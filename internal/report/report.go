@@ -1,6 +1,6 @@
 // Package report renders the study's tables and figures as aligned
-// ASCII tables, CSV, Markdown, and text bar charts — the presentation
-// layer behind cmd/osdiv.
+// ASCII tables and text bar charts — the presentation layer behind
+// cmd/osdiv.
 package report
 
 import (
@@ -80,47 +80,6 @@ func (t *Table) WriteASCII(w io.Writer) error {
 	b.WriteByte('\n')
 	for _, row := range t.Rows {
 		writeRow(row)
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-// WriteCSV renders the table as RFC-4180-ish CSV.
-func (t *Table) WriteCSV(w io.Writer) error {
-	var b strings.Builder
-	writeRow := func(cells []string) {
-		for i, cell := range cells {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			if strings.ContainsAny(cell, ",\"\n") {
-				b.WriteByte('"')
-				b.WriteString(strings.ReplaceAll(cell, `"`, `""`))
-				b.WriteByte('"')
-			} else {
-				b.WriteString(cell)
-			}
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(t.Columns)
-	for _, row := range t.Rows {
-		writeRow(row)
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-// WriteMarkdown renders the table as a GitHub-flavored Markdown table.
-func (t *Table) WriteMarkdown(w io.Writer) error {
-	var b strings.Builder
-	if t.Title != "" {
-		fmt.Fprintf(&b, "**%s**\n\n", t.Title)
-	}
-	b.WriteString("| " + strings.Join(t.Columns, " | ") + " |\n")
-	b.WriteString("|" + strings.Repeat("---|", len(t.Columns)) + "\n")
-	for _, row := range t.Rows {
-		b.WriteString("| " + strings.Join(row, " | ") + " |\n")
 	}
 	_, err := io.WriteString(w, b.String())
 	return err

@@ -39,33 +39,6 @@ func TestWriteASCII(t *testing.T) {
 	}
 }
 
-func TestWriteCSV(t *testing.T) {
-	tbl := NewTable("", "a", "b")
-	tbl.AddRow(`say "hi"`, "x,y")
-	var b strings.Builder
-	if err := tbl.WriteCSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	want := "a,b\n\"say \"\"hi\"\"\",\"x,y\"\n"
-	if b.String() != want {
-		t.Errorf("CSV = %q, want %q", b.String(), want)
-	}
-}
-
-func TestWriteMarkdown(t *testing.T) {
-	var b strings.Builder
-	if err := sampleTable().WriteMarkdown(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if !strings.Contains(out, "| Pair | All | Remote |") {
-		t.Errorf("markdown header missing:\n%s", out)
-	}
-	if !strings.Contains(out, "|---|---|---|") {
-		t.Errorf("markdown separator missing:\n%s", out)
-	}
-}
-
 func TestRowPadding(t *testing.T) {
 	tbl := NewTable("", "a", "b", "c")
 	tbl.AddRow("only-one")

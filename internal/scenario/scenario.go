@@ -13,7 +13,7 @@
 // core's cached per-window overlap matrices (one SetCostsByWindow batch
 // per candidate set, never the raw vulnerability list), keeps the
 // cheapest Beam assignments per window, crosses them into schedules,
-// scores every schedule's survival with attack.SimulateRotation over
+// scores every schedule's survival with attack.RotationSurvival over
 // deterministic per-candidate seed streams, and replays the winning
 // schedule's compromises on a real bft.Cluster. Trials run on the
 // study's worker pool, so results are byte-identical at any

@@ -439,7 +439,8 @@ type Route struct {
 	Refused bool
 }
 
-// Routes lists the endpoint table in declaration order.
+// Routes lists the endpoint table in declaration order. Only server's
+// endpoint sweep tests call it.
 func Routes() []Route {
 	out := make([]Route, 0, len(endpoints))
 	for _, e := range endpoints {

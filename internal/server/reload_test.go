@@ -160,7 +160,7 @@ func TestAdminReloadSwapsAndDegrades(t *testing.T) {
 	computesBefore := s.Computes()
 
 	s.SetReloader(func() (*epoch.Epoch, error) {
-		return s.Epochs().TryReload("delta", func(cur *osdiversity.Analysis) (*osdiversity.Analysis, error) {
+		return s.epochs.TryReload("delta", func(cur *osdiversity.Analysis) (*osdiversity.Analysis, error) {
 			return cur.ApplyDelta(fx.delta)
 		})
 	})
@@ -214,7 +214,7 @@ func TestAdminReloadSwapsAndDegrades(t *testing.T) {
 		failures uint64
 	}{
 		{"build failure", func() (*epoch.Epoch, error) {
-			return s.Epochs().TryReload("delta", func(*osdiversity.Analysis) (*osdiversity.Analysis, error) {
+			return s.epochs.TryReload("delta", func(*osdiversity.Analysis) (*osdiversity.Analysis, error) {
 				return nil, errors.New("corrupt feed")
 			})
 		}, 500, "reload_failed", 1},
@@ -457,7 +457,7 @@ func TestReloadUnderFire(t *testing.T) {
 	var successes, faults int
 	for n := 0; n < rounds; n++ {
 		if n%2 == 1 {
-			_, err := m.Reload("delta", func(*osdiversity.Analysis) (*osdiversity.Analysis, error) {
+			_, err := m.TryReload("delta", func(*osdiversity.Analysis) (*osdiversity.Analysis, error) {
 				return nil, injected
 			})
 			if !errors.Is(err, injected) {
@@ -468,7 +468,7 @@ func TestReloadUnderFire(t *testing.T) {
 		}
 		// Rebuild from the pinned original base so every epoch's bytes
 		// stay predictable regardless of how many swaps preceded it.
-		ep, err := m.Reload("delta", func(*osdiversity.Analysis) (*osdiversity.Analysis, error) {
+		ep, err := m.TryReload("delta", func(*osdiversity.Analysis) (*osdiversity.Analysis, error) {
 			return fx.base.ApplyDelta(fx.delta)
 		})
 		if err != nil {

@@ -118,7 +118,8 @@ type Server struct {
 // New builds a server over one immutable analysis — the corpus is
 // installed as epoch 1 and never reloads unless SetReloader attaches a
 // source. The analysis must have been constructed with the same worker
-// count as cfg.Workers reports.
+// count as cfg.Workers reports. Only tests call it (server's and
+// gather's); the CLI and e2ebench build servers with NewResident.
 func New(a *osdiversity.Analysis, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	m := epoch.NewManager(epoch.Config{})
@@ -143,9 +144,6 @@ func newServer(m *epoch.Manager, cfg Config) *Server {
 func (s *Server) SetReloader(fn func() (*epoch.Epoch, error)) {
 	s.reload.Store(&fn)
 }
-
-// Epochs returns the manager the server answers from.
-func (s *Server) Epochs() *epoch.Manager { return s.epochs }
 
 // Computes reports how many response bodies the server has computed
 // (cache misses that executed a build). The coalescing tests assert N

@@ -83,7 +83,6 @@ type DB struct {
 	// The §III aggregation queries, prepared once per database: the
 	// parse and plan happen at Create/Open, every call after binds
 	// arguments into the cached plan.
-	stCountByOS    *relstore.Stmt
 	stSharedCount  *relstore.Stmt
 	stSharedMatrix *relstore.Stmt
 }
@@ -92,13 +91,6 @@ type DB struct {
 // typed parameters, so quote-bearing names neither break the query nor
 // inject SQL.
 const (
-	countByOSSQL = `
-		SELECT os.name, COUNT(DISTINCT os_vuln.vuln_id) AS n
-		FROM os
-		JOIN os_vuln ON os.id = os_vuln.os_id
-		JOIN security_protection sp ON os_vuln.vuln_id = sp.vuln_id
-		WHERE sp.validity = 'Valid'
-		GROUP BY os.name`
 	sharedCountSQL = `
 		SELECT COUNT(DISTINCT x.vuln_id)
 		FROM os_vuln x
@@ -123,9 +115,6 @@ const (
 // recompiling transparently on their next use.
 func (db *DB) prepareStatements() error {
 	var err error
-	if db.stCountByOS, err = db.store.Prepare(countByOSSQL); err != nil {
-		return fmt.Errorf("vulndb: prepare count-by-os: %w", err)
-	}
 	if db.stSharedCount, err = db.store.Prepare(sharedCountSQL); err != nil {
 		return fmt.Errorf("vulndb: prepare shared-count: %w", err)
 	}
@@ -304,20 +293,6 @@ func vectorFromRow(row []relstore.Value) (cvss.Vector, error) {
 	v.I = impact(row[5].AsText())
 	v.A = impact(row[6].AsText())
 	return v, nil
-}
-
-// CountByOS runs the paper's first aggregation as SQL: valid
-// vulnerabilities per OS name.
-func (db *DB) CountByOS() (map[string]int, error) {
-	res, err := db.stCountByOS.Query()
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]int, len(res.Rows))
-	for _, row := range res.Rows {
-		out[row[0].AsText()] = int(row[1].AsInt())
-	}
-	return out, nil
 }
 
 // SharedCount runs the pairwise-overlap aggregation as SQL: distinct

@@ -15,7 +15,7 @@
 //	best := a.SelectReplicaSets(4, true, 2005)[0]     // paper §IV-C
 //
 // Operating systems are identified by their display names (for example
-// "OpenBSD", "Windows2003"); OSNames lists them.
+// "OpenBSD", "Windows2003"); Analysis.OSNames lists them.
 package osdiversity
 
 import (
@@ -186,26 +186,6 @@ func (c config) registry() *osmap.Registry {
 // studyOptions translates the facade config into core options.
 func (c config) studyOptions() []core.Option {
 	return []core.Option{core.WithParallelism(c.workers), core.WithRegistry(c.registry())}
-}
-
-// OSNames returns the 11 distribution names of the study, in the paper's
-// presentation order.
-func OSNames() []string {
-	var out []string
-	for _, d := range osmap.Distros() {
-		out = append(out, d.String())
-	}
-	return out
-}
-
-// FamilyOf returns the OS family of a distribution name ("BSD",
-// "Solaris", "Linux" or "Windows").
-func FamilyOf(osName string) (string, error) {
-	d, err := osmap.ParseDistro(osName)
-	if err != nil {
-		return "", err
-	}
-	return d.Family().String(), nil
 }
 
 // GenerateFeeds writes the calibrated synthetic NVD data feeds (one

@@ -20,16 +20,9 @@ func calibrated(t testing.TB) *Analysis {
 }
 
 func TestOSNames(t *testing.T) {
-	names := OSNames()
+	names := calibrated(t).OSNames()
 	if len(names) != 11 || names[0] != "OpenBSD" || names[10] != "Windows2008" {
 		t.Fatalf("OSNames = %v", names)
-	}
-	fam, err := FamilyOf("Debian")
-	if err != nil || fam != "Linux" {
-		t.Errorf("FamilyOf(Debian) = %q, %v", fam, err)
-	}
-	if _, err := FamilyOf("TempleOS"); err == nil {
-		t.Error("FamilyOf accepted unknown OS")
 	}
 }
 
